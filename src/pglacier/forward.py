@@ -1,15 +1,21 @@
-"""Damped Newton solver for the nonlinear momentum balance.
+"""Damped inexact Newton solver for the nonlinear momentum balance.
 
-Each Newton step factorizes the symmetric saddle-point Jacobian after
-symmetric constraint elimination and backtracks on the euclidean norm of
-the reduced system residual.  The default initial guess solves the
-linear (p = 2) problem once; if plain Newton stalls, the solver retries
-with a short continuation ladder in the exponent.
+Each Newton step assembles the exact symmetric saddle-point Jacobian
+after symmetric constraint elimination and backtracks on the euclidean
+norm of the reduced system residual.  One forward solve factorizes
+once: its first linear solve (the p = 2 warm start, or the first Newton
+step) is a sparse LU solve, and every later step runs right-
+preconditioned GMRES on ``J . LU^-1`` with that LU, to Eisenstat-Walker
+forcing terms.  When one GMRES cycle of ``GMRES_RESTART`` iterations
+misses its tolerance, the step refactorizes at the current Jacobian,
+solves directly and keeps the new LU.  The default initial guess solves
+the linear (p = 2) problem once; if plain Newton stalls, the solver
+retries with a short continuation ladder in the exponent, still
+preconditioned by the same LU.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,6 +23,18 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (assemble_jacobian, _residual_raw, solver_sign)
 from .spaces import Field, SpaceKind, norm, zero_field
+
+
+# Krylov vectors in the one GMRES cycle a Newton step may run before it
+# refactorizes.
+GMRES_RESTART = 30
+
+# Eisenstat-Walker choice 2: eta_k = gamma (|F_k| / |F_k-1|)^alpha,
+# capped at ETA_MAX; ETA_FIRST is used when no previous ratio exists.
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
+ETA_MAX = 0.9
+ETA_FIRST = 0.1
 
 
 class SolverError(Exception):
@@ -31,6 +49,12 @@ class SolverConfig:
     ``newton_atol`` is the absolute floor.  The line search halves the
     step until the residual norm drops by a (1 - ls_decrease * alpha)
     factor, at most ``ls_max`` times.
+
+    ``linear_solver = "direct"`` factorizes once per forward solve and
+    preconditions later Newton steps with that LU (GMRES to
+    Eisenstat-Walker forcing terms, refactorizing when a restart cycle
+    falls short); ``"minres"`` runs unpreconditioned MINRES to
+    ``iterative_tol`` for every linear solve instead.
     """
 
     newton_rtol: float = 1e-10
@@ -57,7 +81,8 @@ class SolveReport:
     final_energy: float
     energy_bound: float
     continuation_used: bool
-    wall_time: float
+    factorizations: int
+    krylov_iterations: int
 
 
 @dataclass
@@ -67,20 +92,91 @@ class ForwardSolution:
     report: SolveReport
 
 
-def _linear_solve(matrix, rhs, config):
-    if config.linear_solver == "direct":
+def _gmres(matrix, lu, rhs, rtol):
+    """One cycle of GMRES on ``matrix . lu^-1`` (right preconditioning,
+    so its residual is the true residual of ``matrix . x = rhs``).
+
+    Returns ``(x, iterations)``; ``x`` is None when the cycle ends above
+    ``rtol * |rhs|``.
+    """
+    beta = float(np.linalg.norm(rhs))
+    basis = np.empty((GMRES_RESTART + 1, rhs.size))
+    basis[0] = rhs / beta
+    hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+    target = np.zeros(GMRES_RESTART + 1)
+    target[0] = beta
+    for k in range(GMRES_RESTART):
+        w = matrix @ lu.solve(basis[k])
+        for i in range(k + 1):              # modified Gram-Schmidt
+            hess[i, k] = basis[i] @ w
+            w -= hess[i, k] * basis[i]
+        hess[k + 1, k] = np.linalg.norm(w)
+        h, g = hess[:k + 2, :k + 1], target[:k + 2]
+        y = np.linalg.lstsq(h, g, rcond=None)[0]
+        if np.linalg.norm(h @ y - g) <= rtol * beta:
+            return lu.solve(y @ basis[:k + 1]), k + 1
+        if hess[k + 1, k] == 0.0:           # breakdown short of the target
+            return None, k + 1
+        basis[k + 1] = w / hess[k + 1, k]
+    return None, GMRES_RESTART
+
+
+class _LinearSolver:
+    """The linear solves of one forward solve, sharing one LU.
+
+    The first solve factorizes; later ones run GMRES preconditioned by
+    the current LU and refactorize only when GMRES falls short.  The LU
+    lives as long as this object, never beyond the forward solve.
+    """
+
+    def __init__(self, config):
+        if config.linear_solver not in ("direct", "minres"):
+            raise ValueError("unknown linear solver %r" % config.linear_solver)
+        self.config = config
+        self.lu = None
+        self.factorizations = 0
+        self.krylov_iterations = 0
+
+    def solve(self, matrix, rhs, rtol=0.0):
+        """Solve ``matrix . x = rhs``, to relative residual ``rtol``
+        when the LU preconditions GMRES."""
+        if self.config.linear_solver == "minres":
+            return self._minres(matrix, rhs)
+        if self.lu is not None:
+            x, iterations = _gmres(matrix, self.lu, rhs, rtol)
+            self.krylov_iterations += iterations
+            if x is not None:
+                return x
+        self.lu = None                      # release the stale LU first
         try:
-            lu = spla.splu(matrix.tocsc())
+            self.lu = spla.splu(matrix.tocsc())
         except RuntimeError as exc:
             raise SolverError("sparse factorization failed: %s" % exc)
-        return lu.solve(rhs)
-    if config.linear_solver == "iterative":
-        x, info = spla.minres(matrix, rhs, rtol=config.iterative_tol,
-                              maxiter=20 * matrix.shape[0])
+        self.factorizations += 1
+        return self.lu.solve(rhs)
+
+    def _minres(self, matrix, rhs):
+        def count(_):
+            self.krylov_iterations += 1
+        x, info = spla.minres(matrix, rhs, rtol=self.config.iterative_tol,
+                              maxiter=20 * matrix.shape[0], callback=count)
         if info != 0:
             raise SolverError("iterative linear solve did not converge (info=%d)" % info)
         return x
-    raise ValueError("unknown linear solver %r" % config.linear_solver)
+
+
+def _forcing_term(res, res_prev, eta_prev, floor):
+    """Eisenstat-Walker choice-2 relative tolerance for the next linear
+    solve, safeguarded against sudden drops and floored at what the
+    Newton tolerance needs."""
+    if res_prev is None:
+        eta = ETA_FIRST
+    else:
+        eta = EW_GAMMA * (res / res_prev) ** EW_ALPHA
+        guard = EW_GAMMA * eta_prev ** EW_ALPHA
+        if guard > 0.1:
+            eta = max(eta, guard)
+    return min(ETA_MAX, max(eta, floor))
 
 
 def _fields_from_system(spaces, x):
@@ -96,9 +192,10 @@ def _reduced_residual(spaces, x_hat, rheology, friction, params, sign):
     return spaces.reduce_vector(sign * raw)
 
 
-def _newton(spaces, x_hat0, rheology, friction, params, config):
-    """Damped Newton on the reduced rotated system; returns the iterate,
-    histories and a convergence flag."""
+def _newton(spaces, x_hat0, rheology, friction, params, config, linear):
+    """Damped inexact Newton on the reduced rotated system, with the
+    linear solves of ``linear``; returns the iterate, histories and a
+    convergence flag."""
     sign = solver_sign(spaces)
     x_hat = x_hat0.copy()
     r = _reduced_residual(spaces, x_hat, rheology, friction, params, sign)
@@ -109,10 +206,13 @@ def _newton(spaces, x_hat0, rheology, friction, params, config):
     energies = [norm(_fields_from_system(spaces, spaces.expand_vector(x_hat))[0],
                      "V2_seminorm")]
     it = 0
+    eta = None
     while res > tol and it < config.max_newton:
         vel, press = _fields_from_system(spaces, spaces.expand_vector(x_hat))
         system = assemble_jacobian(vel, rheology, friction, params)
-        delta = _linear_solve(system.reduced(), -r, config)
+        eta = _forcing_term(res, residuals[-2] if it else None, eta,
+                            0.5 * tol / res)
+        delta = linear.solve(system.reduced(), -r, eta)
         alpha = 1.0
         accepted = False
         for _ in range(config.ls_max + 1):
@@ -135,17 +235,17 @@ def _newton(spaces, x_hat0, rheology, friction, params, config):
     return x_hat, residuals, steps, energies, res <= tol
 
 
-def _linear_state(spaces, rheology, friction, params, config):
+def _linear_state(spaces, rheology, friction, params, linear):
     """One exact solve of the linear (p = s = 2) problem, used as a warm
     start.  Returns reduced rotated coordinates."""
-    linear = replace(params, p=2.0, s=2.0)
+    p2 = replace(params, p=2.0, s=2.0)
     zero_v = zero_field(spaces.velocity)
     zero_p = zero_field(spaces.pressure)
-    system = assemble_jacobian(zero_v, rheology, friction, linear)
+    system = assemble_jacobian(zero_v, rheology, friction, p2)
     sign = solver_sign(spaces)
-    raw = _residual_raw(zero_v, zero_p, rheology, friction, linear)
+    raw = _residual_raw(zero_v, zero_p, rheology, friction, p2)
     rhs = spaces.reduce_vector(sign * raw)
-    return _linear_solve(system.reduced(), -rhs, config)
+    return linear.solve(system.reduced(), -rhs)
 
 
 def energy_bound(spaces, params):
@@ -193,25 +293,27 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None):
         raise ValueError("friction must live on the bed chain")
     if params.delta <= 0.0:
         raise ValueError("forward solve needs delta > 0")
-    if np.any(rheology.values < params.rheology_min) \
-            or np.any(rheology.values > params.rheology_max):
-        raise ValueError("rheology field leaves the admissible box")
-    if np.any(friction.values < 0.0) or np.any(friction.values > params.friction_max):
-        raise ValueError("friction field leaves the admissible box")
+    for name, values, lo, hi in (
+            ("rheology", rheology.values, params.rheology_min, params.rheology_max),
+            ("friction", friction.values, 0.0, params.friction_max)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError("%s field has non-finite values" % name)
+        if np.any(values < lo) or np.any(values > hi):
+            raise ValueError("%s field leaves the admissible box" % name)
 
-    start = time.perf_counter()
+    linear = _LinearSolver(config)
     if warm_start is not None:
         x0 = np.concatenate([warm_start[0].values, warm_start[1].values])
         x_hat0 = spaces.reduce_vector(x0)
     elif config.initial_guess == "p2_warmstart" and params.p != 2.0:
-        x_hat0 = _linear_state(spaces, rheology, friction, params, config)
+        x_hat0 = _linear_state(spaces, rheology, friction, params, linear)
     elif config.initial_guess in ("zero", "p2_warmstart"):
         x_hat0 = np.zeros(spaces.n_sys)
     else:
         raise ValueError("unknown initial guess policy %r" % config.initial_guess)
 
     x_hat, residuals, steps, energies, ok = _newton(
-        spaces, x_hat0, rheology, friction, params, config)
+        spaces, x_hat0, rheology, friction, params, config, linear)
     continuation = False
     if not ok:
         # Continuation ladder in the exponent, warm starting each stage.
@@ -221,7 +323,7 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None):
         for pc in ladder:
             stage = replace(params, p=pc, s=min(params.s, pc))
             x_hat, residuals, steps, energies, ok = _newton(
-                spaces, x_hat, rheology, friction, stage, config)
+                spaces, x_hat, rheology, friction, stage, config, linear)
             if not ok:
                 break
 
@@ -229,9 +331,9 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None):
     vel, press = _fields_from_system(spaces, x)
     bound = energy_bound(spaces, params)
     final_energy = energies[-1]
-    wall = time.perf_counter() - start
     report = SolveReport(ok, len(residuals) - 1, residuals, steps, energies,
-                         final_energy, bound, continuation, wall)
+                         final_energy, bound, continuation,
+                         linear.factorizations, linear.krylov_iterations)
     if ok and final_energy > bound * (1.0 + 1e-9):
         raise SolverError("energy bound violated: |v|_V2 = %g exceeds %g"
                           % (final_energy, bound))
@@ -246,7 +348,7 @@ def solve_system(system, rhs, config=None):
     config = config or SolverConfig()
     spaces = system.spaces
     rhs_hat = spaces.reduce_vector(rhs)
-    x_hat = _linear_solve(system.reduced(), rhs_hat, config)
+    x_hat = _LinearSolver(config).solve(system.reduced(), rhs_hat)
     return spaces.expand_vector(x_hat)
 
 

@@ -195,3 +195,26 @@ def test_seed_and_out_overrides(tmp_path):
 def test_serial_flag_is_accepted(tmp_path):
     cfg = write_cfg(tmp_path, TINY_MESH + "run.out = %s\n" % (tmp_path / "o"))
     assert run(["mesh-gen", "--config", cfg, "--serial"]) == 0
+
+
+def test_forward_reports_linear_solve_counts(tmp_path):
+    cfg = write_cfg(tmp_path, TINY_MESH + "physics.body_force_x = 0.5\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 0
+    report = (tmp_path / "o" / "report.csv").read_text().splitlines()
+    rows = dict(line.split(",", 1) for line in report[1:])
+    assert rows["factorizations"] == "1"
+    assert int(rows["krylov_iterations"]) > 0
+
+
+def test_forward_with_minres_converges(tmp_path):
+    # the documented value used to fail as an unknown linear solver
+    cfg = write_cfg(tmp_path, TINY_MESH + "physics.body_force_x = 0.5\n"
+                    + "solver.linear_solver = minres\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 0
+    report = (tmp_path / "o" / "report.csv").read_text().splitlines()
+    rows = dict(line.split(",", 1) for line in report[1:])
+    assert rows["converged"] == "1"
+    assert rows["factorizations"] == "0"
+    assert int(rows["krylov_iterations"]) > 0

@@ -3,8 +3,10 @@ behaviour, warm starts, sensitivity solves and failure paths."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import pglacier as pg
+from pglacier import forward
 from pglacier.assembly import (assemble_coeff_derivative, assemble_jacobian,
                                solver_sign)
 from pglacier.forward import (SolverConfig, SolverError, energy_bound,
@@ -202,3 +204,65 @@ def test_energy_bound_formula(slab_spaces, tilted_params):
 
 def test_solver_error_is_exception():
     assert issubclass(SolverError, Exception)
+
+
+@pytest.mark.parametrize("field_name", ["rheology", "friction"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficients_rejected(slab_spaces, field_name, bad):
+    # NaN fails every comparison, so a plain box check let it through to
+    # the factorization
+    B, tau = coeffs(slab_spaces)
+    target = B if field_name == "rheology" else tau
+    target.values[1] = bad
+    with pytest.raises(ValueError, match=field_name):
+        solve_forward(B, tau, PhysicsParams())
+
+
+def test_p2_warm_start_factorizes_once(slab_spaces, tilted_params):
+    # the warm-start LU preconditions every Newton step
+    B, tau = coeffs(slab_spaces)
+    sol = solve_forward(B, tau, tilted_params)
+    assert sol.report.converged
+    assert sol.report.iterations >= 2
+    assert sol.report.factorizations == 1
+    assert sol.report.krylov_iterations > 0
+
+
+def test_warm_started_solve_factorizes_once(slab_spaces, tilted_params,
+                                            base_solution):
+    B, tau = coeffs(slab_spaces, b=1.2)
+    sol = solve_forward(B, tau, tilted_params,
+                        warm_start=(base_solution.velocity,
+                                    base_solution.pressure))
+    assert sol.report.converged
+    assert sol.report.factorizations == 1
+
+
+def test_failed_gmres_falls_back_to_one_factorization_per_step(
+        monkeypatch, slab_spaces, tilted_params):
+    B, tau = coeffs(slab_spaces)
+    default = solve_forward(B, tau, tilted_params)
+    monkeypatch.setattr(forward, "GMRES_RESTART", 0)
+    direct = solve_forward(B, tau, tilted_params)
+    assert direct.report.converged
+    assert direct.report.krylov_iterations == 0
+    # the warm start plus one refactorization per Newton step
+    assert direct.report.factorizations == 1 + direct.report.iterations
+    diff = np.linalg.norm(direct.velocity.values - default.velocity.values)
+    assert diff <= 1e-9 * np.linalg.norm(default.velocity.values)
+
+
+def test_gmres_residual_is_the_true_residual(slab_spaces, tilted_params,
+                                             base_solution):
+    # right preconditioning by the LU of another operator: the returned
+    # solution meets the tolerance on the operator itself
+    B, tau = coeffs(slab_spaces)
+    matrix = assemble_jacobian(base_solution.velocity, B, tau,
+                               tilted_params).reduced()
+    nearby = assemble_jacobian(pg.zero_field(slab_spaces.velocity), B, tau,
+                               tilted_params).reduced()
+    lu = scipy.sparse.linalg.splu(nearby.tocsc())
+    rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+    x, iterations = forward._gmres(matrix, lu, rhs, 1e-8)
+    assert 0 < iterations <= forward.GMRES_RESTART
+    assert np.linalg.norm(matrix @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
