@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_adjoint_operator
+from .assembly import assemble_adjoint_operator, trace_dual
 from .forward import SolverConfig, solve_system
 from .spaces import Field, SpaceKind, velocity_trace
 
@@ -90,27 +90,11 @@ def misfit_derivative_rhs(velocity, obs):
     """
     spaces = velocity.space.parent
     observed = _check_alignment(spaces, obs)
-    diff = _projected_trace(spaces, velocity, obs, observed)
-    diff = diff - obs.samples
-    w = spaces.quadrature.edge_weights
-    lengths = spaces.bedge_lengths[observed]
-    tv = spaces.edge_trace_vals                              # (m, 3)
-
-    out = np.zeros(spaces.n_sys)
-    nodes = spaces.bedge_nodes[observed]
-    dofs = (2 * nodes[:, :, None] + np.arange(2)).reshape(-1, 6)
+    diff = _projected_trace(spaces, velocity, obs, observed) - obs.samples
     if obs.mode == "tangential":
-        t = spaces.bedge_tangents[observed]
-        loc = np.zeros((observed.size, 3, 2))
-        for im in range(w.size):
-            lw = w[im] * lengths
-            loc += np.einsum("k,kc,a->kac", lw * diff[:, im], t, tv[im])
-    else:
-        loc = np.zeros((observed.size, 3, 2))
-        for im in range(w.size):
-            lw = w[im] * lengths
-            loc += np.einsum("k,kc,a->kac", lw, diff[:, im], tv[im])
-    np.add.at(out, dofs.ravel(), loc.reshape(-1, 6).ravel())
+        diff = diff[:, :, None] * spaces.bedge_tangents[observed][:, None, :]
+    out = np.zeros(spaces.n_sys)
+    out[:spaces.n_u] = trace_dual(spaces, observed, diff)
     return spaces.project_dual(out)
 
 

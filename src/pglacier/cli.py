@@ -5,7 +5,8 @@ velocity/pressure fields), ``invert`` (run the coefficient
 identification), ``verify`` (inequality suites with a pass/fail table),
 ``taylor`` (gradient remainder-decay check) and ``mesh-gen`` (write a
 slab mesh).  Exit codes: 0 success, 2 configuration error, 3 solver
-failure, 4 verification failure.
+failure, 4 verification failure, 5 inversion stopped because its line
+search found no acceptable step.
 
 All CSV outputs are deterministic for a fixed config and seed: floats
 are written with repr precision and wall-clock times never enter
@@ -151,6 +152,11 @@ def cmd_invert(cfg, out):
           % (state.iteration, result.reason))
     print("cost %g -> %g, misfit %g -> %g"
           % (first[1], last[1], first[2], last[2]))
+    if result.reason == "line_search_failed":
+        print("inversion stopped early: no step along the projected gradient "
+              "was accepted at iteration %d" % (state.iteration + 1),
+              file=sys.stderr)
+        return 5
     return 0
 
 

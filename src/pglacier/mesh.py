@@ -138,6 +138,9 @@ def _validate(mesh):
     nv = mesh.vertices.shape[0]
     if mesh.vertices.ndim != 2 or mesh.vertices.shape[1] != 2:
         raise MeshError("vertices must have shape (nv, 2)")
+    bad = np.flatnonzero(~np.isfinite(mesh.vertices).all(axis=1))
+    if bad.size:
+        raise MeshError("vertex %d has non-finite coordinates" % bad[0])
     if mesh.triangles.ndim != 2 or mesh.triangles.shape[1] != 3:
         raise MeshError("triangles must have shape (nt, 3)")
     if mesh.triangles.size and (mesh.triangles.min() < 0 or mesh.triangles.max() >= nv):
@@ -295,8 +298,11 @@ def load_mesh(path):
     :class:`MeshFormatError` with the offending line number; topology
     problems raise :class:`MeshError` naming the entity.
     """
-    with open(path, "r") as fh:
-        raw = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MeshFormatError("mesh file is not UTF-8 text: %s" % exc) from None
 
     tokens = []                  # (line_number, [fields])
     for ln, line in enumerate(raw, start=1):
@@ -318,13 +324,21 @@ def load_mesh(path):
     if fields != ["pgmesh", "1"]:
         raise MeshFormatError("expected header 'pgmesh 1', got %r" % " ".join(fields), ln)
 
-    ln, fields = take("'vertices N'")
-    if len(fields) != 2 or fields[0] != "vertices":
-        raise MeshFormatError("expected 'vertices N'", ln)
-    try:
-        nv = int(fields[1])
-    except ValueError:
-        raise MeshFormatError("vertex count %r is not an integer" % fields[1], ln)
+    def take_count(section, entity):
+        ln, fields = take("'%s N'" % section)
+        if len(fields) != 2 or fields[0] != section:
+            raise MeshFormatError("expected '%s N'" % section, ln)
+        try:
+            count = int(fields[1])
+        except ValueError:
+            raise MeshFormatError("%s count %r is not an integer"
+                                  % (entity, fields[1]), ln) from None
+        if not 0 <= count <= len(tokens) - pos:
+            raise MeshFormatError("%s count %d does not fit the %d lines left"
+                                  % (entity, count, len(tokens) - pos), ln)
+        return count
+
+    nv = take_count("vertices", "vertex")
     verts = np.empty((nv, 2))
     for k in range(nv):
         ln, fields = take("vertex coordinates")
@@ -335,13 +349,7 @@ def load_mesh(path):
         except ValueError:
             raise MeshFormatError("bad vertex coordinates %r" % " ".join(fields), ln)
 
-    ln, fields = take("'triangles M'")
-    if len(fields) != 2 or fields[0] != "triangles":
-        raise MeshFormatError("expected 'triangles M'", ln)
-    try:
-        nt = int(fields[1])
-    except ValueError:
-        raise MeshFormatError("triangle count %r is not an integer" % fields[1], ln)
+    nt = take_count("triangles", "triangle")
     tris = np.empty((nt, 3), dtype=np.int64)
     for k in range(nt):
         ln, fields = take("triangle indices")
@@ -349,16 +357,13 @@ def load_mesh(path):
             raise MeshFormatError("expected 'i j k' for triangle %d" % k, ln)
         try:
             tris[k] = [int(f) for f in fields]
-        except ValueError:
+        except (ValueError, OverflowError):
             raise MeshFormatError("bad triangle indices %r" % " ".join(fields), ln)
+        if tris[k].min() < 0 or tris[k].max() >= nv:
+            raise MeshFormatError("triangle vertex index out of range 0..%d"
+                                  % (nv - 1), ln)
 
-    ln, fields = take("'boundary K'")
-    if len(fields) != 2 or fields[0] != "boundary":
-        raise MeshFormatError("expected 'boundary K'", ln)
-    try:
-        nb = int(fields[1])
-    except ValueError:
-        raise MeshFormatError("boundary count %r is not an integer" % fields[1], ln)
+    nb = take_count("boundary", "boundary")
     bedges = np.empty((nb, 2), dtype=np.int64)
     btags = np.empty(nb, dtype=np.int64)
     bobs = np.zeros(nb, dtype=bool)
@@ -368,7 +373,7 @@ def load_mesh(path):
             raise MeshFormatError("expected 'i j TAG [observed]' for boundary edge %d" % k, ln)
         try:
             bedges[k] = (int(fields[0]), int(fields[1]))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise MeshFormatError("bad boundary edge indices %r" % " ".join(fields[:2]), ln)
         tag = _TAG_FROM_NAME.get(fields[2])
         if tag is None:
@@ -418,19 +423,44 @@ def save_mesh(mesh, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def edge_keys(mesh, pairs):
+    """Orientation-free integer key ``min * nv + max`` of each vertex
+    pair in ``pairs`` (shape (k, 2))."""
+    pairs = np.asarray(pairs, dtype=np.int64)
+    return pairs.min(axis=1) * mesh.num_vertices + pairs.max(axis=1)
+
+
+def triangle_edge_keys(mesh):
+    """Keys of the local edges (0,1), (1,2), (2,0) of every triangle,
+    shape (nt, 3)."""
+    tris = mesh.triangles
+    pairs = np.stack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=1)
+    return edge_keys(mesh, pairs.reshape(-1, 2)).reshape(-1, 3)
+
+
 def _owning_triangles(mesh):
-    """Map each boundary edge index to the single triangle containing it."""
-    owner = {}
-    for t in range(mesh.num_triangles):
-        tri = mesh.triangles[t]
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            owner.setdefault(key, []).append(t)
-    result = np.empty(mesh.num_boundary_edges, dtype=np.int64)
-    for e in range(mesh.num_boundary_edges):
-        i, j = mesh.boundary_edges[e]
-        result[e] = owner[(min(i, j), max(i, j))][0]
-    return result
+    """Index of the first triangle containing each boundary edge."""
+    keys, first = np.unique(triangle_edge_keys(mesh).ravel(), return_index=True)
+    return first[np.searchsorted(keys, edge_keys(mesh, mesh.boundary_edges))] // 3
+
+
+def boundary_frames(mesh):
+    """Unit outward normals, unit tangents and lengths of all boundary
+    edges as arrays (nb, 2), (nb, 2) and (nb,); see
+    :func:`boundary_geometry`."""
+    ends = mesh.boundary_edges
+    vec = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
+    lengths = np.hypot(vec[:, 0], vec[:, 1])
+    zero = np.flatnonzero(lengths == 0.0)
+    if zero.size:
+        raise MeshError("boundary edge %d has zero length" % zero[0])
+    tangents = vec / lengths[:, None]
+    normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
+    centroids = mesh.vertices[mesh.triangles[_owning_triangles(mesh)]].mean(axis=1)
+    midpoints = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
+    inward = (normals * (centroids - midpoints)).sum(axis=1) > 0.0
+    normals[inward] = -normals[inward]
+    return normals, tangents, lengths
 
 
 def boundary_geometry(mesh):
@@ -444,22 +474,9 @@ def boundary_geometry(mesh):
     -------
     list of EdgeGeometry, in boundary-list order.
     """
-    owners = _owning_triangles(mesh)
-    result = []
-    for e in range(mesh.num_boundary_edges):
-        i, j = mesh.boundary_edges[e]
-        vec = mesh.vertices[j] - mesh.vertices[i]
-        length = float(np.hypot(vec[0], vec[1]))
-        if length == 0.0:
-            raise MeshError("boundary edge %d has zero length" % e)
-        tangent = vec / length
-        normal = np.array([tangent[1], -tangent[0]])
-        centroid = mesh.vertices[mesh.triangles[owners[e]]].mean(axis=0)
-        midpoint = 0.5 * (mesh.vertices[i] + mesh.vertices[j])
-        if np.dot(normal, centroid - midpoint) > 0.0:
-            normal = -normal
-        result.append(EdgeGeometry(e, normal, tangent, length))
-    return result
+    normals, tangents, lengths = boundary_frames(mesh)
+    return [EdgeGeometry(e, normals[e], tangents[e], float(lengths[e]))
+            for e in range(mesh.num_boundary_edges)]
 
 
 def averaged_vertex_normals(mesh, tag=None):

@@ -21,7 +21,8 @@ from enum import Enum, IntEnum
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import BoundaryTag, Mesh, boundary_geometry
+from .mesh import (BoundaryTag, Mesh, boundary_frames, edge_keys,
+                   triangle_edge_keys)
 
 
 class SpaceKind(Enum):
@@ -203,60 +204,204 @@ class VelocityConstraints:
         return np.all(np.abs(rotated[self.constrained]) <= tol)
 
 
-def _build_constraints(mesh, n_vertices, edge_ids, bedge_midnodes):
-    n_nodes = n_vertices + len(edge_ids)
+def _build_constraints(mesh, n_nodes, bedge_nodes, edge_normals):
+    """Constraint set from the boundary tags; ``bedge_nodes`` holds the
+    P2 node triple and ``edge_normals`` the outward normal of every
+    boundary edge."""
+    n_vertices = mesh.num_vertices
+    fixed, slip = int(NodeConstraint.FIXED), int(NodeConstraint.SLIP)
     kinds = np.zeros(n_nodes, dtype=np.int8)
     normals = np.zeros((n_nodes, 2))
     tangents = np.zeros((n_nodes, 2))
 
-    geoms = boundary_geometry(mesh)
-    dirichlet = mesh.edges_with_tag(BoundaryTag.DIRICHLET)
+    kinds[bedge_nodes[mesh.edges_with_tag(BoundaryTag.DIRICHLET)].ravel()] = fixed
     basal = mesh.edges_with_tag(BoundaryTag.BASAL)
+    bed_nodes = bedge_nodes[basal]
+    on_bed = np.zeros(n_nodes, dtype=bool)
+    on_bed[bed_nodes.ravel()] = True
+    kinds[on_bed & (kinds != fixed)] = slip      # dirichlet wins at shared corners
 
-    for e in dirichlet:
-        i, j = mesh.boundary_edges[e]
-        kinds[i] = kinds[j] = NodeConstraint.FIXED
-        kinds[bedge_midnodes[e]] = NodeConstraint.FIXED
+    # Vertex normals on the bed: unit-normalized sum over adjacent bed
+    # edges; midpoint nodes take the exact edge normal.
+    ends = bed_nodes[:, :2].ravel()
+    node_normals = np.zeros((n_nodes, 2))
+    for c in range(2):
+        node_normals[:n_vertices, c] = np.bincount(
+            ends, weights=np.repeat(edge_normals[basal, c], 2), minlength=n_vertices)
+    node_normals[bed_nodes[:, 2]] = edge_normals[basal]
+    slip_nodes = np.flatnonzero(kinds == slip)
+    normals[slip_nodes] = node_normals[slip_nodes]
+    verts = slip_nodes[slip_nodes < n_vertices]
+    normals[verts] /= np.hypot(normals[verts, 0], normals[verts, 1])[:, None]
+    tangents[slip_nodes, 0] = -normals[slip_nodes, 1]
+    tangents[slip_nodes, 1] = normals[slip_nodes, 0]
 
-    # Vertex normals on the bed: unit-normalized sum over adjacent bed edges.
-    vertex_sum = {}
-    for e in basal:
-        for v in mesh.boundary_edges[e]:
-            vertex_sum.setdefault(int(v), np.zeros(2))
-            vertex_sum[int(v)] += geoms[e].normal
-    for e in basal:
-        for node in (*mesh.boundary_edges[e], bedge_midnodes[e]):
-            node = int(node)
-            if kinds[node] == NodeConstraint.FIXED:
-                continue          # dirichlet wins at shared corners
-            kinds[node] = NodeConstraint.SLIP
-            if node < n_vertices:
-                n = vertex_sum[node]
-                n = n / np.hypot(n[0], n[1])
-            else:
-                n = geoms[e].normal
-            normals[node] = n
-            tangents[node] = (-n[1], n[0])
-
-    rows, cols, data = [], [], []
-    constrained = np.zeros(2 * n_nodes, dtype=bool)
-    for node in range(n_nodes):
-        k = kinds[node]
-        if k == NodeConstraint.SLIP:
-            t, n = tangents[node], normals[node]
-            rows.extend([2 * node, 2 * node + 1, 2 * node, 2 * node + 1])
-            cols.extend([2 * node, 2 * node, 2 * node + 1, 2 * node + 1])
-            data.extend([t[0], t[1], n[0], n[1]])
-            constrained[2 * node + 1] = True
-        else:
-            rows.extend([2 * node, 2 * node + 1])
-            cols.extend([2 * node, 2 * node + 1])
-            data.extend([1.0, 1.0])
-            if k == NodeConstraint.FIXED:
-                constrained[2 * node] = True
-                constrained[2 * node + 1] = True
+    # Rotation: identity on free and fixed nodes, [t | n] at slip nodes.
+    plain = np.flatnonzero(kinds != slip)
+    t, n = tangents[slip_nodes], normals[slip_nodes]
+    s0, s1 = 2 * slip_nodes, 2 * slip_nodes + 1
+    rows = np.concatenate([2 * plain, 2 * plain + 1, s0, s1, s0, s1])
+    cols = np.concatenate([2 * plain, 2 * plain + 1, s0, s0, s1, s1])
+    data = np.concatenate([np.ones(2 * plain.size), t[:, 0], t[:, 1], n[:, 0], n[:, 1]])
     rotation = sp.csr_matrix((data, (rows, cols)), shape=(2 * n_nodes, 2 * n_nodes))
-    return VelocityConstraints(kinds, normals, tangents, rotation, constrained)
+    constrained = np.zeros((n_nodes, 2), dtype=bool)
+    constrained[kinds == fixed] = True
+    constrained[slip_nodes, 1] = True
+    return VelocityConstraints(kinds, normals, tangents, rotation, constrained.ravel())
+
+
+def _adjacency(rows, cols, n_rows, n_cols):
+    """Unique (row, col) pairs of two broadcast index arrays, sorted by
+    row then column.  Returns the pair keys, their rows and columns, the
+    position of each pair within its row, the pair count per row and the
+    pair of every input entry."""
+    keys, inverse = np.unique((rows * n_cols + cols).ravel(), return_inverse=True)
+    row, col = keys // n_cols, keys % n_cols
+    count = np.bincount(row, minlength=n_rows)
+    pos = np.arange(keys.size) - (np.cumsum(count) - count)[row]
+    return keys, row, col, pos, count, inverse.reshape(np.broadcast(rows, cols).shape)
+
+
+@dataclass(frozen=True)
+class SaddlePattern:
+    """CSR pattern of the saddle operator [[K, C], [C^T, 0]] on one mesh,
+    and of its constraint-eliminated form.
+
+    Velocity row 2 R + c holds the columns 2 C + d of the P2 nodes C
+    sharing a triangle with node R, then the pressure columns of those
+    triangles' vertices; pressure row n_u + k holds the velocity columns
+    of the nodes around vertex k.  The ``*_slots`` arrays give the
+    position in the data array of every element-block entry:
+    ``velocity_slots`` for the velocity blocks with axes (t, a, c, d, b)
+    (test node a and component c, trial component d and node b) and
+    ``bed_slots`` for the bed-edge blocks with axes (k, a, c, b, d).
+    ``coupling_slots`` holds the positions of the entries of C in CSR
+    order; C^T fills the pressure rows, from ``indptr[n_u]`` on.
+
+    Elimination is index arithmetic on the data: the eliminated operator
+    keeps the entries whose row and column are both free, in order, so
+    its data is ``data[source]``, except at ``mixed_slots``, the entries
+    in a row or column of a slip node's free tangential dof, which
+    ``mixed @ data`` rotates into the tangent/normal frame; the
+    constrained rows hold only their unit diagonal at ``unit_slots``.
+    The index arrays are read-only and shared by every matrix built on
+    the pattern.
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    velocity_slots: np.ndarray
+    bed_slots: np.ndarray
+    coupling_slots: np.ndarray
+    reduced_indptr: np.ndarray
+    reduced_indices: np.ndarray
+    source: np.ndarray
+    mixed_slots: np.ndarray
+    mixed: sp.csr_matrix
+    unit_slots: np.ndarray
+
+    @property
+    def nnz(self):
+        return self.indices.size
+
+    def matrix(self, data):
+        """Operator with the given data on the full pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+    def eliminate(self, data):
+        """Eliminated operator from the data of a full-pattern operator."""
+        reduced = np.take(data, self.source)
+        reduced[self.mixed_slots] = self.mixed @ data
+        reduced[self.unit_slots] = 1.0
+        return sp.csr_matrix((reduced, self.reduced_indices, self.reduced_indptr),
+                             shape=self.shape)
+
+
+def _saddle_pattern(spaces):
+    """:class:`SaddlePattern` of ``spaces`` from the node-node, node-vertex
+    and vertex-node adjacency of its triangles."""
+    nv, nn, n_u, n = (spaces.mesh.num_vertices, spaces.n_vnodes, spaces.n_u,
+                      spaces.n_sys)
+    nodes, tris = spaces.tri_p2_nodes, spaces.mesh.triangles
+    vv_keys, vv_row, vv_col, vv_pos, vv_n, vv_of = _adjacency(
+        nodes[:, :, None], nodes[:, None, :], nn, nn)
+    _, vp_row, vp_col, vp_pos, vp_n, _ = _adjacency(
+        nodes[:, :, None], tris[:, None, :], nn, nv)
+    _, pv_row, pv_col, pv_pos, pv_n, _ = _adjacency(
+        tris[:, None, :], nodes[:, :, None], nv, nn)
+
+    row_len = np.concatenate([np.repeat(2 * vv_n + vp_n, 2), 2 * pv_n])
+    indptr = np.concatenate([[0], np.cumsum(row_len)])
+    start = indptr[:-1]
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for c in range(2):
+        vv_first = start[2 * vv_row + c] + 2 * vv_pos
+        indices[vv_first] = 2 * vv_col
+        indices[vv_first + 1] = 2 * vv_col + 1
+        indices[start[2 * vp_row + c] + 2 * vv_n[vp_row] + vp_pos] = n_u + vp_col
+        indices[start[n_u + pv_row] + 2 * pv_pos + c] = 2 * pv_col + c
+
+    comp = np.arange(2)
+    vel_start = start[spaces.tri_vel_dofs].reshape(-1, 6, 2)
+    velocity_slots = (vel_start[:, :, :, None, None] + comp[:, None]
+                      + 2 * vv_pos[vv_of][:, :, None, None, :])
+    bed_nodes = spaces.bedge_nodes[spaces.basal_edge_indices]
+    bed_pairs = np.searchsorted(vv_keys,
+                                bed_nodes[:, :, None] * nn + bed_nodes[:, None, :])
+    bed_start = start[spaces.trace_dofs(spaces.basal_edge_indices)].reshape(-1, 3, 2)
+    bed_slots = (bed_start[:, :, :, None, None]
+                 + 2 * vv_pos[bed_pairs][:, :, None, :, None] + comp)
+    coupling_slots = np.flatnonzero(indices[:indptr[n_u]] >= n_u)
+
+    # Elimination: keep entries whose row and column are both free, in
+    # order, and give each constrained row its unit diagonal.
+    constrained = spaces.sys_constrained
+    row_of = np.repeat(np.arange(n, dtype=np.int32), row_len)
+    kept = np.flatnonzero(~constrained[row_of] & ~constrained[indices])
+    i, j = row_of[kept], indices[kept]
+    del row_of
+    red_len = np.where(constrained, 1, np.bincount(i, minlength=n))
+    red_indptr = np.concatenate([[0], np.cumsum(red_len)])
+    red_pos = np.arange(kept.size) + (np.cumsum(constrained) - constrained)[i]
+    unit_slots = red_indptr[:-1][constrained]
+    red_indices = np.empty(red_indptr[-1], dtype=np.int32)
+    red_indices[red_pos] = j
+    red_indices[unit_slots] = np.flatnonzero(constrained)
+    source = np.zeros(red_indices.size, dtype=np.int64)
+    source[red_pos] = kept
+
+    # The free rotated dof 2k of a slip node is t . (v_2k, v_2k+1): its
+    # row (column) also gathers row 2k + 1, which has the same layout one
+    # row length further on (column 2k + 1, the next slot).
+    slip = np.flatnonzero(spaces.constraints.kinds == int(NodeConstraint.SLIP))
+    own, other = np.ones(n), np.zeros(n)
+    own[2 * slip] = spaces.constraints.tangents[slip, 0]
+    other[2 * slip] = spaces.constraints.tangents[slip, 1]
+    is_mixed = np.zeros(n, dtype=bool)
+    is_mixed[2 * slip] = True
+    m = np.flatnonzero(is_mixed[i] | is_mixed[j])
+    i, j, kept = i[m], j[m], kept[m]
+    mi, mj = is_mixed[i], is_mixed[j]
+    both = mi & mj
+    rows = np.arange(m.size)
+    m_rows = np.concatenate([rows, rows[mi], rows[mj], rows[both]])
+    m_cols = np.concatenate([kept, kept[mi] + row_len[i[mi]], kept[mj] + 1,
+                             kept[both] + row_len[i[both]] + 1])
+    m_data = np.concatenate([own[i] * own[j], (other[i] * own[j])[mi],
+                             (own[i] * other[j])[mj], (other[i] * other[j])[both]])
+    mixed = sp.csr_matrix((m_data, (m_rows, m_cols)), shape=(m.size, indices.size))
+
+    def frozen(index):
+        index = index.astype(np.int32, copy=False)
+        index.flags.writeable = False
+        return index
+    # The two long slot maps are kept as int32: half the memory of the
+    # per-mesh cache for a little conversion time in bincount and take.
+    return SaddlePattern((n, n), frozen(indptr), frozen(indices),
+                         velocity_slots.ravel().astype(np.int32), bed_slots.ravel(),
+                         coupling_slots, frozen(red_indptr), frozen(red_indices),
+                         source.astype(np.int32), red_pos[m], mixed, unit_slots)
 
 
 class Spaces:
@@ -265,7 +410,8 @@ class Spaces:
     Built once per mesh by :func:`build_spaces`.  Holds the unique-edge
     table, physical basis gradients at quadrature points, boundary edge
     node triples and geometry, the velocity constraint set, and lazily
-    cached matrices used for assembly and regularization.
+    cached data used for assembly and regularization: the saddle
+    pattern (:meth:`saddle_pattern`) and auxiliary matrices.
     """
 
     def __init__(self, mesh, quadrature=None):
@@ -274,23 +420,16 @@ class Spaces:
         nv = mesh.num_vertices
         nt = mesh.num_triangles
 
-        # Unique edge table; midpoint node ids are nv + edge_id.
-        edge_index = {}
-        tri_edges = np.empty((nt, 3), dtype=np.int64)
-        edge_list = []
-        for t in range(nt):
-            tri = mesh.triangles[t]
-            for slot, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                eid = edge_index.get(key)
-                if eid is None:
-                    eid = len(edge_list)
-                    edge_index[key] = eid
-                    edge_list.append(key)
-                tri_edges[t, slot] = eid
-        self.edges = np.array(edge_list, dtype=np.int64)
-        self.tri_edges = tri_edges
-        ne = len(edge_list)
+        # Unique edge table, numbered in order of first appearance over
+        # (triangle, local edge); midpoint node ids are nv + edge_id.
+        keys, first, inverse = np.unique(triangle_edge_keys(mesh).ravel(),
+                                         return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        edge_id = np.empty_like(order)
+        edge_id[order] = np.arange(order.size)
+        self.edges = np.stack([keys[order] // nv, keys[order] % nv], axis=1)
+        self.tri_edges = edge_id[inverse].reshape(nt, 3)
+        ne = order.size
         self.n_vnodes = nv + ne
 
         self.node_coords = np.vstack([
@@ -299,7 +438,7 @@ class Spaces:
         ])
 
         # P2 node ids per triangle: vertices then midpoints of (0,1), (1,2), (2,0).
-        self.tri_p2_nodes = np.hstack([mesh.triangles, nv + tri_edges])
+        self.tri_p2_nodes = np.hstack([mesh.triangles, nv + self.tri_edges])
         self.tri_vel_dofs = (2 * self.tri_p2_nodes[:, :, None]
                              + np.arange(2)[None, None, :]).reshape(nt, 12)
 
@@ -322,8 +461,13 @@ class Spaces:
         self.p2_vals = p2_values(q.tri_points)
         self.p1_vals = p1_values(q.tri_points)
         ref_grads = p2_reference_gradients(q.tri_points)
-        # phys_grads[t, q, a, :] = inv_t[t] @ ref_grads[q, a, :]
-        self.phys_grads = np.einsum("tij,qaj->tqai", inv_t, ref_grads)
+        # basis_grads[t, a, 2 q + i] = (inv_t[t] @ ref_grads[q, a, :])[i],
+        # stored basis-major so that one matmul contracts all points of a
+        # triangle; phys_grads[t, q, a, i] is the same data point-major.
+        nq = q.tri_points.shape[0]
+        self.basis_grads = np.ascontiguousarray(
+            np.einsum("tij,qaj->taqi", inv_t, ref_grads)).reshape(nt, 6, 2 * nq)
+        self.phys_grads = self.basis_grads.reshape(nt, 6, nq, 2).transpose(0, 2, 1, 3)
         p1_ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         self.p1_grads = np.einsum("tij,aj->tai", inv_t, p1_ref)
         self.qpoints_xy = (a[:, None, :]
@@ -332,38 +476,28 @@ class Spaces:
         # Boundary edge tables: P2 node triple (first endpoint, second
         # endpoint, midpoint), length, outward normal, tangent, and the
         # physical edge quadrature points.
-        geoms = boundary_geometry(mesh)
-        nb = mesh.num_boundary_edges
-        self.bedge_nodes = np.empty((nb, 3), dtype=np.int64)
-        self.bedge_lengths = np.empty(nb)
-        self.bedge_normals = np.empty((nb, 2))
-        self.bedge_tangents = np.empty((nb, 2))
-        for e in range(nb):
-            i, j = mesh.boundary_edges[e]
-            key = (min(i, j), max(i, j))
-            self.bedge_nodes[e] = (i, j, nv + edge_index[key])
-            self.bedge_lengths[e] = geoms[e].length
-            self.bedge_normals[e] = geoms[e].normal
-            self.bedge_tangents[e] = geoms[e].tangent
+        mid = nv + edge_id[np.searchsorted(keys, edge_keys(mesh, mesh.boundary_edges))]
+        self.bedge_nodes = np.column_stack([mesh.boundary_edges, mid])
+        self.bedge_normals, self.bedge_tangents, self.bedge_lengths = \
+            boundary_frames(mesh)
         s = q.edge_points
         self.edge_trace_vals = p2_edge_trace(s)
         v0 = mesh.vertices[mesh.boundary_edges[:, 0]]
         v1 = mesh.vertices[mesh.boundary_edges[:, 1]]
         self.bedge_qxy = v0[:, None, :] + s[None, :, None] * (v1 - v0)[:, None, :]
 
-        self.constraints = _build_constraints(
-            mesh, nv, self.edges, {e: self.bedge_nodes[e, 2] for e in range(nb)})
+        self.constraints = _build_constraints(mesh, self.n_vnodes, self.bedge_nodes,
+                                              self.bedge_normals)
 
         # Bed chain for the friction space, ordered by (x, y).
         basal = mesh.edges_with_tag(BoundaryTag.BASAL)
         bverts = np.unique(mesh.boundary_edges[basal].reshape(-1))
         order = np.lexsort((mesh.vertices[bverts, 1], mesh.vertices[bverts, 0]))
         self.basal_vertex_ids = bverts[order]
-        self.basal_dof_of_vertex = {int(v): k for k, v in enumerate(self.basal_vertex_ids)}
         self.basal_edge_indices = basal
-        self.basal_edge_dofs = np.array(
-            [[self.basal_dof_of_vertex[int(i)], self.basal_dof_of_vertex[int(j)]]
-             for i, j in mesh.boundary_edges[basal]], dtype=np.int64)
+        basal_dof = np.full(nv, -1, dtype=np.int64)
+        basal_dof[self.basal_vertex_ids] = np.arange(self.basal_vertex_ids.size)
+        self.basal_edge_dofs = basal_dof[mesh.boundary_edges[basal]]
 
         self.velocity = FunctionSpace(SpaceKind.VELOCITY_P2_VEC, mesh,
                                       2 * self.n_vnodes,
@@ -397,17 +531,29 @@ class Spaces:
         """Back from the rotated frame to plain x/y components."""
         return self.sys_rotation @ reduced
 
+    def trace_dofs(self, edges):
+        """Velocity dofs of the P2 node triples of boundary edges, (k, 6)."""
+        return (2 * self.bedge_nodes[edges][:, :, None] + np.arange(2)).reshape(-1, 6)
+
+    def saddle_pattern(self):
+        """The :class:`SaddlePattern` of this mesh, built on first use."""
+        if "saddle_pattern" not in self._cache:
+            self._cache["saddle_pattern"] = _saddle_pattern(self)
+        return self._cache["saddle_pattern"]
+
     def eliminate(self, matrix):
         """Symmetric row/column elimination with unit diagonal.
 
-        Rotates into the tangent/normal frame, zeroes constrained rows
+        Rotates into the tangent/normal frame, drops constrained rows
         and columns, and puts 1 on the eliminated diagonal so the
-        reduced operator stays symmetric and nonsingular.
+        reduced operator stays symmetric and nonsingular.  ``matrix``
+        must have the CSR pattern of :meth:`saddle_pattern`.
         """
-        rotated = (self.sys_rotation.T @ matrix @ self.sys_rotation).tocsr()
-        keep = sp.diags((~self.sys_constrained).astype(np.float64))
-        fill = sp.diags(self.sys_constrained.astype(np.float64))
-        return (keep @ rotated @ keep + fill).tocsr()
+        pattern = self.saddle_pattern()
+        if not (np.array_equal(matrix.indptr, pattern.indptr)
+                and np.array_equal(matrix.indices, pattern.indices)):
+            raise ValueError("eliminate needs an operator on this mesh's saddle pattern")
+        return pattern.eliminate(matrix.data)
 
     def project_dual(self, vec):
         """Zero the constrained components of a dual vector in place of
@@ -446,13 +592,15 @@ def velocity_gradients_at_quadrature(field):
     """Velocity gradient (rows are components) at quadrature points,
     shape (nt, nq, 2, 2) with entry [i, j] = d v_i / d x_j."""
     sp_ = field.space.parent
-    return np.einsum("tac,tqaj->tqcj", velocity_local_coeffs(field), sp_.phys_grads)
+    coeffs = velocity_local_coeffs(field).transpose(0, 2, 1)       # (nt, 2, 6)
+    grads = np.matmul(coeffs, sp_.basis_grads)                      # (nt, 2, 2 nq)
+    return grads.reshape(grads.shape[0], 2, -1, 2).transpose(0, 2, 1, 3)
 
 
 def scalar_values_at_quadrature(field):
     """Vertex-based scalar at the triangle quadrature points, (nt, nq)."""
     sp_ = field.space.parent
-    return np.einsum("qk,tk->tq", sp_.p1_vals, field.values[field.space.mesh.triangles])
+    return field.values[field.space.mesh.triangles] @ sp_.p1_vals.T
 
 
 def scalar_gradients(field):
@@ -476,23 +624,6 @@ def basal_coeff_on_edges(field):
     s = sp_.quadrature.edge_points
     vals = field.values[sp_.basal_edge_dofs]            # (n_bed, 2)
     return vals[:, 0][:, None] * (1.0 - s)[None, :] + vals[:, 1][:, None] * s[None, :]
-
-
-def evaluate_gradient_at_quadrature(field, tri, qpoint):
-    """Gradient of ``field`` at one triangle quadrature point.
-
-    Velocity returns a 2x2 matrix with entry [i, j] = d v_i / d x_j;
-    vertex-based scalars return a 2-vector.
-    """
-    sp_ = field.space.parent
-    kind = field.space.kind
-    if kind is SpaceKind.VELOCITY_P2_VEC:
-        coeffs = field.values.reshape(-1, 2)[sp_.tri_p2_nodes[tri]]
-        return np.einsum("ac,aj->cj", coeffs, sp_.phys_grads[tri, qpoint])
-    if kind in (SpaceKind.PRESSURE_P1, SpaceKind.COEFF_OMEGA_P1):
-        return np.einsum("k,ki->i", field.values[field.space.mesh.triangles[tri]],
-                         sp_.p1_grads[tri])
-    raise ValueError("gradient at triangle quadrature unsupported for %s" % kind.value)
 
 
 def trace_on_edges(field, edge_indices):

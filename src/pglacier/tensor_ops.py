@@ -7,11 +7,15 @@ smooth for delta > 0; at delta = 0 the value is still defined (zero at
 the origin for p < 2) but the derivative kernels are not and reject it.
 
 All functions broadcast over leading axes so property sweeps and
-assembly run vectorized.
+assembly run vectorized.  Magnitudes are taken of the input divided by
+its largest entry, so no square overflows: the kernels stay finite for
+every finite input, and the derivative kernels wherever their value,
+bounded by 2 delta^(p-2) |W|, is.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,32 +75,66 @@ def _frob2(P):
     return (np.asarray(P) ** 2).sum(axis=(-2, -1))
 
 
+def _shifted_magnitude(x, delta):
+    """sqrt(|x|^2 + delta^2) over the last axis as ``(c, unit, rho)``:
+    the scale c = max(max_i |x_i|, delta), the scaled input x / c and
+    the scaled magnitude rho, so the magnitude is c * rho.  Computed on
+    x / c, so no square overflows; rho lies in [1, sqrt(n + 1)] unless
+    x = 0 and delta = 0, where c = 0, unit = 0 and rho = 0.
+    """
+    c = np.maximum(functools.reduce(np.maximum, np.moveaxis(np.abs(x), -1, 0)), delta)
+    safe = np.where(c > 0.0, c, 1.0) if delta == 0.0 else c
+    unit = x / safe[..., None]
+    rho = np.sqrt(np.einsum("...i,...i->...", unit, unit) + (delta / safe) ** 2)
+    return c, unit, rho
+
+
+def _flat(x, axes):
+    """x with its last ``axes`` kernel axes flattened into one."""
+    x = np.asarray(x, dtype=np.float64)
+    lead, kernel = x.shape[:x.ndim - axes], x.shape[x.ndim - axes:]
+    return x.reshape(lead + (int(np.prod(kernel)),))
+
+
+def _kernel(x, delta, exponent, axes):
+    """(|x|^2 + delta^2)^((e-2)/2) x over the last ``axes`` axes, as
+    c^(e-1) rho^(e-2) unit: finite for every finite input, and 0 at
+    x = 0 when delta = 0."""
+    c, unit, rho = _shifted_magnitude(_flat(x, axes), delta)
+    if delta == 0.0:
+        rho = np.where(c > 0.0, rho, 1.0)
+    unit *= (c ** (exponent - 1.0) * rho ** (exponent - 2.0))[..., None]
+    return unit.reshape(np.shape(x))
+
+
+def _kernel_prime(x, w, delta, exponent, axes):
+    """Derivative of :func:`_kernel` at x applied to w, as
+    r^(e-2) ((e-2) (q . w) q + w) with r the shifted magnitude and
+    q = x / r, so |q| <= 1 and nothing overflows before the result."""
+    if delta <= 0.0:
+        raise ValueError("derivative kernel needs delta > 0, got %r" % (delta,))
+    c, unit, rho = _shifted_magnitude(_flat(x, axes), delta)
+    w_flat = _flat(w, axes)
+    q = unit
+    q /= rho[..., None]
+    out = q * ((exponent - 2.0) * np.einsum("...i,...i->...", q, w_flat))[..., None]
+    out += w_flat
+    out *= (c ** (exponent - 2.0) * rho ** (exponent - 2.0))[..., None]
+    return out.reshape(np.broadcast(np.asarray(x), np.asarray(w)).shape)
+
+
 def s_omega(P, params):
     """Matrix kernel (|P|^2 + delta^2)^((p-2)/2) P, shape (..., 2, 2).
 
     delta = 0 is allowed; the p < 2 singularity at P = 0 is closed with
-    the exact limit value 0.
+    the exact limit value 0.  Finite for every finite P.
     """
-    P = np.asarray(P, dtype=np.float64)
-    mag2 = _frob2(P) + params.delta ** 2
-    if params.delta == 0.0:
-        zero = mag2 == 0.0
-        safe = np.where(zero, 1.0, mag2)
-        out = safe[..., None, None] ** ((params.p - 2.0) / 2.0) * P
-        return np.where(zero[..., None, None], 0.0, out)
-    return mag2[..., None, None] ** ((params.p - 2.0) / 2.0) * P
+    return _kernel(P, params.delta, params.p, 2)
 
 
 def s_gamma(v, params):
     """Vector kernel (|v|^2 + delta^2)^((s-2)/2) v, shape (..., 2)."""
-    v = np.asarray(v, dtype=np.float64)
-    mag2 = (v ** 2).sum(axis=-1) + params.delta ** 2
-    if params.delta == 0.0:
-        zero = mag2 == 0.0
-        safe = np.where(zero, 1.0, mag2)
-        out = safe[..., None] ** ((params.s - 2.0) / 2.0) * v
-        return np.where(zero[..., None], 0.0, out)
-    return mag2[..., None] ** ((params.s - 2.0) / 2.0) * v
+    return _kernel(v, params.delta, params.s, 1)
 
 
 def s_omega_prime_apply(P, W, params):
@@ -106,26 +144,12 @@ def s_omega_prime_apply(P, W, params):
     + (|P|^2 + delta^2)^((p-2)/2) W.  Requires delta > 0: the kernel is
     not differentiable at the origin otherwise.
     """
-    if params.delta <= 0.0:
-        raise ValueError("derivative kernel needs delta > 0, got %r" % (params.delta,))
-    P = np.asarray(P, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    mag2 = _frob2(P) + params.delta ** 2
-    inner = (P * W).sum(axis=(-2, -1))
-    return ((params.p - 2.0) * mag2 ** ((params.p - 4.0) / 2.0) * inner)[..., None, None] * P \
-        + mag2[..., None, None] ** ((params.p - 2.0) / 2.0) * W
+    return _kernel_prime(P, W, params.delta, params.p, 2)
 
 
 def s_gamma_prime_apply(v, w, params):
     """Derivative of the vector kernel at v applied to w; delta > 0."""
-    if params.delta <= 0.0:
-        raise ValueError("derivative kernel needs delta > 0, got %r" % (params.delta,))
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    mag2 = (v ** 2).sum(axis=-1) + params.delta ** 2
-    inner = (v * w).sum(axis=-1)
-    return ((params.s - 2.0) * mag2 ** ((params.s - 4.0) / 2.0) * inner)[..., None] * v \
-        + mag2[..., None] ** ((params.s - 2.0) / 2.0) * w
+    return _kernel_prime(v, w, params.delta, params.s, 1)
 
 
 def monotonicity_witness(P, Q, params):

@@ -1,0 +1,236 @@
+"""Fused assembly against a per-quadrature-point reference.
+
+The reference below loops over quadrature points, contracts each with
+``einsum`` over all triangles (or bed edges) and sums element blocks by
+COO conversion, as the kernels did before they were fused.  It pins the
+fused residual, Jacobian, eliminated Jacobian and gradient duals to that
+math on a bedded slab with a random constraint-satisfying state.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import pglacier as pg
+from pglacier.mesh import BoundaryTag
+from pglacier.assembly import (_residual_raw, assemble_coeff_gradient_duals,
+                               assemble_jacobian)
+from pglacier.spaces import (basal_coeff_on_edges, scalar_values_at_quadrature,
+                             velocity_gradients_at_quadrature, velocity_trace)
+from pglacier.tensor_ops import s_gamma, s_omega
+
+RTOL = 1e-12
+
+
+def bedded_slab():
+    bed = lambda x: 0.07 * np.sin(np.pi * x + 0.5)
+    return pg.generate_slab_mesh(2.0, 1.0, 6, 3, bed_profile=bed)
+
+
+def clamped_slab():
+    """The bedded slab with its bed clamped: no bed edges, no slip."""
+    mesh = bedded_slab()
+    tags = mesh.boundary_tags.copy()
+    tags[tags == int(BoundaryTag.BASAL)] = int(BoundaryTag.DIRICHLET)
+    return pg.Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, tags,
+                   mesh.observed)
+
+
+@pytest.fixture(scope="module", params=[bedded_slab, clamped_slab])
+def case(request):
+    rng = np.random.default_rng(2024)
+    spaces = pg.build_spaces(request.param())
+    full = spaces.expand_vector(spaces.reduce_vector(
+        0.4 * rng.standard_normal(spaces.n_sys)))
+    velocity = pg.Field(spaces.velocity, full[:spaces.n_u])
+    pressure = pg.Field(spaces.pressure, full[spaces.n_u:])
+    adjoint = pg.Field(spaces.velocity, spaces.constraints.apply(
+        rng.standard_normal(spaces.n_u)))
+    rheology = pg.Field(spaces.coeff_omega,
+                        1.0 + 0.5 * rng.random(spaces.coeff_omega.dof_count))
+    friction = pg.Field(spaces.coeff_basal,
+                        0.3 + 0.4 * rng.random(spaces.coeff_basal.dof_count))
+    params = pg.PhysicsParams(body_force=(0.5, -1.0))
+    return spaces, velocity, pressure, adjoint, rheology, friction, params
+
+
+def bed_dofs(spaces):
+    nodes = spaces.bedge_nodes[spaces.basal_edge_indices]
+    return (2 * nodes[:, :, None] + np.arange(2)).reshape(-1, 6)
+
+
+def reference_residual(spaces, velocity, pressure, rheology, friction, params):
+    q = spaces.quadrature
+    nt = spaces.mesh.num_triangles
+    grad = velocity_gradients_at_quadrature(velocity)
+    strain = 0.5 * (grad + np.swapaxes(grad, 2, 3))
+    S = s_omega(strain, params)
+    B_q = scalar_values_at_quadrature(rheology)
+    pi_q = scalar_values_at_quadrature(pressure)
+    div_v = grad[:, :, 0, 0] + grad[:, :, 1, 1]
+    f = np.asarray(params.body_force)
+    r_u = np.zeros((nt, 6, 2))
+    r_p = np.zeros((nt, 3))
+    for iq in range(q.tri_weights.size):
+        detw = q.tri_weights[iq] * spaces.det
+        G = spaces.phys_grads[:, iq]
+        r_u += np.einsum("t,tcj,taj->tac", detw * B_q[:, iq], S[:, iq], G)
+        r_u += params.mu0 * np.einsum("t,tcj,taj->tac", detw, grad[:, iq], G)
+        r_u -= np.einsum("t,tac->tac", detw * pi_q[:, iq], G)
+        r_u -= np.einsum("t,a,c->tac", detw, spaces.p2_vals[iq], f)
+        r_p += np.einsum("t,k->tk", detw * div_v[:, iq], spaces.p1_vals[iq])
+    out = np.zeros(spaces.n_sys)
+    np.add.at(out, spaces.tri_vel_dofs.ravel(), r_u.ravel())
+    np.add.at(out, spaces.n_u + spaces.mesh.triangles.ravel(), r_p.ravel())
+    bed = spaces.basal_edge_indices
+    v_m = velocity_trace(velocity, bed)
+    Sg = s_gamma(v_m, params) * basal_coeff_on_edges(friction)[:, :, None]
+    r_e = np.zeros((bed.size, 3, 2))
+    for im in range(q.edge_weights.size):
+        lw = q.edge_weights[im] * spaces.bedge_lengths[bed]
+        r_e += np.einsum("k,kc,a->kac", lw, Sg[:, im], spaces.edge_trace_vals[im])
+    np.add.at(out, bed_dofs(spaces).ravel(), r_e.ravel())
+    return out
+
+
+def reference_jacobian_blocks(spaces, velocity, rheology, friction, params):
+    """COO rows, columns and values of every element-block entry."""
+    q = spaces.quadrature
+    nt = spaces.mesh.num_triangles
+    grad = velocity_gradients_at_quadrature(velocity)
+    strain = 0.5 * (grad + np.swapaxes(grad, 2, 3))
+    mag2 = (strain ** 2).sum(axis=(2, 3)) + params.delta ** 2
+    B_q = scalar_values_at_quadrature(rheology)
+    c1 = (params.p - 2.0) * mag2 ** ((params.p - 4.0) / 2.0)
+    c2 = mag2 ** ((params.p - 2.0) / 2.0)
+    eye2 = np.eye(2)
+    K = np.zeros((nt, 6, 2, 6, 2))
+    C = np.zeros((nt, 6, 2, 3))
+    for iq in range(q.tri_weights.size):
+        detw = q.tri_weights[iq] * spaces.det
+        G = spaces.phys_grads[:, iq]
+        GG = np.einsum("tad,tbd->tab", G, G)
+        Qv = np.einsum("tij,taj->tai", strain[:, iq], G)
+        w2 = detw * B_q[:, iq] * c2[:, iq]
+        K += np.einsum("t,tab,cd->tacbd", detw * params.mu0 + 0.5 * w2, GG, eye2)
+        K += np.einsum("t,tad,tbc->tacbd", 0.5 * w2, G, G)
+        K += np.einsum("t,tac,tbd->tacbd", detw * B_q[:, iq] * c1[:, iq], Qv, Qv)
+        C -= np.einsum("t,tac,k->tack", detw, G, spaces.p1_vals[iq])
+    bed = spaces.basal_edge_indices
+    v_m = velocity_trace(velocity, bed)
+    tau_m = basal_coeff_on_edges(friction)
+    vmag2 = (v_m ** 2).sum(axis=2) + params.delta ** 2
+    g1 = (params.s - 2.0) * vmag2 ** ((params.s - 4.0) / 2.0)
+    g2 = vmag2 ** ((params.s - 2.0) / 2.0)
+    E = np.zeros((bed.size, 3, 2, 3, 2))
+    for im in range(q.edge_weights.size):
+        lw = q.edge_weights[im] * spaces.bedge_lengths[bed] * tau_m[:, im]
+        NN = np.outer(spaces.edge_trace_vals[im], spaces.edge_trace_vals[im])
+        E += np.einsum("k,ab,kc,kd->kacbd", lw * g1[:, im], NN, v_m[:, im], v_m[:, im])
+        E += np.einsum("k,ab,cd->kacbd", lw * g2[:, im], NN, eye2)
+
+    vel = spaces.tri_vel_dofs
+    pres = spaces.n_u + spaces.mesh.triangles
+    dofs_b = bed_dofs(spaces)
+    parts = [(vel[:, :, None], vel[:, None, :], K.reshape(nt, 12, 12)),
+             (dofs_b[:, :, None], dofs_b[:, None, :], E.reshape(-1, 6, 6)),
+             (vel[:, :, None], pres[:, None, :], C.reshape(nt, 12, 3)),
+             (pres[:, None, :], vel[:, :, None], C.reshape(nt, 12, 3))]
+    rows, cols, vals = [], [], []
+    for r, c, v in parts:
+        rows.append(np.broadcast_to(r, v.shape).ravel())
+        cols.append(np.broadcast_to(c, v.shape).ravel())
+        vals.append(v.ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def reference_gradient_duals(spaces, velocity, adjoint, params):
+    q = spaces.quadrature
+    grad = velocity_gradients_at_quadrature(velocity)
+    S = s_omega(0.5 * (grad + np.swapaxes(grad, 2, 3)), params)
+    inner = (S * velocity_gradients_at_quadrature(adjoint)).sum(axis=(2, 3))
+    g_rheo = np.zeros(spaces.mesh.num_vertices)
+    for iq in range(q.tri_weights.size):
+        loc = np.einsum("t,k->tk", q.tri_weights[iq] * spaces.det * inner[:, iq],
+                        spaces.p1_vals[iq])
+        np.add.at(g_rheo, spaces.mesh.triangles.ravel(), loc.ravel())
+    bed = spaces.basal_edge_indices
+    pair = (s_gamma(velocity_trace(velocity, bed), params)
+            * velocity_trace(adjoint, bed)).sum(axis=2)
+    s = q.edge_points
+    g_fric = np.zeros(spaces.coeff_basal.dof_count)
+    for im in range(s.size):
+        lw = q.edge_weights[im] * spaces.bedge_lengths[bed]
+        loc = np.einsum("k,a->ka", lw * pair[:, im], np.array([1.0 - s[im], s[im]]))
+        np.add.at(g_fric, spaces.basal_edge_dofs.ravel(), loc.ravel())
+    return g_rheo, g_fric
+
+
+def relative_gap(a, b):
+    assert a.shape == b.shape
+    return np.max(np.abs(a - b)) / np.max(np.abs(b)) if b.size else 0.0
+
+
+def test_residual_matches_reference(case):
+    spaces, v, p, _, B, tau, params = case
+    ref = reference_residual(spaces, v, p, B, tau, params)
+    assert relative_gap(_residual_raw(v, p, B, tau, params), ref) <= RTOL
+
+
+def test_jacobian_matches_reference(case):
+    spaces, v, _, _, B, tau, params = case
+    rows, cols, vals = reference_jacobian_blocks(spaces, v, B, tau, params)
+    ref = sp.coo_matrix((vals, (rows, cols)), shape=(spaces.n_sys,) * 2).toarray()
+    J = assemble_jacobian(v, B, tau, params).matrix
+    assert relative_gap(J.toarray(), ref) <= RTOL
+    # every element-block position is stored, nothing else
+    struct = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                           shape=(spaces.n_sys,) * 2).tocsr()
+    assert np.array_equal(J.indptr, struct.indptr)
+    assert np.array_equal(J.indices, struct.indices)
+
+
+def test_reduced_jacobian_matches_rotated_elimination(case):
+    spaces, v, _, _, B, tau, params = case
+    rows, cols, vals = reference_jacobian_blocks(spaces, v, B, tau, params)
+    n = spaces.n_sys
+    M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).toarray()
+    R = spaces.sys_rotation.toarray()
+    cons = spaces.sys_constrained
+    ref = R.T @ M @ R
+    ref[cons, :] = 0.0
+    ref[:, cons] = 0.0
+    ref[cons, cons] = 1.0
+    reduced = assemble_jacobian(v, B, tau, params).reduced()
+    assert relative_gap(reduced.toarray(), ref) <= RTOL
+    # The pattern is the structural one of R^T M R restricted to free
+    # rows and columns, plus the unit diagonal: products of all-positive
+    # pattern matrices, so no entry is lost to cancellation.
+    ones = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
+    R_ones = spaces.sys_rotation.copy()
+    R_ones.data[:] = 1.0
+    keep = sp.diags((~cons).astype(float))
+    struct = (keep @ R_ones.T @ ones @ R_ones @ keep
+              + sp.diags(cons.astype(float))).tocsr()
+    struct.sort_indices()
+    assert np.array_equal(reduced.indptr, struct.indptr)
+    assert np.array_equal(reduced.indices, struct.indices)
+
+
+def test_gradient_duals_match_reference(case):
+    spaces, v, _, lam, _, _, params = case
+    g_rheo, g_fric = assemble_coeff_gradient_duals(v, lam, params)
+    ref_rheo, ref_fric = reference_gradient_duals(spaces, v, lam, params)
+    assert relative_gap(g_rheo, ref_rheo) <= RTOL
+    assert relative_gap(g_fric, ref_fric) <= RTOL
+
+
+def test_pattern_is_shared_per_mesh(case):
+    spaces, v, _, _, B, tau, params = case
+    a = assemble_jacobian(v, B, tau, params)
+    b = assemble_jacobian(pg.zero_field(spaces.velocity), B, tau, params)
+    assert spaces.saddle_pattern() is spaces.saddle_pattern()
+    assert np.array_equal(a.matrix.indices, b.matrix.indices)
+    assert np.array_equal(a.reduced().indices, b.reduced().indices)
+    with pytest.raises(ValueError, match="saddle pattern"):
+        spaces.eliminate((a.matrix + sp.identity(spaces.n_sys)).tocsr())

@@ -218,3 +218,20 @@ def test_forward_with_minres_converges(tmp_path):
     assert rows["converged"] == "1"
     assert rows["factorizations"] == "0"
     assert int(rows["krylov_iterations"]) > 0
+
+
+def test_invert_line_search_failure_exits_5(tmp_path, capsys):
+    # a huge first step lands on the box corners and raises the cost;
+    # with two trials per line search descent stops at once
+    cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
+                    + "opt.step_init = 1e6\n"
+                    + "opt.ls_max = 1\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["invert", "--config", cfg]) == 5
+    captured = capsys.readouterr()
+    assert "line_search_failed" in captured.out
+    assert "no step" in captured.err
+    history = (tmp_path / "o" / "history.csv").read_text().splitlines()
+    assert len(history) == 2          # header and the starting point
+    for name in ("rheology.csv", "friction.csv", "velocity.csv", "adjoint.csv"):
+        assert (tmp_path / "o" / name).exists()
