@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_adjoint_operator, trace_dual
-from .forward import SolverConfig, solve_system
+from .forward import solve_system
 from .spaces import Field, SpaceKind, velocity_trace
 
 PROJECTION_MODES = ("full_vector", "tangential")
@@ -98,7 +98,7 @@ def misfit_derivative_rhs(velocity, obs):
     return spaces.project_dual(out)
 
 
-def solve_adjoint(velocity, rheology, friction, obs, params, config=None):
+def solve_adjoint(velocity, rheology, friction, obs, params):
     """Solve the dual problem at the converged state.
 
     The dual operator (assembled from the derivative-kernel form, equal
@@ -106,9 +106,8 @@ def solve_adjoint(velocity, rheology, friction, obs, params, config=None):
     derivative; the returned Field is the velocity part of the dual
     state and satisfies the homogeneous constraints.
     """
-    config = config or SolverConfig()
     system = assemble_adjoint_operator(velocity, rheology, friction, params)
     rhs = -misfit_derivative_rhs(velocity, obs)
-    x = solve_system(system, rhs, config)
+    x = solve_system(system, rhs)
     spaces = velocity.space.parent
     return Field(spaces.velocity, x[:spaces.n_u])

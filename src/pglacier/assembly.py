@@ -41,7 +41,7 @@ from .tensor_ops import s_gamma, s_omega
 
 @dataclass
 class AssembledSystem:
-    """Sparse symmetric operator with right-hand side and constraint list.
+    """Sparse symmetric operator with its constraint list.
 
     ``matrix`` is the full (unconstrained) saddle-point operator;
     ``constrained_dofs`` lists the rotated-frame dofs eliminated by
@@ -50,7 +50,6 @@ class AssembledSystem:
     """
 
     matrix: sp.csr_matrix
-    rhs: np.ndarray
     constrained_dofs: np.ndarray
     spaces: object
     _reduced: sp.csr_matrix = field(default=None, repr=False)
@@ -314,7 +313,7 @@ def _saddle_system(spaces, blocks, bed_blocks):
     data += np.bincount(pattern.bed_slots, weights=bed_blocks.ravel(),
                         minlength=pattern.nnz)
     data += _cached(spaces, "saddle_coupling", coupling_data)
-    return AssembledSystem(pattern.matrix(data), np.zeros(spaces.n_sys),
+    return AssembledSystem(pattern.matrix(data),
                            np.flatnonzero(spaces.sys_constrained), spaces)
 
 

@@ -83,7 +83,6 @@ SCHEMA = {
                          "must lie in (0, 1)"),
     "solver.ls_decrease": ("float", 1e-4, _positive, "must be > 0"),
     "solver.ls_max": ("int", 30, lambda n: n >= 0, "must be >= 0"),
-    "solver.linear_solver": ("choice", "direct", ("direct", "minres"), ""),
     "solver.initial_guess": ("choice", "p2_warmstart",
                              ("p2_warmstart", "zero"), ""),
     "opt.max_iterations": ("int", 100, lambda n: n >= 0, "must be >= 0"),
@@ -121,9 +120,12 @@ def _convert(key, tag, text, extra, line):
         if tag == "float_or_none" and text.lower() == "none":
             return None
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ConfigError("expected a float, got %r" % text, key, line) from None
+        if not math.isfinite(value):
+            raise ConfigError("expected a finite float, got %r" % text, key, line)
+        return value
     if tag == "int":
         try:
             return int(text)
@@ -232,7 +234,6 @@ class RunConfig:
             ls_shrink=v["solver.ls_shrink"],
             ls_decrease=v["solver.ls_decrease"],
             ls_max=v["solver.ls_max"],
-            linear_solver=v["solver.linear_solver"],
             initial_guess=v["solver.initial_guess"],
             trace_path=trace_path)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adjoint import Observation
+from .adjoint import PROJECTION_MODES, Observation
 from .spaces import Field, SpaceKind
 
 
@@ -106,11 +106,15 @@ def save_observation(obs, path):
 def load_observation(path):
     """Read an Observation written by save_observation.
 
-    The declared edge and point counts are enforced against the rows;
-    any mismatch raises FieldIOError.
+    The declared mode, edge and point counts are enforced against the
+    rows; any mismatch, a non-positive count or a non-finite sample
+    raises FieldIOError.
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FieldIOError("not UTF-8 text: %s" % exc, path) from None
     meta = {}
     body = []
     for ln, line in enumerate(raw, start=1):
@@ -121,19 +125,26 @@ def load_observation(path):
             content = line[1:].strip()
             if "=" in content:
                 key, _, val = content.partition("=")
-                meta[key.strip()] = val.strip()
+                meta[key.strip()] = (val.strip(), ln)
             continue
         body.append((ln, line))
     for key in ("mode", "edges", "points"):
         if key not in meta:
             raise FieldIOError("missing '# %s = ...' header" % key, path)
-    mode = meta["mode"]
+    mode = meta["mode"][0]
+    if mode not in PROJECTION_MODES:
+        raise FieldIOError("unknown projection mode %r" % mode, path,
+                           meta["mode"][1])
     try:
-        n_edges = int(meta["edges"])
-        n_points = int(meta["points"])
-        sigma = float(meta.get("noise_sigma", "0.0"))
+        n_edges = int(meta["edges"][0])
+        n_points = int(meta["points"][0])
+        sigma = float(meta.get("noise_sigma", ("0.0",))[0])
     except ValueError:
         raise FieldIOError("malformed header metadata", path) from None
+    for key, n in (("edges", n_edges), ("points", n_points)):
+        if n < 1:
+            raise FieldIOError("'# %s' must be >= 1, got %d" % (key, n), path,
+                               meta[key][1])
 
     if not body:
         raise FieldIOError("missing column header row", path)
@@ -142,14 +153,12 @@ def load_observation(path):
     if header != want:
         raise FieldIOError("expected header %r, got %r" % (want, header),
                            path, header_ln)
-    if mode == "full_vector":
-        samples = np.empty((n_edges, n_points, 2))
-    else:
-        samples = np.empty((n_edges, n_points))
-    filled = np.zeros((n_edges, n_points), dtype=bool)
+    ncol = 4 if mode == "full_vector" else 3
+    # Samples are kept by flat index and stacked only once the rows cover
+    # the declared shape, so a huge declared count allocates nothing.
+    rows = {}
     for ln, line in body[1:]:
         parts = line.split(",")
-        ncol = 4 if mode == "full_vector" else 3
         if len(parts) != ncol:
             raise FieldIOError("expected %d columns, got %d" % (ncol, len(parts)),
                                path, ln)
@@ -162,18 +171,22 @@ def load_observation(path):
             raise FieldIOError("sample index (%d, %d) outside declared "
                                "%d edges x %d points" % (k, m, n_edges, n_points),
                                path, ln)
-        if filled[k, m]:
+        if not np.all(np.isfinite(vals)):
+            raise FieldIOError("non-finite sample value in row %r" % line,
+                               path, ln)
+        index = k * n_points + m
+        if index in rows:
             raise FieldIOError("duplicate sample (%d, %d)" % (k, m), path, ln)
-        filled[k, m] = True
-        if mode == "full_vector":
-            samples[k, m] = vals
-        else:
-            samples[k, m] = vals[0]
-    if not filled.all():
-        k, m = np.argwhere(~filled)[0]
+        rows[index] = vals if mode == "full_vector" else vals[0]
+    if len(rows) < n_edges * n_points:
+        gap = next((i for i, index in enumerate(sorted(rows)) if i != index),
+                   len(rows))
+        k, m = divmod(gap, n_points)
         raise FieldIOError("missing sample (%d, %d): file declares %d edges x "
                            "%d points" % (k, m, n_edges, n_points), path)
-    return Observation(samples, mode, sigma)
+    samples = np.array([rows[i] for i in range(len(rows))])
+    return Observation(samples.reshape((n_edges, n_points) + samples.shape[1:]),
+                       mode, sigma)
 
 
 def vertex_values(field):

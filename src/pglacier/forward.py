@@ -43,18 +43,12 @@ class SolverError(Exception):
 
 @dataclass
 class SolverConfig:
-    """Newton and linear-solve settings.
+    """Newton settings of a forward solve; the linear solves take none.
 
     Relative tolerance applies to the initial residual norm,
     ``newton_atol`` is the absolute floor.  The line search halves the
     step until the residual norm drops by a (1 - ls_decrease * alpha)
     factor, at most ``ls_max`` times.
-
-    ``linear_solver = "direct"`` factorizes once per forward solve and
-    preconditions later Newton steps with that LU (GMRES to
-    Eisenstat-Walker forcing terms, refactorizing when a restart cycle
-    falls short); ``"minres"`` runs unpreconditioned MINRES to
-    ``iterative_tol`` for every linear solve instead.
     """
 
     newton_rtol: float = 1e-10
@@ -63,8 +57,6 @@ class SolverConfig:
     ls_shrink: float = 0.5
     ls_decrease: float = 1e-4
     ls_max: int = 30
-    linear_solver: str = "direct"
-    iterative_tol: float = 1e-12
     initial_guess: str = "p2_warmstart"
     trace_path: str = None
 
@@ -129,10 +121,7 @@ class _LinearSolver:
     lives as long as this object, never beyond the forward solve.
     """
 
-    def __init__(self, config):
-        if config.linear_solver not in ("direct", "minres"):
-            raise ValueError("unknown linear solver %r" % config.linear_solver)
-        self.config = config
+    def __init__(self):
         self.lu = None
         self.factorizations = 0
         self.krylov_iterations = 0
@@ -140,8 +129,6 @@ class _LinearSolver:
     def solve(self, matrix, rhs, rtol=0.0):
         """Solve ``matrix . x = rhs``, to relative residual ``rtol``
         when the LU preconditions GMRES."""
-        if self.config.linear_solver == "minres":
-            return self._minres(matrix, rhs)
         if self.lu is not None:
             x, iterations = _gmres(matrix, self.lu, rhs, rtol)
             self.krylov_iterations += iterations
@@ -154,15 +141,6 @@ class _LinearSolver:
             raise SolverError("sparse factorization failed: %s" % exc)
         self.factorizations += 1
         return self.lu.solve(rhs)
-
-    def _minres(self, matrix, rhs):
-        def count(_):
-            self.krylov_iterations += 1
-        x, info = spla.minres(matrix, rhs, rtol=self.config.iterative_tol,
-                              maxiter=20 * matrix.shape[0], callback=count)
-        if info != 0:
-            raise SolverError("iterative linear solve did not converge (info=%d)" % info)
-        return x
 
 
 def _forcing_term(res, res_prev, eta_prev, floor):
@@ -301,7 +279,7 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None):
         if np.any(values < lo) or np.any(values > hi):
             raise ValueError("%s field leaves the admissible box" % name)
 
-    linear = _LinearSolver(config)
+    linear = _LinearSolver()
     if warm_start is not None:
         x0 = np.concatenate([warm_start[0].values, warm_start[1].values])
         x_hat0 = spaces.reduce_vector(x0)
@@ -342,17 +320,16 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None):
     return ForwardSolution(vel, press, report)
 
 
-def solve_system(system, rhs, config=None):
+def solve_system(system, rhs):
     """Solve ``operator . x = rhs`` for an AssembledSystem after
     constraint elimination; returns the full system vector."""
-    config = config or SolverConfig()
     spaces = system.spaces
     rhs_hat = spaces.reduce_vector(rhs)
-    x_hat = _LinearSolver(config).solve(system.reduced(), rhs_hat)
+    x_hat = _LinearSolver().solve(system.reduced(), rhs_hat)
     return spaces.expand_vector(x_hat)
 
 
-def solve_linearized(velocity, rheology, friction, rhs, params, config=None):
+def solve_linearized(velocity, rheology, friction, rhs, params):
     """Solve the Jacobian system at the given state for an arbitrary
     dual right-hand side; returns the velocity part as a Field.
 
@@ -360,5 +337,5 @@ def solve_linearized(velocity, rheology, friction, rhs, params, config=None):
     pass the negated coefficient derivative as ``rhs``.
     """
     system = assemble_jacobian(velocity, rheology, friction, params)
-    x = solve_system(system, rhs, config)
+    x = solve_system(system, rhs)
     return Field(velocity.space.parent.velocity, x[:velocity.space.parent.n_u])

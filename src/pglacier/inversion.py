@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 from .adjoint import Observation, misfit, solve_adjoint
 from .assembly import (assemble_coeff_gradient_duals, basal_p1_mass,
                        basal_p1_stiffness, omega_p1_mass, omega_p1_stiffness)
-from .forward import SolverConfig, SolverError, solve_forward
+from .forward import SolverError, solve_forward
 from .spaces import Field, SpaceKind, velocity_trace
 
 REPRESENTATIONS = ("L2", "H1_smoothed")
@@ -162,8 +162,7 @@ def make_state(rheology, friction, obs, params, solver_config=None,
     """Evaluate cost and dual state, bundling everything for gradients."""
     cost = evaluate_cost(rheology, friction, obs, params, solver_config,
                          warm_start=warm_start)
-    lam = solve_adjoint(cost.velocity, rheology, friction, obs, params,
-                        solver_config)
+    lam = solve_adjoint(cost.velocity, rheology, friction, obs, params)
     state = InversionState(rheology, friction, cost.velocity, cost.pressure,
                            lam, cost.parts)
     state._token = state.token()
@@ -257,7 +256,6 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     ``line_search_failed`` or ``iteration_budget_zero``).
     """
     opt = opt_config or OptimizationConfig()
-    solver_config = solver_config or SolverConfig()
     spaces = _check_coeff_fields(rheology0, friction0)
     if not in_box(rheology0, friction0, params):
         raise ValueError("initial coefficients outside the admissible box")
@@ -324,7 +322,6 @@ def taylor_test(rheology, friction, rheology_dir, friction_dir, obs, params,
     identically zero remainders and undefined slopes.  Raises if any
     perturbed point leaves the admissible box.
     """
-    solver_config = solver_config or SolverConfig()
     spaces = _check_coeff_fields(rheology, friction)
     h_values = np.asarray(sorted(h_values, reverse=True), dtype=np.float64)
     for h in h_values:
@@ -367,7 +364,6 @@ def make_twin_data(rheology_true, friction_true, params, noise_sigma=0.0,
     observed edges, projects per ``mode`` and adds seeded Gaussian noise
     of standard deviation ``noise_sigma`` per stored component.
     """
-    solver_config = solver_config or SolverConfig()
     spaces = _check_coeff_fields(rheology_true, friction_true)
     solution = solve_forward(rheology_true, friction_true, params, solver_config)
     if not solution.report.converged:

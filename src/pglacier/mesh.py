@@ -164,32 +164,42 @@ def _validate(mesh):
 
     # Edge incidence: boundary edges belong to exactly one triangle,
     # interior edges to exactly two, and every single-triangle edge must
-    # appear in the tagged boundary list.
-    counts = {}
-    for t in range(mesh.num_triangles):
-        tri = mesh.triangles[t]
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-            counts[key] = counts.get(key, 0) + 1
-    tagged = {}
-    for e in range(nb):
-        i, j = mesh.boundary_edges[e]
-        if i == j:
-            raise MeshError("boundary edge %d is degenerate (repeated vertex %d)" % (e, i))
-        key = (min(i, j), max(i, j))
-        if key in tagged:
-            raise MeshError("boundary edge %d duplicates edge %d" % (e, tagged[key]))
-        tagged[key] = e
-        c = counts.get(key)
-        if c is None:
+    # appear in the tagged boundary list.  Defects are reported in the
+    # order of a walk over the boundary list, then over the triangle
+    # edges in first-appearance order.
+    keys, first_slot, counts = np.unique(triangle_edge_keys(mesh).ravel(),
+                                         return_index=True, return_counts=True)
+    bkeys = edge_keys(mesh, mesh.boundary_edges)
+    _, bfirst, binverse = np.unique(bkeys, return_index=True, return_inverse=True)
+    original = bfirst[binverse]
+    slot = np.searchsorted(keys, bkeys)
+    hit = slot < keys.size
+    hit[hit] = keys[slot[hit]] == bkeys[hit]
+    owners = np.zeros(nb, dtype=np.int64)
+    owners[hit] = counts[slot[hit]]
+    degenerate = mesh.boundary_edges[:, 0] == mesh.boundary_edges[:, 1]
+    duplicate = original != np.arange(nb)
+    bad = np.flatnonzero(degenerate | duplicate | (owners != 1))
+    if bad.size:
+        e = bad[0]
+        if degenerate[e]:
+            raise MeshError("boundary edge %d is degenerate (repeated vertex %d)"
+                            % (e, mesh.boundary_edges[e, 0]))
+        if duplicate[e]:
+            raise MeshError("boundary edge %d duplicates edge %d" % (e, original[e]))
+        if owners[e] == 0:
             raise MeshError("boundary edge %d is not an edge of any triangle" % e)
-        if c != 1:
-            raise MeshError("boundary edge %d belongs to %d triangles, expected 1" % (e, c))
-    for key, c in counts.items():
-        if c == 1 and key not in tagged:
-            raise MeshError("untagged boundary edge between vertices %d and %d" % key)
-        if c > 2:
-            raise MeshError("edge between vertices %d and %d belongs to %d triangles" % (key[0], key[1], c))
+        raise MeshError("boundary edge %d belongs to %d triangles, expected 1"
+                        % (e, owners[e]))
+    untagged = (counts == 1) & ~np.isin(keys, bkeys)
+    bad = np.flatnonzero(untagged | (counts > 2))
+    if bad.size:
+        k = bad[np.argmin(first_slot[bad])]
+        i, j = divmod(int(keys[k]), nv)
+        if untagged[k]:
+            raise MeshError("untagged boundary edge between vertices %d and %d" % (i, j))
+        raise MeshError("edge between vertices %d and %d belongs to %d triangles"
+                        % (i, j, counts[k]))
 
     if np.any(mesh.observed & (mesh.boundary_tags != int(BoundaryTag.ATMOSPHERE))):
         e = np.flatnonzero(mesh.observed & (mesh.boundary_tags != int(BoundaryTag.ATMOSPHERE)))[0]

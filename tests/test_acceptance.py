@@ -197,16 +197,14 @@ def test_criterion_6_adjoint_well_posedness(criterion, slab_spaces,
         rng = np.random.default_rng(13)
         for _ in range(10):
             obs = pg.Observation(rng.standard_normal((observed.size, nq, 2)))
-            lam = pg.solve_adjoint(vel, rheology, friction, obs, tilted_params,
-                                   tight_solver)
+            lam = pg.solve_adjoint(vel, rheology, friction, obs, tilted_params)
             energy = float(lam.values @ (K @ lam.values))
             floor = tilted_params.mu0 * norm(lam, "V2_seminorm") ** 2
             assert energy >= floor * (1.0 - 1e-10)
 
         exact = pg.make_twin_data(rheology, friction, tilted_params,
                                   solver_config=tight_solver)
-        lam0 = pg.solve_adjoint(vel, rheology, friction, exact, tilted_params,
-                                tight_solver)
+        lam0 = pg.solve_adjoint(vel, rheology, friction, exact, tilted_params)
         scale = norm(vel, "L2") + 1.0
         assert norm(lam0, "L2") <= 1e-10 * scale
 

@@ -173,6 +173,16 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "physics.p" in err and "config error" in err
 
 
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    # used to reach the solver and exit 3 with a nan residual
+    cfg = write_cfg(tmp_path, TINY_MESH + "physics.body_force_x = nan\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "physics.body_force_x" in err
+    assert "line 3" in err
+
+
 def test_missing_mesh_file_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "mesh.source = file\nmesh.path = %s\n"
                     % (tmp_path / "nope.pgmesh")
@@ -207,17 +217,14 @@ def test_forward_reports_linear_solve_counts(tmp_path):
     assert int(rows["krylov_iterations"]) > 0
 
 
-def test_forward_with_minres_converges(tmp_path):
-    # the documented value used to fail as an unknown linear solver
-    cfg = write_cfg(tmp_path, TINY_MESH + "physics.body_force_x = 0.5\n"
-                    + "solver.linear_solver = minres\n"
+def test_removed_linear_solver_key_exits_2(tmp_path, capsys):
+    # effective_config.cfg files written before the key was removed
+    # still carry it
+    cfg = write_cfg(tmp_path, TINY_MESH + "solver.linear_solver = direct\n"
                     + "run.out = %s\n" % (tmp_path / "o"))
-    assert run(["forward", "--config", cfg]) == 0
-    report = (tmp_path / "o" / "report.csv").read_text().splitlines()
-    rows = dict(line.split(",", 1) for line in report[1:])
-    assert rows["converged"] == "1"
-    assert rows["factorizations"] == "0"
-    assert int(rows["krylov_iterations"]) > 0
+    assert run(["forward", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and "solver.linear_solver" in err
 
 
 def test_invert_line_search_failure_exits_5(tmp_path, capsys):

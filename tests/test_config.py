@@ -18,7 +18,6 @@ def test_empty_text_yields_all_defaults():
     assert values["physics.p"] == 4.0 / 3.0
     assert values["physics.s"] is None
     assert values["mesh.nx"] == 16
-    assert values["solver.linear_solver"] == "direct"
     assert values["run.out"] == "out"
 
 
@@ -72,7 +71,7 @@ def test_missing_equals_is_rejected():
 @pytest.mark.parametrize("line,msg", [
     ("physics.p = fast", "expected a float"),
     ("mesh.nx = 4.5", "expected an integer"),
-    ("solver.linear_solver = magic", "expected one of direct/minres"),
+    ("solver.initial_guess = magic", "expected one of p2_warmstart/zero"),
     ("physics.p = 2.5", r"must lie in \(1, 2\)"),
     ("physics.delta = 0", "must be > 0"),
     ("physics.mu0 = -1", "must be > 0"),
@@ -83,6 +82,20 @@ def test_missing_equals_is_rejected():
 def test_value_validation(line, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config_text(line + "\n")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("physics.body_force_x", "nan"),
+    ("physics.mu0", "inf"),
+    ("opt.grad_tol", "-inf"),
+    ("physics.s", "NaN"),
+    ("mesh.observed_xmin", "inf"),
+])
+def test_non_finite_floats_are_rejected(key, value):
+    with pytest.raises(ConfigError, match="expected a finite float") as err:
+        parse_config_text("mesh.nx = 4\n%s = %s\n" % (key, value))
+    assert err.value.key == key
+    assert err.value.line == 2
 
 
 @pytest.mark.parametrize("text,key,msg", [

@@ -169,6 +169,35 @@ def test_observation_missing_sample(tmp_path):
         load_observation(path)
 
 
+@pytest.mark.parametrize("old,new,line,msg", [
+    ("0,1,1.0,2.0", "0,1,nan,2.0", 8, "non-finite sample value"),
+    ("1,1,1.0,2.0", "1,1,1.0,-inf", 10, "non-finite sample value"),
+    ("# edges = 2", "# edges = -1", 4, "'# edges' must be >= 1, got -1"),
+    ("# points = 2", "# points = 0", 5, "'# points' must be >= 1, got 0"),
+    ("# edges = 2", "# edges = 100000000000", None,
+     r"missing sample \(2, 0\): file declares 100000000000 edges"),
+    ("# mode = full_vector", "# mode = bogus", 2,
+     "unknown projection mode 'bogus'"),
+], ids=["nan_sample", "inf_sample", "negative_edges", "zero_points",
+        "huge_edges", "bogus_mode"])
+def test_observation_rejects_bad_input(tmp_path, old, new, line, msg):
+    path = tmp_path / "obs.csv"
+    path.write_text(observation_text().replace(old, new))
+    with pytest.raises(FieldIOError, match=msg) as err:
+        load_observation(path)
+    assert err.value.path == path
+    assert err.value.line == line
+    assert str(path) in str(err.value)
+
+
+def test_observation_rejects_bytes_that_are_not_text(tmp_path):
+    path = tmp_path / "obs.csv"
+    path.write_bytes(observation_text().encode() + b"\xff\xfe\n")
+    with pytest.raises(FieldIOError, match="not UTF-8") as err:
+        load_observation(path)
+    assert err.value.path == path
+
+
 def test_vertex_values_velocity_subsamples(spaces):
     nv = spaces.mesh.num_vertices
     v = pg.Field(spaces.velocity, rng.standard_normal(spaces.n_u))

@@ -206,3 +206,44 @@ def test_corner_averaged_normal():
     corner = int(np.flatnonzero((mesh.vertices == (1.0, 0.0)).all(axis=1))[0])
     expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
     assert np.allclose(normals[corner], expected, atol=1e-14)
+
+
+def _with_extra_edges(pairs, tags, vertex=None, triangle=None):
+    v, t, be, bt, obs = _slab_arrays()
+    if vertex is not None:
+        v = np.vstack([v, vertex])
+        t = np.vstack([t, triangle])
+    return Mesh(v, t, np.vstack([be, pairs]), np.concatenate([bt, tags]),
+                np.concatenate([obs, np.zeros(len(tags), dtype=bool)]))
+
+
+def _dropped_last_edge():
+    v, t, be, bt, obs = _slab_arrays()
+    return Mesh(v, t, be[:-1], bt[:-1], obs[:-1])
+
+
+DIRICHLET = int(BoundaryTag.DIRICHLET)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: _with_extra_edges([(4, 4)], [DIRICHLET]),
+     "boundary edge 8 is degenerate (repeated vertex 4)"),
+    (lambda: _with_extra_edges([(1, 0)], [DIRICHLET]),
+     "boundary edge 8 duplicates edge 0"),
+    (lambda: _with_extra_edges([(0, 8)], [DIRICHLET]),
+     "boundary edge 8 is not an edge of any triangle"),
+    (lambda: _with_extra_edges([(0, 4)], [DIRICHLET]),
+     "boundary edge 8 belongs to 2 triangles, expected 1"),
+    (_dropped_last_edge,
+     "untagged boundary edge between vertices 5 and 8"),
+    # a ninth triangle (1, 4, 9) on the interior edge 1-4, its two new
+    # edges tagged
+    (lambda: _with_extra_edges([(4, 9), (9, 1)], [DIRICHLET, DIRICHLET],
+                               vertex=(0.25, 0.25), triangle=(1, 4, 9)),
+     "edge between vertices 1 and 4 belongs to 3 triangles"),
+], ids=["degenerate", "duplicate", "non_edge", "interior", "untagged",
+        "three_triangles"])
+def test_edge_incidence_defect_messages(build, message):
+    with pytest.raises(MeshError) as err:
+        build()
+    assert str(err.value) == message

@@ -1,5 +1,6 @@
-"""Property tests: the pointwise kernels stay finite, and the mesh and
-config parsers fail only with their documented error types."""
+"""Property tests: the pointwise kernels stay finite, and the mesh,
+observation and config parsers fail only with their documented error
+types."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pglacier.config import ConfigError, SCHEMA, parse_config_text
+from pglacier.fieldio import FieldIOError, load_observation
 from pglacier.mesh import MeshError, load_mesh
 from pglacier.tensor_ops import (PhysicsParams, s_gamma, s_gamma_prime_apply,
                                  s_omega, s_omega_prime_apply)
@@ -100,6 +102,34 @@ def test_load_mesh_rejects_bytes_that_are_not_text(tmp_path):
     path.write_bytes(b"pgmesh 1\nvertices \xff\xfe\n")
     with pytest.raises(MeshError):
         load_mesh(path)
+
+
+def header_line(key, value):
+    return st.one_of(st.none(), value.map(lambda v: "# %s = %s" % (key, v)))
+
+
+observation_header = st.tuples(
+    header_line("mode", st.sampled_from(["full_vector", "tangential", "bogus"])),
+    header_line("edges", numbers), header_line("points", numbers),
+    header_line("noise_sigma", numbers)).map(
+        lambda lines: [line for line in lines if line is not None])
+observation_line = st.one_of(
+    st.sampled_from(["edge,point,vx,vy", "edge,point,vt", "#", ""]),
+    st.lists(st.one_of(st.integers(0, 2).map(str), numbers),
+             min_size=1, max_size=5).map(",".join),
+    st.text(max_size=12))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(observation_header, st.lists(observation_line, max_size=10))
+def test_load_observation_raises_only_field_io_errors(tmp_path, header, lines):
+    path = tmp_path / "obs.csv"
+    path.write_text("\n".join(header + lines) + "\n", encoding="utf-8")
+    try:
+        load_observation(path)
+    except FieldIOError:
+        pass
 
 
 values = st.one_of(numbers, st.sampled_from(["none", "None", "slab", "file",
