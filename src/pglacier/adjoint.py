@@ -7,8 +7,13 @@ identity (``full_vector``) or the tangential component per edge
 (``tangential``), and in tangential mode only the tangential scalar is
 stored.
 
-The dual problem reuses the forward Jacobian: the same symmetric
-operator is solved against the negated misfit derivative.
+The dual operator equals the forward Jacobian at the converged state,
+and the dual problem solves it against the negated misfit derivative.
+Factoring and solving are separate steps: ``factor_adjoint`` makes the
+sparse LU of the reduced operator, and ``solve_adjoint`` takes that LU
+(or makes its own), so one factorization serves every dual solve at a
+state and, in the inversion, preconditions the forward solves of the
+next descent trials.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import assemble_adjoint_operator, trace_dual
-from .forward import solve_system
+from .forward import factorize
 from .spaces import Field, SpaceKind, velocity_trace
 
 PROJECTION_MODES = ("full_vector", "tangential")
@@ -98,16 +103,26 @@ def misfit_derivative_rhs(velocity, obs):
     return spaces.project_dual(out)
 
 
-def solve_adjoint(velocity, rheology, friction, obs, params):
+def factor_adjoint(velocity, rheology, friction, params):
+    """Sparse LU of the reduced dual operator at the converged state
+    (assembled from the derivative-kernel form, equal to the forward
+    Jacobian)."""
+    system = assemble_adjoint_operator(velocity, rheology, friction, params)
+    return factorize(system.reduced())
+
+
+def solve_adjoint(velocity, rheology, friction, obs, params, lu=None):
     """Solve the dual problem at the converged state.
 
-    The dual operator (assembled from the derivative-kernel form, equal
-    to the forward Jacobian) is solved against the negated misfit
-    derivative; the returned Field is the velocity part of the dual
-    state and satisfies the homogeneous constraints.
+    The dual operator is solved against the negated misfit derivative,
+    with ``lu`` from :func:`factor_adjoint` at the same state when given
+    and a fresh factorization otherwise (the results are identical).
+    The returned Field is the velocity part of the dual state and
+    satisfies the homogeneous constraints.
     """
-    system = assemble_adjoint_operator(velocity, rheology, friction, params)
-    rhs = -misfit_derivative_rhs(velocity, obs)
-    x = solve_system(system, rhs)
+    if lu is None:
+        lu = factor_adjoint(velocity, rheology, friction, params)
     spaces = velocity.space.parent
+    rhs = spaces.reduce_vector(-misfit_derivative_rhs(velocity, obs))
+    x = spaces.expand_vector(lu.solve(rhs))
     return Field(spaces.velocity, x[:spaces.n_u])

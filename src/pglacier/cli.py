@@ -24,7 +24,7 @@ import numpy as np
 from .adjoint import _check_alignment
 from .config import ConfigError, load_config, realize_field
 from .fieldio import (load_observation, save_field_csv,
-                      save_inversion_history, save_vtk)
+                      save_inversion_history, save_inversion_trials, save_vtk)
 from .forward import SolverError, solve_forward
 from .inversion import (OptimizationConfig, make_twin_data, run_inversion,
                         taylor_test)
@@ -140,6 +140,7 @@ def cmd_invert(cfg, out):
                            cfg.optimization(), solver)
     state = result.state
     save_inversion_history(result.history, os.path.join(out, "history.csv"))
+    save_inversion_trials(result.trials, os.path.join(out, "trials.csv"))
     save_field_csv(state.rheology, os.path.join(out, "rheology.csv"))
     save_field_csv(state.friction, os.path.join(out, "friction.csv"))
     save_field_csv(state.velocity, os.path.join(out, "velocity.csv"))

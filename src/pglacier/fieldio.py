@@ -44,8 +44,9 @@ def save_field_csv(field, path):
 def load_field_csv(space, path):
     """Read a ``dof,value`` CSV into a Field on ``space``.
 
-    Rows must enumerate every dof of the space exactly once, in order;
-    mismatched counts or indices raise FieldIOError naming the line.
+    Rows must enumerate every dof of the space exactly once, in order,
+    with finite values; mismatched counts or indices and non-finite
+    values raise FieldIOError naming the line.
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
@@ -65,6 +66,8 @@ def load_field_csv(space, path):
             val = float(parts[1])
         except ValueError:
             raise FieldIOError("malformed row %r" % line, path, ln) from None
+        if not np.isfinite(val):
+            raise FieldIOError("non-finite value in row %r" % line, path, ln)
         if dof != seen:
             raise FieldIOError("dof index %d out of order (expected %d)"
                                % (dof, seen), path, ln)
@@ -253,5 +256,18 @@ def save_inversion_history(history, path):
         it = int(row[0])
         rest = ",".join(repr(float(v)) for v in row[1:])
         lines.append("%d,%s" % (it, rest))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def save_inversion_trials(trials, path):
+    """Write line-search trial rows as a CSV: the cost is empty for a
+    failed forward solve, and the failure text is quoted."""
+    lines = ["iter,step,cost,outcome,failure"]
+    for it, step, cost, outcome, failure in trials:
+        cost = "" if cost is None else repr(float(cost))
+        failure = failure.replace('"', '""').replace("\n", " ")
+        lines.append('%d,%r,%s,%s,"%s"' % (it, float(step), cost, outcome,
+                                          failure))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -11,7 +11,10 @@ misses its tolerance, the step refactorizes at the current Jacobian,
 solves directly and keeps the new LU.  The default initial guess solves
 the linear (p = 2) problem once; if plain Newton stalls, the solver
 retries with a short continuation ladder in the exponent, still
-preconditioned by the same LU.
+preconditioned by the same LU.  A caller holding the LU of a nearby
+Jacobian (the inversion keeps the dual operator's) passes it as
+``preconditioner``; the solve then runs GMRES from its first Newton
+step and may finish without a factorization of its own.
 """
 
 from __future__ import annotations
@@ -113,32 +116,40 @@ def _gmres(matrix, lu, rhs, rtol):
     return None, GMRES_RESTART
 
 
+def factorize(matrix):
+    """Sparse LU of a reduced operator."""
+    try:
+        return spla.splu(matrix.tocsc())
+    except RuntimeError as exc:
+        raise SolverError("sparse factorization failed: %s" % exc)
+
+
 class _LinearSolver:
     """The linear solves of one forward solve, sharing one LU.
 
-    The first solve factorizes; later ones run GMRES preconditioned by
-    the current LU and refactorize only when GMRES falls short.  The LU
-    lives as long as this object, never beyond the forward solve.
+    Without a starting LU the first solve factorizes; later ones run
+    GMRES preconditioned by the current LU and refactorize only when
+    GMRES falls short (an exact solve, ``rtol = 0``, always factorizes).
+    A refactorization rebinds only this object's reference, so a
+    caller's LU is never replaced; the solver's own LU lives as long as
+    this object, never beyond the forward solve.
     """
 
-    def __init__(self):
-        self.lu = None
+    def __init__(self, lu=None):
+        self.lu = lu
         self.factorizations = 0
         self.krylov_iterations = 0
 
     def solve(self, matrix, rhs, rtol=0.0):
         """Solve ``matrix . x = rhs``, to relative residual ``rtol``
         when the LU preconditions GMRES."""
-        if self.lu is not None:
+        if self.lu is not None and rtol > 0.0:
             x, iterations = _gmres(matrix, self.lu, rhs, rtol)
             self.krylov_iterations += iterations
             if x is not None:
                 return x
         self.lu = None                      # release the stale LU first
-        try:
-            self.lu = spla.splu(matrix.tocsc())
-        except RuntimeError as exc:
-            raise SolverError("sparse factorization failed: %s" % exc)
+        self.lu = factorize(matrix)
         self.factorizations += 1
         return self.lu.solve(rhs)
 
@@ -242,7 +253,8 @@ def _write_trace(path, residuals, steps, energies):
         fh.write("\n".join(lines) + "\n")
 
 
-def solve_forward(rheology, friction, params, config=None, warm_start=None):
+def solve_forward(rheology, friction, params, config=None, warm_start=None,
+                  preconditioner=None):
     """Solve the nonlinear momentum balance for the given coefficients.
 
     Parameters
@@ -254,6 +266,11 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None):
     warm_start : (Field, Field), optional
         Previous (velocity, pressure) pair used as the initial guess,
         overriding the configured policy.
+    preconditioner : SuperLU, optional
+        LU of a nearby reduced Jacobian (the dual operator at a nearby
+        state, say).  Every Newton step then runs GMRES on
+        ``J . LU^-1`` from the start and factorizes only on a miss;
+        ``report.factorizations`` counts this solve's own LUs.
 
     Returns
     -------
@@ -279,7 +296,7 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None):
         if np.any(values < lo) or np.any(values > hi):
             raise ValueError("%s field leaves the admissible box" % name)
 
-    linear = _LinearSolver()
+    linear = _LinearSolver(preconditioner)
     if warm_start is not None:
         x0 = np.concatenate([warm_start[0].values, warm_start[1].values])
         x_hat0 = spaces.reduce_vector(x0)
@@ -325,7 +342,7 @@ def solve_system(system, rhs):
     constraint elimination; returns the full system vector."""
     spaces = system.spaces
     rhs_hat = spaces.reduce_vector(rhs)
-    x_hat = _LinearSolver().solve(system.reduced(), rhs_hat)
+    x_hat = factorize(system.reduced()).solve(rhs_hat)
     return spaces.expand_vector(x_hat)
 
 

@@ -2,10 +2,14 @@
 coefficients from surface-velocity data.
 
 The reduced cost is the observation misfit plus gradient-seminorm
-penalties on both coefficients.  Its gradient is assembled from one
-dual solve per evaluation; descent runs projected gradient steps with
-nodal clipping onto the admissible box and an Armijo backtracking line
-search, warm starting every forward solve from the previous state.
+penalties on both coefficients.  Descent runs projected gradient steps
+with nodal clipping onto the admissible box and an Armijo backtracking
+line search.  A line-search trial costs one forward solve; only an
+accepted iterate gets a gradient, which factors the dual operator at
+its state, solves the dual problem and keeps the LU.  That LU then
+preconditions the forward solves of the next trials, each warm started
+from the accepted state, so one factorization serves a whole accepted
+iterate.  Every trial, accepted, rejected or failed, is logged.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .adjoint import Observation, misfit, solve_adjoint
+from .adjoint import Observation, factor_adjoint, misfit, solve_adjoint
 from .assembly import (assemble_coeff_gradient_duals, basal_p1_mass,
                        basal_p1_stiffness, omega_p1_mass, omega_p1_stiffness)
 from .forward import SolverError, solve_forward
@@ -64,17 +68,21 @@ class EvaluatedCost:
 class InversionState:
     """Current iterate with its cached solves and gradient data.
 
-    The cache token ties the stored velocity/adjoint to the coefficient
-    values they were solved for; gradient evaluation refuses stale
-    states.
+    The forward state and cost are solved when the state is made; the
+    dual state and the LU of the dual operator it was solved with are
+    filled by the first gradient request.  The cache token ties the
+    stored solves to the coefficient values they were made for;
+    gradient evaluation refuses stale states.
     """
 
     rheology: Field
     friction: Field
     velocity: Field
     pressure: Field
-    adjoint_state: Field
     cost: CostParts
+    obs: Observation
+    adjoint_state: Field = None
+    adjoint_lu: object = None
     grad_rheology: Field = None
     grad_friction: Field = None
     grad_rheology_dual: np.ndarray = None
@@ -98,9 +106,14 @@ class TaylorReport:
 
 @dataclass
 class InversionResult:
+    """Final state, one history row per accepted iterate, one trial row
+    (iteration, step, cost or None, outcome, failure text) per
+    line-search trial, and the reason descent stopped."""
+
     state: InversionState
     history: list
     reason: str
+    trials: list
 
 
 def _check_coeff_fields(rheology, friction):
@@ -136,17 +149,20 @@ def regularization_parts(rheology, friction, params):
 
 
 def evaluate_cost(rheology, friction, obs, params, solver_config=None,
-                  warm_start=None):
+                  warm_start=None, preconditioner=None):
     """Forward solve plus cost decomposition at (rheology, friction).
 
-    Raises SolverError if the forward solve does not converge and
-    ValueError if the coefficients leave the admissible box.
+    ``warm_start`` and ``preconditioner`` pass through to
+    :func:`solve_forward`.  Raises SolverError if the forward solve does
+    not converge and ValueError if the coefficients leave the admissible
+    box.
     """
     _check_coeff_fields(rheology, friction)
     if not in_box(rheology, friction, params):
         raise ValueError("coefficients outside the admissible box")
     solution = solve_forward(rheology, friction, params, solver_config,
-                             warm_start=warm_start)
+                             warm_start=warm_start,
+                             preconditioner=preconditioner)
     if not solution.report.converged:
         raise SolverError("forward solve did not converge "
                           "(final residual %g)" % solution.report.residual_history[-1])
@@ -158,23 +174,34 @@ def evaluate_cost(rheology, friction, obs, params, solver_config=None,
 
 
 def make_state(rheology, friction, obs, params, solver_config=None,
-               warm_start=None):
-    """Evaluate cost and dual state, bundling everything for gradients."""
+               warm_start=None, preconditioner=None):
+    """Evaluate the cost at (rheology, friction), bundling the forward
+    solve and the data for later gradients; the dual problem is solved
+    only when a gradient is requested."""
     cost = evaluate_cost(rheology, friction, obs, params, solver_config,
-                         warm_start=warm_start)
-    lam = solve_adjoint(cost.velocity, rheology, friction, obs, params)
+                         warm_start=warm_start, preconditioner=preconditioner)
     state = InversionState(rheology, friction, cost.velocity, cost.pressure,
-                           lam, cost.parts)
+                           cost.parts, obs)
     state._token = state.token()
     return state
 
 
 def gradient_duals(state, params):
     """Dual vectors of the reduced-cost gradient on both coefficient
-    spaces (data terms via the dual state plus Tikhonov terms)."""
+    spaces (data terms via the dual state plus Tikhonov terms).
+
+    The first request at a state factors the dual operator, solves the
+    dual problem and keeps both on the state.
+    """
     if state._token != state.token():
         raise ValueError("stale inversion state: coefficients changed since "
                          "the cached solves")
+    if state.adjoint_state is None:
+        state.adjoint_lu = factor_adjoint(state.velocity, state.rheology,
+                                          state.friction, params)
+        state.adjoint_state = solve_adjoint(state.velocity, state.rheology,
+                                            state.friction, state.obs, params,
+                                            lu=state.adjoint_lu)
     spaces = state.rheology.space.parent
     g_rheo, g_fric = assemble_coeff_gradient_duals(state.velocity,
                                                    state.adjoint_state, params)
@@ -216,7 +243,7 @@ def evaluate_gradient(state, obs, params, representation="H1_smoothed"):
     Fills the state's dual vectors, representative fields and projected
     gradient norm, and returns the pair (grad_rheology, grad_friction).
     """
-    del obs  # data already folded into the cached dual state
+    del obs  # the state carries the data it was made with
     spaces = state.rheology.space.parent
     g_rheo, g_fric = gradient_duals(state, params)
     rb = represent(g_rheo, spaces, "omega", representation)
@@ -247,12 +274,16 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     Every iterate stays in the admissible box, the cost decreases
     monotonically, and each history row records
     (iteration, cost, misfit, reg_rheology, reg_friction,
-    projected_grad_norm, accepted_step).
+    projected_grad_norm, accepted_step).  Each line-search trial's
+    forward solve is warm started from the current iterate and
+    preconditioned by the LU of its dual operator.
 
     Returns
     -------
-    InversionResult with the final state, the history rows and the
-    reason descent stopped (``converged``, ``max_iterations``,
+    InversionResult with the final state, the history rows, the trial
+    rows (iteration, step, cost or None, outcome ``accepted``,
+    ``rejected`` or ``solver_failure``, failure text) and the reason
+    descent stopped (``converged``, ``max_iterations``,
     ``line_search_failed`` or ``iteration_budget_zero``).
     """
     opt = opt_config or OptimizationConfig()
@@ -264,8 +295,9 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     evaluate_gradient(state, obs, params, opt.representation)
     history = [(0, state.cost.total, state.cost.misfit, state.cost.reg_rheology,
                 state.cost.reg_friction, state.projected_grad_norm, 0.0)]
+    trials = []
     if opt.max_iterations == 0:
-        return InversionResult(state, history, "iteration_budget_zero")
+        return InversionResult(state, history, "iteration_budget_zero", trials)
 
     alpha = opt.step_init
     reason = "max_iterations"
@@ -288,13 +320,17 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
                          + state.grad_friction_dual @ delta_f)
             try:
                 trial = make_state(trial_b, trial_f, obs, params, solver_config,
-                                   warm_start=(state.velocity, state.pressure))
-            except SolverError:
+                                   warm_start=(state.velocity, state.pressure),
+                                   preconditioner=state.adjoint_lu)
+            except SolverError as exc:
+                trials.append((it, alpha, None, "solver_failure", str(exc)))
                 alpha *= opt.armijo_shrink
                 continue
             if trial.cost.total <= state.cost.total + opt.armijo_c * min(pred, 0.0):
+                trials.append((it, alpha, trial.cost.total, "accepted", ""))
                 accepted = trial
                 break
+            trials.append((it, alpha, trial.cost.total, "rejected", ""))
             alpha *= opt.armijo_shrink
         if accepted is None:
             reason = "line_search_failed"
@@ -309,7 +345,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     else:
         if state.projected_grad_norm <= opt.grad_tol:
             reason = "converged"
-    return InversionResult(state, history, reason)
+    return InversionResult(state, history, reason, trials)
 
 
 def taylor_test(rheology, friction, rheology_dir, friction_dir, obs, params,
@@ -339,8 +375,8 @@ def taylor_test(rheology, friction, rheology_dir, friction_dir, obs, params,
     for k, h in enumerate(h_values):
         pb = Field(spaces.coeff_omega, rheology.values + h * rheology_dir.values)
         pf = Field(spaces.coeff_basal, friction.values + h * friction_dir.values)
-        fh = evaluate_cost(pb, pf, obs, params, solver_config,
-                           warm_start=warm).parts.total
+        fh = evaluate_cost(pb, pf, obs, params, solver_config, warm_start=warm,
+                           preconditioner=state.adjoint_lu).parts.total
         r0[k] = abs(fh - f0)
         r1[k] = abs(fh - f0 - h * df)
     return TaylorReport(h_values, r0, r1, _loglog_slope(h_values, r0),

@@ -20,7 +20,7 @@ import numpy as np
 from .adjoint import Observation, solve_adjoint
 from .assembly import assemble_adjoint_operator, basal_trace_mass, \
     velocity_mass, velocity_v2_stiffness
-from .forward import solve_forward
+from .forward import factorize, solve_forward
 from .spaces import Field, norm, scalar_values_at_quadrature, \
     velocity_gradients_at_quadrature, velocity_trace
 from .tensor_ops import (PhysicsParams, monotonicity_witness, s_gamma,
@@ -194,7 +194,8 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0,
     Checks the energy bound of the solution, the Hoelder bound of the
     viscous volume term against random test fields, coercivity of the
     dual operator on solved dual states for random observations, the
-    zero-data dual state and the measured bed-trace constant.
+    zero-data dual state and the measured bed-trace constant.  All dual
+    solves share one LU of the dual operator.
     """
     spaces = rheology.space.parent
     rng = np.random.default_rng(seed)
@@ -235,11 +236,12 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0,
     nq = spaces.quadrature.edge_points.size
     system = assemble_adjoint_operator(v, rheology, friction, params)
     K = system.matrix.tocsr()[:spaces.n_u, :spaces.n_u]
+    lu = factorize(system.reduced())      # one LU for every dual solve
     coer_ok = True
     margin = np.inf
     for _ in range(n_obs):
         obs = Observation(rng.standard_normal((observed.size, nq, 2)))
-        lam = solve_adjoint(v, rheology, friction, obs, params)
+        lam = solve_adjoint(v, rheology, friction, obs, params, lu=lu)
         energy = float(lam.values @ (K @ lam.values))
         v2 = norm(lam, "V2_seminorm")
         floor = params.mu0 * v2 ** 2
@@ -251,7 +253,8 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0,
         "min energy/floor = %.15g" % margin))
 
     exact = Observation(velocity_trace(v, observed))
-    lam0 = solve_adjoint(v, rheology, friction, exact, params)
+    lam0 = solve_adjoint(v, rheology, friction, exact, params, lu=lu)
+    del lu                                # before the trace constant's LU
     scale = norm(v, "L2") + 1.0
     lam0_norm = norm(lam0, "L2")
     results.append(CheckResult(

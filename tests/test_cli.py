@@ -242,3 +242,33 @@ def test_invert_line_search_failure_exits_5(tmp_path, capsys):
     assert len(history) == 2          # header and the starting point
     for name in ("rheology.csv", "friction.csv", "velocity.csv", "adjoint.csv"):
         assert (tmp_path / "o" / name).exists()
+
+
+def test_invert_writes_deterministic_trial_log(tmp_path):
+    base = (TINY_MESH + TWIN_BLOCK
+            + "opt.max_iterations = 3\nopt.step_init = 1e6\n")
+    for name in ("a", "b"):
+        cfg = write_cfg(tmp_path, base + "run.out = %s\n" % (tmp_path / name),
+                        name + ".cfg")
+        assert run(["invert", "--config", cfg]) == 0
+    text = (tmp_path / "a" / "trials.csv").read_bytes()
+    assert text == (tmp_path / "b" / "trials.csv").read_bytes()
+    lines = text.decode().splitlines()
+    assert lines[0] == "iter,step,cost,outcome,failure"
+    rows = list(csv.reader(lines[1:]))
+    history = (tmp_path / "a" / "history.csv").read_text().splitlines()
+    assert [r[3] for r in rows].count("accepted") == len(history) - 2
+    assert "rejected" in [r[3] for r in rows]
+
+
+def test_non_finite_field_csv_exits_2_naming_the_file(tmp_path, capsys):
+    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
+    n = spaces.coeff_omega.dof_count
+    path = tmp_path / "b.csv"
+    path.write_text("dof,value\n" + "".join(
+        "%d,%s\n" % (k, "nan" if k == 3 else "1.0") for k in range(n)))
+    cfg = write_cfg(tmp_path, TINY_MESH + "fields.rheology = csv:%s\n" % path
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "line 5" in err and "non-finite" in err

@@ -279,3 +279,36 @@ def test_history_csv_format(tmp_path):
         assert int(parts[0]) == row[0]
         for want, got in zip(row[1:], parts[1:]):
             assert float(got) == want
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_field_csv_rejects_non_finite_values(tmp_path, spaces, bad):
+    n = spaces.coeff_omega.dof_count
+    rows = ["dof,value"] + ["%d,%s" % (k, bad if k == 2 else "1.0")
+                            for k in range(n)]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(FieldIOError, match="non-finite value") as err:
+        load_field_csv(spaces.coeff_omega, path)
+    assert err.value.line == 4
+    assert str(path) in str(err.value)
+
+
+def test_trials_csv_format(tmp_path):
+    import csv
+
+    from pglacier.fieldio import save_inversion_trials
+
+    trials = [(1, 2.0, None, "solver_failure", 'a "quoted", failure'),
+              (1, 1.0, 1.0 / 3.0, "rejected", ""),
+              (1, 0.5, 0.25, "accepted", "")]
+    path = tmp_path / "trials.csv"
+    save_inversion_trials(trials, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "iter,step,cost,outcome,failure"
+    rows = list(csv.reader(lines[1:]))
+    assert len(rows) == 3
+    for want, got in zip(trials, rows):
+        assert int(got[0]) == want[0] and float(got[1]) == want[1]
+        assert got[2] == ("" if want[2] is None else repr(want[2]))
+        assert got[3:] == [want[3], want[4]]

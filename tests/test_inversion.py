@@ -298,3 +298,37 @@ def test_twin_data_tangential_mode(slab_spaces, tilted_params, tight_solver):
     assert pg.misfit(sol.velocity, obs) <= 1e-25
     with pytest.raises(ValueError, match="projection mode"):
         make_twin_data(B, tau, tilted_params, mode="normal")
+
+
+def test_trials_log_every_line_search_trial(monkeypatch, slab_spaces,
+                                            tilted_params, tight_solver,
+                                            twin_obs, base_coeffs):
+    from pglacier import inversion
+
+    calls = []
+    original = inversion.solve_forward
+
+    def fails_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:                 # the first line-search trial
+            raise SolverError("injected forward failure")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "solve_forward", fails_once)
+    result = run_inversion(*base_coeffs, twin_obs, tilted_params,
+                           OptimizationConfig(max_iterations=3, step_init=1e6),
+                           tight_solver)
+    trials = result.trials
+    assert len(trials) == len(calls) - 1
+    assert trials[0] == (1, 1e6, None, "solver_failure",
+                         "injected forward failure")
+    assert trials[1][:2] == (1, 5e5)        # the step halves after a failure
+    outcomes = [t[3] for t in trials]
+    assert set(outcomes) <= {"accepted", "rejected", "solver_failure"}
+    assert "rejected" in outcomes
+    accepted = [t for t in trials if t[3] == "accepted"]
+    assert [(t[0], t[1], t[2]) for t in accepted] \
+        == [(row[0], row[6], row[1]) for row in result.history[1:]]
+    for it, step, cost, outcome, failure in trials:
+        assert (cost is None) == (outcome == "solver_failure")
+        assert (failure != "") == (outcome == "solver_failure")
