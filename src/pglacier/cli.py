@@ -4,9 +4,11 @@ Subcommands: ``forward`` (solve the momentum balance and write the
 velocity/pressure fields), ``invert`` (run the coefficient
 identification), ``verify`` (inequality suites with a pass/fail table),
 ``taylor`` (gradient remainder-decay check) and ``mesh-gen`` (write a
-slab mesh).  Exit codes: 0 success, 2 configuration error, 3 solver
-failure, 4 verification failure, 5 inversion stopped because its line
-search found no acceptable step.
+slab mesh).  Exit codes: 0 success, 2 configuration or input-file error
+(the stderr message starts with ``config error:``, ``data file error:``,
+``mesh error:`` or ``file error:``), 3 solver failure, 4 verification
+failure, 5 inversion stopped because its line search found no
+acceptable step.
 
 All CSV outputs are deterministic for a fixed config and seed: floats
 are written with repr precision and wall-clock times never enter
@@ -23,7 +25,7 @@ import numpy as np
 
 from .adjoint import _check_alignment
 from .config import ConfigError, load_config, realize_field
-from .fieldio import (load_observation, save_field_csv,
+from .fieldio import (FieldIOError, load_observation, save_field_csv,
                       save_inversion_history, save_inversion_trials, save_vtk)
 from .forward import SolverError, solve_forward
 from .inversion import (OptimizationConfig, make_twin_data, run_inversion,
@@ -266,10 +268,16 @@ def entry(argv=None):
         with open(os.path.join(out, "effective_config.cfg"), "w") as fh:
             fh.write("\n".join(cfg.echo_lines()) + "\n")
         return _COMMANDS[args.command](cfg, out)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
+    except FieldIOError as exc:
+        print("data file error: %s" % exc, file=sys.stderr)
         return 2
-    except (MeshError, OSError, ValueError) as exc:
+    except MeshError as exc:
+        print("mesh error: %s" % exc, file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print("file error: %s" % exc, file=sys.stderr)
+        return 2
+    except ValueError as exc:             # ConfigError and other bad values
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except SolverError as exc:

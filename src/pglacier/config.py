@@ -284,10 +284,12 @@ class RunConfig:
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError("cannot read config file %s: %s" % (path, exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config file %s is not UTF-8 text: %s" % (path, exc)) from None
     return RunConfig(parse_config_text(text))
 
 

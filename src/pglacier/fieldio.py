@@ -48,8 +48,11 @@ def load_field_csv(space, path):
     with finite values; mismatched counts or indices and non-finite
     values raise FieldIOError naming the line.
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FieldIOError("not UTF-8 text: %s" % exc, path) from None
     if not raw or raw[0].strip() != "dof,value":
         raise FieldIOError("expected header 'dof,value'", path, 1)
     values = np.empty(space.dof_count)

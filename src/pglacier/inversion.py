@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .adjoint import Observation, factor_adjoint, misfit, solve_adjoint
 from .assembly import (assemble_coeff_gradient_duals, basal_p1_mass,
                        basal_p1_stiffness, omega_p1_mass, omega_p1_stiffness)
-from .forward import SolverError, solve_forward
+from .forward import SolverError, factorize, solve_forward
 from .spaces import Field, SpaceKind, velocity_trace
 
 REPRESENTATIONS = ("L2", "H1_smoothed")
@@ -215,7 +214,7 @@ def gradient_duals(state, params):
 def _riesz_solver(spaces, key, builder):
     cache = spaces._cache
     if key not in cache:
-        cache[key] = spla.splu(builder().tocsc())
+        cache[key] = factorize(builder())
     return cache[key]
 
 

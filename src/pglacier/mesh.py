@@ -487,31 +487,3 @@ def boundary_geometry(mesh):
     normals, tangents, lengths = boundary_frames(mesh)
     return [EdgeGeometry(e, normals[e], tangents[e], float(lengths[e]))
             for e in range(mesh.num_boundary_edges)]
-
-
-def averaged_vertex_normals(mesh, tag=None):
-    """Unit averaged outward normal at each boundary vertex.
-
-    Each vertex gets the normalized sum of the unit outward normals of
-    its adjacent boundary edges.  With ``tag`` given, only edges of that
-    tag contribute (and only their vertices appear in the result).
-
-    Returns
-    -------
-    dict mapping vertex index to a unit 2-vector.
-    """
-    geoms = boundary_geometry(mesh)
-    sums = {}
-    for geom in geoms:
-        if tag is not None and mesh.boundary_tags[geom.edge] != int(tag):
-            continue
-        for v in mesh.boundary_edges[geom.edge]:
-            sums.setdefault(int(v), np.zeros(2))
-            sums[int(v)] += geom.normal
-    result = {}
-    for v, n in sums.items():
-        norm = float(np.hypot(n[0], n[1]))
-        if norm == 0.0:
-            raise MeshError("averaged normal at vertex %d cancels to zero" % v)
-        result[v] = n / norm
-    return result

@@ -21,7 +21,7 @@ from enum import Enum, IntEnum
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import (BoundaryTag, Mesh, boundary_frames, edge_keys,
+from .mesh import (BoundaryTag, Mesh, MeshError, boundary_frames, edge_keys,
                    triangle_edge_keys)
 
 
@@ -232,7 +232,12 @@ def _build_constraints(mesh, n_nodes, bedge_nodes, edge_normals):
     slip_nodes = np.flatnonzero(kinds == slip)
     normals[slip_nodes] = node_normals[slip_nodes]
     verts = slip_nodes[slip_nodes < n_vertices]
-    normals[verts] /= np.hypot(normals[verts, 0], normals[verts, 1])[:, None]
+    lengths = np.hypot(normals[verts, 0], normals[verts, 1])
+    cancelled = verts[lengths == 0.0]
+    if cancelled.size:
+        raise MeshError("averaged bed normal at vertex %d cancels to zero"
+                        % cancelled[0])
+    normals[verts] /= lengths[:, None]
     tangents[slip_nodes, 0] = -normals[slip_nodes, 1]
     tangents[slip_nodes, 1] = normals[slip_nodes, 0]
 
@@ -624,27 +629,6 @@ def basal_coeff_on_edges(field):
     s = sp_.quadrature.edge_points
     vals = field.values[sp_.basal_edge_dofs]            # (n_bed, 2)
     return vals[:, 0][:, None] * (1.0 - s)[None, :] + vals[:, 1][:, None] * s[None, :]
-
-
-def trace_on_edges(field, edge_indices):
-    """Sample a field at the edge quadrature points of boundary edges.
-
-    Velocity gives shape (k, m, 2); vertex-based scalars (k, m).
-    ``edge_indices`` index the mesh boundary list.
-    """
-    edge_indices = np.asarray(edge_indices, dtype=np.int64)
-    nb = field.space.mesh.num_boundary_edges
-    if edge_indices.size and (edge_indices.min() < 0 or edge_indices.max() >= nb):
-        raise ValueError("edge index out of range: boundary list has %d edges" % nb)
-    kind = field.space.kind
-    if kind is SpaceKind.VELOCITY_P2_VEC:
-        return velocity_trace(field, edge_indices)
-    if kind in (SpaceKind.PRESSURE_P1, SpaceKind.COEFF_OMEGA_P1):
-        sp_ = field.space.parent
-        ends = field.values[field.space.mesh.boundary_edges[edge_indices]]  # (k, 2)
-        s = sp_.quadrature.edge_points
-        return ends[:, 0][:, None] * (1.0 - s)[None, :] + ends[:, 1][:, None] * s[None, :]
-    raise ValueError("trace on mesh boundary unsupported for %s" % kind.value)
 
 
 # -- norms -------------------------------------------------------------

@@ -170,11 +170,9 @@ def _volume_term(velocity, rheology, phi, params):
 def trace_constant(spaces, iterations=200):
     """Largest ratio of bed-trace L2 norm to H1 norm over the velocity
     space, measured by power iteration on the generalized eigenproblem."""
-    import scipy.sparse.linalg as spla
-
     M_tr = basal_trace_mass(spaces)
     H1 = (velocity_mass(spaces) + velocity_v2_stiffness(spaces)).tocsc()
-    lu = spla.splu(H1)
+    lu = factorize(H1)
     x = np.ones(spaces.n_u)
     lam = 0.0
     for _ in range(iterations):

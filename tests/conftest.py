@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 import pglacier as pg
+from pglacier.assembly import (_SAME, _SWAP, _bed_kernel, _check_args,
+                               _derivative_factors, _pair_trace,
+                               _pair_trial_gradients, _point, _saddle_system)
 from pglacier.forward import SolverConfig
 
 
@@ -39,6 +42,21 @@ def truth_friction(spaces):
     # smooth profile inside [0.1, 0.9]
     return pg.field_from_callable(
         spaces.coeff_basal, lambda x, y: 0.5 + 0.4 * np.cos(np.pi * x))
+
+
+def slit_bed_mesh():
+    """Unit-height slab on [0, 2] with a slit up the bed from (1, 0) to the
+    tip vertex 4 at (1, 0.5): the slit's two lips are bed edges with
+    opposite outward normals, so the averaged bed normal at the tip is
+    zero.  Vertices 1 and 2 are the two copies of (1, 0)."""
+    B, D, A = (int(pg.BoundaryTag.BASAL), int(pg.BoundaryTag.DIRICHLET),
+               int(pg.BoundaryTag.ATMOSPHERE))
+    vertices = [(0, 0), (1, 0), (1, 0), (2, 0), (1, 0.5), (0, 1), (1, 1), (2, 1)]
+    triangles = [(0, 1, 4), (0, 4, 5), (4, 6, 5), (2, 3, 4), (3, 7, 4), (4, 7, 6)]
+    edges = [(0, 1), (1, 4), (4, 2), (2, 3), (3, 7), (7, 6), (6, 5), (5, 0)]
+    return pg.Mesh(np.array(vertices, dtype=float), np.array(triangles),
+                   np.array(edges), np.array([B, B, B, B, D, A, A, D]),
+                   np.array([False] * 5 + [True, True, False]))
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +101,31 @@ def twin_obs(slab_spaces, tilted_params, tight_solver):
     return pg.make_twin_data(truth_rheology(slab_spaces),
                              truth_friction(slab_spaces), tilted_params,
                              solver_config=tight_solver)
+
+
+def derivative_kernel_operator(velocity, rheology, friction, params):
+    """Operator of the dual (adjoint) problem at the given state.
+
+    Assembled independently of :func:`assemble_jacobian` by building the
+    derivative-kernel image of each trial function and contracting it
+    with the full (unsymmetrized) test gradient; since the image is a
+    symmetric matrix the result equals the Jacobian entrywise up to
+    rounding, and tests assert that equality.
+    """
+    spaces = _check_args(velocity, rheology, friction)
+    strain, bc1, bc2, v, tg1, tg2 = _derivative_factors(
+        velocity, rheology, friction, params)
+    nt, nq = strain.shape[:2]
+    # symmetric part T of a trial gradient H, T_jc = sym[j, c, l, d] H_dl
+    sym = 0.5 * (_SAME + _SWAP)
+    # image B (c1 (Dv : T) Dv + c2 T) + mu0 H, with Dv : T = (Dv : sym)_ld H_dl
+    Dv_sym = np.matmul(strain.reshape(nt, nq, 4), sym.reshape(4, 4)).reshape(nt, nq, 2, 2)
+    image = _point(bc1) * strain[:, :, :, :, None, None] * Dv_sym[:, :, None, None] \
+        + _point(bc2) * sym + params.mu0 * _SAME
+    # bed: image tau s'(v) of trial N_b e_d, axes (k, m, b, d, c)
+    tv = spaces.edge_trace_vals
+    bed_image = tv[None, :, :, None, None] * _bed_kernel(v, tg1, tg2)[:, :, None, :, :]
+    return _saddle_system(
+        spaces, _pair_trial_gradients(spaces, image),
+        _pair_trace(spaces, spaces.basal_edge_indices,
+                    np.moveaxis(bed_image, 4, 2), tv))

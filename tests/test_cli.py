@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import pglacier as pg
+from conftest import slit_bed_mesh
 from pglacier.cli import entry
 from pglacier.config import load_config
 from pglacier.fieldio import load_field_csv, save_observation
-from pglacier.mesh import load_mesh
+from pglacier.mesh import load_mesh, save_mesh
 
 TINY_MESH = "mesh.nx = 4\nmesh.ny = 2\n"
 TWIN_BLOCK = ("observation.rheology = sine:1.25,0.5,0.5\n"
@@ -272,3 +273,37 @@ def test_non_finite_field_csv_exits_2_naming_the_file(tmp_path, capsys):
     assert run(["forward", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "line 5" in err and "non-finite" in err
+
+
+# -- exit 2 names the kind of input at fault -----------------------------
+
+
+def test_non_utf8_field_csv_is_a_data_file_error(tmp_path, capsys):
+    # used to read "config error: 'utf-8' codec can't decode byte 0xff",
+    # naming no file
+    path = tmp_path / "b.csv"
+    path.write_bytes(b"dof,value\n0,1.0\n\xff\n")
+    cfg = write_cfg(tmp_path, TINY_MESH + "fields.rheology = csv:%s\n" % path
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data file error: %s: not UTF-8" % path)
+
+
+def test_bad_mesh_is_a_mesh_error(tmp_path, capsys):
+    path = tmp_path / "slit.pgmesh"
+    save_mesh(slit_bed_mesh(), path)
+    cfg = write_cfg(tmp_path, "mesh.source = file\nmesh.path = %s\n" % path
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mesh error: ") and "vertex 4" in err
+
+
+def test_missing_data_file_is_a_file_error(tmp_path, capsys):
+    path = tmp_path / "absent.csv"
+    cfg = write_cfg(tmp_path, TINY_MESH + "fields.rheology = csv:%s\n" % path
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("file error: ") and str(path) in err

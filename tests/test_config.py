@@ -199,6 +199,14 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "absent.cfg")
 
 
+def test_load_config_rejects_bytes_that_are_not_text(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"mesh.nx = 4\n# \xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8") as err:
+        load_config(path)
+    assert str(path) in str(err.value)
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("mesh.nx = 4\n")

@@ -190,6 +190,15 @@ def test_observation_rejects_bad_input(tmp_path, old, new, line, msg):
     assert str(path) in str(err.value)
 
 
+def test_field_csv_rejects_bytes_that_are_not_text(tmp_path, spaces):
+    path = tmp_path / "b.csv"
+    path.write_bytes(b"dof,value\n0,1.0\n\xff\n")
+    with pytest.raises(FieldIOError, match="not UTF-8") as err:
+        load_field_csv(spaces.coeff_omega, path)
+    assert err.value.path == path
+    assert str(path) in str(err.value)
+
+
 def test_observation_rejects_bytes_that_are_not_text(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_bytes(observation_text().encode() + b"\xff\xfe\n")

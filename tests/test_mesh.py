@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pglacier.mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
-                           averaged_vertex_normals, boundary_geometry,
+                           boundary_geometry,
                            generate_slab_mesh, load_mesh, save_mesh,
                            with_observed_span)
 
@@ -198,14 +198,6 @@ def test_boundary_normals_point_outward_on_curved_bed():
         edge_vec = mesh.vertices[b] - mesh.vertices[a]
         assert abs(np.dot(g.normal, edge_vec)) <= 1e-14 * np.linalg.norm(edge_vec)
         assert np.dot(g.normal, mid - centroid) > 0.0
-
-
-def test_corner_averaged_normal():
-    mesh = generate_slab_mesh(1.0, 1.0, 2, 2)
-    normals = averaged_vertex_normals(mesh)
-    corner = int(np.flatnonzero((mesh.vertices == (1.0, 0.0)).all(axis=1))[0])
-    expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert np.allclose(normals[corner], expected, atol=1e-14)
 
 
 def _with_extra_edges(pairs, tags, vertex=None, triangle=None):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import pglacier as pg
+from conftest import slit_bed_mesh
+from pglacier.mesh import MeshError
 from pglacier.spaces import (NodeConstraint, basal_coeff_on_edges,
                              default_quadrature, field_from_callable, norm,
                              p2_edge_trace, p2_reference_gradients, p2_values,
-                             scalar_gradients, trace_on_edges,
+                             scalar_gradients,
                              velocity_gradients_at_quadrature, velocity_trace,
                              velocity_values_at_quadrature)
 
@@ -113,19 +115,6 @@ def test_quadratic_edge_trace_matches_1d_eval(slab_spaces):
         xy = mesh.vertices[a][None, :] \
             + s[:, None] * (mesh.vertices[b] - mesh.vertices[a])[None, :]
         assert np.max(np.abs(tr[row, :, 0] - (xy[:, 0] ** 2 + xy[:, 1]))) <= 1e-13
-
-
-def test_scalar_trace_on_edges(slab_spaces):
-    b = field_from_callable(slab_spaces.coeff_omega, lambda x, y: 2.0 * x - y)
-    tr = trace_on_edges(b, slab_spaces.mesh.observed_edges)
-    xy = slab_spaces.bedge_qxy[slab_spaces.mesh.observed_edges]
-    assert np.max(np.abs(tr - (2.0 * xy[..., 0] - xy[..., 1]))) <= 1e-13
-
-
-def test_trace_rejects_out_of_range(slab_spaces):
-    b = pg.constant_field(slab_spaces.coeff_omega, 1.0)
-    with pytest.raises(ValueError, match="edge index"):
-        trace_on_edges(b, [10 ** 6])
 
 
 def test_basal_coeff_on_edges(slab_spaces):
@@ -256,6 +245,13 @@ def test_slip_normals_on_curved_bed():
         assert abs(np.linalg.norm(n) - 1.0) <= 1e-14
         assert abs(np.dot(n, t)) <= 1e-15
         assert n[1] < 0.0  # outward through the bed
+
+
+def test_cancelling_bed_normals_name_the_vertex():
+    # the slit's tip used to get a NaN normal (a RuntimeWarning only) and
+    # the forward solve then failed with a singular factorization
+    with pytest.raises(MeshError, match="vertex 4 cancels to zero"):
+        pg.build_spaces(slit_bed_mesh())
 
 
 def test_basal_chain_is_x_sorted(slab_spaces):
