@@ -26,7 +26,7 @@ import numpy as np
 
 from .assembly import assemble_adjoint_operator, trace_dual
 from .forward import factorize
-from .spaces import Field, SpaceKind, velocity_trace
+from .spaces import Field, _basal_quad_integral, velocity_trace
 
 PROJECTION_MODES = ("full_vector", "tangential")
 
@@ -67,9 +67,9 @@ def _check_alignment(spaces, obs):
     return observed
 
 
-def _projected_trace(spaces, velocity, obs, observed):
+def _projected_trace(spaces, velocity, mode, observed):
     trace = velocity_trace(velocity, observed)              # (k, m, 2)
-    if obs.mode == "tangential":
+    if mode == "tangential":
         t = spaces.bedge_tangents[observed]                 # (k, 2)
         return np.einsum("kmc,kc->km", trace, t)
     return trace
@@ -80,12 +80,11 @@ def misfit(velocity, obs):
     projected velocity trace and the data."""
     spaces = velocity.space.parent
     observed = _check_alignment(spaces, obs)
-    diff = _projected_trace(spaces, velocity, obs, observed) - obs.samples
-    w = spaces.quadrature.edge_weights
-    lengths = spaces.bedge_lengths[observed]
-    if obs.mode == "tangential":
-        return 0.5 * float(np.einsum("m,k,km->", w, lengths, diff ** 2))
-    return 0.5 * float(np.einsum("m,k,km->", w, lengths, (diff ** 2).sum(axis=2)))
+    diff2 = (_projected_trace(spaces, velocity, obs.mode, observed)
+             - obs.samples) ** 2
+    if obs.mode == "full_vector":
+        diff2 = diff2.sum(axis=2)
+    return 0.5 * _basal_quad_integral(spaces, observed, diff2)
 
 
 def misfit_derivative_rhs(velocity, obs):
@@ -97,7 +96,7 @@ def misfit_derivative_rhs(velocity, obs):
     """
     spaces = velocity.space.parent
     observed = _check_alignment(spaces, obs)
-    diff = _projected_trace(spaces, velocity, obs, observed) - obs.samples
+    diff = _projected_trace(spaces, velocity, obs.mode, observed) - obs.samples
     if obs.mode == "tangential":
         diff = diff[:, :, None] * spaces.bedge_tangents[observed][:, None, :]
     out = np.zeros(spaces.n_sys)

@@ -28,8 +28,7 @@ from .config import ConfigError, load_config, realize_field
 from .fieldio import (FieldIOError, load_observation, save_field_csv,
                       save_inversion_history, save_inversion_trials, save_vtk)
 from .forward import SolverError, solve_forward
-from .inversion import (OptimizationConfig, make_twin_data, run_inversion,
-                        taylor_test)
+from .inversion import make_twin_data, run_inversion, taylor_test
 from .mesh import MeshError, save_mesh
 from .spaces import Field, build_spaces
 from .verify import discrete_suite, pointwise_suite
@@ -77,8 +76,12 @@ def _prepare(cfg):
 
 def _load_observation(cfg, spaces, params, solver_config):
     if cfg["observation.source"] == "file":
-        obs = load_observation(cfg["observation.path"])
-        _check_alignment(spaces, obs)
+        path = cfg["observation.path"]
+        obs = load_observation(path)
+        try:
+            _check_alignment(spaces, obs)
+        except ValueError as exc:
+            raise FieldIOError(str(exc), path) from None
         return obs
     truth_b = cfg["observation.rheology"]
     truth_f = cfg["observation.friction"]

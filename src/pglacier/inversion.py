@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import Observation, factor_adjoint, misfit, solve_adjoint
+from .adjoint import (Observation, _projected_trace, factor_adjoint, misfit,
+                      solve_adjoint)
 from .assembly import (assemble_coeff_gradient_duals, basal_p1_mass,
                        basal_p1_stiffness, omega_p1_mass, omega_p1_stiffness)
 from .forward import SolverError, factorize, solve_forward
-from .spaces import Field, SpaceKind, velocity_trace
+from .spaces import Field, SpaceKind
 
 REPRESENTATIONS = ("L2", "H1_smoothed")
 
@@ -236,13 +237,12 @@ def represent(dual, spaces, which, representation):
     return lu.solve(dual)
 
 
-def evaluate_gradient(state, obs, params, representation="H1_smoothed"):
+def evaluate_gradient(state, params, representation="H1_smoothed"):
     """Gradient fields of the reduced cost at a fresh state.
 
     Fills the state's dual vectors, representative fields and projected
     gradient norm, and returns the pair (grad_rheology, grad_friction).
     """
-    del obs  # the state carries the data it was made with
     spaces = state.rheology.space.parent
     g_rheo, g_fric = gradient_duals(state, params)
     rb = represent(g_rheo, spaces, "omega", representation)
@@ -291,7 +291,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
         raise ValueError("initial coefficients outside the admissible box")
 
     state = make_state(rheology0, friction0, obs, params, solver_config)
-    evaluate_gradient(state, obs, params, opt.representation)
+    evaluate_gradient(state, params, opt.representation)
     history = [(0, state.cost.total, state.cost.misfit, state.cost.reg_rheology,
                 state.cost.reg_friction, state.projected_grad_norm, 0.0)]
     trials = []
@@ -336,7 +336,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
             break
         state = accepted
         state.iteration = it
-        evaluate_gradient(state, obs, params, opt.representation)
+        evaluate_gradient(state, params, opt.representation)
         history.append((it, state.cost.total, state.cost.misfit,
                         state.cost.reg_rheology, state.cost.reg_friction,
                         state.projected_grad_norm, alpha))
@@ -403,13 +403,8 @@ def make_twin_data(rheology_true, friction_true, params, noise_sigma=0.0,
     solution = solve_forward(rheology_true, friction_true, params, solver_config)
     if not solution.report.converged:
         raise SolverError("twin forward solve did not converge")
-    observed = spaces.mesh.observed_edges
-    samples = velocity_trace(solution.velocity, observed)
-    if mode == "tangential":
-        t = spaces.bedge_tangents[observed]
-        samples = np.einsum("kmc,kc->km", samples, t)
-    elif mode != "full_vector":
-        raise ValueError("unknown projection mode %r" % mode)
+    samples = _projected_trace(spaces, solution.velocity, mode,
+                               spaces.mesh.observed_edges)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         samples = samples + noise_sigma * rng.standard_normal(samples.shape)

@@ -47,13 +47,17 @@ class MeshError(Exception):
 
 
 class MeshFormatError(MeshError):
-    """Malformed mesh file.  Carries the offending 1-based line number."""
+    """Malformed mesh file.  Carries the offending 1-based line number
+    and, once :func:`load_mesh` has seen it, the file's path."""
 
-    def __init__(self, message, line=None):
-        self.line = line
+    def __init__(self, message, line=None, path=None):
+        where = "" if path is None else "%s: " % path
         if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
+            where += "line %d: " % line
+        super().__init__(where + message)
+        self.message = message
+        self.line = line
+        self.path = path
 
 
 @dataclass
@@ -305,9 +309,19 @@ def load_mesh(path):
     """Read a mesh from the ``pgmesh 1`` text format.
 
     Clockwise triangles are reoriented silently.  Parse problems raise
-    :class:`MeshFormatError` with the offending line number; topology
-    problems raise :class:`MeshError` naming the entity.
+    :class:`MeshFormatError` with the path and the offending line
+    number; topology problems raise :class:`MeshError` naming the path
+    and the entity.
     """
+    try:
+        return _read_mesh(path)
+    except MeshFormatError as exc:
+        raise MeshFormatError(exc.message, exc.line, path) from None
+    except MeshError as exc:
+        raise MeshError("%s: %s" % (path, exc)) from None
+
+
+def _read_mesh(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()

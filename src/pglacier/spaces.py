@@ -640,9 +640,11 @@ def _omega_quad_integral(spaces, pointwise):
     return float(np.einsum("q,t,tq->", w, spaces.det, pointwise))
 
 
-def _basal_quad_integral(spaces, pointwise):
+def _basal_quad_integral(spaces, edges, pointwise):
+    """Sum w * length * pointwise over the given boundary edges and
+    their quadrature points."""
     w = spaces.quadrature.edge_weights
-    lengths = spaces.bedge_lengths[spaces.basal_edge_indices]
+    lengths = spaces.bedge_lengths[edges]
     return float(np.einsum("m,k,km->", w, lengths, pointwise))
 
 
@@ -706,11 +708,12 @@ def norm(field, which, r=None):
             return _omega_quad_integral(spaces, np.abs(v) ** r) ** (1.0 / r)
     elif kind is SpaceKind.COEFF_BASAL_P1:
         vals = basal_coeff_on_edges(field)
-        lengths = spaces.bedge_lengths[spaces.basal_edge_indices]
+        bed = spaces.basal_edge_indices
+        lengths = spaces.bedge_lengths[bed]
         if which == "L2":
-            return float(np.sqrt(_basal_quad_integral(spaces, vals ** 2)))
+            return float(np.sqrt(_basal_quad_integral(spaces, bed, vals ** 2)))
         if which == "Lr_basal":
-            return _basal_quad_integral(spaces, np.abs(vals) ** r) ** (1.0 / r)
+            return _basal_quad_integral(spaces, bed, np.abs(vals) ** r) ** (1.0 / r)
         if which == "V2_seminorm":
             ends = field.values[spaces.basal_edge_dofs]
             slope = (ends[:, 1] - ends[:, 0]) / lengths
@@ -718,6 +721,6 @@ def norm(field, which, r=None):
         if which == "H1":
             ends = field.values[spaces.basal_edge_dofs]
             slope = (ends[:, 1] - ends[:, 0]) / lengths
-            return float(np.sqrt(_basal_quad_integral(spaces, vals ** 2)
+            return float(np.sqrt(_basal_quad_integral(spaces, bed, vals ** 2)
                                  + float((slope ** 2 * lengths).sum())))
     raise ValueError("norm %r unsupported for space %s" % (which, kind.value))

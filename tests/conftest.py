@@ -13,6 +13,12 @@ from pglacier.assembly import (_SAME, _SWAP, _bed_kernel, _check_args,
                                _derivative_factors, _pair_trace,
                                _pair_trial_gradients, _point, _saddle_system)
 from pglacier.forward import SolverConfig
+from pglacier.tensor_ops import (PhysicsParams, monotonicity_witness, s_gamma,
+                                 s_gamma_prime_apply, s_omega,
+                                 s_omega_prime_apply)
+from pglacier.verify import (_EPS, DEFAULT_DELTA_VALUES, DEFAULT_P_VALUES,
+                             DEFAULT_PRIME_DELTA_VALUES, CheckResult,
+                             _sample_pairs)
 
 
 def pytest_configure(config):
@@ -129,3 +135,91 @@ def derivative_kernel_operator(velocity, rheology, friction, params):
         spaces, _pair_trial_gradients(spaces, image),
         _pair_trace(spaces, spaces.basal_edge_indices,
                     np.moveaxis(bed_image, 4, 2), tv))
+
+
+def _frob(P):
+    return np.sqrt((P ** 2).sum(axis=(-2, -1)))
+
+
+def reference_pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
+                              delta_values=DEFAULT_DELTA_VALUES,
+                              prime_delta_values=DEFAULT_PRIME_DELTA_VALUES,
+                              seed=0):
+    """Kernel inequality sweep written check by check, each kernel
+    evaluated afresh inside every check and the matrix and vector laws
+    spelled out separately.  The independent oracle of
+    :func:`pglacier.verify.pointwise_suite`, which must return the same
+    CheckResults."""
+    for d in prime_delta_values:
+        if d <= 0.0:
+            raise ValueError("derivative-kernel checks need delta > 0; "
+                             "remove %r from the delta sweep" % (d,))
+    rng = np.random.default_rng(seed)
+    P, Q, W, u, v, w = _sample_pairs(rng, samples)
+    results = []
+
+    # (a) |S(P)| <= |P|^(p-1), matrix and vector kernels.
+    worst = 0.0
+    ok = True
+    for pv in p_values:
+        for dv in delta_values:
+            params = PhysicsParams(p=pv, delta=dv)
+            lhs = _frob(s_omega(P, params))
+            rhs = _frob(P) ** (pv - 1.0)
+            ok &= bool(np.all(lhs <= rhs * (1.0 + _EPS)))
+            worst = max(worst, float((lhs / rhs).max()))
+            lhs_v = np.linalg.norm(s_gamma(u, params), axis=-1)
+            rhs_v = np.linalg.norm(u, axis=-1) ** (pv - 1.0)
+            ok &= bool(np.all(lhs_v <= rhs_v * (1.0 + _EPS)))
+            worst = max(worst, float((lhs_v / rhs_v).max()))
+    results.append(CheckResult("kernel norm bound |S(P)| <= |P|^(p-1)", ok,
+                               "max ratio %.15g" % worst))
+
+    # (b) strict monotonicity and (c) the two-sided ratio constants.
+    mono_ok = True
+    ratio_min = np.inf
+    lip_max = 0.0
+    for pv in p_values:
+        for dv in delta_values:
+            params = PhysicsParams(p=pv, delta=dv)
+            wit = monotonicity_witness(P, Q, params)
+            mono_ok &= bool(np.all(wit["lhs"] > 0.0))
+            ratio_min = min(ratio_min, float(np.nanmin(wit["ratio"])))
+            base = dv + _frob(P) + _frob(Q)
+            lip = _frob(s_omega(P, params) - s_omega(Q, params)) \
+                / (base ** (pv - 2.0) * _frob(P - Q))
+            lip_max = max(lip_max, float(lip.max()))
+            dvec = np.linalg.norm(u - v, axis=-1)
+            base_v = dv + np.linalg.norm(u, axis=-1) + np.linalg.norm(v, axis=-1)
+            lhs_v = ((s_gamma(u, params) - s_gamma(v, params)) * (u - v)).sum(axis=-1)
+            mono_ok &= bool(np.all(lhs_v > 0.0))
+            lip_v = np.linalg.norm(s_gamma(u, params) - s_gamma(v, params),
+                                   axis=-1) / (base_v ** (pv - 2.0) * dvec)
+            lip_max = max(lip_max, float(lip_v.max()))
+    results.append(CheckResult("strict monotonicity (S(P)-S(Q)):(P-Q) > 0",
+                               mono_ok, "min scaled ratio %.15g" % ratio_min))
+    results.append(CheckResult("Lipschitz ratio (fitted constant < 10)",
+                               bool(lip_max < 10.0),
+                               "fitted C = %.15g" % lip_max))
+
+    # (d) derivative coercivity, delta > 0 only.
+    coer_ok = True
+    margin_min = np.inf
+    for pv in p_values:
+        for dv in prime_delta_values:
+            params = PhysicsParams(p=pv, delta=dv)
+            form = (s_omega_prime_apply(P, W, params) * W).sum(axis=(-2, -1))
+            scale = ((P ** 2).sum(axis=(-2, -1)) + dv ** 2) ** ((pv - 2.0) / 2.0) \
+                * (W ** 2).sum(axis=(-2, -1))
+            bound = (pv - 1.0) * scale
+            coer_ok &= bool(np.all(form >= bound - _EPS * scale))
+            margin_min = min(margin_min, float((form / scale).min() - (pv - 1.0)))
+            form_v = (s_gamma_prime_apply(u, w, params) * w).sum(axis=-1)
+            scale_v = ((u ** 2).sum(axis=-1) + dv ** 2) ** ((pv - 2.0) / 2.0) \
+                * (w ** 2).sum(axis=-1)
+            coer_ok &= bool(np.all(form_v >= (pv - 1.0) * scale_v - _EPS * scale_v))
+            margin_min = min(margin_min,
+                             float((form_v / scale_v).min() - (pv - 1.0)))
+    results.append(CheckResult("derivative coercivity >= (p-1) scale",
+                               coer_ok, "min margin %.3g" % margin_min))
+    return results

@@ -152,7 +152,7 @@ def test_criterion_5_adjoint_gradient(criterion, slab_spaces, tilted_params,
         rheology, friction = base_coeffs
         state = make_state(rheology, friction, twin_obs, tilted_params,
                            tight_solver)
-        evaluate_gradient(state, twin_obs, tilted_params)
+        evaluate_gradient(state, tilted_params)
         warm = (state.velocity, state.pressure)
         rng = np.random.default_rng(11)
         h = 1e-4

@@ -300,6 +300,44 @@ def test_bad_mesh_is_a_mesh_error(tmp_path, capsys):
     assert err.startswith("mesh error: ") and "vertex 4" in err
 
 
+def test_mesh_file_that_is_not_text_is_named(tmp_path, capsys):
+    # used to read "mesh error: mesh file is not UTF-8 text: ...", naming
+    # no file
+    path = tmp_path / "bad.pgmesh"
+    path.write_bytes(b"pgmesh 1\n\xff\n")
+    cfg = write_cfg(tmp_path, "mesh.source = file\nmesh.path = %s\n" % path
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mesh error: %s: mesh file is not UTF-8" % path)
+
+
+def test_truncated_mesh_file_is_named(tmp_path, capsys):
+    path = tmp_path / "short.pgmesh"
+    path.write_text("pgmesh 1\nvertices 2\n0.0 0.0\n")
+    cfg = write_cfg(tmp_path, "mesh.source = file\nmesh.path = %s\n" % path
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mesh error: %s: line 2: vertex count 2 does not "
+                          "fit" % path)
+
+
+def test_misaligned_observation_file_is_a_data_file_error(tmp_path, capsys):
+    # used to read "config error: observation/mesh mismatch: ...", naming
+    # neither the key nor the file
+    obs_path = tmp_path / "obs.csv"
+    save_observation(pg.Observation(np.zeros((3, 3, 2))), obs_path)
+    cfg = write_cfg(tmp_path, TINY_MESH
+                    + "observation.source = file\n"
+                    + "observation.path = %s\n" % obs_path
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["invert", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data file error: %s: observation/mesh mismatch: "
+                          "data has 3 edges" % obs_path)
+
+
 def test_missing_data_file_is_a_file_error(tmp_path, capsys):
     path = tmp_path / "absent.csv"
     cfg = write_cfg(tmp_path, TINY_MESH + "fields.rheology = csv:%s\n" % path

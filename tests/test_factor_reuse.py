@@ -57,7 +57,7 @@ def test_make_state_solves_no_dual_until_a_gradient_is_requested(
     operators = count_calls(monkeypatch, adjoint, "assemble_adjoint_operator")
     state = make_state(*base_coeffs, twin_obs, tilted_params, tight_solver)
     assert operators == [] and state.adjoint_state is None
-    inversion.evaluate_gradient(state, twin_obs, tilted_params)
+    inversion.evaluate_gradient(state, tilted_params)
     lam, lu = state.adjoint_state, state.adjoint_lu
     inversion.gradient_duals(state, tilted_params)
     assert len(operators) == 1

@@ -84,7 +84,7 @@ def test_stale_state_is_refused(slab_spaces, tilted_params, tight_solver,
     state = make_state(*base_coeffs, twin_obs, tilted_params, tight_solver)
     state.rheology.values[0] += 1e-3
     with pytest.raises(ValueError, match="stale"):
-        evaluate_gradient(state, twin_obs, tilted_params)
+        evaluate_gradient(state, tilted_params)
     state.rheology.values[0] -= 1e-3  # session fixture, restore
 
 
@@ -95,7 +95,7 @@ def test_gradient_vanishes_at_truth_without_regularization(slab_spaces,
                               reg_friction=0.0)
     B, tau = truth_rheology(slab_spaces), truth_friction(slab_spaces)
     state = make_state(B, tau, twin_obs, params, tight_solver)
-    evaluate_gradient(state, twin_obs, params)
+    evaluate_gradient(state, params)
     assert np.max(np.abs(state.grad_rheology_dual)) <= 1e-14
     assert np.max(np.abs(state.grad_friction_dual)) <= 1e-14
     assert state.projected_grad_norm <= 1e-12

@@ -138,6 +138,31 @@ def test_loader_reports_line_numbers(tmp_path):
     assert err.value.line == 6
 
 
+def test_loader_format_errors_carry_the_path(tmp_path):
+    path = tmp_path / "short.pgmesh"
+    path.write_text("pgmesh 1\nvertices 2\n0.0 0.0\n1.0 0.0\n"
+                    "triangles 1\n0 1 7\n")
+    with pytest.raises(MeshFormatError) as err:
+        load_mesh(path)
+    assert err.value.path == path and err.value.line == 6
+    assert str(err.value).startswith("%s: line 6: triangle vertex index" % path)
+
+
+def test_loader_topology_errors_name_the_file(tmp_path):
+    mesh = generate_slab_mesh(1.0, 1.0, 2, 2)
+    path = tmp_path / "open.pgmesh"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    # drop the last boundary edge, leaving its mesh edge untagged
+    head = lines.index("boundary %d" % mesh.num_boundary_edges)
+    lines[head] = "boundary %d" % (mesh.num_boundary_edges - 1)
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(MeshError) as err:
+        load_mesh(path)
+    assert str(err.value) == ("%s: untagged boundary edge between vertices "
+                              "5 and 8" % path)
+
+
 def _slab_arrays(nx=2, ny=2):
     mesh = generate_slab_mesh(1.0, 1.0, nx, ny)
     return (mesh.vertices.copy(), mesh.triangles.copy(),

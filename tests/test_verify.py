@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pglacier as pg
+from conftest import reference_pointwise_suite
 from pglacier.verify import (CheckResult, discrete_suite, pointwise_suite,
                              trace_constant)
 
@@ -42,6 +43,19 @@ def test_pointwise_suite_is_seed_deterministic():
     a = pointwise_suite(samples=3000, seed=5)
     b = pointwise_suite(samples=3000, seed=5)
     assert [r.detail for r in a] == [r.detail for r in b]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(samples=20000, seed=0),
+    dict(samples=5000, p_values=[2.0], delta_values=[0.0], seed=2),
+    dict(samples=1, seed=4),
+    dict(samples=5000, p_values=[1.05, 1.5], delta_values=[0.0, 1e-8, 10.0],
+         prime_delta_values=[1e-8, 5.0], seed=6),
+], ids=["defaults", "linear-undamped", "single-sample", "off-default"])
+def test_pointwise_suite_matches_reference(kwargs):
+    # one sweep over both kernel laws gives the check-by-check results
+    assert [r.line() for r in pointwise_suite(**kwargs)] \
+        == [r.line() for r in reference_pointwise_suite(**kwargs)]
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5])
