@@ -13,7 +13,7 @@ from .adjoint import (Observation, misfit, misfit_derivative_rhs,
 from .assembly import (AssembledSystem, assemble_adjoint_operator,
                        assemble_coeff_derivative,
                        assemble_coeff_gradient_duals, assemble_jacobian,
-                       assemble_residual, solver_sign)
+                       assemble_residual, norm, solver_sign)
 from .config import ConfigError, RunConfig, config_from_text, load_config, \
     realize_field
 from .fieldio import (FieldIOError, load_field_csv, load_observation,
@@ -28,7 +28,7 @@ from .mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
                    boundary_geometry, generate_slab_mesh, load_mesh,
                    save_mesh, with_observed_span)
 from .spaces import (Field, FunctionSpace, SpaceKind, Spaces, build_spaces,
-                     constant_field, field_from_callable, norm, zero_field)
+                     constant_field, field_from_callable, zero_field)
 from .tensor_ops import (PhysicsParams, monotonicity_witness, s_gamma,
                          s_gamma_prime_apply, s_omega, s_omega_prime_apply)
 from .verify import CheckResult, discrete_suite, pointwise_suite

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble_adjoint_operator, trace_dual
+from .assembly import _basal_quad_integral, assemble_adjoint_operator, trace_dual
 from .forward import factorize
-from .spaces import Field, _basal_quad_integral, velocity_trace
+from .spaces import Field, velocity_trace
 
 PROJECTION_MODES = ("full_vector", "tangential")
 

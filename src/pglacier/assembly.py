@@ -14,16 +14,23 @@ rows by -1.  ``solver_sign`` exposes that convention so solvers and
 finite-difference checks can flip the pressure block of the residual
 consistently.
 
-Every integral is one contraction over all quadrature points by one of
-two primitives: ``_pair_volume`` pairs a per-point integrand over all
-(triangle, point) pairs with the gradients of the quadratic basis (a
-flux) or with a table of basis values, and ``_pair_trace`` pairs one
-over (boundary edge, point) pairs with edge trace values.  Dual vectors
-are scattered with ``np.bincount``; operators are written straight into
-the data array of the mesh's fixed saddle pattern
-(:meth:`Spaces.saddle_pattern`) through its slot maps, and constraint
-elimination is index arithmetic (a gather) on that data.  Sums run in a fixed
-order, so serial assembly is bit-reproducible.
+Every operator and dual vector is one contraction over all quadrature
+points by one of two primitives: ``_pair_volume`` pairs a per-point
+integrand over all (triangle, point) pairs with the gradients of the
+quadratic basis (a flux) or with a table of basis values, and
+``_pair_trace`` pairs one over (boundary edge, point) pairs with edge
+trace values.  Dual vectors are scattered with ``np.bincount``;
+operators are written straight into the data array of the mesh's fixed
+saddle pattern (:meth:`Spaces.saddle_pattern`) through its slot maps,
+and constraint elimination is index arithmetic (a gather) on that data.
+The four linear-element mass and stiffness matrices keep their closed
+forms.  Each space has one pair of Gram matrices (:func:`gram_matrices`)
+and its L2, V2 and H1 norms are their quadratic forms; integrals of
+nonlinear point values (the Lr norms, the misfit, the verification
+checks) go through one scalar quadrature sum, ``_omega_quad_integral``
+or ``_basal_quad_integral``.  The quadrature weights are applied only
+in this module.  Sums run in a fixed order, so serial assembly is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .spaces import (SpaceKind, basal_coeff_on_edges, scalar_values_at_quadrature,
-                     velocity_gradients_at_quadrature, velocity_trace)
+                     velocity_gradients_at_quadrature, velocity_trace,
+                     velocity_values_at_quadrature)
 from .tensor_ops import s_gamma, s_omega
 
 
@@ -110,6 +118,20 @@ def _pair_values(integrand, basis, weights, measure):
     flat = integrand.reshape(integrand.shape[:2] + (int(np.prod(tail)),))
     out = np.matmul((basis * weights[:, None]).T, flat) * measure[:, None, None]
     return out.reshape((measure.size, basis.shape[1]) + tail)
+
+
+def _omega_quad_integral(spaces, pointwise):
+    """Sum w * |det| * pointwise over all triangles and points."""
+    w = spaces.quadrature.tri_weights
+    return float(np.einsum("q,t,tq->", w, spaces.det, pointwise))
+
+
+def _basal_quad_integral(spaces, edges, pointwise):
+    """Sum w * length * pointwise over the given boundary edges and
+    their quadrature points."""
+    w = spaces.quadrature.edge_weights
+    lengths = spaces.bedge_lengths[edges]
+    return float(np.einsum("m,k,km->", w, lengths, pointwise))
 
 
 def _pair_volume(spaces, integrand, basis=None):
@@ -496,3 +518,57 @@ def basal_trace_mass(spaces):
         n = spaces.n_u
         return _element_matrix(blocks.reshape(-1, 6, 6), dofs, dofs, (n, n))
     return _cached(spaces, "basal_trace_mass", build)
+
+
+# -- Gram forms and norms ----------------------------------------------
+
+
+def gram_matrices(space):
+    """The cached (mass, stiffness) pair of ``space``: the Gram matrices
+    of its L2 product and of its full-gradient (V2) seminorm."""
+    spaces = space.parent
+    if space.kind is SpaceKind.VELOCITY_P2_VEC:
+        return velocity_mass(spaces), velocity_v2_stiffness(spaces)
+    if space.kind is SpaceKind.COEFF_BASAL_P1:
+        return basal_p1_mass(spaces), basal_p1_stiffness(spaces)
+    return omega_p1_mass(spaces), omega_p1_stiffness(spaces)
+
+
+def norm(field, which, r=None):
+    """Norm of a field: ``which`` is ``L2``, ``V2_seminorm`` (the L2 norm
+    of the full gradient), ``H1``, ``Lr_omega`` or ``Lr_basal``, the Lr
+    norms with an exponent ``r`` >= 1.
+
+    L2, V2 and H1 are the roots of x.Mx, x.Kx and x.Mx + x.Kx for the
+    space's :func:`gram_matrices`, clamped at 0: near the seminorm's null
+    space (a constant scalar field, say) x.Kx keeps only about sqrt(eps)
+    |x| absolute accuracy and can round below 0.  The Lr norms sum
+    |field|^r by quadrature over the cross-section or, for the friction
+    space only, along the bed chain.  Other pairings raise ValueError.
+    """
+    kind = field.space.kind
+    spaces = field.space.parent
+    basal = kind is SpaceKind.COEFF_BASAL_P1
+    if which in ("Lr_omega", "Lr_basal"):
+        if r is None or r < 1:
+            raise ValueError("Lr norm needs an exponent r >= 1")
+        if basal and which == "Lr_basal":
+            return _basal_quad_integral(spaces, spaces.basal_edge_indices, np.abs(
+                basal_coeff_on_edges(field)) ** r) ** (1.0 / r)
+        if not basal and which == "Lr_omega":
+            if kind is SpaceKind.VELOCITY_P2_VEC:
+                v = velocity_values_at_quadrature(field)
+                magnitude = np.sqrt((v ** 2).sum(axis=2))
+            else:
+                magnitude = np.abs(scalar_values_at_quadrature(field))
+            return _omega_quad_integral(spaces, magnitude ** r) ** (1.0 / r)
+    elif which in ("L2", "V2_seminorm", "H1"):
+        mass, stiffness = gram_matrices(field.space)
+        x = field.values
+        form = 0.0
+        if which != "V2_seminorm":
+            form += x @ (mass @ x)
+        if which != "L2":
+            form += x @ (stiffness @ x)
+        return float(np.sqrt(max(form, 0.0)))
+    raise ValueError("norm %r unsupported for space %s" % (which, kind.value))

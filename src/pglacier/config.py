@@ -1,10 +1,11 @@
 """Run configuration: a line-oriented ``key = value`` format.
 
-Keys are dotted (section.name), values are scalars or short spec
-strings; ``#`` starts a comment.  Every key has a typed schema entry
-with a default, unknown or malformed keys raise ConfigError naming the
-key and line, and the fully resolved configuration can be echoed back
-out in a re-loadable, deterministic form.
+Keys are dotted (section.name), values are scalars, space-separated
+float lists or short spec strings; ``#`` starts a comment.  Every key
+has a typed schema entry with a default, unknown or malformed keys
+raise ConfigError naming the key and line, and the fully resolved
+configuration can be echoed back out in a re-loadable, deterministic
+form.
 
 Coefficient fields are described by spec strings:
 
@@ -106,12 +107,13 @@ SCHEMA = {
     "observation.friction": ("str", "", None, ""),
     "run.seed": ("int", 0, lambda n: n >= 0, "must be >= 0"),
     "run.out": ("str", "out", None, ""),
-    "taylor.h_values": ("str", "1e-1 1e-2 1e-3 1e-4", None, ""),
+    "taylor.h_values": ("floats", "1e-1 1e-2 1e-3 1e-4", _positive, "must be > 0"),
     "taylor.directions": ("int", 3, lambda n: n >= 1, "must be >= 1"),
     "verify.samples": ("int", 100000, lambda n: n >= 1, "must be >= 1"),
-    "verify.p_values": ("str", "1.2 1.3333333333333333 1.6 1.9", None, ""),
-    "verify.delta_values": ("str", "0 0.001 0.1 1", None, ""),
-    "verify.prime_delta_values": ("str", "0.001 0.1 1", None, ""),
+    "verify.p_values": ("floats", "1.2 1.3333333333333333 1.6 1.9",
+                        lambda v: 1.0 < v <= 2.0, "must lie in (1, 2]"),
+    "verify.delta_values": ("floats", "0 0.001 0.1 1", _nonnegative, "must be >= 0"),
+    "verify.prime_delta_values": ("floats", "0.001 0.1 1", _positive, "must be > 0"),
 }
 
 
@@ -166,6 +168,17 @@ def parse_config_text(text, strict=True):
             raise ConfigError("duplicate key", key, ln)
         seen.add(key)
         tag, _, extra, constraint = SCHEMA[key]
+        if tag == "floats":
+            # a space-separated list, kept as text; each entry is checked
+            # like a float key
+            entries = value.split()
+            if not entries:
+                raise ConfigError("expected at least one float", key, ln)
+            for entry in entries:
+                if not extra(_convert(key, "float", entry, None, ln)):
+                    raise ConfigError("value %s %s" % (entry, constraint), key, ln)
+            resolved[key] = value
+            continue
         converted = _convert(key, tag, value, extra, ln)
         if tag in ("float", "int") and extra is not None \
                 and not extra(converted):

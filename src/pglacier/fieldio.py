@@ -113,8 +113,8 @@ def load_observation(path):
     """Read an Observation written by save_observation.
 
     The declared mode, edge and point counts are enforced against the
-    rows; any mismatch, a non-positive count or a non-finite sample
-    raises FieldIOError.
+    rows; any mismatch, a non-positive count, a noise level that is
+    negative or not finite, or a non-finite sample raises FieldIOError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -151,6 +151,9 @@ def load_observation(path):
         if n < 1:
             raise FieldIOError("'# %s' must be >= 1, got %d" % (key, n), path,
                                meta[key][1])
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise FieldIOError("'# noise_sigma' must be a finite float >= 0, got %s"
+                           % meta["noise_sigma"][0], path, meta["noise_sigma"][1])
 
     if not body:
         raise FieldIOError("missing column header row", path)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import (assemble_jacobian, _residual_raw, solver_sign)
-from .spaces import Field, SpaceKind, norm, zero_field
+from .assembly import (assemble_jacobian, _residual_raw, norm, solver_sign)
+from .spaces import Field, SpaceKind, zero_field
 
 
 # Krylov vectors in the one GMRES cycle a Newton step may run before it

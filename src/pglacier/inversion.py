@@ -20,8 +20,8 @@ import numpy as np
 
 from .adjoint import (Observation, _projected_trace, factor_adjoint, misfit,
                       solve_adjoint)
-from .assembly import (assemble_coeff_gradient_duals, basal_p1_mass,
-                       basal_p1_stiffness, omega_p1_mass, omega_p1_stiffness)
+from .assembly import (_cached, assemble_coeff_gradient_duals, basal_p1_stiffness,
+                       gram_matrices, omega_p1_stiffness)
 from .forward import SolverError, factorize, solve_forward
 from .spaces import Field, SpaceKind
 
@@ -212,29 +212,18 @@ def gradient_duals(state, params):
     return g_rheo, g_fric
 
 
-def _riesz_solver(spaces, key, builder):
-    cache = spaces._cache
-    if key not in cache:
-        cache[key] = factorize(builder())
-    return cache[key]
-
-
 def represent(dual, spaces, which, representation):
     """Riesz representative of a coefficient-space dual vector in the
-    chosen inner product (plain L2 or the H1 smoother)."""
+    chosen inner product (plain L2 or the H1 smoother); the LU of its
+    Gram matrix is cached per mesh."""
     if representation not in REPRESENTATIONS:
         raise ValueError("unknown gradient representation %r" % representation)
-    if which == "omega":
-        mass, stiff = omega_p1_mass(spaces), omega_p1_stiffness(spaces)
-        key = "omega_riesz_" + representation
-    else:
-        mass, stiff = basal_p1_mass(spaces), basal_p1_stiffness(spaces)
-        key = "basal_riesz_" + representation
-    if representation == "L2":
-        lu = _riesz_solver(spaces, key, lambda: mass)
-    else:
-        lu = _riesz_solver(spaces, key, lambda: mass + stiff)
-    return lu.solve(dual)
+    space = spaces.coeff_omega if which == "omega" else spaces.coeff_basal
+
+    def build():
+        mass, stiffness = gram_matrices(space)
+        return factorize(mass if representation == "L2" else mass + stiffness)
+    return _cached(spaces, which + "_riesz_" + representation, build).solve(dual)
 
 
 def evaluate_gradient(state, params, representation="H1_smoothed"):

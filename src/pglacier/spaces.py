@@ -11,6 +11,9 @@ are installed by rotating the dof pair at each bed node into a local
 tangent/normal frame; midpoint nodes use the exact edge normal, vertices
 the unit-normalized sum of adjacent bed edge normals.  Dirichlet wins at
 corners shared with the bed, the bed wins over the free surface.
+
+Quadrature weights are applied only in :mod:`pglacier.assembly`, which
+also holds the Gram matrices and norms of these spaces.
 """
 
 from __future__ import annotations
@@ -578,7 +581,7 @@ def build_spaces(mesh, quadrature=None):
     return Spaces(mesh, quadrature)
 
 
-# -- evaluation helpers used by assembly, norms and observation --------
+# -- evaluation helpers used by assembly and observation --------------
 
 
 def velocity_local_coeffs(field):
@@ -608,12 +611,6 @@ def scalar_values_at_quadrature(field):
     return field.values[field.space.mesh.triangles] @ sp_.p1_vals.T
 
 
-def scalar_gradients(field):
-    """Per-triangle constant gradient of a vertex-based scalar, (nt, 2)."""
-    sp_ = field.space.parent
-    return np.einsum("tk,tki->ti", field.values[field.space.mesh.triangles], sp_.p1_grads)
-
-
 def velocity_trace(field, edge_indices):
     """Velocity samples at edge quadrature points of the given boundary
     edges, shape (len(edge_indices), m, 2)."""
@@ -629,98 +626,3 @@ def basal_coeff_on_edges(field):
     s = sp_.quadrature.edge_points
     vals = field.values[sp_.basal_edge_dofs]            # (n_bed, 2)
     return vals[:, 0][:, None] * (1.0 - s)[None, :] + vals[:, 1][:, None] * s[None, :]
-
-
-# -- norms -------------------------------------------------------------
-
-
-def _omega_quad_integral(spaces, pointwise):
-    """Sum w * |det| * pointwise over all triangles and points."""
-    w = spaces.quadrature.tri_weights
-    return float(np.einsum("q,t,tq->", w, spaces.det, pointwise))
-
-
-def _basal_quad_integral(spaces, edges, pointwise):
-    """Sum w * length * pointwise over the given boundary edges and
-    their quadrature points."""
-    w = spaces.quadrature.edge_weights
-    lengths = spaces.bedge_lengths[edges]
-    return float(np.einsum("m,k,km->", w, lengths, pointwise))
-
-
-def norm(field, which, r=None):
-    """Norm of a field.
-
-    Parameters
-    ----------
-    field : Field
-    which : str
-        One of ``L2``, ``V2_seminorm``, ``H1``, ``Lr_omega``,
-        ``Lr_basal``.  The Lr variants need the exponent ``r``.
-    r : float, optional
-        Exponent for the Lr norms, r >= 1.
-
-    Notes
-    -----
-    The V2 seminorm is the L2 norm of the full gradient (all partial
-    derivatives).  Basal fields use arc-length integrals along the bed
-    chain.  Unsupported pairings raise ValueError.
-    """
-    kind = field.space.kind
-    spaces = field.space.parent
-    if which in ("Lr_omega", "Lr_basal"):
-        if r is None or r < 1:
-            raise ValueError("Lr norm needs an exponent r >= 1")
-
-    if kind is SpaceKind.VELOCITY_P2_VEC:
-        if which == "L2":
-            v = velocity_values_at_quadrature(field)
-            return float(np.sqrt(_omega_quad_integral(spaces, (v ** 2).sum(axis=2))))
-        if which == "V2_seminorm":
-            g = velocity_gradients_at_quadrature(field)
-            return float(np.sqrt(_omega_quad_integral(spaces, (g ** 2).sum(axis=(2, 3)))))
-        if which == "H1":
-            v = velocity_values_at_quadrature(field)
-            g = velocity_gradients_at_quadrature(field)
-            return float(np.sqrt(_omega_quad_integral(
-                spaces, (v ** 2).sum(axis=2) + (g ** 2).sum(axis=(2, 3)))))
-        if which == "Lr_omega":
-            v = velocity_values_at_quadrature(field)
-            mag = np.sqrt((v ** 2).sum(axis=2))
-            return _omega_quad_integral(spaces, mag ** r) ** (1.0 / r)
-    elif kind in (SpaceKind.PRESSURE_P1, SpaceKind.COEFF_OMEGA_P1):
-        if which == "L2":
-            v = scalar_values_at_quadrature(field)
-            return float(np.sqrt(_omega_quad_integral(spaces, v ** 2)))
-        if which == "V2_seminorm":
-            g = scalar_gradients(field)
-            mag2 = np.broadcast_to(((g ** 2).sum(axis=1))[:, None],
-                                   (spaces.mesh.num_triangles,
-                                    spaces.quadrature.tri_weights.size))
-            return float(np.sqrt(_omega_quad_integral(spaces, mag2)))
-        if which == "H1":
-            v = scalar_values_at_quadrature(field)
-            g = scalar_gradients(field)
-            return float(np.sqrt(_omega_quad_integral(
-                spaces, v ** 2 + ((g ** 2).sum(axis=1))[:, None])))
-        if which == "Lr_omega":
-            v = scalar_values_at_quadrature(field)
-            return _omega_quad_integral(spaces, np.abs(v) ** r) ** (1.0 / r)
-    elif kind is SpaceKind.COEFF_BASAL_P1:
-        vals = basal_coeff_on_edges(field)
-        bed = spaces.basal_edge_indices
-        lengths = spaces.bedge_lengths[bed]
-        if which == "L2":
-            return float(np.sqrt(_basal_quad_integral(spaces, bed, vals ** 2)))
-        if which == "Lr_basal":
-            return _basal_quad_integral(spaces, bed, np.abs(vals) ** r) ** (1.0 / r)
-        if which == "V2_seminorm":
-            ends = field.values[spaces.basal_edge_dofs]
-            slope = (ends[:, 1] - ends[:, 0]) / lengths
-            return float(np.sqrt((slope ** 2 * lengths).sum()))
-        if which == "H1":
-            ends = field.values[spaces.basal_edge_dofs]
-            slope = (ends[:, 1] - ends[:, 0]) / lengths
-            return float(np.sqrt(_basal_quad_integral(spaces, bed, vals ** 2)
-                                 + float((slope ** 2 * lengths).sum())))
-    raise ValueError("norm %r unsupported for space %s" % (which, kind.value))

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import Observation, solve_adjoint
-from .assembly import _strain, assemble_adjoint_operator, basal_trace_mass, \
-    velocity_mass, velocity_v2_stiffness
+from .assembly import _omega_quad_integral, _strain, assemble_adjoint_operator, \
+    basal_trace_mass, gram_matrices, norm
 from .forward import factorize, solve_forward
-from .spaces import Field, norm, scalar_values_at_quadrature, \
+from .spaces import Field, scalar_values_at_quadrature, \
     velocity_gradients_at_quadrature, velocity_trace
-from .tensor_ops import (PhysicsParams, monotonicity_witness, s_gamma,
-                         s_gamma_prime_apply, s_omega, s_omega_prime_apply)
+from .tensor_ops import (PhysicsParams, s_gamma, s_gamma_prime_apply, s_omega,
+                         s_omega_prime_apply)
 
 DEFAULT_P_VALUES = (1.2, 4.0 / 3.0, 1.6, 1.9)
 DEFAULT_DELTA_VALUES = (0.0, 1e-3, 0.1, 1.0)
@@ -76,34 +76,41 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
     rng = np.random.default_rng(seed)
     P, Q, W, u, v, w = _sample_pairs(rng, samples)
     # One row per kernel law: kernel, derivative, kernel axes, the sample
-    # pair (x, y) and the coercivity direction.
-    laws = ((s_omega, s_omega_prime_apply, (-2, -1), P, Q, W),
-            (s_gamma, s_gamma_prime_apply, (-1,), u, v, w))
-    # |x|, |y| and |x - y| per law, the only arrays kept across the sweep.
-    norms = [[np.sqrt((a ** 2).sum(axis=axes)) for a in (x, y, x - y)]
-             for _, _, axes, x, y, _ in laws]
+    # pair (x, y), the coercivity direction and whether the law's scaled
+    # monotonicity ratio is reported (the matrix law's only).
+    laws = ((s_omega, s_omega_prime_apply, (-2, -1), P, Q, W, True),
+            (s_gamma, s_gamma_prime_apply, (-1,), u, v, w, False))
+    # |x|, |y| and |x - y|^2 per law, the only arrays kept across the sweep.
+    norms = [(np.sqrt((x ** 2).sum(axis=axes)), np.sqrt((y ** 2).sum(axis=axes)),
+              ((x - y) ** 2).sum(axis=axes))
+             for _, _, axes, x, y, _, _ in laws]
 
-    # (a) |S(x)| <= |x|^(p-1), (b) strict monotonicity and (c) the
-    # two-sided ratio constants, from one evaluation of each kernel on
-    # x and on y per (p, delta).
+    # (a) |S(x)| <= |x|^(p-1), (b) strict monotonicity with the scaled
+    # ratio of :func:`monotonicity_witness` and (c) the two-sided ratio
+    # constants, from one evaluation of each kernel on x and on y per
+    # (p, delta).
     norm_ok = mono_ok = True
     worst = lip_max = 0.0
     ratio_min = np.inf
     for pv in p_values:
         for dv in delta_values:
             params = PhysicsParams(p=pv, delta=dv)
-            ratio_min = min(ratio_min, float(np.nanmin(
-                monotonicity_witness(P, Q, params)["ratio"])))
-            for (kernel, _, axes, x, y, _), (nx, ny, nd) in zip(laws, norms):
+            for (kernel, _, axes, x, y, _, scaled), (nx, ny, d2) in zip(laws, norms):
                 sx = kernel(x, params)
                 lhs = np.sqrt((sx ** 2).sum(axis=axes))
                 rhs = nx ** (pv - 1.0)
                 norm_ok &= bool(np.all(lhs <= rhs * (1.0 + _EPS)))
                 worst = max(worst, float((lhs / rhs).max()))
                 sx -= kernel(y, params)                 # S(x) - S(y)
-                mono_ok &= bool(np.all((sx * (x - y)).sum(axis=axes) > 0.0))
-                lip = np.sqrt((sx ** 2).sum(axis=axes)) \
-                    / ((dv + nx + ny) ** (pv - 2.0) * nd)
+                pairing = (sx * (x - y)).sum(axis=axes)
+                mono_ok &= bool(np.all(pairing > 0.0))
+                base = (dv + nx + ny) ** (pv - 2.0)
+                if scaled:
+                    bound = base * d2
+                    ratio_min = min(ratio_min, float(np.nanmin(np.where(
+                        bound > 0.0, pairing / np.where(bound > 0.0, bound, 1.0),
+                        np.nan))))
+                lip = np.sqrt((sx ** 2).sum(axis=axes)) / (base * np.sqrt(d2))
                 lip_max = max(lip_max, float(lip.max()))
     results = [
         CheckResult("kernel norm bound |S(P)| <= |P|^(p-1)", norm_ok,
@@ -116,7 +123,7 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
     # (d) derivative coercivity, delta > 0 only.
     coer_ok = True
     margin_min = np.inf
-    for _, prime, axes, x, _, w in laws:
+    for _, prime, axes, x, _, w, _ in laws:
         x2, w2 = (x ** 2).sum(axis=axes), (w ** 2).sum(axis=axes)
         for pv in p_values:
             for dv in prime_delta_values:
@@ -143,7 +150,8 @@ def trace_constant(spaces, iterations=200):
     """Largest ratio of bed-trace L2 norm to H1 norm over the velocity
     space, measured by power iteration on the generalized eigenproblem."""
     M_tr = basal_trace_mass(spaces)
-    H1 = (velocity_mass(spaces) + velocity_v2_stiffness(spaces)).tocsc()
+    mass, stiffness = gram_matrices(spaces.velocity)
+    H1 = (mass + stiffness).tocsc()
     lu = factorize(H1)
     x = np.ones(spaces.n_u)
     lam = 0.0
@@ -187,8 +195,7 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0,
     r = 2.0 / (2.0 - params.p)
     coeff_norm = norm(rheology, "Lr_omega", r=r)
     Dv = _strain(velocity_gradients_at_quadrature(v))
-    detw = spaces.det[:, None] * spaces.quadrature.tri_weights[None, :]
-    Dv_l2 = float(np.sqrt(np.einsum("tq,tqij->", detw, Dv ** 2)))
+    Dv_l2 = float(np.sqrt(_omega_quad_integral(spaces, (Dv ** 2).sum(axis=(2, 3)))))
     # B and S(Dv) at the quadrature points, shared by the five probes of
     # (B S(Dv), grad phi).
     Bq = scalar_values_at_quadrature(rheology)
@@ -197,8 +204,8 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0,
     worst = 0.0
     for _ in range(5):
         phi = _random_admissible(spaces, rng)
-        lhs = abs(float(np.einsum("tq,tq,tqij->", detw, Bq,
-                                  S * velocity_gradients_at_quadrature(phi))))
+        lhs = abs(_omega_quad_integral(spaces, Bq * (
+            S * velocity_gradients_at_quadrature(phi)).sum(axis=(2, 3))))
         rhs = coeff_norm * Dv_l2 ** (params.p - 1.0) * norm(phi, "V2_seminorm")
         hoelder_ok &= bool(lhs <= rhs * (1.0 + 1e-10))
         worst = max(worst, lhs / rhs)

@@ -13,6 +13,10 @@ from pglacier.assembly import (_SAME, _SWAP, _bed_kernel, _check_args,
                                _derivative_factors, _pair_trace,
                                _pair_trial_gradients, _point, _saddle_system)
 from pglacier.forward import SolverConfig
+from pglacier.spaces import (SpaceKind, basal_coeff_on_edges,
+                             scalar_values_at_quadrature,
+                             velocity_gradients_at_quadrature,
+                             velocity_values_at_quadrature)
 from pglacier.tensor_ops import (PhysicsParams, monotonicity_witness, s_gamma,
                                  s_gamma_prime_apply, s_omega,
                                  s_omega_prime_apply)
@@ -223,3 +227,62 @@ def reference_pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
     results.append(CheckResult("derivative coercivity >= (p-1) scale",
                                coer_ok, "min margin %.3g" % margin_min))
     return results
+
+
+def quadrature_norm(field, which, r=None):
+    """Norm of a field integrated point by point with the quadrature
+    rule, every (space, norm) pairing spelled out: the independent
+    oracle of :func:`pglacier.assembly.norm` and of the Gram matrices
+    behind it."""
+    kind = field.space.kind
+    spaces = field.space.parent
+    q = spaces.quadrature
+
+    def omega(pointwise):
+        return float(np.einsum("q,t,tq->", q.tri_weights, spaces.det, pointwise))
+
+    def bed(pointwise):
+        lengths = spaces.bedge_lengths[spaces.basal_edge_indices]
+        return float(np.einsum("m,k,km->", q.edge_weights, lengths, pointwise))
+
+    if which in ("Lr_omega", "Lr_basal"):
+        if r is None or r < 1:
+            raise ValueError("Lr norm needs an exponent r >= 1")
+    if kind is SpaceKind.VELOCITY_P2_VEC:
+        v = velocity_values_at_quadrature(field)
+        g = velocity_gradients_at_quadrature(field)
+        if which == "L2":
+            return float(np.sqrt(omega((v ** 2).sum(axis=2))))
+        if which == "V2_seminorm":
+            return float(np.sqrt(omega((g ** 2).sum(axis=(2, 3)))))
+        if which == "H1":
+            return float(np.sqrt(omega((v ** 2).sum(axis=2) + (g ** 2).sum(axis=(2, 3)))))
+        if which == "Lr_omega":
+            return omega(np.sqrt((v ** 2).sum(axis=2)) ** r) ** (1.0 / r)
+    elif kind in (SpaceKind.PRESSURE_P1, SpaceKind.COEFF_OMEGA_P1):
+        v = scalar_values_at_quadrature(field)
+        g = np.einsum("tk,tki->ti", field.values[spaces.mesh.triangles],
+                      spaces.p1_grads)
+        g2 = np.broadcast_to(((g ** 2).sum(axis=1))[:, None], v.shape)
+        if which == "L2":
+            return float(np.sqrt(omega(v ** 2)))
+        if which == "V2_seminorm":
+            return float(np.sqrt(omega(g2)))
+        if which == "H1":
+            return float(np.sqrt(omega(v ** 2 + g2)))
+        if which == "Lr_omega":
+            return omega(np.abs(v) ** r) ** (1.0 / r)
+    elif kind is SpaceKind.COEFF_BASAL_P1:
+        vals = basal_coeff_on_edges(field)
+        lengths = spaces.bedge_lengths[spaces.basal_edge_indices]
+        ends = field.values[spaces.basal_edge_dofs]
+        slope2 = float((((ends[:, 1] - ends[:, 0]) / lengths) ** 2 * lengths).sum())
+        if which == "L2":
+            return float(np.sqrt(bed(vals ** 2)))
+        if which == "V2_seminorm":
+            return float(np.sqrt(slope2))
+        if which == "H1":
+            return float(np.sqrt(bed(vals ** 2) + slope2))
+        if which == "Lr_basal":
+            return bed(np.abs(vals) ** r) ** (1.0 / r)
+    raise ValueError("norm %r unsupported for space %s" % (which, kind.value))

@@ -13,13 +13,12 @@ import pytest
 
 import pglacier as pg
 from conftest import derivative_kernel_operator as assemble_adjoint_operator
-from pglacier.assembly import assemble_jacobian, assemble_residual, solver_sign
+from pglacier.assembly import assemble_jacobian, assemble_residual, norm, solver_sign
 from pglacier.cli import entry
 from pglacier.forward import SolverConfig
 from pglacier.inversion import (OptimizationConfig, directional_derivative,
                                 evaluate_cost, evaluate_gradient, in_box,
                                 make_state, run_inversion, taylor_test)
-from pglacier.spaces import norm
 from pglacier.verify import pointwise_suite
 
 from conftest import TILTED_FORCE, truth_friction, truth_rheology

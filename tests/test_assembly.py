@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 import pglacier as pg
 from conftest import derivative_kernel_operator as assemble_adjoint_operator
+from conftest import quadrature_norm as norm
 from pglacier.assembly import (assemble_coeff_derivative,
                                assemble_coeff_gradient_duals,
                                assemble_jacobian, assemble_residual,
@@ -17,7 +18,7 @@ from pglacier.assembly import (assemble_coeff_derivative,
                                omega_p1_stiffness, operator_action,
                                solver_sign, velocity_mass,
                                velocity_v2_stiffness)
-from pglacier.spaces import field_from_callable, norm, velocity_trace
+from pglacier.spaces import field_from_callable, velocity_trace
 from pglacier.tensor_ops import PhysicsParams
 
 rng = np.random.default_rng(11)

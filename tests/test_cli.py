@@ -147,6 +147,32 @@ def test_verify_rejects_zero_delta_in_prime_sweep(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,line,msg", [
+    ("verify", "verify.p_values =", "expected at least one float"),
+    ("verify", "verify.delta_values =", "expected at least one float"),
+    ("verify", "verify.prime_delta_values =", "expected at least one float"),
+    ("verify", "verify.p_values = 1.2 abc", "expected a float, got 'abc'"),
+    ("verify", "verify.p_values = 2.5", "value 2.5 must lie in (1, 2]"),
+    ("verify", "verify.p_values = 1.2 nan", "expected a finite float"),
+    ("verify", "verify.delta_values = 0 -0.1", "value -0.1 must be >= 0"),
+    ("verify", "verify.prime_delta_values = 0.1 0", "value 0 must be > 0"),
+    ("taylor", "taylor.h_values = 0.1 x", "expected a float, got 'x'"),
+    ("taylor", "taylor.h_values = 0.1 -1e-3", "value -1e-3 must be > 0"),
+    ("taylor", "taylor.h_values =", "expected at least one float"),
+], ids=["empty_p", "empty_delta", "empty_prime_delta", "p_not_a_float",
+        "p_above_2", "p_nan", "negative_delta", "zero_prime_delta",
+        "h_not_a_float", "negative_h", "empty_h"])
+def test_check_lists_are_validated(tmp_path, capsys, command, line, msg):
+    # an empty list used to pass every check it drives vacuously
+    cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK + line + "\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    key = line.split("=")[0].strip()
+    assert "config error: line 6: key '%s': %s" % (key, msg) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_taylor_runs_and_reports_slopes(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
                     + "taylor.directions = 1\n"

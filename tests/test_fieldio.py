@@ -178,8 +178,14 @@ def test_observation_missing_sample(tmp_path):
      r"missing sample \(2, 0\): file declares 100000000000 edges"),
     ("# mode = full_vector", "# mode = bogus", 2,
      "unknown projection mode 'bogus'"),
+    ("# noise_sigma = 0.0", "# noise_sigma = nan", 3,
+     "'# noise_sigma' must be a finite float >= 0, got nan"),
+    ("# noise_sigma = 0.0", "# noise_sigma = inf", 3,
+     "'# noise_sigma' must be a finite float >= 0, got inf"),
+    ("# noise_sigma = 0.0", "# noise_sigma = -0.5", 3,
+     "'# noise_sigma' must be a finite float >= 0, got -0.5"),
 ], ids=["nan_sample", "inf_sample", "negative_edges", "zero_points",
-        "huge_edges", "bogus_mode"])
+        "huge_edges", "bogus_mode", "nan_noise", "inf_noise", "negative_noise"])
 def test_observation_rejects_bad_input(tmp_path, old, new, line, msg):
     path = tmp_path / "obs.csv"
     path.write_text(observation_text().replace(old, new))

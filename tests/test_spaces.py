@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import pglacier as pg
-from conftest import slit_bed_mesh
+from conftest import quadrature_norm, slit_bed_mesh
+from pglacier.assembly import norm
 from pglacier.mesh import MeshError
 from pglacier.spaces import (NodeConstraint, basal_coeff_on_edges,
-                             default_quadrature, field_from_callable, norm,
+                             default_quadrature, field_from_callable,
                              p2_edge_trace, p2_reference_gradients, p2_values,
-                             scalar_gradients,
                              velocity_gradients_at_quadrature, velocity_trace,
                              velocity_values_at_quadrature)
 
@@ -177,10 +177,30 @@ def test_unsupported_norm_pairing(slab_spaces):
         norm(f, "Lr_omega", r=2.0)
 
 
-def test_scalar_gradients_of_linear(slab_spaces):
-    b = field_from_callable(slab_spaces.coeff_omega, lambda x, y: 3.0 * x - 2.0 * y)
-    g = scalar_gradients(b)
-    assert np.max(np.abs(g - np.array([3.0, -2.0]))) <= 1e-13
+@pytest.fixture(scope="module")
+def bedded_spaces():
+    bed = lambda x: 0.08 * np.sin(np.pi * x)
+    return pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 8, 4, bed_profile=bed))
+
+
+@pytest.mark.parametrize("space,which", [
+    (space, which)
+    for space, lr in (("velocity", "Lr_omega"), ("coeff_omega", "Lr_omega"),
+                      ("coeff_basal", "Lr_basal"))
+    for which in ("L2", "V2_seminorm", "H1", lr)])
+def test_norm_matches_quadrature_oracle(bedded_spaces, space, which):
+    target = getattr(bedded_spaces, space)
+    f = pg.Field(target, np.random.default_rng(7).standard_normal(target.dof_count))
+    want = quadrature_norm(f, which, r=2.5)
+    assert abs(norm(f, which, r=2.5) - want) <= 1e-12 * want
+
+
+def test_v2_seminorm_of_constant_coefficient_is_clamped(bedded_spaces):
+    # x.Kx of a field in the stiffness kernel keeps only about sqrt(eps)|x|
+    # absolute accuracy and may round below zero; norm clamps it at 0.
+    c = pg.constant_field(bedded_spaces.coeff_omega, 3.7)
+    seminorm = norm(c, "V2_seminorm")
+    assert np.isfinite(seminorm) and 0.0 <= seminorm <= 1e-6 * 3.7
 
 
 # -- constraints -------------------------------------------------------
