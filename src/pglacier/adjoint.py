@@ -35,8 +35,8 @@ PROJECTION_MODES = ("full_vector", "tangential")
 class Observation:
     """Surface-velocity data on the observed edges.
 
-    ``samples`` has shape (n_observed_edges, n_edge_qpoints, 2) in
-    full_vector mode and (n_observed_edges, n_edge_qpoints) in
+    ``samples`` has shape (observed edges, edge points, 2) in
+    full_vector mode and (observed edges, edge points) in
     tangential mode, aligned with the mesh's observed-edge order.
     ``noise_sigma`` records the standard deviation used when the data
     was synthesized (0 for exact data).

@@ -48,16 +48,15 @@ from .tensor_ops import s_gamma, s_omega
 
 @dataclass
 class AssembledSystem:
-    """Sparse symmetric operator with its constraint list.
+    """Sparse symmetric operator on the saddle pattern of ``spaces``.
 
     ``matrix`` is the full (unconstrained) saddle-point operator;
-    ``constrained_dofs`` lists the rotated-frame dofs eliminated by
-    :meth:`reduced`, which applies symmetric row/column elimination with
+    :meth:`reduced` eliminates the rotated-frame dofs of
+    ``spaces.sys_constrained`` by symmetric row/column elimination with
     unit diagonal.
     """
 
     matrix: sp.csr_matrix
-    constrained_dofs: np.ndarray
     spaces: object
     _reduced: sp.csr_matrix = field(default=None, repr=False)
 
@@ -334,8 +333,7 @@ def _saddle_system(spaces, blocks, bed_blocks):
     data += np.bincount(pattern.bed_slots, weights=bed_blocks.ravel(),
                         minlength=pattern.nnz)
     data += _cached(spaces, "saddle_coupling", coupling_data)
-    return AssembledSystem(pattern.matrix(data),
-                           np.flatnonzero(spaces.sys_constrained), spaces)
+    return AssembledSystem(pattern.matrix(data), spaces)
 
 
 def _derivative_factors(velocity, rheology, friction, params):
@@ -523,15 +521,18 @@ def basal_trace_mass(spaces):
 # -- Gram forms and norms ----------------------------------------------
 
 
+_GRAM_BUILDERS = {
+    SpaceKind.VELOCITY_P2_VEC: (velocity_mass, velocity_v2_stiffness),
+    SpaceKind.PRESSURE_P1: (omega_p1_mass, omega_p1_stiffness),
+    SpaceKind.COEFF_OMEGA_P1: (omega_p1_mass, omega_p1_stiffness),
+    SpaceKind.COEFF_BASAL_P1: (basal_p1_mass, basal_p1_stiffness),
+}
+
+
 def gram_matrices(space):
     """The cached (mass, stiffness) pair of ``space``: the Gram matrices
     of its L2 product and of its full-gradient (V2) seminorm."""
-    spaces = space.parent
-    if space.kind is SpaceKind.VELOCITY_P2_VEC:
-        return velocity_mass(spaces), velocity_v2_stiffness(spaces)
-    if space.kind is SpaceKind.COEFF_BASAL_P1:
-        return basal_p1_mass(spaces), basal_p1_stiffness(spaces)
-    return omega_p1_mass(spaces), omega_p1_stiffness(spaces)
+    return tuple(build(space.parent) for build in _GRAM_BUILDERS[space.kind])
 
 
 def norm(field, which, r=None):
@@ -563,12 +564,13 @@ def norm(field, which, r=None):
                 magnitude = np.abs(scalar_values_at_quadrature(field))
             return _omega_quad_integral(spaces, magnitude ** r) ** (1.0 / r)
     elif which in ("L2", "V2_seminorm", "H1"):
-        mass, stiffness = gram_matrices(field.space)
+        # only the matrices the norm reads are built
+        mass, stiffness = _GRAM_BUILDERS[kind]
         x = field.values
         form = 0.0
         if which != "V2_seminorm":
-            form += x @ (mass @ x)
+            form += x @ (mass(spaces) @ x)
         if which != "L2":
-            form += x @ (stiffness @ x)
+            form += x @ (stiffness(spaces) @ x)
         return float(np.sqrt(max(form, 0.0)))
     raise ValueError("norm %r unsupported for space %s" % (which, kind.value))

@@ -8,7 +8,8 @@ slab mesh).  Exit codes: 0 success, 2 configuration or input-file error
 (the stderr message starts with ``config error:``, ``data file error:``,
 ``mesh error:`` or ``file error:``), 3 solver failure, 4 verification
 failure, 5 inversion stopped because its line search found no
-acceptable step.
+acceptable step.  Any other exception is an internal error: it exits 1
+with a traceback.
 
 All CSV outputs are deterministic for a fixed config and seed: floats
 are written with repr precision and wall-clock times never enter
@@ -28,9 +29,9 @@ from .config import ConfigError, load_config, realize_field
 from .fieldio import (FieldIOError, load_observation, save_field_csv,
                       save_inversion_history, save_inversion_trials, save_vtk)
 from .forward import SolverError, solve_forward
-from .inversion import make_twin_data, run_inversion, taylor_test
+from .inversion import in_box, make_twin_data, run_inversion, taylor_test
 from .mesh import MeshError, save_mesh
-from .spaces import Field, build_spaces
+from .spaces import Field, build_spaces, constant_field, zero_field
 from .verify import discrete_suite, pointwise_suite
 
 
@@ -62,15 +63,31 @@ def _floats(text):
     return [float(t) for t in text.split()]
 
 
+def _coefficients(cfg, spaces, params, section):
+    """The rheology and friction fields that ``section`` (``fields`` or
+    ``observation``) specifies, each checked against the admissible box."""
+    length = cfg["mesh.length"]
+    rheology = realize_field(cfg[section + ".rheology"], spaces.coeff_omega,
+                             length, section + ".rheology")
+    friction = realize_field(cfg[section + ".friction"], spaces.coeff_basal,
+                             length, section + ".friction")
+    # each field is paired with a field inside the box, so a failure names it
+    for key, pair, box in (
+            ("rheology", (rheology, zero_field(spaces.coeff_basal)),
+             (params.rheology_min, params.rheology_max)),
+            ("friction", (constant_field(spaces.coeff_omega, params.rheology_min),
+                          friction), (0.0, params.friction_max))):
+        if not in_box(*pair, params):
+            raise ConfigError("field leaves the admissible box [%r, %r]" % box,
+                              section + "." + key)
+    return rheology, friction
+
+
 def _prepare(cfg):
     mesh = cfg.build_mesh()
     spaces = build_spaces(mesh)
     params = cfg.physics()
-    length = cfg["mesh.length"]
-    rheology = realize_field(cfg["fields.rheology"], spaces.coeff_omega,
-                             length, "fields.rheology")
-    friction = realize_field(cfg["fields.friction"], spaces.coeff_basal,
-                             length, "fields.friction")
+    rheology, friction = _coefficients(cfg, spaces, params, "fields")
     return mesh, spaces, params, rheology, friction
 
 
@@ -83,17 +100,11 @@ def _load_observation(cfg, spaces, params, solver_config):
         except ValueError as exc:
             raise FieldIOError(str(exc), path) from None
         return obs
-    truth_b = cfg["observation.rheology"]
-    truth_f = cfg["observation.friction"]
-    if not truth_b or not truth_f:
+    if not cfg["observation.rheology"] or not cfg["observation.friction"]:
         raise ConfigError("twin observations need observation.rheology and "
                           "observation.friction field specs",
                           "observation.rheology")
-    length = cfg["mesh.length"]
-    b_true = realize_field(truth_b, spaces.coeff_omega, length,
-                           "observation.rheology")
-    f_true = realize_field(truth_f, spaces.coeff_basal, length,
-                           "observation.friction")
+    b_true, f_true = _coefficients(cfg, spaces, params, "observation")
     return make_twin_data(b_true, f_true, params,
                           noise_sigma=cfg["observation.noise_sigma"],
                           seed=cfg.seed, mode=cfg["observation.mode"],
@@ -261,6 +272,8 @@ def entry(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed %d must be >= 0" % args.seed, "run.seed")
             cfg.values["run.seed"] = args.seed
         if args.out is not None:
             cfg.values["run.out"] = args.out
@@ -278,7 +291,7 @@ def entry(argv=None):
     except OSError as exc:
         print("file error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:             # ConfigError and other bad values
+    except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except SolverError as exc:

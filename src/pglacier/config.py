@@ -26,7 +26,7 @@ import numpy as np
 
 from .fieldio import load_field_csv
 from .forward import SolverConfig
-from .inversion import OptimizationConfig
+from .inversion import REPRESENTATIONS, OptimizationConfig
 from .mesh import generate_slab_mesh, load_mesh, with_observed_span
 from .spaces import Field
 from .tensor_ops import PhysicsParams
@@ -54,7 +54,8 @@ def _nonnegative(x):
     return x >= 0.0
 
 
-# key -> (type tag, default, validator, description of the constraint)
+# key -> (type tag, default, validator, description of the constraint);
+# physics, solver and opt defaults are those of the dataclasses they build.
 SCHEMA = {
     "mesh.source": ("choice", "slab", ("slab", "file"), ""),
     "mesh.path": ("str", "", None, ""),
@@ -65,37 +66,35 @@ SCHEMA = {
     "mesh.bed_amplitude": ("float", 0.0, None, ""),
     "mesh.observed_xmin": ("float_or_none", None, None, ""),
     "mesh.observed_xmax": ("float_or_none", None, None, ""),
-    "physics.p": ("float", 4.0 / 3.0, lambda v: 1.0 < v < 2.0,
-                  "must lie in (1, 2)"),
-    "physics.s": ("float_or_none", None, None, ""),
-    "physics.delta": ("float", 0.1, _positive, "must be > 0"),
-    "physics.mu0": ("float", 0.01, _positive, "must be > 0"),
-    "physics.body_force_x": ("float", 0.0, None, ""),
-    "physics.body_force_y": ("float", -1.0, None, ""),
-    "physics.reg_rheology": ("float", 1e-6, _nonnegative, "must be >= 0"),
-    "physics.reg_friction": ("float", 1e-6, _nonnegative, "must be >= 0"),
-    "physics.rheology_min": ("float", 0.1, _positive, "must be > 0"),
-    "physics.rheology_max": ("float", 5.0, _positive, "must be > 0"),
-    "physics.friction_max": ("float", 10.0, _positive, "must be > 0"),
-    "solver.newton_rtol": ("float", 1e-10, _positive, "must be > 0"),
-    "solver.newton_atol": ("float", 1e-12, _positive, "must be > 0"),
-    "solver.max_newton": ("int", 30, lambda n: n >= 1, "must be >= 1"),
-    "solver.ls_shrink": ("float", 0.5, lambda v: 0.0 < v < 1.0,
-                         "must lie in (0, 1)"),
-    "solver.ls_decrease": ("float", 1e-4, _positive, "must be > 0"),
-    "solver.ls_max": ("int", 30, lambda n: n >= 0, "must be >= 0"),
-    "solver.initial_guess": ("choice", "p2_warmstart",
+    "physics.p": ("float", PhysicsParams.p,
+                  lambda v: 1.0 < v < 2.0, "must lie in (1, 2)"),
+    "physics.s": ("float_or_none", PhysicsParams.s, None, ""),
+    "physics.delta": ("float", PhysicsParams.delta, _positive, "must be > 0"),
+    "physics.mu0": ("float", PhysicsParams.mu0, _positive, "must be > 0"),
+    "physics.body_force_x": ("float", PhysicsParams.body_force[0], None, ""),
+    "physics.body_force_y": ("float", PhysicsParams.body_force[1], None, ""),
+    "physics.reg_rheology": ("float", PhysicsParams.reg_rheology,
+                             _nonnegative, "must be >= 0"),
+    "physics.reg_friction": ("float", PhysicsParams.reg_friction,
+                             _nonnegative, "must be >= 0"),
+    "physics.rheology_min": ("float", PhysicsParams.rheology_min,
+                             _positive, "must be > 0"),
+    "physics.rheology_max": ("float", PhysicsParams.rheology_max,
+                             _positive, "must be > 0"),
+    "physics.friction_max": ("float", PhysicsParams.friction_max,
+                             _positive, "must be > 0"),
+    "solver.newton_rtol": ("float", SolverConfig.newton_rtol, _positive, "must be > 0"),
+    "solver.newton_atol": ("float", SolverConfig.newton_atol, _positive, "must be > 0"),
+    "solver.max_newton": ("int", SolverConfig.max_newton,
+                          lambda n: n >= 1, "must be >= 1"),
+    "solver.initial_guess": ("choice", SolverConfig.initial_guess,
                              ("p2_warmstart", "zero"), ""),
-    "opt.max_iterations": ("int", 100, lambda n: n >= 0, "must be >= 0"),
-    "opt.grad_tol": ("float", 1e-9, _nonnegative, "must be >= 0"),
-    "opt.step_init": ("float", 1.0, _positive, "must be > 0"),
-    "opt.step_growth": ("float", 2.0, lambda v: v >= 1.0, "must be >= 1"),
-    "opt.armijo_shrink": ("float", 0.5, lambda v: 0.0 < v < 1.0,
-                          "must lie in (0, 1)"),
-    "opt.armijo_c": ("float", 1e-4, lambda v: 0.0 < v < 1.0,
-                     "must lie in (0, 1)"),
-    "opt.ls_max": ("int", 30, lambda n: n >= 1, "must be >= 1"),
-    "opt.representation": ("choice", "H1_smoothed", ("L2", "H1_smoothed"), ""),
+    "opt.max_iterations": ("int", OptimizationConfig.max_iterations,
+                           lambda n: n >= 0, "must be >= 0"),
+    "opt.step_init": ("float", OptimizationConfig.step_init, _positive, "must be > 0"),
+    "opt.ls_max": ("int", OptimizationConfig.ls_max, lambda n: n >= 1, "must be >= 1"),
+    "opt.representation": ("choice", OptimizationConfig.representation,
+                           REPRESENTATIONS, ""),
     "fields.rheology": ("str", "1.0", None, ""),
     "fields.friction": ("str", "0.5", None, ""),
     "observation.source": ("choice", "twin", ("twin", "file"), ""),
@@ -141,7 +140,7 @@ def _convert(key, tag, text, extra, line):
     return text
 
 
-def parse_config_text(text, strict=True):
+def parse_config_text(text):
     """Parse raw config text into a fully resolved key -> value dict.
 
     Every schema key is present in the result (defaults filled in);
@@ -161,9 +160,7 @@ def parse_config_text(text, strict=True):
         key = key.strip()
         value = value.strip()
         if key not in SCHEMA:
-            if strict:
-                raise ConfigError("unknown config key", key, ln)
-            continue
+            raise ConfigError("unknown config key", key, ln)
         if key in seen:
             raise ConfigError("duplicate key", key, ln)
         seen.add(key)
@@ -226,41 +223,22 @@ class RunConfig:
     def out_dir(self):
         return self.values["run.out"]
 
+    def _section(self, prefix):
+        """Keyword arguments from the keys under ``prefix``, prefix stripped."""
+        return {key[len(prefix):]: value for key, value in self.values.items()
+                if key.startswith(prefix)}
+
     def physics(self):
-        v = self.values
-        return PhysicsParams(
-            p=v["physics.p"], s=v["physics.s"], delta=v["physics.delta"],
-            mu0=v["physics.mu0"],
-            body_force=(v["physics.body_force_x"], v["physics.body_force_y"]),
-            reg_rheology=v["physics.reg_rheology"],
-            reg_friction=v["physics.reg_friction"],
-            rheology_min=v["physics.rheology_min"],
-            rheology_max=v["physics.rheology_max"],
-            friction_max=v["physics.friction_max"])
+        kwargs = self._section("physics.")
+        kwargs["body_force"] = (kwargs.pop("body_force_x"),
+                                kwargs.pop("body_force_y"))
+        return PhysicsParams(**kwargs)
 
     def solver(self, trace_path=None):
-        v = self.values
-        return SolverConfig(
-            newton_rtol=v["solver.newton_rtol"],
-            newton_atol=v["solver.newton_atol"],
-            max_newton=v["solver.max_newton"],
-            ls_shrink=v["solver.ls_shrink"],
-            ls_decrease=v["solver.ls_decrease"],
-            ls_max=v["solver.ls_max"],
-            initial_guess=v["solver.initial_guess"],
-            trace_path=trace_path)
+        return SolverConfig(trace_path=trace_path, **self._section("solver."))
 
     def optimization(self):
-        v = self.values
-        return OptimizationConfig(
-            max_iterations=v["opt.max_iterations"],
-            grad_tol=v["opt.grad_tol"],
-            step_init=v["opt.step_init"],
-            step_growth=v["opt.step_growth"],
-            armijo_shrink=v["opt.armijo_shrink"],
-            armijo_c=v["opt.armijo_c"],
-            ls_max=v["opt.ls_max"],
-            representation=v["opt.representation"])
+        return OptimizationConfig(**self._section("opt."))
 
     def build_mesh(self):
         v = self.values
@@ -285,8 +263,6 @@ class RunConfig:
             val = self.values[key]
             if val is None:
                 text = "none"
-            elif isinstance(val, bool):
-                text = "true" if val else "false"
             elif isinstance(val, float):
                 text = repr(val)
             else:

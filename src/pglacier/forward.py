@@ -19,6 +19,7 @@ step and may finish without a factorization of its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,12 @@ EW_ALPHA = 2.0
 ETA_MAX = 0.9
 ETA_FIRST = 0.1
 
+# Residual line search: the step shrinks by LS_SHRINK, at most LS_MAX
+# times, until the residual norm drops by a (1 - LS_DECREASE alpha) factor.
+LS_SHRINK = 0.5
+LS_DECREASE = 1e-4
+LS_MAX = 30
+
 
 class SolverError(Exception):
     """Forward or linear solve failed."""
@@ -46,20 +53,17 @@ class SolverError(Exception):
 
 @dataclass
 class SolverConfig:
-    """Newton settings of a forward solve; the linear solves take none.
+    """Newton settings of a forward solve; the linear solves and the
+    line search (``LS_*``) take none.
 
-    Relative tolerance applies to the initial residual norm,
-    ``newton_atol`` is the absolute floor.  The line search halves the
-    step until the residual norm drops by a (1 - ls_decrease * alpha)
-    factor, at most ``ls_max`` times.
+    ``newton_rtol`` applies to the initial residual norm, ``newton_atol``
+    is the absolute floor; ``trace_path``, when set, receives the Newton
+    history as CSV.
     """
 
     newton_rtol: float = 1e-10
     newton_atol: float = 1e-12
     max_newton: int = 30
-    ls_shrink: float = 0.5
-    ls_decrease: float = 1e-4
-    ls_max: int = 30
     initial_guess: str = "p2_warmstart"
     trace_path: str = None
 
@@ -204,15 +208,15 @@ def _newton(spaces, x_hat0, rheology, friction, params, config, linear):
         delta = linear.solve(system.reduced(), -r, eta)
         alpha = 1.0
         accepted = False
-        for _ in range(config.ls_max + 1):
+        for _ in range(LS_MAX + 1):
             trial = x_hat + alpha * delta
             r_trial = _reduced_residual(spaces, trial, rheology, friction,
                                         params, sign)
             res_trial = float(np.linalg.norm(r_trial))
-            if res_trial <= (1.0 - config.ls_decrease * alpha) * res:
+            if res_trial <= (1.0 - LS_DECREASE * alpha) * res:
                 accepted = True
                 break
-            alpha *= config.ls_shrink
+            alpha *= LS_SHRINK
         if not accepted:
             return x_hat, residuals, steps, energies, False
         x_hat, r, res = trial, r_trial, res_trial
@@ -221,7 +225,8 @@ def _newton(spaces, x_hat0, rheology, friction, params, config, linear):
         steps.append(alpha)
         energies.append(norm(_fields_from_system(
             spaces, spaces.expand_vector(x_hat))[0], "V2_seminorm"))
-    return x_hat, residuals, steps, energies, res <= tol
+    # an infinite first residual makes ``tol`` infinite too
+    return x_hat, residuals, steps, energies, res <= tol and math.isfinite(res)
 
 
 def _linear_state(spaces, rheology, friction, params, linear):

@@ -27,23 +27,28 @@ from .spaces import Field, SpaceKind
 
 REPRESENTATIONS = ("L2", "H1_smoothed")
 
+# Descent stops at a projected gradient norm of GRAD_TOL.  A trial is
+# accepted when its cost falls by ARMIJO_C times the predicted decrease;
+# the step grows by STEP_GROWTH after an acceptance and shrinks by
+# ARMIJO_SHRINK after a rejected or failed trial.
+GRAD_TOL = 1e-9
+STEP_GROWTH = 2.0
+ARMIJO_SHRINK = 0.5
+ARMIJO_C = 1e-4
+
 
 @dataclass
 class OptimizationConfig:
-    """Projected-gradient settings.
+    """Projected-gradient settings; the step rule and the stopping
+    tolerance are the module constants above.
 
-    The step grows by ``step_growth`` after each accepted iterate and
-    shrinks by ``armijo_shrink`` on rejection; ``representation``
-    selects the inner product in which the gradient dual is represented
-    for the descent direction.
+    Descent accepts at most ``max_iterations`` iterates, starting from
+    step ``step_init``; each iterate tries at most ``ls_max`` + 1 steps.
+    ``representation`` is the inner product of the descent direction.
     """
 
     max_iterations: int = 100
-    grad_tol: float = 1e-9
     step_init: float = 1.0
-    step_growth: float = 2.0
-    armijo_shrink: float = 0.5
-    armijo_c: float = 1e-4
     ls_max: int = 30
     representation: str = "H1_smoothed"
 
@@ -132,11 +137,11 @@ def project_onto_W(rheology, friction, params):
     return Field(spaces.coeff_omega, b), Field(spaces.coeff_basal, t)
 
 
-def in_box(rheology, friction, params, slack=0.0):
-    return (np.all(rheology.values >= params.rheology_min - slack)
-            and np.all(rheology.values <= params.rheology_max + slack)
-            and np.all(friction.values >= -slack)
-            and np.all(friction.values <= params.friction_max + slack))
+def in_box(rheology, friction, params):
+    return (np.all(rheology.values >= params.rheology_min)
+            and np.all(rheology.values <= params.rheology_max)
+            and np.all(friction.values >= 0.0)
+            and np.all(friction.values <= params.friction_max))
 
 
 def regularization_parts(rheology, friction, params):
@@ -290,7 +295,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     alpha = opt.step_init
     reason = "max_iterations"
     for it in range(1, opt.max_iterations + 1):
-        if state.projected_grad_norm <= opt.grad_tol:
+        if state.projected_grad_norm <= GRAD_TOL:
             reason = "converged"
             break
         accepted = None
@@ -312,14 +317,14 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
                                    preconditioner=state.adjoint_lu)
             except SolverError as exc:
                 trials.append((it, alpha, None, "solver_failure", str(exc)))
-                alpha *= opt.armijo_shrink
+                alpha *= ARMIJO_SHRINK
                 continue
-            if trial.cost.total <= state.cost.total + opt.armijo_c * min(pred, 0.0):
+            if trial.cost.total <= state.cost.total + ARMIJO_C * min(pred, 0.0):
                 trials.append((it, alpha, trial.cost.total, "accepted", ""))
                 accepted = trial
                 break
             trials.append((it, alpha, trial.cost.total, "rejected", ""))
-            alpha *= opt.armijo_shrink
+            alpha *= ARMIJO_SHRINK
         if accepted is None:
             reason = "line_search_failed"
             break
@@ -329,9 +334,9 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
         history.append((it, state.cost.total, state.cost.misfit,
                         state.cost.reg_rheology, state.cost.reg_friction,
                         state.projected_grad_norm, alpha))
-        alpha *= opt.step_growth
+        alpha *= STEP_GROWTH
     else:
-        if state.projected_grad_norm <= opt.grad_tol:
+        if state.projected_grad_norm <= GRAD_TOL:
             reason = "converged"
     return InversionResult(state, history, reason, trials)
 

@@ -229,9 +229,9 @@ def generate_slab_mesh(length, height, nx, ny, bed_profile=None):
         Slab extent.  The top surface sits at y = height.
     nx, ny : int
         Cells per direction, both at least 2.
-    bed_profile : callable, sequence or None
-        Bed elevation, either a function of x or nx + 1 samples.  None
-        means a flat bed at y = 0.  Values must stay below ``height``.
+    bed_profile : callable or None
+        Bed elevation as a function of x; None means a flat bed at
+        y = 0.  Values must stay below ``height``.
 
     Returns
     -------
@@ -244,12 +244,8 @@ def generate_slab_mesh(length, height, nx, ny, bed_profile=None):
     xs = np.linspace(0.0, length, nx + 1)
     if bed_profile is None:
         bed = np.zeros(nx + 1)
-    elif callable(bed_profile):
-        bed = np.array([float(bed_profile(x)) for x in xs])
     else:
-        bed = np.asarray(bed_profile, dtype=np.float64)
-        if bed.shape != (nx + 1,):
-            raise ValueError("bed_profile samples must have length nx + 1 = %d" % (nx + 1))
+        bed = np.array([float(bed_profile(x)) for x in xs])
 
     verts = np.empty(((nx + 1) * (ny + 1), 2))
     for j in range(ny + 1):

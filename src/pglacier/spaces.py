@@ -422,9 +422,9 @@ class Spaces:
     pattern (:meth:`saddle_pattern`) and auxiliary matrices.
     """
 
-    def __init__(self, mesh, quadrature=None):
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.quadrature = quadrature or default_quadrature()
+        self.quadrature = default_quadrature()
         nv = mesh.num_vertices
         nt = mesh.num_triangles
 
@@ -570,7 +570,7 @@ class Spaces:
         return self.expand_vector(self.reduce_vector(vec))
 
 
-def build_spaces(mesh, quadrature=None):
+def build_spaces(mesh):
     """Build the four-space bundle on ``mesh``.
 
     Returns
@@ -578,7 +578,7 @@ def build_spaces(mesh, quadrature=None):
     Spaces with attributes ``velocity``, ``pressure``, ``coeff_omega``
     and ``coeff_basal``.
     """
-    return Spaces(mesh, quadrature)
+    return Spaces(mesh)
 
 
 # -- evaluation helpers used by assembly and observation --------------

@@ -30,6 +30,9 @@ DEFAULT_P_VALUES = (1.2, 4.0 / 3.0, 1.6, 1.9)
 DEFAULT_DELTA_VALUES = (0.0, 1e-3, 0.1, 1.0)
 DEFAULT_PRIME_DELTA_VALUES = (1e-3, 0.1, 1.0)
 
+TRACE_ITERATIONS = 200       # power iterations of trace_constant
+DUAL_OBSERVATIONS = 10       # random data of the dual-coercivity check
+
 # Relative slack for comparisons that are exact in real arithmetic but
 # accumulate a few ulps in floats.
 _EPS = 1e-12
@@ -146,7 +149,7 @@ def _random_admissible(spaces, rng):
     return Field(spaces.velocity, x[:spaces.n_u])
 
 
-def trace_constant(spaces, iterations=200):
+def trace_constant(spaces):
     """Largest ratio of bed-trace L2 norm to H1 norm over the velocity
     space, measured by power iteration on the generalized eigenproblem."""
     M_tr = basal_trace_mass(spaces)
@@ -155,7 +158,7 @@ def trace_constant(spaces, iterations=200):
     lu = factorize(H1)
     x = np.ones(spaces.n_u)
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(TRACE_ITERATIONS):
         y = lu.solve(M_tr @ x)
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
@@ -165,8 +168,7 @@ def trace_constant(spaces, iterations=200):
     return float(np.sqrt(lam))
 
 
-def discrete_suite(rheology, friction, params, solver_config=None, seed=0,
-                   n_obs=10):
+def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
     """Assembled-operator bounds on one forward solve.
 
     Checks the energy bound of the solution, the Hoelder bound of the
@@ -220,7 +222,7 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0,
     lu = factorize(system.reduced())      # one LU for every dual solve
     coer_ok = True
     margin = np.inf
-    for _ in range(n_obs):
+    for _ in range(DUAL_OBSERVATIONS):
         obs = Observation(rng.standard_normal((observed.size, nq, 2)))
         lam = solve_adjoint(v, rheology, friction, obs, params, lu=lu)
         energy = float(lam.values @ (K @ lam.values))

@@ -8,6 +8,7 @@ import pytest
 
 import pglacier as pg
 from conftest import slit_bed_mesh
+from pglacier import cli
 from pglacier.cli import entry
 from pglacier.config import load_config
 from pglacier.fieldio import load_field_csv, save_observation
@@ -84,6 +85,16 @@ def test_forward_failure_exits_3_but_reports(tmp_path, capsys):
     assert "did not converge" in err
     report = (tmp_path / "o" / "report.csv").read_text()
     assert "converged,0" in report
+
+
+def test_infinite_residual_exits_3(tmp_path, capsys):
+    # used to print "converged in 0 iterations, residual inf" and exit 0
+    cfg = write_cfg(tmp_path, TINY_MESH + "physics.body_force_y = 1e160\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["forward", "--config", cfg]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    report = (tmp_path / "o" / "report.csv").read_text()
+    assert "converged,0" in report and "final_residual,inf" in report
 
 
 def test_invert_twin_outputs_and_determinism(tmp_path):
@@ -371,3 +382,40 @@ def test_missing_data_file_is_a_file_error(tmp_path, capsys):
     assert run(["forward", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("file error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("command,key,value,box", [
+    ("forward", "fields.rheology", "7.0", "[0.1, 5.0]"),
+    ("forward", "fields.friction", "-0.5", "[0.0, 10.0]"),
+    ("invert", "observation.rheology", "9.0", "[0.1, 5.0]"),
+    ("invert", "observation.friction", "11.0", "[0.0, 10.0]"),
+])
+def test_out_of_box_field_names_its_key(tmp_path, capsys, command, key, value,
+                                        box):
+    specs = {"observation.rheology": "1.0", "observation.friction": "0.5",
+             key: value}
+    cfg = write_cfg(tmp_path, TINY_MESH
+                    + "".join("%s = %s\n" % kv for kv in specs.items())
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key '%s'" % key)
+    assert "admissible box %s" % box in err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, capsys,
+                                                    monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(cli, "solve_forward", broken)
+    cfg = write_cfg(tmp_path, TINY_MESH + "run.out = %s\n" % (tmp_path / "o"))
+    with pytest.raises(ValueError, match="internal fault"):
+        run(["forward", "--config", cfg])
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TINY_MESH + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["mesh-gen", "--config", cfg, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "run.seed" in err

@@ -76,7 +76,15 @@ def test_missing_equals_is_rejected():
     ("physics.delta = 0", "must be > 0"),
     ("physics.mu0 = -1", "must be > 0"),
     ("solver.max_newton = 0", "must be >= 1"),
-    ("opt.armijo_c = 1.5", r"must lie in \(0, 1\)"),
+    ("solver.ls_shrink = 0.5", "line 1: key 'solver.ls_shrink': unknown config key"),
+    ("solver.ls_decrease = 1e-4",
+     "line 1: key 'solver.ls_decrease': unknown config key"),
+    ("solver.ls_max = 30", "line 1: key 'solver.ls_max': unknown config key"),
+    ("opt.grad_tol = 1e-9", "line 1: key 'opt.grad_tol': unknown config key"),
+    ("opt.step_growth = 2.0", "line 1: key 'opt.step_growth': unknown config key"),
+    ("opt.armijo_shrink = 0.5",
+     "line 1: key 'opt.armijo_shrink': unknown config key"),
+    ("opt.armijo_c = 1e-4", "line 1: key 'opt.armijo_c': unknown config key"),
     ("verify.samples = 0", "must be >= 1"),
 ])
 def test_value_validation(line, msg):
@@ -87,7 +95,7 @@ def test_value_validation(line, msg):
 @pytest.mark.parametrize("key,value", [
     ("physics.body_force_x", "nan"),
     ("physics.mu0", "inf"),
-    ("opt.grad_tol", "-inf"),
+    ("opt.step_init", "-inf"),
     ("physics.s", "NaN"),
     ("mesh.observed_xmin", "inf"),
 ])
@@ -150,7 +158,6 @@ def test_optimization_accessor():
     oc = cfg.optimization()
     assert oc.max_iterations == 3
     assert oc.representation == "L2"
-    assert oc.step_growth == 2.0
 
 
 def test_run_properties():

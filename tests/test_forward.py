@@ -125,6 +125,25 @@ def test_exhausted_budget_reports_not_converged(slab_spaces, tilted_params):
     assert sol.report.continuation_used
 
 
+def test_infinite_first_residual_is_not_converged():
+    # the residual norm of this load overflows to inf, and the relative
+    # tolerance used to overflow with it and report convergence
+    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
+    B, tau = coeffs(spaces)
+    sol = solve_forward(B, tau, PhysicsParams(body_force=(0.0, 1e160)))
+    assert sol.report.residual_history[0] == np.inf
+    assert not sol.report.converged
+
+
+def test_solve_builds_only_the_gram_matrix_it_reads():
+    # the energy history reads the velocity stiffness; no forward solve
+    # needs the velocity mass matrix, which is as large
+    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
+    solve_forward(*coeffs(spaces), PhysicsParams(body_force=TILTED_FORCE))
+    assert "velocity_v2" in spaces._cache
+    assert "velocity_mass" not in spaces._cache
+
+
 def test_trace_csv_round_trips(tmp_path, slab_spaces, tilted_params):
     B, tau = coeffs(slab_spaces)
     path = tmp_path / "trace.csv"

@@ -142,9 +142,9 @@ config_line = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(config_line, max_size=8), st.booleans())
-def test_parse_config_text_raises_only_config_errors(lines, strict):
+@given(st.lists(config_line, max_size=8))
+def test_parse_config_text_raises_only_config_errors(lines):
     try:
-        parse_config_text("\n".join(lines), strict=strict)
+        parse_config_text("\n".join(lines))
     except ConfigError:
         pass
