@@ -6,7 +6,9 @@ identification), ``verify`` (inequality suites with a pass/fail table),
 ``taylor`` (gradient remainder-decay check) and ``mesh-gen`` (write a
 slab mesh).  Exit codes: 0 success, 2 configuration or input-file error
 (the stderr message starts with ``config error:``, ``data file error:``,
-``mesh error:`` or ``file error:``), 3 solver failure, 4 verification
+``mesh error:`` or ``file error:``; observations that make the
+starting cost of ``invert`` non-finite are one), 3 solver failure
+(``verify`` stops at an unconverged forward solve), 4 verification
 failure, 5 inversion stopped because its line search found no
 acceptable step.  Any other exception is an internal error: it exits 1
 with a traceback.
@@ -29,7 +31,8 @@ from .config import ConfigError, load_config, realize_field
 from .fieldio import (FieldIOError, load_observation, save_field_csv,
                       save_inversion_history, save_inversion_trials, save_vtk)
 from .forward import SolverError, solve_forward
-from .inversion import in_box, make_twin_data, run_inversion, taylor_test
+from .inversion import (NonFiniteCostError, in_box, make_twin_data,
+                        run_inversion, taylor_test)
 from .mesh import MeshError, save_mesh
 from .spaces import Field, build_spaces, constant_field, zero_field
 from .verify import discrete_suite, pointwise_suite
@@ -119,7 +122,8 @@ def _write_report_csv(path, report):
             ("energy_bound", repr(report.energy_bound)),
             ("continuation_used", int(report.continuation_used)),
             ("factorizations", report.factorizations),
-            ("krylov_iterations", report.krylov_iterations)]
+            ("krylov_iterations", report.krylov_iterations),
+            ("lu_fallbacks", report.lu_fallbacks)]
     with open(path, "w") as fh:
         fh.write("key,value\n")
         for key, val in rows:
@@ -152,8 +156,13 @@ def cmd_invert(cfg, out):
     _, spaces, params, rheology0, friction0 = _prepare(cfg)
     solver = cfg.solver()
     obs = _load_observation(cfg, spaces, params, solver)
-    result = run_inversion(rheology0, friction0, obs, params,
-                           cfg.optimization(), solver)
+    try:
+        result = run_inversion(rheology0, friction0, obs, params,
+                               cfg.optimization(), solver)
+    except NonFiniteCostError as exc:
+        if cfg["observation.source"] == "file":
+            raise FieldIOError(str(exc), cfg["observation.path"]) from None
+        raise ConfigError(str(exc), "observation.noise_sigma") from None
     state = result.state
     save_inversion_history(result.history, os.path.join(out, "history.csv"))
     save_inversion_trials(result.trials, os.path.join(out, "trials.csv"))

@@ -15,6 +15,15 @@ preconditioned by the same LU.  A caller holding the LU of a nearby
 Jacobian (the inversion keeps the dual operator's) passes it as
 ``preconditioner``; the solve then runs GMRES from its first Newton
 step and may finish without a factorization of its own.
+
+Every LU comes from ``factorize``, which exploits the symmetry of the
+operators it is given (the reduced Jacobian, its dual, the Gram
+matrices of the Riesz map): a minimum-degree ordering of A + A^T with
+pivots taken on the diagonal keeps the fill of a symmetric
+elimination.  An LU of that kind is checked by one probe solve; if
+SuperLU raises or the probe misses ``PROBE_RTOL``, the matrix is
+factored again with SuperLU's default COLAMD ordering and partial
+pivoting, and the forward solve counts the fallback.
 """
 
 from __future__ import annotations
@@ -45,6 +54,11 @@ ETA_FIRST = 0.1
 LS_SHRINK = 0.5
 LS_DECREASE = 1e-4
 LS_MAX = 30
+
+# A symmetric-mode LU is kept when its solve of A x = A 1 meets this
+# relative residual in the max norm; otherwise A is factored again with
+# COLAMD and partial pivoting.
+PROBE_RTOL = 1e-8
 
 
 class SolverError(Exception):
@@ -82,6 +96,7 @@ class SolveReport:
     continuation_used: bool
     factorizations: int
     krylov_iterations: int
+    lu_fallbacks: int
 
 
 @dataclass
@@ -120,12 +135,44 @@ def _gmres(matrix, lu, rhs, rtol):
     return None, GMRES_RESTART
 
 
-def factorize(matrix):
-    """Sparse LU of a reduced operator."""
+def _probe_passes(matrix, lu):
+    """Whether ``lu`` solves ``matrix . x = matrix . 1`` to ``PROBE_RTOL``
+    in the max norm; a non-finite residual fails."""
+    rhs = matrix @ np.ones(matrix.shape[0])
+    with np.errstate(all="ignore"):
+        residual = np.abs(matrix @ lu.solve(rhs) - rhs).max()
+    return bool(residual <= PROBE_RTOL * np.abs(rhs).max())
+
+
+def _factorize(matrix):
+    """``(lu, fell_back)``: the symmetric-mode LU of ``matrix``, or its
+    COLAMD LU (``fell_back`` true) when the symmetric one raises or
+    fails the probe.
+
+    With pivots on the diagonal SuperLU steps past an exactly zero pivot
+    by itself, but a tiny nonzero one can give a useless LU without an
+    error, hence the probe.
+    """
+    csc = matrix.tocsc()
     try:
-        return spla.splu(matrix.tocsc())
+        lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+    except RuntimeError:
+        lu = None
+    if lu is not None and _probe_passes(csc, lu):
+        return lu, False
+    lu = None                               # release the rejected LU first
+    try:
+        return spla.splu(csc), True
     except RuntimeError as exc:
         raise SolverError("sparse factorization failed: %s" % exc)
+
+
+def factorize(matrix):
+    """Sparse LU of a symmetric reduced operator: minimum-degree ordering
+    of A + A^T with diagonal pivots, or COLAMD with partial pivoting
+    when that LU fails its probe solve (see ``_factorize``)."""
+    return _factorize(matrix)[0]
 
 
 class _LinearSolver:
@@ -136,13 +183,15 @@ class _LinearSolver:
     GMRES falls short (an exact solve, ``rtol = 0``, always factorizes).
     A refactorization rebinds only this object's reference, so a
     caller's LU is never replaced; the solver's own LU lives as long as
-    this object, never beyond the forward solve.
+    this object, never beyond the forward solve.  ``fallbacks`` counts
+    the factorizations that fell back to COLAMD.
     """
 
     def __init__(self, lu=None):
         self.lu = lu
         self.factorizations = 0
         self.krylov_iterations = 0
+        self.fallbacks = 0
 
     def solve(self, matrix, rhs, rtol=0.0):
         """Solve ``matrix . x = rhs``, to relative residual ``rtol``
@@ -153,8 +202,9 @@ class _LinearSolver:
             if x is not None:
                 return x
         self.lu = None                      # release the stale LU first
-        self.lu = factorize(matrix)
+        self.lu, fell_back = _factorize(matrix)
         self.factorizations += 1
+        self.fallbacks += fell_back
         return self.lu.solve(rhs)
 
 
@@ -275,7 +325,8 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
         LU of a nearby reduced Jacobian (the dual operator at a nearby
         state, say).  Every Newton step then runs GMRES on
         ``J . LU^-1`` from the start and factorizes only on a miss;
-        ``report.factorizations`` counts this solve's own LUs.
+        ``report.factorizations`` counts this solve's own LUs, and
+        ``report.lu_fallbacks`` those of them that fell back to COLAMD.
 
     Returns
     -------
@@ -333,7 +384,8 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
     final_energy = energies[-1]
     report = SolveReport(ok, len(residuals) - 1, residuals, steps, energies,
                          final_energy, bound, continuation,
-                         linear.factorizations, linear.krylov_iterations)
+                         linear.factorizations, linear.krylov_iterations,
+                         linear.fallbacks)
     if ok and final_energy > bound * (1.0 + 1e-9):
         raise SolverError("energy bound violated: |v|_V2 = %g exceeds %g"
                           % (final_energy, bound))

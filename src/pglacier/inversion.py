@@ -37,6 +37,11 @@ ARMIJO_SHRINK = 0.5
 ARMIJO_C = 1e-4
 
 
+class NonFiniteCostError(ValueError):
+    """The cost at the starting coefficients is not finite, so descent
+    has nothing to decrease."""
+
+
 @dataclass
 class OptimizationConfig:
     """Projected-gradient settings; the step rule and the stopping
@@ -277,7 +282,8 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     rows (iteration, step, cost or None, outcome ``accepted``,
     ``rejected`` or ``solver_failure``, failure text) and the reason
     descent stopped (``converged``, ``max_iterations``,
-    ``line_search_failed`` or ``iteration_budget_zero``).
+    ``line_search_failed`` or ``iteration_budget_zero``).  Raises
+    NonFiniteCostError when the starting cost is not finite.
     """
     opt = opt_config or OptimizationConfig()
     spaces = _check_coeff_fields(rheology0, friction0)
@@ -285,6 +291,10 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
         raise ValueError("initial coefficients outside the admissible box")
 
     state = make_state(rheology0, friction0, obs, params, solver_config)
+    if not np.isfinite(state.cost.total):
+        raise NonFiniteCostError("the starting cost is not finite (misfit %r): "
+                                 "the observations are too large"
+                                 % state.cost.misfit)
     evaluate_gradient(state, params, opt.representation)
     history = [(0, state.cost.total, state.cost.misfit, state.cost.reg_rheology,
                 state.cost.reg_friction, state.projected_grad_norm, 0.0)]

@@ -20,7 +20,7 @@ import numpy as np
 from .adjoint import Observation, solve_adjoint
 from .assembly import _omega_quad_integral, _strain, assemble_adjoint_operator, \
     basal_trace_mass, gram_matrices, norm
-from .forward import factorize, solve_forward
+from .forward import SolverError, factorize, solve_forward
 from .spaces import Field, scalar_values_at_quadrature, \
     velocity_gradients_at_quadrature, velocity_trace
 from .tensor_ops import (PhysicsParams, s_gamma, s_gamma_prime_apply, s_omega,
@@ -175,7 +175,9 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
     viscous volume term against random test fields, coercivity of the
     dual operator on solved dual states for random observations, the
     zero-data dual state and the measured bed-trace constant.  All dual
-    solves share one LU of the dual operator.
+    solves share one LU of the dual operator.  Raises SolverError when
+    the forward solve does not converge: no bound is checked on an
+    unconverged state.
     """
     spaces = rheology.space.parent
     rng = np.random.default_rng(seed)
@@ -183,6 +185,10 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
 
     solution = solve_forward(rheology, friction, params, solver_config)
     rep = solution.report
+    if not rep.converged:
+        raise SolverError("forward solve did not converge: residual %g after "
+                          "%d iterations" % (rep.residual_history[-1],
+                                             rep.iterations))
     results.append(CheckResult(
         "forward Newton convergence", rep.converged,
         "%d iterations, residual %.3g" % (rep.iterations,

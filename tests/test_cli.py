@@ -419,3 +419,41 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert run(["mesh-gen", "--config", cfg, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "run.seed" in err
+
+
+def test_verify_on_unconverged_forward_solve_exits_3(tmp_path, capsys):
+    # used to run the Hoelder probes on the unconverged state and fail
+    # with ZeroDivisionError
+    cfg = write_cfg(tmp_path, TINY_MESH + "physics.body_force_y = 1e160\n"
+                    + "verify.samples = 1000\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["verify", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: forward solve did not converge")
+
+
+def test_invert_with_non_finite_starting_cost_exits_2(tmp_path, capsys):
+    # used to print "cost inf -> inf" and exit 0
+    cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
+                    + "observation.noise_sigma = 1e300\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["invert", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'observation.noise_sigma': the "
+                          "starting cost is not finite")
+
+
+def test_observation_file_with_non_finite_cost_exits_2(tmp_path, capsys):
+    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
+    shape = (spaces.mesh.observed_edges.size,
+             spaces.quadrature.edge_points.size, 2)
+    obs_path = tmp_path / "obs.csv"
+    save_observation(pg.Observation(np.full(shape, 1e300)), obs_path)
+    cfg = write_cfg(tmp_path, TINY_MESH
+                    + "observation.source = file\n"
+                    + "observation.path = %s\n" % obs_path
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["invert", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data file error: %s: the starting cost is not "
+                          "finite" % obs_path)

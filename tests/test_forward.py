@@ -284,3 +284,69 @@ def test_gmres_residual_is_the_true_residual(slab_spaces, tilted_params,
     x, iterations = forward._gmres(matrix, lu, rhs, 1e-8)
     assert 0 < iterations <= forward.GMRES_RESTART
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+
+class _ProbeFailingLU:
+    """Stands in for a symmetric-mode LU whose solves are useless."""
+
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
+
+
+def _symmetric_splu_fails(monkeypatch, how):
+    """Make every symmetric-mode ``splu`` call fail as ``how`` says
+    (``raise`` or ``probe``); returns the list of option sets called."""
+    real = scipy.sparse.linalg.splu
+    calls = []
+
+    def splu(matrix, **kwargs):
+        calls.append(kwargs)
+        if kwargs.get("options", {}).get("SymmetricMode"):
+            if how == "raise":
+                raise RuntimeError("Factor is exactly singular")
+            return _ProbeFailingLU()
+        return real(matrix, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    return calls
+
+
+@pytest.mark.parametrize("how", ["raise", "probe"])
+def test_failed_symmetric_lu_falls_back_to_colamd(monkeypatch, slab_spaces,
+                                                  tilted_params, how):
+    B, tau = coeffs(slab_spaces)
+    matrix = assemble_jacobian(pg.zero_field(slab_spaces.velocity), B, tau,
+                               tilted_params).reduced()
+    rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+    calls = _symmetric_splu_fails(monkeypatch, how)
+    x = forward.factorize(matrix).solve(rhs)
+    # the symmetric attempt, then SuperLU's default COLAMD with pivoting
+    assert [c.get("permc_spec") for c in calls] == ["MMD_AT_PLUS_A", None]
+    assert calls[1] == {}
+    assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    sol = solve_forward(B, tau, tilted_params)
+    assert sol.report.converged
+    assert sol.report.factorizations == 1
+    assert sol.report.lu_fallbacks == 1
+
+
+def test_symmetric_lu_fills_less_than_colamd():
+    # a bedded slab rotates its slip rows into the bed frame, as the
+    # benchmark's slabs do; the symmetric LU still needs no fallback
+    mesh = pg.generate_slab_mesh(2.0, 1.0, 16, 8,
+                                 bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
+    spaces = pg.build_spaces(mesh)
+    B, tau = coeffs(spaces)
+    params = PhysicsParams(body_force=TILTED_FORCE)
+    sol = solve_forward(B, tau, params)
+    assert sol.report.converged
+    assert sol.report.lu_fallbacks == 0
+    matrix = assemble_jacobian(sol.velocity, B, tau, params).reduced().tocsc()
+    lu, fell_back = forward._factorize(matrix)
+    plain = scipy.sparse.linalg.splu(matrix)
+    assert not fell_back
+    assert lu.L.nnz + lu.U.nnz < plain.L.nnz + plain.U.nnz
+    rhs = spaces.reduce_vector(rng.standard_normal(spaces.n_sys))
+    x, y = lu.solve(rhs), plain.solve(rhs)
+    assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)

@@ -6,9 +6,10 @@ import pytest
 
 import pglacier as pg
 from pglacier.forward import SolverConfig, SolverError
-from pglacier.inversion import (OptimizationConfig, directional_derivative,
-                                evaluate_cost, evaluate_gradient, in_box,
-                                make_state, make_twin_data, project_onto_W,
+from pglacier.inversion import (NonFiniteCostError, OptimizationConfig,
+                                directional_derivative, evaluate_cost,
+                                evaluate_gradient, in_box, make_state,
+                                make_twin_data, project_onto_W,
                                 regularization_parts, represent,
                                 run_inversion, taylor_test)
 from pglacier.spaces import velocity_trace
@@ -332,3 +333,11 @@ def test_trials_log_every_line_search_trial(monkeypatch, slab_spaces,
     for it, step, cost, outcome, failure in trials:
         assert (cost is None) == (outcome == "solver_failure")
         assert (failure != "") == (outcome == "solver_failure")
+
+
+def test_descent_refuses_non_finite_starting_cost(tilted_params, twin_obs,
+                                                  base_coeffs):
+    # used to run every iteration on an infinite cost and report success
+    huge = pg.Observation(np.full_like(twin_obs.samples, 1e300))
+    with pytest.raises(NonFiniteCostError, match="misfit inf"):
+        run_inversion(*base_coeffs, huge, tilted_params)
