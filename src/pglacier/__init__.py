@@ -19,14 +19,14 @@ from .config import ConfigError, RunConfig, config_from_text, load_config, \
 from .fieldio import (FieldIOError, load_field_csv, load_observation,
                       save_field_csv, save_observation, save_vtk)
 from .forward import (ForwardSolution, SolveReport, SolverConfig, SolverError,
-                      solve_forward, solve_linearized, solve_system)
+                      solve_forward)
 from .inversion import (InversionResult, InversionState, OptimizationConfig,
                         evaluate_cost, evaluate_gradient, make_state,
                         make_twin_data, project_onto_W, run_inversion,
                         taylor_test)
 from .mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
-                   boundary_geometry, generate_slab_mesh, load_mesh,
-                   save_mesh, with_observed_span)
+                   generate_slab_mesh, load_mesh, save_mesh,
+                   with_observed_span)
 from .spaces import (Field, FunctionSpace, SpaceKind, Spaces, build_spaces,
                      constant_field, field_from_callable, zero_field)
 from .tensor_ops import (PhysicsParams, monotonicity_witness, s_gamma,
@@ -43,7 +43,7 @@ __all__ = [
     "SolverConfig", "SolverError", "SpaceKind", "Spaces",
     "assemble_adjoint_operator", "assemble_coeff_derivative",
     "assemble_coeff_gradient_duals", "assemble_jacobian", "assemble_residual",
-    "boundary_geometry", "build_spaces", "config_from_text", "constant_field",
+    "build_spaces", "config_from_text", "constant_field",
     "discrete_suite", "evaluate_cost", "evaluate_gradient",
     "field_from_callable", "generate_slab_mesh", "load_config",
     "load_field_csv", "load_mesh", "load_observation", "make_state",
@@ -52,6 +52,5 @@ __all__ = [
     "realize_field", "run_inversion", "s_gamma", "s_gamma_prime_apply",
     "s_omega", "s_omega_prime_apply", "save_field_csv", "save_mesh",
     "save_observation", "save_vtk", "solve_adjoint", "solve_forward",
-    "solve_linearized", "solve_system", "solver_sign", "taylor_test",
-    "with_observed_span", "zero_field",
+    "solver_sign", "taylor_test", "with_observed_span", "zero_field",
 ]

@@ -266,20 +266,6 @@ def assemble_coeff_derivative(velocity, rheology_dir, friction_dir, params):
     return spaces.project_dual(out)
 
 
-def operator_action(velocity, rheology, friction, params):
-    """Raw velocity-space dual of the nonlinear operator (power-law,
-    linear-viscosity and bed terms; no load, no pressure).
-
-    Pairing with another velocity field's dof vector equals the
-    corresponding integrals; used by monotonicity and energy checks.
-    """
-    spaces = _check_args(velocity, rheology, friction)
-    flux = _viscous_flux(velocity_gradients_at_quadrature(velocity), rheology,
-                         params, params.mu0)
-    return _momentum_dual(spaces, _pair_volume(spaces, flux), velocity, friction,
-                          params)
-
-
 def assemble_coeff_gradient_duals(velocity, adjoint, params):
     """Dual vectors of the cost gradient's data terms on the coefficient
     spaces: per vertex basis N_k the integral of N_k S(Dv) : grad(lambda)

@@ -7,11 +7,12 @@ identification), ``verify`` (inequality suites with a pass/fail table),
 slab mesh).  Exit codes: 0 success, 2 configuration or input-file error
 (the stderr message starts with ``config error:``, ``data file error:``,
 ``mesh error:`` or ``file error:``; observations that make the
-starting cost of ``invert`` non-finite are one), 3 solver failure
-(``verify`` stops at an unconverged forward solve), 4 verification
-failure, 5 inversion stopped because its line search found no
-acceptable step.  Any other exception is an internal error: it exits 1
-with a traceback.
+starting cost of ``invert`` or ``taylor`` non-finite are one, and so
+is a ``taylor`` field at a bound of the admissible box), 3 solver
+failure (``verify`` stops at an unconverged forward solve, before its
+pointwise sweep), 4 verification failure, 5 inversion stopped because
+its line search found no acceptable step.  Any other exception is an
+internal error: it exits 1 with a traceback.
 
 All CSV outputs are deterministic for a fixed config and seed: floats
 are written with repr precision and wall-clock times never enter
@@ -114,6 +115,14 @@ def _load_observation(cfg, spaces, params, solver_config):
                           solver_config=solver_config)
 
 
+def _non_finite_cost_error(cfg, exc):
+    """The input error behind a non-finite starting cost: the
+    observation file, or the noise level of twin observations."""
+    if cfg["observation.source"] == "file":
+        return FieldIOError(str(exc), cfg["observation.path"])
+    return ConfigError(str(exc), "observation.noise_sigma")
+
+
 def _write_report_csv(path, report):
     rows = [("converged", int(report.converged)),
             ("iterations", report.iterations),
@@ -160,9 +169,7 @@ def cmd_invert(cfg, out):
         result = run_inversion(rheology0, friction0, obs, params,
                                cfg.optimization(), solver)
     except NonFiniteCostError as exc:
-        if cfg["observation.source"] == "file":
-            raise FieldIOError(str(exc), cfg["observation.path"]) from None
-        raise ConfigError(str(exc), "observation.noise_sigma") from None
+        raise _non_finite_cost_error(cfg, exc) from None
     state = result.state
     save_inversion_history(result.history, os.path.join(out, "history.csv"))
     save_inversion_trials(result.trials, os.path.join(out, "trials.csv"))
@@ -187,15 +194,17 @@ def cmd_invert(cfg, out):
 
 
 def cmd_verify(cfg, out):
+    # the discrete suite runs first, so a forward solve that does not
+    # converge stops the run before the pointwise sweep
+    _, _, params, rheology, friction = _prepare(cfg)
+    discrete = discrete_suite(rheology, friction, params, cfg.solver(),
+                              seed=cfg.seed)
     results = pointwise_suite(
         samples=cfg["verify.samples"],
         p_values=_floats(cfg["verify.p_values"]),
         delta_values=_floats(cfg["verify.delta_values"]),
         prime_delta_values=_floats(cfg["verify.prime_delta_values"]),
-        seed=cfg.seed)
-    _, _, params, rheology, friction = _prepare(cfg)
-    results += discrete_suite(rheology, friction, params, cfg.solver(),
-                              seed=cfg.seed)
+        seed=cfg.seed) + discrete
     with open(os.path.join(out, "verify_report.csv"), "w") as fh:
         fh.write("check,passed,detail\n")
         for res in results:
@@ -215,12 +224,25 @@ def _taylor_directions(cfg, spaces, rng):
                Field(spaces.coeff_basal, df / max(np.abs(df).max(), 1.0)))
 
 
-def _box_margin(field, lo, hi):
-    return float(min((field.values - lo).min(), (hi - field.values).min()))
+def _box_margin(rheology, friction, params):
+    """Distance of the fields from the bounds of the admissible box; a
+    field at a bound leaves no room to perturb it and is refused."""
+    margins = []
+    for key, field, lo, hi in (
+            ("rheology", rheology, params.rheology_min, params.rheology_max),
+            ("friction", friction, 0.0, params.friction_max)):
+        margin = float(min((field.values - lo).min(), (hi - field.values).min()))
+        if margin <= 0.0:
+            raise ConfigError("field reaches a bound of the admissible box "
+                              "[%r, %r], so no perturbation of it stays inside"
+                              % (lo, hi), "fields." + key)
+        margins.append(margin)
+    return min(margins)
 
 
 def cmd_taylor(cfg, out):
     _, spaces, params, rheology, friction = _prepare(cfg)
+    margin = _box_margin(rheology, friction, params)
     solver = cfg.solver()
     obs = _load_observation(cfg, spaces, params, solver)
     h_values = _floats(cfg["taylor.h_values"])
@@ -231,9 +253,6 @@ def cmd_taylor(cfg, out):
     for k, (db, df) in enumerate(_taylor_directions(cfg, spaces, rng)):
         if np.all(db.values == 0.0) and np.all(df.values == 0.0):
             raise ConfigError("zero perturbation direction", "taylor.directions")
-        margin = min(_box_margin(rheology, params.rheology_min,
-                                 params.rheology_max),
-                     _box_margin(friction, 0.0, params.friction_max))
         biggest = h_max * max(np.abs(db.values).max(), np.abs(df.values).max())
         if biggest > margin:
             scale = 0.5 * margin / biggest
@@ -241,8 +260,11 @@ def cmd_taylor(cfg, out):
                   % (k, scale))
             db = Field(spaces.coeff_omega, db.values * scale)
             df = Field(spaces.coeff_basal, df.values * scale)
-        report = taylor_test(rheology, friction, db, df, obs, params, solver,
-                             h_values=h_values)
+        try:
+            report = taylor_test(rheology, friction, db, df, obs, params,
+                                 solver, h_values=h_values)
+        except NonFiniteCostError as exc:
+            raise _non_finite_cost_error(cfg, exc) from None
         slopes.append(report.slope_first)
         for h, r0, r1 in zip(report.h_values, report.remainder_zero,
                              report.remainder_first):

@@ -87,8 +87,6 @@ SCHEMA = {
     "solver.newton_atol": ("float", SolverConfig.newton_atol, _positive, "must be > 0"),
     "solver.max_newton": ("int", SolverConfig.max_newton,
                           lambda n: n >= 1, "must be >= 1"),
-    "solver.initial_guess": ("choice", SolverConfig.initial_guess,
-                             ("p2_warmstart", "zero"), ""),
     "opt.max_iterations": ("int", OptimizationConfig.max_iterations,
                            lambda n: n >= 0, "must be >= 0"),
     "opt.step_init": ("float", OptimizationConfig.step_init, _positive, "must be > 0"),

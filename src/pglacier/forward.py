@@ -16,9 +16,10 @@ Jacobian (the inversion keeps the dual operator's) passes it as
 ``preconditioner``; the solve then runs GMRES from its first Newton
 step and may finish without a factorization of its own.
 
-Every LU comes from ``factorize``, which exploits the symmetry of the
-operators it is given (the reduced Jacobian, its dual, the Gram
-matrices of the Riesz map): a minimum-degree ordering of A + A^T with
+Every LU comes from ``_factorize``: a forward solve's through
+``_LinearSolver``, all others (the dual operator, the Gram matrices of
+the Riesz map) through ``factorize``.  It exploits the symmetry of
+these operators: a minimum-degree ordering of A + A^T with
 pivots taken on the diagonal keeps the fill of a symmetric
 elimination.  An LU of that kind is checked by one probe solve; if
 SuperLU raises or the probe misses ``PROBE_RTOL``, the matrix is
@@ -29,7 +30,7 @@ pivoting, and the forward solve counts the fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -78,7 +79,6 @@ class SolverConfig:
     newton_rtol: float = 1e-10
     newton_atol: float = 1e-12
     max_newton: int = 30
-    initial_guess: str = "p2_warmstart"
     trace_path: str = None
 
 
@@ -319,8 +319,8 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
     params : PhysicsParams with delta > 0.
     config : SolverConfig, optional.
     warm_start : (Field, Field), optional
-        Previous (velocity, pressure) pair used as the initial guess,
-        overriding the configured policy.
+        Previous (velocity, pressure) pair used as the initial guess in
+        place of the linear (p = 2) solve.
     preconditioner : SuperLU, optional
         LU of a nearby reduced Jacobian (the dual operator at a nearby
         state, say).  Every Newton step then runs GMRES on
@@ -356,12 +356,10 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
     if warm_start is not None:
         x0 = np.concatenate([warm_start[0].values, warm_start[1].values])
         x_hat0 = spaces.reduce_vector(x0)
-    elif config.initial_guess == "p2_warmstart" and params.p != 2.0:
+    elif params.p != 2.0:
         x_hat0 = _linear_state(spaces, rheology, friction, params, linear)
-    elif config.initial_guess in ("zero", "p2_warmstart"):
-        x_hat0 = np.zeros(spaces.n_sys)
     else:
-        raise ValueError("unknown initial guess policy %r" % config.initial_guess)
+        x_hat0 = np.zeros(spaces.n_sys)
 
     x_hat, residuals, steps, energies, ok = _newton(
         spaces, x_hat0, rheology, friction, params, config, linear)
@@ -392,24 +390,3 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
     if config.trace_path:
         _write_trace(config.trace_path, residuals, steps, energies)
     return ForwardSolution(vel, press, report)
-
-
-def solve_system(system, rhs):
-    """Solve ``operator . x = rhs`` for an AssembledSystem after
-    constraint elimination; returns the full system vector."""
-    spaces = system.spaces
-    rhs_hat = spaces.reduce_vector(rhs)
-    x_hat = factorize(system.reduced()).solve(rhs_hat)
-    return spaces.expand_vector(x_hat)
-
-
-def solve_linearized(velocity, rheology, friction, rhs, params):
-    """Solve the Jacobian system at the given state for an arbitrary
-    dual right-hand side; returns the velocity part as a Field.
-
-    The operator is the symmetric saddle form, so sensitivity solves
-    pass the negated coefficient derivative as ``rhs``.
-    """
-    system = assemble_jacobian(velocity, rheology, friction, params)
-    x = solve_system(system, rhs)
-    return Field(velocity.space.parent.velocity, x[:velocity.space.parent.n_u])

@@ -39,7 +39,7 @@ ARMIJO_C = 1e-4
 
 class NonFiniteCostError(ValueError):
     """The cost at the starting coefficients is not finite, so descent
-    has nothing to decrease."""
+    has nothing to decrease and a Taylor test nothing to expand."""
 
 
 @dataclass
@@ -149,6 +149,13 @@ def in_box(rheology, friction, params):
             and np.all(friction.values <= params.friction_max))
 
 
+def _require_finite_cost(state):
+    if not np.isfinite(state.cost.total):
+        raise NonFiniteCostError("the starting cost is not finite (misfit %r): "
+                                 "the observations are too large"
+                                 % state.cost.misfit)
+
+
 def regularization_parts(rheology, friction, params):
     spaces = rheology.space.parent
     Kb = omega_p1_stiffness(spaces)
@@ -163,13 +170,10 @@ def evaluate_cost(rheology, friction, obs, params, solver_config=None,
     """Forward solve plus cost decomposition at (rheology, friction).
 
     ``warm_start`` and ``preconditioner`` pass through to
-    :func:`solve_forward`.  Raises SolverError if the forward solve does
-    not converge and ValueError if the coefficients leave the admissible
-    box.
+    :func:`solve_forward`, which raises ValueError for coefficients off
+    their spaces or outside the admissible box.  Raises SolverError if
+    the forward solve does not converge.
     """
-    _check_coeff_fields(rheology, friction)
-    if not in_box(rheology, friction, params):
-        raise ValueError("coefficients outside the admissible box")
     solution = solve_forward(rheology, friction, params, solver_config,
                              warm_start=warm_start,
                              preconditioner=preconditioner)
@@ -287,14 +291,8 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     """
     opt = opt_config or OptimizationConfig()
     spaces = _check_coeff_fields(rheology0, friction0)
-    if not in_box(rheology0, friction0, params):
-        raise ValueError("initial coefficients outside the admissible box")
-
     state = make_state(rheology0, friction0, obs, params, solver_config)
-    if not np.isfinite(state.cost.total):
-        raise NonFiniteCostError("the starting cost is not finite (misfit %r): "
-                                 "the observations are too large"
-                                 % state.cost.misfit)
+    _require_finite_cost(state)
     evaluate_gradient(state, params, opt.representation)
     history = [(0, state.cost.total, state.cost.misfit, state.cost.reg_rheology,
                 state.cost.reg_friction, state.projected_grad_norm, 0.0)]
@@ -358,8 +356,9 @@ def taylor_test(rheology, friction, rheology_dir, friction_dir, obs, params,
     The zeroth-order remainder |f(x + h d) - f(x)| should decay like h,
     the first-order remainder |f(x + h d) - f(x) - h f'(x) d| like h^2;
     slopes are least-squares fits in log-log.  A zero direction gives
-    identically zero remainders and undefined slopes.  Raises if any
-    perturbed point leaves the admissible box.
+    identically zero remainders and undefined slopes.  Raises ValueError
+    if any perturbed point leaves the admissible box and
+    NonFiniteCostError when the cost at the base point is not finite.
     """
     spaces = _check_coeff_fields(rheology, friction)
     h_values = np.asarray(sorted(h_values, reverse=True), dtype=np.float64)
@@ -370,6 +369,7 @@ def taylor_test(rheology, friction, rheology_dir, friction_dir, obs, params,
             raise ValueError("perturbation exits the admissible box at h = %g" % h)
 
     state = make_state(rheology, friction, obs, params, solver_config)
+    _require_finite_cost(state)
     f0 = state.cost.total
     df = directional_derivative(state, rheology_dir, friction_dir, params)
     r0 = np.empty(h_values.size)

@@ -107,11 +107,7 @@ class Mesh:
 
     def signed_areas(self):
         """Signed area of every triangle (positive for counterclockwise)."""
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                      - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
+        return _signed_areas(self.vertices, self.triangles)
 
     def edge_lengths(self):
         """Length of every boundary edge."""
@@ -128,14 +124,10 @@ class Mesh:
         return np.flatnonzero(self.observed)
 
 
-@dataclass
-class EdgeGeometry:
-    """Unit outward normal, unit tangent and length of one boundary edge."""
-
-    edge: int
-    normal: np.ndarray
-    tangent: np.ndarray
-    length: float
+def _signed_areas(vertices, triangles):
+    a, b, c = (vertices[triangles[:, k]] for k in range(3))
+    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                  - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
 
 
 def _validate(mesh):
@@ -410,12 +402,7 @@ def _read_mesh(path):
         raise MeshFormatError("trailing content after boundary section", tokens[pos][0])
 
     # Auto-fix clockwise triangles before the constructor validates.
-    a = verts[tris[:, 0]]
-    b = verts[tris[:, 1]]
-    c = verts[tris[:, 2]]
-    signed = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-                    - (c[:, 0] - a[:, 0]) * (b[:, 1] - a[:, 1]))
-    flip = signed < 0.0
+    flip = _signed_areas(verts, tris) < 0.0
     tris[flip] = tris[flip][:, ::-1]
 
     return Mesh(verts, tris, bedges, btags, bobs)
@@ -466,8 +453,12 @@ def _owning_triangles(mesh):
 
 def boundary_frames(mesh):
     """Unit outward normals, unit tangents and lengths of all boundary
-    edges as arrays (nb, 2), (nb, 2) and (nb,); see
-    :func:`boundary_geometry`."""
+    edges as arrays (nb, 2), (nb, 2) and (nb,).
+
+    The tangent points from the first listed endpoint to the second.
+    The normal is the tangent rotated by -90 degrees, flipped if needed
+    so it points away from the owning triangle's centroid.
+    """
     ends = mesh.boundary_edges
     vec = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
     lengths = np.hypot(vec[:, 0], vec[:, 1])
@@ -481,19 +472,3 @@ def boundary_frames(mesh):
     inward = (normals * (centroids - midpoints)).sum(axis=1) > 0.0
     normals[inward] = -normals[inward]
     return normals, tangents, lengths
-
-
-def boundary_geometry(mesh):
-    """Outward normal, tangent and length for every boundary edge.
-
-    The tangent points from the first listed endpoint to the second.
-    The normal is the tangent rotated by -90 degrees, flipped if needed
-    so it points away from the owning triangle's centroid.
-
-    Returns
-    -------
-    list of EdgeGeometry, in boundary-list order.
-    """
-    normals, tangents, lengths = boundary_frames(mesh)
-    return [EdgeGeometry(e, normals[e], tangents[e], float(lengths[e]))
-            for e in range(mesh.num_boundary_edges)]

@@ -77,7 +77,6 @@ def test_forward_failure_exits_3_but_reports(tmp_path, capsys):
                     + "solver.max_newton = 1\n"
                     + "solver.newton_rtol = 1e-14\n"
                     + "solver.newton_atol = 1e-14\n"
-                    + "solver.initial_guess = zero\n"
                     + "run.out = %s\n" % (tmp_path / "o"))
     code = run(["forward", "--config", cfg])
     err = capsys.readouterr().err
@@ -457,3 +456,48 @@ def test_observation_file_with_non_finite_cost_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data file error: %s: the starting cost is not "
                           "finite" % obs_path)
+
+
+def test_verify_on_unconverged_forward_solve_skips_pointwise_sweep(
+        tmp_path, capsys, monkeypatch):
+    # the pointwise sweep used to run in full before the forward solve
+    # was found not to converge
+    def sweep(*args, **kwargs):
+        raise AssertionError("pointwise sweep ran")
+    monkeypatch.setattr(cli, "pointwise_suite", sweep)
+    cfg = write_cfg(tmp_path, TINY_MESH + "physics.body_force_y = 1e160\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["verify", "--config", cfg]) == 3
+    assert "solver failure" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verify_report.csv").exists()
+
+
+def test_taylor_with_non_finite_starting_cost_exits_2(tmp_path, capsys):
+    # used to write nan remainders and exit 4
+    cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
+                    + "observation.noise_sigma = 1e300\n"
+                    + "taylor.directions = 1\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["taylor", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'observation.noise_sigma': the "
+                          "starting cost is not finite")
+    assert not (tmp_path / "o" / "taylor_report.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("fields.friction", "0.0"),
+    ("fields.rheology", "0.1"),
+    ("fields.rheology", "5.0"),
+])
+def test_taylor_on_field_at_box_bound_exits_2(tmp_path, capsys, key, value):
+    # used to scale every direction by 0 and exit 4 on slopes of roundoff
+    cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
+                    + "%s = %s\n" % (key, value)
+                    + "taylor.directions = 1\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["taylor", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key '%s': field reaches a bound of "
+                          "the admissible box" % key)
+    assert "scaled by" not in capsys.readouterr().out

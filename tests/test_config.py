@@ -71,7 +71,7 @@ def test_missing_equals_is_rejected():
 @pytest.mark.parametrize("line,msg", [
     ("physics.p = fast", "expected a float"),
     ("mesh.nx = 4.5", "expected an integer"),
-    ("solver.initial_guess = magic", "expected one of p2_warmstart/zero"),
+    ("opt.representation = magic", "expected one of L2/H1_smoothed"),
     ("physics.p = 2.5", r"must lie in \(1, 2\)"),
     ("physics.delta = 0", "must be > 0"),
     ("physics.mu0 = -1", "must be > 0"),
@@ -80,6 +80,8 @@ def test_missing_equals_is_rejected():
     ("solver.ls_decrease = 1e-4",
      "line 1: key 'solver.ls_decrease': unknown config key"),
     ("solver.ls_max = 30", "line 1: key 'solver.ls_max': unknown config key"),
+    ("solver.initial_guess = zero",
+     "line 1: key 'solver.initial_guess': unknown config key"),
     ("opt.grad_tol = 1e-9", "line 1: key 'opt.grad_tol': unknown config key"),
     ("opt.step_growth = 2.0", "line 1: key 'opt.step_growth': unknown config key"),
     ("opt.armijo_shrink = 0.5",

@@ -75,7 +75,7 @@ def test_cost_rejects_out_of_box(slab_spaces, tilted_params, twin_obs):
 
 def test_cost_raises_on_solver_failure(slab_spaces, tilted_params, twin_obs,
                                        base_coeffs):
-    broken = SolverConfig(max_newton=0, initial_guess="zero")
+    broken = SolverConfig(max_newton=0)
     with pytest.raises(SolverError, match="did not converge"):
         evaluate_cost(*base_coeffs, twin_obs, tilted_params, broken)
 
@@ -341,3 +341,13 @@ def test_descent_refuses_non_finite_starting_cost(tilted_params, twin_obs,
     huge = pg.Observation(np.full_like(twin_obs.samples, 1e300))
     with pytest.raises(NonFiniteCostError, match="misfit inf"):
         run_inversion(*base_coeffs, huge, tilted_params)
+
+
+def test_taylor_refuses_non_finite_base_cost(slab_spaces, tilted_params,
+                                             twin_obs, base_coeffs):
+    # used to return nan remainders
+    huge = pg.Observation(np.full_like(twin_obs.samples, 1e300))
+    db = pg.constant_field(slab_spaces.coeff_omega, 0.1)
+    df = pg.constant_field(slab_spaces.coeff_basal, 0.1)
+    with pytest.raises(NonFiniteCostError, match="misfit inf"):
+        taylor_test(*base_coeffs, db, df, huge, tilted_params)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pglacier.mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
-                           boundary_geometry,
+                           boundary_frames,
                            generate_slab_mesh, load_mesh, save_mesh,
                            with_observed_span)
 
@@ -201,28 +201,27 @@ def test_boundary_edge_must_belong_to_one_triangle():
 
 def test_boundary_geometry_flat_bottom():
     mesh = generate_slab_mesh(2.0, 1.0, 4, 2)
-    geo = boundary_geometry(mesh)
-    for g in geo:
-        assert abs(np.dot(g.normal, g.tangent)) == 0.0
-        assert abs(np.linalg.norm(g.normal) - 1.0) <= 1e-14
-        assert abs(np.linalg.norm(g.tangent) - 1.0) <= 1e-14
+    normals, tangents, _ = boundary_frames(mesh)
+    for normal, tangent in zip(normals, tangents):
+        assert abs(np.dot(normal, tangent)) == 0.0
+        assert abs(np.linalg.norm(normal) - 1.0) <= 1e-14
+        assert abs(np.linalg.norm(tangent) - 1.0) <= 1e-14
     basal = mesh.edges_with_tag(BoundaryTag.BASAL)
     for e in basal:
-        assert np.allclose(geo[e].normal, (0.0, -1.0))
-        assert np.allclose(geo[e].tangent, (1.0, 0.0))
+        assert np.allclose(normals[e], (0.0, -1.0))
+        assert np.allclose(tangents[e], (1.0, 0.0))
 
 
 def test_boundary_normals_point_outward_on_curved_bed():
     bed = lambda x: 0.05 * np.sin(2.0 * np.pi * x)
     mesh = generate_slab_mesh(1.0, 1.0, 8, 4, bed_profile=bed)
-    geo = boundary_geometry(mesh)
+    normals, _, _ = boundary_frames(mesh)
     centroid = mesh.vertices.mean(axis=0)
-    for g in geo:
-        a, b = mesh.boundary_edges[g.edge]
+    for normal, (a, b) in zip(normals, mesh.boundary_edges):
         mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
         edge_vec = mesh.vertices[b] - mesh.vertices[a]
-        assert abs(np.dot(g.normal, edge_vec)) <= 1e-14 * np.linalg.norm(edge_vec)
-        assert np.dot(g.normal, mid - centroid) > 0.0
+        assert abs(np.dot(normal, edge_vec)) <= 1e-14 * np.linalg.norm(edge_vec)
+        assert np.dot(normal, mid - centroid) > 0.0
 
 
 def _with_extra_edges(pairs, tags, vertex=None, triangle=None):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pglacier as pg
-from pglacier.mesh import BoundaryTag, boundary_geometry
+from pglacier.mesh import BoundaryTag, boundary_frames
 from pglacier.spaces import NodeConstraint
 
 
@@ -37,7 +37,7 @@ def loop_constraints(mesh, n_nodes, bedge_nodes):
     """Constraint kinds, normals, tangents, rotation and constrained
     flags, one node at a time."""
     nv = mesh.num_vertices
-    geoms = boundary_geometry(mesh)
+    edge_normals = boundary_frames(mesh)[0]
     kinds = np.zeros(n_nodes, dtype=np.int8)
     normals = np.zeros((n_nodes, 2))
     tangents = np.zeros((n_nodes, 2))
@@ -48,13 +48,13 @@ def loop_constraints(mesh, n_nodes, bedge_nodes):
     basal = mesh.edges_with_tag(BoundaryTag.BASAL)
     for e in basal:
         for v in bedge_nodes[e, :2]:
-            vertex_sum[v] = vertex_sum.get(v, np.zeros(2)) + geoms[e].normal
+            vertex_sum[v] = vertex_sum.get(v, np.zeros(2)) + edge_normals[e]
     for e in basal:
         for node in bedge_nodes[e]:
             if kinds[node] == NodeConstraint.FIXED:
                 continue
             kinds[node] = NodeConstraint.SLIP
-            n = geoms[e].normal
+            n = edge_normals[e]
             if node < nv:
                 n = vertex_sum[node] / np.hypot(*vertex_sum[node])
             normals[node] = n
@@ -77,14 +77,6 @@ def test_edge_tables_match_loops(bedded):
     assert np.array_equal(bedded.edges, edges)
     assert np.array_equal(bedded.tri_edges, tri_edges)
     assert np.array_equal(bedded.bedge_nodes, bedge_nodes)
-
-
-def test_boundary_geometry_matches_tables(bedded):
-    geoms = boundary_geometry(bedded.mesh)
-    for e, g in enumerate(geoms):
-        assert np.array_equal(bedded.bedge_normals[e], g.normal)
-        assert np.array_equal(bedded.bedge_tangents[e], g.tangent)
-        assert bedded.bedge_lengths[e] == g.length
 
 
 def test_constraints_match_loops(bedded):
