@@ -8,8 +8,8 @@ numerically verifies the inequalities that make both problems
 well-posed.
 """
 
-from .adjoint import (Observation, misfit, misfit_derivative_rhs,
-                      solve_adjoint)
+from .adjoint import (Observation, factor_adjoint, misfit,
+                      misfit_derivative_rhs, solve_adjoint)
 from .assembly import (AssembledSystem, assemble_adjoint_operator,
                        assemble_coeff_derivative,
                        assemble_coeff_gradient_duals, assemble_jacobian,
@@ -21,9 +21,8 @@ from .fieldio import (FieldIOError, load_field_csv, load_observation,
 from .forward import (ForwardSolution, SolveReport, SolverConfig, SolverError,
                       solve_forward)
 from .inversion import (InversionResult, InversionState, OptimizationConfig,
-                        evaluate_cost, evaluate_gradient, make_state,
-                        make_twin_data, project_onto_W, run_inversion,
-                        taylor_test)
+                        evaluate_gradient, make_state, make_twin_data,
+                        project_onto_W, run_inversion, taylor_test)
 from .mesh import (BoundaryTag, Mesh, MeshError, MeshFormatError,
                    generate_slab_mesh, load_mesh, save_mesh,
                    with_observed_span)
@@ -44,7 +43,7 @@ __all__ = [
     "assemble_adjoint_operator", "assemble_coeff_derivative",
     "assemble_coeff_gradient_duals", "assemble_jacobian", "assemble_residual",
     "build_spaces", "config_from_text", "constant_field",
-    "discrete_suite", "evaluate_cost", "evaluate_gradient",
+    "discrete_suite", "evaluate_gradient", "factor_adjoint",
     "field_from_callable", "generate_slab_mesh", "load_config",
     "load_field_csv", "load_mesh", "load_observation", "make_state",
     "make_twin_data", "misfit", "misfit_derivative_rhs",

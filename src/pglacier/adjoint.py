@@ -12,10 +12,10 @@ discrete dual operator is the Jacobian's transpose, and the Jacobian is
 symmetric), and the dual problem solves it against the negated misfit
 derivative.
 Factoring and solving are separate steps: ``factor_adjoint`` makes the
-sparse LU of the reduced operator, and ``solve_adjoint`` takes that LU
-(or makes its own), so one factorization serves every dual solve at a
-state and, in the inversion, preconditions the forward solves of the
-next descent trials.
+sparse LU of the reduced operator, and ``solve_adjoint`` always takes
+that LU, so one factorization serves every dual solve at a state and,
+in the inversion, preconditions the forward solves of the next descent
+trials.
 """
 
 from __future__ import annotations
@@ -112,17 +112,14 @@ def factor_adjoint(velocity, rheology, friction, params):
     return factorize(system.reduced())
 
 
-def solve_adjoint(velocity, rheology, friction, obs, params, lu=None):
+def solve_adjoint(velocity, obs, lu):
     """Solve the dual problem at the converged state.
 
-    The dual operator is solved against the negated misfit derivative,
-    with ``lu`` from :func:`factor_adjoint` at the same state when given
-    and a fresh factorization otherwise (the results are identical).
-    The returned Field is the velocity part of the dual state and
-    satisfies the homogeneous constraints.
+    The dual operator is solved against the negated misfit derivative
+    with ``lu`` from :func:`factor_adjoint` at the same state.  The
+    returned Field is the velocity part of the dual state and satisfies
+    the homogeneous constraints.
     """
-    if lu is None:
-        lu = factor_adjoint(velocity, rheology, friction, params)
     spaces = velocity.space.parent
     rhs = spaces.reduce_vector(-misfit_derivative_rhs(velocity, obs))
     x = spaces.expand_vector(lu.solve(rhs))

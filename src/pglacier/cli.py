@@ -32,10 +32,10 @@ from .config import ConfigError, load_config, realize_field
 from .fieldio import (FieldIOError, load_observation, save_field_csv,
                       save_inversion_history, save_inversion_trials, save_vtk)
 from .forward import SolverError, solve_forward
-from .inversion import (NonFiniteCostError, in_box, make_twin_data,
+from .inversion import (NonFiniteCostError, make_state, make_twin_data,
                         run_inversion, taylor_test)
 from .mesh import MeshError, save_mesh
-from .spaces import Field, build_spaces, constant_field, zero_field
+from .spaces import Field, build_spaces
 from .verify import discrete_suite, pointwise_suite
 
 
@@ -75,16 +75,19 @@ def _coefficients(cfg, spaces, params, section):
                              length, section + ".rheology")
     friction = realize_field(cfg[section + ".friction"], spaces.coeff_basal,
                              length, section + ".friction")
-    # each field is paired with a field inside the box, so a failure names it
-    for key, pair, box in (
-            ("rheology", (rheology, zero_field(spaces.coeff_basal)),
-             (params.rheology_min, params.rheology_max)),
-            ("friction", (constant_field(spaces.coeff_omega, params.rheology_min),
-                          friction), (0.0, params.friction_max))):
-        if not in_box(*pair, params):
-            raise ConfigError("field leaves the admissible box [%r, %r]" % box,
-                              section + "." + key)
+    for key, margin in _box_margins(rheology, friction, params).items():
+        if not margin >= 0.0:
+            raise ConfigError("field leaves the admissible box [%r, %r]"
+                              % params.box[key], section + "." + key)
     return rheology, friction
+
+
+def _box_margins(rheology, friction, params):
+    """Each field's distance from the bounds of its admissible interval,
+    keyed by field name: negative outside it, nan for a nan value."""
+    return {key: float(min((field.values - lo).min(), (hi - field.values).min()))
+            for field, (key, (lo, hi)) in zip((rheology, friction),
+                                              params.box.items())}
 
 
 def _prepare(cfg):
@@ -224,27 +227,18 @@ def _taylor_directions(cfg, spaces, rng):
                Field(spaces.coeff_basal, df / max(np.abs(df).max(), 1.0)))
 
 
-def _box_margin(rheology, friction, params):
-    """Distance of the fields from the bounds of the admissible box; a
-    field at a bound leaves no room to perturb it and is refused."""
-    margins = []
-    for key, field, lo, hi in (
-            ("rheology", rheology, params.rheology_min, params.rheology_max),
-            ("friction", friction, 0.0, params.friction_max)):
-        margin = float(min((field.values - lo).min(), (hi - field.values).min()))
-        if margin <= 0.0:
-            raise ConfigError("field reaches a bound of the admissible box "
-                              "[%r, %r], so no perturbation of it stays inside"
-                              % (lo, hi), "fields." + key)
-        margins.append(margin)
-    return min(margins)
-
-
 def cmd_taylor(cfg, out):
     _, spaces, params, rheology, friction = _prepare(cfg)
-    margin = _box_margin(rheology, friction, params)
+    margins = _box_margins(rheology, friction, params)
+    for key, margin in margins.items():
+        if not margin > 0.0:
+            raise ConfigError("field reaches a bound of the admissible box "
+                              "[%r, %r], so no perturbation of it stays inside"
+                              % params.box[key], "fields." + key)
     solver = cfg.solver()
     obs = _load_observation(cfg, spaces, params, solver)
+    # one base state for every direction: solved once, dual factored once
+    state = make_state(rheology, friction, obs, params, solver)
     h_values = _floats(cfg["taylor.h_values"])
     h_max = max(h_values)
     rng = np.random.default_rng(cfg.seed)
@@ -253,16 +247,18 @@ def cmd_taylor(cfg, out):
     for k, (db, df) in enumerate(_taylor_directions(cfg, spaces, rng)):
         if np.all(db.values == 0.0) and np.all(df.values == 0.0):
             raise ConfigError("zero perturbation direction", "taylor.directions")
-        biggest = h_max * max(np.abs(db.values).max(), np.abs(df.values).max())
-        if biggest > margin:
-            scale = 0.5 * margin / biggest
-            print("direction %d scaled by %g to stay inside the box"
-                  % (k, scale))
-            db = Field(spaces.coeff_omega, db.values * scale)
-            df = Field(spaces.coeff_basal, df.values * scale)
+        parts = []      # each field's part keeps to that field's margin
+        for (key, margin), part in zip(margins.items(), (db, df)):
+            biggest = h_max * np.abs(part.values).max()
+            if biggest > margin:
+                scale = 0.5 * margin / biggest
+                print("direction %d: %s part scaled by %g to stay inside the box"
+                      % (k, key, scale))
+                part = Field(part.space, part.values * scale)
+            parts.append(part)
         try:
-            report = taylor_test(rheology, friction, db, df, obs, params,
-                                 solver, h_values=h_values)
+            report = taylor_test(state, *parts, params, solver,
+                                 h_values=h_values)
         except NonFiniteCostError as exc:
             raise _non_finite_cost_error(cfg, exc) from None
         slopes.append(report.slope_first)

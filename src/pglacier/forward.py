@@ -344,9 +344,8 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
         raise ValueError("friction must live on the bed chain")
     if params.delta <= 0.0:
         raise ValueError("forward solve needs delta > 0")
-    for name, values, lo, hi in (
-            ("rheology", rheology.values, params.rheology_min, params.rheology_max),
-            ("friction", friction.values, 0.0, params.friction_max)):
+    for (name, (lo, hi)), values in zip(params.box.items(),
+                                        (rheology.values, friction.values)):
         if not np.all(np.isfinite(values)):
             raise ValueError("%s field has non-finite values" % name)
         if np.any(values < lo) or np.any(values > hi):

@@ -9,7 +9,9 @@ accepted iterate gets a gradient, which factors the dual operator at
 its state, solves the dual problem and keeps the LU.  That LU then
 preconditions the forward solves of the next trials, each warm started
 from the accepted state, so one factorization serves a whole accepted
-iterate.  Every trial, accepted, rejected or failed, is logged.
+iterate.  Every trial, accepted, rejected or failed, is logged.  Every
+cost is a state from :func:`make_state`, and the Taylor check perturbs
+one such state with the same warm start and preconditioner.
 """
 
 from __future__ import annotations
@@ -64,14 +66,6 @@ class CostParts:
     misfit: float
     reg_rheology: float
     reg_friction: float
-
-
-@dataclass
-class EvaluatedCost:
-    parts: CostParts
-    velocity: Field
-    pressure: Field
-    report: object
 
 
 @dataclass
@@ -137,16 +131,15 @@ def _check_coeff_fields(rheology, friction):
 def project_onto_W(rheology, friction, params):
     """Nodal clip onto the admissible box; idempotent."""
     spaces = _check_coeff_fields(rheology, friction)
-    b = np.clip(rheology.values, params.rheology_min, params.rheology_max)
-    t = np.clip(friction.values, 0.0, params.friction_max)
+    b = np.clip(rheology.values, *params.box["rheology"])
+    t = np.clip(friction.values, *params.box["friction"])
     return Field(spaces.coeff_omega, b), Field(spaces.coeff_basal, t)
 
 
 def in_box(rheology, friction, params):
-    return (np.all(rheology.values >= params.rheology_min)
-            and np.all(rheology.values <= params.rheology_max)
-            and np.all(friction.values >= 0.0)
-            and np.all(friction.values <= params.friction_max))
+    return all(np.all((lo <= field.values) & (field.values <= hi))
+               for field, (lo, hi) in zip((rheology, friction),
+                                          params.box.values()))
 
 
 def _require_finite_cost(state):
@@ -165,9 +158,11 @@ def regularization_parts(rheology, friction, params):
     return reg_b, reg_t
 
 
-def evaluate_cost(rheology, friction, obs, params, solver_config=None,
-                  warm_start=None, preconditioner=None):
-    """Forward solve plus cost decomposition at (rheology, friction).
+def make_state(rheology, friction, obs, params, solver_config=None,
+               warm_start=None, preconditioner=None):
+    """Solve the forward problem at (rheology, friction) and bundle the
+    solve, the cost parts and the data for later gradients; the dual
+    problem is solved only when a gradient is requested.
 
     ``warm_start`` and ``preconditioner`` pass through to
     :func:`solve_forward`, which raises ValueError for coefficients off
@@ -182,20 +177,9 @@ def evaluate_cost(rheology, friction, obs, params, solver_config=None,
                           "(final residual %g)" % solution.report.residual_history[-1])
     mis = misfit(solution.velocity, obs)
     reg_b, reg_t = regularization_parts(rheology, friction, params)
-    parts = CostParts(mis + reg_b + reg_t, mis, reg_b, reg_t)
-    return EvaluatedCost(parts, solution.velocity, solution.pressure,
-                         solution.report)
-
-
-def make_state(rheology, friction, obs, params, solver_config=None,
-               warm_start=None, preconditioner=None):
-    """Evaluate the cost at (rheology, friction), bundling the forward
-    solve and the data for later gradients; the dual problem is solved
-    only when a gradient is requested."""
-    cost = evaluate_cost(rheology, friction, obs, params, solver_config,
-                         warm_start=warm_start, preconditioner=preconditioner)
-    state = InversionState(rheology, friction, cost.velocity, cost.pressure,
-                           cost.parts, obs)
+    state = InversionState(rheology, friction, solution.velocity,
+                           solution.pressure,
+                           CostParts(mis + reg_b + reg_t, mis, reg_b, reg_t), obs)
     state._token = state.token()
     return state
 
@@ -213,9 +197,8 @@ def gradient_duals(state, params):
     if state.adjoint_state is None:
         state.adjoint_lu = factor_adjoint(state.velocity, state.rheology,
                                           state.friction, params)
-        state.adjoint_state = solve_adjoint(state.velocity, state.rheology,
-                                            state.friction, state.obs, params,
-                                            lu=state.adjoint_lu)
+        state.adjoint_state = solve_adjoint(state.velocity, state.obs,
+                                            state.adjoint_lu)
     spaces = state.rheology.space.parent
     g_rheo, g_fric = assemble_coeff_gradient_duals(state.velocity,
                                                    state.adjoint_state, params)
@@ -290,9 +273,9 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     NonFiniteCostError when the starting cost is not finite.
     """
     opt = opt_config or OptimizationConfig()
-    spaces = _check_coeff_fields(rheology0, friction0)
     state = make_state(rheology0, friction0, obs, params, solver_config)
     _require_finite_cost(state)
+    spaces = state.rheology.space.parent
     evaluate_gradient(state, params, opt.representation)
     history = [(0, state.cost.total, state.cost.misfit, state.cost.reg_rheology,
                 state.cost.reg_friction, state.projected_grad_norm, 0.0)]
@@ -349,37 +332,39 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     return InversionResult(state, history, reason, trials)
 
 
-def taylor_test(rheology, friction, rheology_dir, friction_dir, obs, params,
-                solver_config=None, h_values=(1e-1, 1e-2, 1e-3, 1e-4)):
-    """Remainder decay of the cost expansion along one direction.
+def taylor_test(state, rheology_dir, friction_dir, params, solver_config=None,
+                h_values=(1e-1, 1e-2, 1e-3, 1e-4)):
+    """Remainder decay of the cost expansion along one direction at the
+    solved ``state`` (from :func:`make_state`).
 
     The zeroth-order remainder |f(x + h d) - f(x)| should decay like h,
     the first-order remainder |f(x + h d) - f(x) - h f'(x) d| like h^2;
-    slopes are least-squares fits in log-log.  A zero direction gives
-    identically zero remainders and undefined slopes.  Raises ValueError
-    if any perturbed point leaves the admissible box and
-    NonFiniteCostError when the cost at the base point is not finite.
+    slopes are least-squares fits in log-log.  Tests along several
+    directions at one state share the LU of its dual operator.  A zero
+    direction gives identically zero remainders and undefined slopes.
+    Raises ValueError if any perturbed point leaves the admissible box
+    and NonFiniteCostError when the cost at the base point is not finite.
     """
-    spaces = _check_coeff_fields(rheology, friction)
+    spaces = state.rheology.space.parent
     h_values = np.asarray(sorted(h_values, reverse=True), dtype=np.float64)
-    for h in h_values:
-        pb = Field(spaces.coeff_omega, rheology.values + h * rheology_dir.values)
-        pf = Field(spaces.coeff_basal, friction.values + h * friction_dir.values)
+    b, f = state.rheology.values, state.friction.values
+    points = [(Field(spaces.coeff_omega, b + h * rheology_dir.values),
+               Field(spaces.coeff_basal, f + h * friction_dir.values))
+              for h in h_values]
+    for h, (pb, pf) in zip(h_values, points):
         if not in_box(pb, pf, params):
             raise ValueError("perturbation exits the admissible box at h = %g" % h)
 
-    state = make_state(rheology, friction, obs, params, solver_config)
     _require_finite_cost(state)
     f0 = state.cost.total
     df = directional_derivative(state, rheology_dir, friction_dir, params)
     r0 = np.empty(h_values.size)
     r1 = np.empty(h_values.size)
     warm = (state.velocity, state.pressure)
-    for k, h in enumerate(h_values):
-        pb = Field(spaces.coeff_omega, rheology.values + h * rheology_dir.values)
-        pf = Field(spaces.coeff_basal, friction.values + h * friction_dir.values)
-        fh = evaluate_cost(pb, pf, obs, params, solver_config, warm_start=warm,
-                           preconditioner=state.adjoint_lu).parts.total
+    for k, (h, (pb, pf)) in enumerate(zip(h_values, points)):
+        fh = make_state(pb, pf, state.obs, params, solver_config,
+                        warm_start=warm,
+                        preconditioner=state.adjoint_lu).cost.total
         r0[k] = abs(fh - f0)
         r1[k] = abs(fh - f0 - h * df)
     return TaylorReport(h_values, r0, r1, _loglog_slope(h_values, r0),
@@ -403,10 +388,10 @@ def make_twin_data(rheology_true, friction_true, params, noise_sigma=0.0,
     observed edges, projects per ``mode`` and adds seeded Gaussian noise
     of standard deviation ``noise_sigma`` per stored component.
     """
-    spaces = _check_coeff_fields(rheology_true, friction_true)
     solution = solve_forward(rheology_true, friction_true, params, solver_config)
     if not solution.report.converged:
         raise SolverError("twin forward solve did not converge")
+    spaces = rheology_true.space.parent
     samples = _projected_trace(spaces, solution.velocity, mode,
                                spaces.mesh.observed_edges)
     if noise_sigma > 0.0:

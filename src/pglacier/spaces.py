@@ -196,12 +196,6 @@ class VelocityConstraints:
     rotation: sp.csr_matrix
     constrained: np.ndarray
 
-    def apply(self, values):
-        """Project velocity dof values onto the constraint set."""
-        rotated = self.rotation.T @ values
-        rotated[self.constrained] = 0.0
-        return self.rotation @ rotated
-
     def satisfies(self, values, tol=0.0):
         rotated = self.rotation.T @ values
         return np.all(np.abs(rotated[self.constrained]) <= tol)

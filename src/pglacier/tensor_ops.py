@@ -70,6 +70,12 @@ class PhysicsParams:
         object.__setattr__(self, "body_force",
                            tuple(float(c) for c in self.body_force))
 
+    @property
+    def box(self):
+        """The admissible box as ``{coefficient name: (lo, hi)}``."""
+        return {"rheology": (self.rheology_min, self.rheology_max),
+                "friction": (0.0, self.friction_max)}
+
 
 def _frob2(P):
     return (np.asarray(P) ** 2).sum(axis=(-2, -1))

@@ -230,7 +230,7 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
     margin = np.inf
     for _ in range(DUAL_OBSERVATIONS):
         obs = Observation(rng.standard_normal((observed.size, nq, 2)))
-        lam = solve_adjoint(v, rheology, friction, obs, params, lu=lu)
+        lam = solve_adjoint(v, obs, lu)
         energy = float(lam.values @ (K @ lam.values))
         v2 = norm(lam, "V2_seminorm")
         floor = params.mu0 * v2 ** 2
@@ -242,7 +242,7 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
         "min energy/floor = %.15g" % margin))
 
     exact = Observation(velocity_trace(v, observed))
-    lam0 = solve_adjoint(v, rheology, friction, exact, params, lu=lu)
+    lam0 = solve_adjoint(v, exact, lu)
     del lu                                # before the trace constant's LU
     scale = norm(v, "L2") + 1.0
     lam0_norm = norm(lam0, "L2")

@@ -17,8 +17,8 @@ from pglacier.assembly import assemble_jacobian, assemble_residual, norm, solver
 from pglacier.cli import entry
 from pglacier.forward import SolverConfig
 from pglacier.inversion import (OptimizationConfig, directional_derivative,
-                                evaluate_cost, evaluate_gradient, in_box,
-                                make_state, run_inversion, taylor_test)
+                                evaluate_gradient, in_box, make_state,
+                                run_inversion, taylor_test)
 from pglacier.verify import pointwise_suite
 
 from conftest import TILTED_FORCE, truth_friction, truth_rheology
@@ -161,23 +161,23 @@ def test_criterion_5_adjoint_gradient(criterion, slab_spaces, tilted_params,
             df = pg.Field(spaces.coeff_basal,
                           rng.standard_normal(spaces.coeff_basal.dof_count))
             adj = directional_derivative(state, db, df, tilted_params)
-            plus = evaluate_cost(
+            plus = make_state(
                 pg.Field(spaces.coeff_omega, rheology.values + h * db.values),
                 pg.Field(spaces.coeff_basal, friction.values + h * df.values),
                 twin_obs, tilted_params, tight_solver, warm_start=warm)
-            minus = evaluate_cost(
+            minus = make_state(
                 pg.Field(spaces.coeff_omega, rheology.values - h * db.values),
                 pg.Field(spaces.coeff_basal, friction.values - h * df.values),
                 twin_obs, tilted_params, tight_solver, warm_start=warm)
-            fd = (plus.parts.total - minus.parts.total) / (2.0 * h)
+            fd = (plus.cost.total - minus.cost.total) / (2.0 * h)
             assert abs(adj - fd) < 1e-5 * max(1.0, abs(fd))
 
         taylor_b = pg.field_from_callable(
             spaces.coeff_omega, lambda x, y: 0.5 * np.sin(np.pi * x) * (1 + y))
         taylor_f = pg.field_from_callable(
             spaces.coeff_basal, lambda x, y: 0.3 * np.cos(np.pi * x))
-        report = taylor_test(rheology, friction, taylor_b, taylor_f, twin_obs,
-                             tilted_params, tight_solver)
+        report = taylor_test(state, taylor_b, taylor_f, tilted_params,
+                             tight_solver)
         assert 1.8 <= report.slope_first <= 2.2, report.slope_first
 
 
@@ -193,17 +193,18 @@ def test_criterion_6_adjoint_well_posedness(criterion, slab_spaces,
         K = K[:spaces.n_u, :spaces.n_u]
         observed = spaces.mesh.observed_edges
         nq = spaces.quadrature.edge_points.size
+        lu = pg.factor_adjoint(vel, rheology, friction, tilted_params)
         rng = np.random.default_rng(13)
         for _ in range(10):
             obs = pg.Observation(rng.standard_normal((observed.size, nq, 2)))
-            lam = pg.solve_adjoint(vel, rheology, friction, obs, tilted_params)
+            lam = pg.solve_adjoint(vel, obs, lu)
             energy = float(lam.values @ (K @ lam.values))
             floor = tilted_params.mu0 * norm(lam, "V2_seminorm") ** 2
             assert energy >= floor * (1.0 - 1e-10)
 
         exact = pg.make_twin_data(rheology, friction, tilted_params,
                                   solver_config=tight_solver)
-        lam0 = pg.solve_adjoint(vel, rheology, friction, exact, tilted_params)
+        lam0 = pg.solve_adjoint(vel, exact, lu)
         scale = norm(vel, "L2") + 1.0
         assert norm(lam0, "L2") <= 1e-10 * scale
 

@@ -44,8 +44,9 @@ def case(request):
         0.4 * rng.standard_normal(spaces.n_sys)))
     velocity = pg.Field(spaces.velocity, full[:spaces.n_u])
     pressure = pg.Field(spaces.pressure, full[spaces.n_u:])
-    adjoint = pg.Field(spaces.velocity, spaces.constraints.apply(
-        rng.standard_normal(spaces.n_u)))
+    adjoint = pg.Field(spaces.velocity, spaces.project_dual(np.concatenate(
+        [rng.standard_normal(spaces.n_u),
+         np.zeros(spaces.n_sys - spaces.n_u)]))[:spaces.n_u])
     rheology = pg.Field(spaces.coeff_omega,
                         1.0 + 0.5 * rng.random(spaces.coeff_omega.dof_count))
     friction = pg.Field(spaces.coeff_basal,

@@ -8,7 +8,7 @@ import pytest
 
 import pglacier as pg
 from conftest import slit_bed_mesh
-from pglacier import cli
+from pglacier import adjoint, cli, inversion
 from pglacier.cli import entry
 from pglacier.config import load_config
 from pglacier.fieldio import load_field_csv, save_observation
@@ -501,3 +501,50 @@ def test_taylor_on_field_at_box_bound_exits_2(tmp_path, capsys, key, value):
     assert err.startswith("config error: key '%s': field reaches a bound of "
                           "the admissible box" % key)
     assert "scaled by" not in capsys.readouterr().out
+
+
+def test_taylor_on_field_just_inside_the_box_scales_only_that_field(
+        tmp_path, capsys):
+    # used to scale the rheology part by the friction margin too, giving
+    # slopes of roundoff and exit 4
+    cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
+                    + "fields.friction = 1e-12\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["taylor", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "friction part scaled by" in out
+    assert "rheology part scaled by" not in out
+    assert "first-order remainder slopes meet threshold 1.8" in out
+
+
+def test_taylor_solves_and_factors_its_base_state_once(tmp_path, monkeypatch):
+    calls = {"assemble_adjoint_operator": [], "solve_forward": [],
+             "taylor_test": []}
+    for owner, name in ((adjoint, "assemble_adjoint_operator"),
+                        (inversion, "solve_forward"), (cli, "taylor_test")):
+        def counted(*args, _original=getattr(owner, name), _name=name,
+                    **kwargs):
+            calls[_name].append((args, kwargs))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
+                    + "taylor.directions = 3\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["taylor", "--config", cfg]) == 0
+    # twin data, the base state and four step sizes per direction; one
+    # dual factorization serves all three directions
+    assert len(calls["assemble_adjoint_operator"]) == 1
+    assert len(calls["solve_forward"]) == 2 + 3 * 4
+    # the report holds what each direction gives at a base solved afresh
+    rows = []
+    for k, (args, kwargs) in enumerate(calls["taylor_test"]):
+        state, db, df, params, solver = args
+        fresh = inversion.make_state(state.rheology, state.friction,
+                                     state.obs, params, solver)
+        report = inversion.taylor_test(fresh, db, df, params, solver, **kwargs)
+        rows += ["%d,%r,%r,%r" % (k, float(h), float(r0), float(r1))
+                 for h, r0, r1 in zip(report.h_values, report.remainder_zero,
+                                      report.remainder_first)]
+    assert k == 2
+    lines = (tmp_path / "o" / "taylor_report.csv").read_text().splitlines()
+    assert lines[1:] == rows

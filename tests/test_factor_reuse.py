@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import pglacier as pg
 from pglacier import adjoint, forward, inversion
-from pglacier.adjoint import Observation, factor_adjoint, solve_adjoint
+from pglacier.adjoint import factor_adjoint, solve_adjoint
 from pglacier.inversion import OptimizationConfig, make_state, run_inversion
 from pglacier.verify import discrete_suite
 
@@ -100,8 +100,7 @@ def test_refactorization_leaves_the_callers_lu_alone(
         base_coeffs, twin_obs):
     B, tau = base_coeffs
     lu = factor_adjoint(base_solution.velocity, B, tau, tilted_params)
-    lam = solve_adjoint(base_solution.velocity, B, tau, twin_obs,
-                        tilted_params, lu=lu)
+    lam = solve_adjoint(base_solution.velocity, twin_obs, lu)
     monkeypatch.setattr(forward, "GMRES_RESTART", 0)    # every GMRES misses
     sol = pg.solve_forward(*perturbed(slab_spaces, base_coeffs, 0.05),
                            tilted_params, tight_solver,
@@ -110,24 +109,8 @@ def test_refactorization_leaves_the_callers_lu_alone(
                            preconditioner=lu)
     assert sol.report.converged
     assert sol.report.factorizations == sol.report.iterations
-    again = solve_adjoint(base_solution.velocity, B, tau, twin_obs,
-                          tilted_params, lu=lu)
+    again = solve_adjoint(base_solution.velocity, twin_obs, lu)
     assert np.array_equal(again.values, lam.values)
-
-
-def test_shared_lu_dual_solve_equals_fresh_solve(slab_spaces, tilted_params,
-                                                 base_solution, base_coeffs):
-    B, tau = base_coeffs
-    v = base_solution.velocity
-    observed = slab_spaces.mesh.observed_edges
-    nq = slab_spaces.quadrature.edge_points.size
-    lu = factor_adjoint(v, B, tau, tilted_params)
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        obs = Observation(rng.standard_normal((observed.size, nq, 2)))
-        fresh = solve_adjoint(v, B, tau, obs, tilted_params)
-        shared = solve_adjoint(v, B, tau, obs, tilted_params, lu=lu)
-        assert np.array_equal(shared.values, fresh.values)
 
 
 def test_discrete_suite_factors_three_times(monkeypatch, slab_spaces,

@@ -7,8 +7,8 @@ import pytest
 import pglacier as pg
 from pglacier.forward import SolverConfig, SolverError
 from pglacier.inversion import (NonFiniteCostError, OptimizationConfig,
-                                directional_derivative, evaluate_cost,
-                                evaluate_gradient, in_box, make_state,
+                                directional_derivative, evaluate_gradient,
+                                in_box, make_state,
                                 make_twin_data, project_onto_W,
                                 regularization_parts, represent,
                                 run_inversion, taylor_test)
@@ -30,10 +30,9 @@ def sine_direction(spaces, amp=0.2):
 def test_cost_at_truth_has_zero_misfit(slab_spaces, tilted_params,
                                        tight_solver, twin_obs):
     B, tau = truth_rheology(slab_spaces), truth_friction(slab_spaces)
-    cost = evaluate_cost(B, tau, twin_obs, tilted_params, tight_solver)
-    assert cost.parts.misfit <= 1e-20
-    assert cost.parts.total == cost.parts.misfit \
-        + cost.parts.reg_rheology + cost.parts.reg_friction
+    cost = make_state(B, tau, twin_obs, tilted_params, tight_solver).cost
+    assert cost.misfit <= 1e-20
+    assert cost.total == cost.misfit + cost.reg_rheology + cost.reg_friction
 
 
 def test_constant_coefficients_have_zero_regularization(slab_spaces,
@@ -61,23 +60,23 @@ def test_zero_weights_make_cost_pure_misfit(slab_spaces, tight_solver,
     params = pg.PhysicsParams(body_force=(0.5, -1.0), reg_rheology=0.0,
                               reg_friction=0.0)
     B, tau = truth_rheology(slab_spaces), truth_friction(slab_spaces)
-    cost = evaluate_cost(B, tau, twin_obs, params, tight_solver)
-    assert cost.parts.total == cost.parts.misfit
-    assert cost.parts.reg_rheology == 0.0 and cost.parts.reg_friction == 0.0
+    cost = make_state(B, tau, twin_obs, params, tight_solver).cost
+    assert cost.total == cost.misfit
+    assert cost.reg_rheology == 0.0 and cost.reg_friction == 0.0
 
 
 def test_cost_rejects_out_of_box(slab_spaces, tilted_params, twin_obs):
     B = pg.constant_field(slab_spaces.coeff_omega, 100.0)
     tau = pg.constant_field(slab_spaces.coeff_basal, 0.5)
     with pytest.raises(ValueError, match="admissible box"):
-        evaluate_cost(B, tau, twin_obs, tilted_params)
+        make_state(B, tau, twin_obs, tilted_params)
 
 
 def test_cost_raises_on_solver_failure(slab_spaces, tilted_params, twin_obs,
                                        base_coeffs):
     broken = SolverConfig(max_newton=0)
     with pytest.raises(SolverError, match="did not converge"):
-        evaluate_cost(*base_coeffs, twin_obs, tilted_params, broken)
+        make_state(*base_coeffs, twin_obs, tilted_params, broken)
 
 
 def test_stale_state_is_refused(slab_spaces, tilted_params, tight_solver,
@@ -138,14 +137,14 @@ def test_adjoint_gradient_matches_central_differences(slab_spaces,
         dB = pg.Field(slab_spaces.coeff_omega, vals_b)
         dt = pg.Field(slab_spaces.coeff_basal, vals_t)
         got = directional_derivative(state, dB, dt, tilted_params)
-        fp = evaluate_cost(
+        fp = make_state(
             pg.Field(slab_spaces.coeff_omega, state.rheology.values + h * vals_b),
             pg.Field(slab_spaces.coeff_basal, state.friction.values + h * vals_t),
-            twin_obs, tilted_params, tight_solver).parts.total
-        fm = evaluate_cost(
+            twin_obs, tilted_params, tight_solver).cost.total
+        fm = make_state(
             pg.Field(slab_spaces.coeff_omega, state.rheology.values - h * vals_b),
             pg.Field(slab_spaces.coeff_basal, state.friction.values - h * vals_t),
-            twin_obs, tilted_params, tight_solver).parts.total
+            twin_obs, tilted_params, tight_solver).cost.total
         fd = (fp - fm) / (2.0 * h)
         assert abs(got - fd) <= 1e-5 * max(abs(fd), 1e-12)
 
@@ -153,8 +152,8 @@ def test_adjoint_gradient_matches_central_differences(slab_spaces,
 def test_taylor_slopes(slab_spaces, tilted_params, tight_solver, twin_obs,
                        base_coeffs):
     dB, dt = sine_direction(slab_spaces)
-    report = taylor_test(*base_coeffs, dB, dt, twin_obs, tilted_params,
-                         tight_solver)
+    state = make_state(*base_coeffs, twin_obs, tilted_params, tight_solver)
+    report = taylor_test(state, dB, dt, tilted_params, tight_solver)
     assert np.all(report.h_values[:-1] > report.h_values[1:])
     assert 0.9 <= report.slope_zero <= 1.1
     assert 1.8 <= report.slope_first <= 2.2
@@ -166,8 +165,8 @@ def test_taylor_zero_direction(slab_spaces, tilted_params, tight_solver,
                                twin_obs, base_coeffs):
     zB = pg.constant_field(slab_spaces.coeff_omega, 0.0)
     zt = pg.constant_field(slab_spaces.coeff_basal, 0.0)
-    report = taylor_test(*base_coeffs, zB, zt, twin_obs, tilted_params,
-                         tight_solver)
+    state = make_state(*base_coeffs, twin_obs, tilted_params, tight_solver)
+    report = taylor_test(state, zB, zt, tilted_params, tight_solver)
     assert np.array_equal(report.remainder_zero, np.zeros(4))
     assert np.array_equal(report.remainder_first, np.zeros(4))
     assert report.slope_zero is None and report.slope_first is None
@@ -177,9 +176,9 @@ def test_taylor_rejects_box_exit(slab_spaces, tilted_params, tight_solver,
                                  twin_obs, base_coeffs):
     big = pg.constant_field(slab_spaces.coeff_omega, 50.0)
     zt = pg.constant_field(slab_spaces.coeff_basal, 0.0)
+    state = make_state(*base_coeffs, twin_obs, tilted_params, tight_solver)
     with pytest.raises(ValueError, match="admissible box at h"):
-        taylor_test(*base_coeffs, big, zt, twin_obs, tilted_params,
-                    tight_solver)
+        taylor_test(state, big, zt, tilted_params, tight_solver)
 
 
 def test_projection_clips_and_is_idempotent(slab_spaces, tilted_params):
@@ -349,5 +348,6 @@ def test_taylor_refuses_non_finite_base_cost(slab_spaces, tilted_params,
     huge = pg.Observation(np.full_like(twin_obs.samples, 1e300))
     db = pg.constant_field(slab_spaces.coeff_omega, 0.1)
     df = pg.constant_field(slab_spaces.coeff_basal, 0.1)
+    state = make_state(*base_coeffs, huge, tilted_params)
     with pytest.raises(NonFiniteCostError, match="misfit inf"):
-        taylor_test(*base_coeffs, db, df, huge, tilted_params)
+        taylor_test(state, db, df, tilted_params)
