@@ -14,8 +14,8 @@ derivative.
 Factoring and solving are separate steps: ``factor_adjoint`` makes the
 sparse LU of the reduced operator, and ``solve_adjoint`` always takes
 that LU, so one factorization serves every dual solve at a state and,
-in the inversion, preconditions the forward solves of the next descent
-trials.
+in the inversion, the Gauss-Newton Hessian products there and the
+forward solves of the next line-search trials.
 """
 
 from __future__ import annotations
@@ -121,6 +121,11 @@ def solve_adjoint(velocity, obs, lu):
     the homogeneous constraints.
     """
     spaces = velocity.space.parent
-    rhs = spaces.reduce_vector(-misfit_derivative_rhs(velocity, obs))
-    x = spaces.expand_vector(lu.solve(rhs))
+    x = solve_held(spaces, lu, -misfit_derivative_rhs(velocity, obs))
     return Field(spaces.velocity, x[:spaces.n_u])
+
+
+def solve_held(spaces, lu, dual):
+    """System vector solving the reduced operator held as ``lu`` against
+    the system dual vector ``dual``, both in plain x/y components."""
+    return spaces.expand_vector(lu.solve(spaces.reduce_vector(dual)))

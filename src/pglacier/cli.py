@@ -8,11 +8,13 @@ slab mesh).  Exit codes: 0 success, 2 configuration or input-file error
 (the stderr message starts with ``config error:``, ``data file error:``,
 ``mesh error:`` or ``file error:``; observations that make the
 starting cost of ``invert`` or ``taylor`` non-finite are one, and so
-is a ``taylor`` field at a bound of the admissible box), 3 solver
-failure (``verify`` stops at an unconverged forward solve, before its
-pointwise sweep), 4 verification failure, 5 inversion stopped because
-its line search found no acceptable step.  Any other exception is an
-internal error: it exits 1 with a traceback.
+are a ``taylor`` field at a bound of the admissible box and ``taylor``
+fields that all lie within ``TAYLOR_MARGIN_FLOOR`` of their box width
+from a bound), 3 solver failure (``verify`` stops at an unconverged
+forward solve, before its pointwise sweep), 4 verification failure, 5
+inversion stopped because its line search found no acceptable
+Gauss-Newton step.  Any other exception is an internal error: it exits
+1 with a traceback.
 
 All CSV outputs are deterministic for a fixed config and seed: floats
 are written with repr precision and wall-clock times never enter
@@ -37,6 +39,12 @@ from .inversion import (NonFiniteCostError, make_state, make_twin_data,
 from .mesh import MeshError, save_mesh
 from .spaces import Field, build_spaces
 from .verify import discrete_suite, pointwise_suite
+
+# ``taylor`` perturbs only inside the admissible box; when every field
+# lies closer to a bound than this fraction of its box width, the
+# perturbed costs differ from the base cost by little more than
+# roundoff and no remainder slope can be measured.
+TAYLOR_MARGIN_FLOOR = 1e-4
 
 
 def build_parser():
@@ -189,8 +197,8 @@ def cmd_invert(cfg, out):
     print("cost %g -> %g, misfit %g -> %g"
           % (first[1], last[1], first[2], last[2]))
     if result.reason == "line_search_failed":
-        print("inversion stopped early: no step along the projected gradient "
-              "was accepted at iteration %d" % (state.iteration + 1),
+        print("inversion stopped early: no step along the Gauss-Newton "
+              "direction was accepted at iteration %d" % (state.iteration + 1),
               file=sys.stderr)
         return 5
     return 0
@@ -235,6 +243,16 @@ def cmd_taylor(cfg, out):
             raise ConfigError("field reaches a bound of the admissible box "
                               "[%r, %r], so no perturbation of it stays inside"
                               % params.box[key], "fields." + key)
+    relative = {key: margin / (params.box[key][1] - params.box[key][0])
+                for key, margin in margins.items()}
+    roomiest = max(relative, key=relative.get)
+    if relative[roomiest] < TAYLOR_MARGIN_FLOOR:
+        raise ConfigError("every field lies within %g of its box width from a "
+                          "bound (%s), so no perturbation that stays inside is "
+                          "large enough to measure a remainder"
+                          % (TAYLOR_MARGIN_FLOOR, ", ".join(
+                              "%s %.3g" % kv for kv in relative.items())),
+                          "fields." + roomiest)
     solver = cfg.solver()
     obs = _load_observation(cfg, spaces, params, solver)
     # one base state for every direction: solved once, dual factored once

@@ -89,7 +89,6 @@ SCHEMA = {
                           lambda n: n >= 1, "must be >= 1"),
     "opt.max_iterations": ("int", OptimizationConfig.max_iterations,
                            lambda n: n >= 0, "must be >= 0"),
-    "opt.step_init": ("float", OptimizationConfig.step_init, _positive, "must be > 0"),
     "opt.ls_max": ("int", OptimizationConfig.ls_max, lambda n: n >= 1, "must be >= 1"),
     "opt.representation": ("choice", OptimizationConfig.representation,
                            REPRESENTATIONS, ""),

@@ -256,7 +256,7 @@ def save_vtk(mesh, path, scalars=None, vectors=None):
 
 
 def save_inversion_history(history, path):
-    """Write projected-gradient history rows as a CSV."""
+    """Write the inversion history rows as a CSV."""
     lines = ["iter,cost,misfit,regB,regTau,proj_grad_norm,step"]
     for row in history:
         it = int(row[0])

@@ -2,16 +2,21 @@
 coefficients from surface-velocity data.
 
 The reduced cost is the observation misfit plus gradient-seminorm
-penalties on both coefficients.  Descent runs projected gradient steps
-with nodal clipping onto the admissible box and an Armijo backtracking
-line search.  A line-search trial costs one forward solve; only an
-accepted iterate gets a gradient, which factors the dual operator at
-its state, solves the dual problem and keeps the LU.  That LU then
-preconditions the forward solves of the next trials, each warm started
-from the accepted state, so one factorization serves a whole accepted
-iterate.  Every trial, accepted, rejected or failed, is logged.  Every
-cost is a state from :func:`make_state`, and the Taylor check perturbs
-one such state with the same warm start and preconditioner.
+penalties on both coefficients.  It is minimized over the admissible
+box by a projected inexact Gauss-Newton-CG iteration (Petra et al.,
+J. Glaciol. 2012) in reduced space (Bertsekas, SIAM J. Control Optim.
+1982): nodes near a bound whose gradient points out of the box move
+onto it, CG preconditioned by the Riesz map solves the Gauss-Newton
+system on the other nodes, and a monotone Armijo search backtracks
+from the full projected step.  Only an accepted iterate gets a
+gradient, which factors the dual operator (the Jacobian) at its state,
+solves the dual problem and keeps the LU.  That one LU serves the whole
+iterate: every Gauss-Newton Hessian product is two solves on it, and
+it preconditions the forward solves of the next trials, each warm
+started from the first-order prediction of its state.  Every trial,
+accepted, rejected or failed, is logged.  Every cost is a state from
+:func:`make_state`, and the Taylor check perturbs one such state with
+the same warm start and preconditioner.
 """
 
 from __future__ import annotations
@@ -21,41 +26,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import (Observation, _projected_trace, factor_adjoint, misfit,
-                      solve_adjoint)
-from .assembly import (_cached, assemble_coeff_gradient_duals, basal_p1_stiffness,
-                       gram_matrices, omega_p1_stiffness)
+                      misfit_derivative_rhs, solve_adjoint, solve_held)
+from .assembly import (_cached, assemble_coeff_derivative,
+                       assemble_coeff_gradient_duals, basal_p1_stiffness,
+                       gram_matrices, omega_p1_stiffness, solver_sign)
 from .forward import SolverError, factorize, solve_forward
 from .spaces import Field, SpaceKind
 
 REPRESENTATIONS = ("L2", "H1_smoothed")
 
-# Descent stops at a projected gradient norm of GRAD_TOL.  A trial is
-# accepted when its cost falls by ARMIJO_C times the predicted decrease;
-# the step grows by STEP_GROWTH after an acceptance and shrinks by
+# The iteration stops at a projected gradient norm of GRAD_TOL, or of
+# GRAD_RTOL times its starting value.  CG stops at the forcing term
+# min(CG_FORCING_MAX, sqrt(|g| / |g0|)) in the Riesz norm or after
+# CG_MAX_ITERATIONS Hessian products.  Nodes within ACTIVE_EPS (or the
+# projected gradient norm, if smaller) of a bound whose gradient points
+# out of the box are active.  A trial is accepted when its cost falls by
+# ARMIJO_C times the predicted decrease; the step shrinks by
 # ARMIJO_SHRINK after a rejected or failed trial.
 GRAD_TOL = 1e-9
-STEP_GROWTH = 2.0
+GRAD_RTOL = 1e-6
+CG_FORCING_MAX = 0.5
+CG_MAX_ITERATIONS = 50
+ACTIVE_EPS = 1e-2
 ARMIJO_SHRINK = 0.5
 ARMIJO_C = 1e-4
 
 
 class NonFiniteCostError(ValueError):
-    """The cost at the starting coefficients is not finite, so descent
-    has nothing to decrease and a Taylor test nothing to expand."""
+    """The cost at the starting coefficients is not finite, so the
+    inversion has nothing to decrease and a Taylor test nothing to
+    expand."""
 
 
 @dataclass
 class OptimizationConfig:
-    """Projected-gradient settings; the step rule and the stopping
-    tolerance are the module constants above.
+    """Gauss-Newton settings; the CG, step and stopping rules are the
+    module constants above.
 
-    Descent accepts at most ``max_iterations`` iterates, starting from
-    step ``step_init``; each iterate tries at most ``ls_max`` + 1 steps.
-    ``representation`` is the inner product of the descent direction.
+    The iteration accepts at most ``max_iterations`` iterates; each tries
+    at most ``ls_max`` + 1 steps, the first the full Gauss-Newton step.
+    ``representation`` is the Riesz map (Gram matrix M, or M + K) that
+    preconditions CG and represents the projected gradient.
     """
 
     max_iterations: int = 100
-    step_init: float = 1.0
     ls_max: int = 30
     representation: str = "H1_smoothed"
 
@@ -112,7 +126,7 @@ class TaylorReport:
 class InversionResult:
     """Final state, one history row per accepted iterate, one trial row
     (iteration, step, cost or None, outcome, failure text) per
-    line-search trial, and the reason descent stopped."""
+    line-search trial, and the reason the iteration stopped."""
 
     state: InversionState
     history: list
@@ -199,14 +213,18 @@ def gradient_duals(state, params):
                                           state.friction, params)
         state.adjoint_state = solve_adjoint(state.velocity, state.obs,
                                             state.adjoint_lu)
-    spaces = state.rheology.space.parent
     g_rheo, g_fric = assemble_coeff_gradient_duals(state.velocity,
                                                    state.adjoint_state, params)
-    g_rheo = g_rheo + params.reg_rheology * (omega_p1_stiffness(spaces)
-                                             @ state.rheology.values)
-    g_fric = g_fric + params.reg_friction * (basal_p1_stiffness(spaces)
-                                             @ state.friction.values)
-    return g_rheo, g_fric
+    r_rheo, r_fric = _tikhonov_duals(state.rheology, state.friction, params)
+    return g_rheo + r_rheo, g_fric + r_fric
+
+
+def _tikhonov_duals(rheology, friction, params):
+    """Dual vectors of the Tikhonov terms' derivative at (rheology,
+    friction), which is also their Hessian applied to it."""
+    spaces = rheology.space.parent
+    return (params.reg_rheology * (omega_p1_stiffness(spaces) @ rheology.values),
+            params.reg_friction * (basal_p1_stiffness(spaces) @ friction.values))
 
 
 def represent(dual, spaces, which, representation):
@@ -224,25 +242,23 @@ def represent(dual, spaces, which, representation):
 
 
 def evaluate_gradient(state, params, representation="H1_smoothed"):
-    """Gradient fields of the reduced cost at a fresh state.
+    """Projected gradient fields of the reduced cost at a fresh state.
 
-    Fills the state's dual vectors, representative fields and projected
-    gradient norm, and returns the pair (grad_rheology, grad_friction).
+    Fills the state's gradient dual vectors, the Riesz representatives
+    of the projected gradient (the duals without their components that
+    point out of the box at nodes on a bound) and the euclidean norm of
+    those representatives' nodal values, which vanishes exactly at a
+    stationary point of the boxed problem.  Returns the pair
+    (grad_rheology, grad_friction).
     """
     spaces = state.rheology.space.parent
-    g_rheo, g_fric = gradient_duals(state, params)
-    rb = represent(g_rheo, spaces, "omega", representation)
-    rf = represent(g_fric, spaces, "basal", representation)
-    state.grad_rheology_dual = g_rheo
-    state.grad_friction_dual = g_fric
-    state.grad_rheology = Field(spaces.coeff_omega, rb)
-    state.grad_friction = Field(spaces.coeff_basal, rf)
-    pb, pf = project_onto_W(
-        Field(spaces.coeff_omega, state.rheology.values - rb),
-        Field(spaces.coeff_basal, state.friction.values - rf), params)
-    state.projected_grad_norm = float(np.sqrt(
-        np.sum((state.rheology.values - pb.values) ** 2)
-        + np.sum((state.friction.values - pf.values) ** 2)))
+    state.grad_rheology_dual, state.grad_friction_dual = gradient_duals(state,
+                                                                        params)
+    x, g = _stacked(state)
+    blocked = _points_out(x, g, _bounds(spaces, params), 0.0)
+    rep = _riesz(spaces, np.where(blocked, 0.0, g), representation)
+    state.grad_rheology, state.grad_friction = _coefficient_fields(spaces, rep)
+    state.projected_grad_norm = float(np.linalg.norm(rep))
     return state.grad_rheology, state.grad_friction
 
 
@@ -252,23 +268,135 @@ def directional_derivative(state, rheology_dir, friction_dir, params):
     return float(g_rheo @ rheology_dir.values + g_fric @ friction_dir.values)
 
 
+def linearized_state(state, rheology_dir, friction_dir, params):
+    """First-order change of the forward state along a coefficient
+    direction: the system vector J^-1 (-sign dR/dc[d]) on the held LU of
+    the state's dual operator (the Jacobian)."""
+    spaces = state.rheology.space.parent
+    rhs = -(solver_sign(spaces) * assemble_coeff_derivative(
+        state.velocity, rheology_dir, friction_dir, params))
+    return solve_held(spaces, state.adjoint_lu, rhs)
+
+
+def hessian_product(state, rheology_dir, friction_dir, params):
+    """Dual vectors of the Gauss-Newton Hessian of the reduced cost
+    applied to a coefficient direction, at a state whose gradient was
+    evaluated.
+
+    Two solves on the held LU and three assemblies: the linearized
+    velocity du, the misfit derivative of du against zero data, the dual
+    solve of its negative and the pairing of that dual state with the
+    coefficient derivative, plus the Tikhonov terms.
+    """
+    if state._token != state.token() or state.adjoint_lu is None:
+        raise ValueError("Hessian products need a fresh state with its "
+                         "gradient evaluated")
+    spaces = state.rheology.space.parent
+    n_u = spaces.n_u
+    du = Field(spaces.velocity,
+               linearized_state(state, rheology_dir, friction_dir, params)[:n_u])
+    zero = Observation(np.zeros_like(state.obs.samples), state.obs.mode)
+    dl = Field(spaces.velocity, solve_held(
+        spaces, state.adjoint_lu, -misfit_derivative_rhs(du, zero))[:n_u])
+    h_rheo, h_fric = assemble_coeff_gradient_duals(state.velocity, dl, params)
+    r_rheo, r_fric = _tikhonov_duals(rheology_dir, friction_dir, params)
+    return h_rheo + r_rheo, h_fric + r_fric
+
+
+def _stacked(state):
+    """Coefficient values and gradient duals of a state, each as one
+    vector: the vertex part, then the bed part."""
+    return (np.concatenate([state.rheology.values, state.friction.values]),
+            np.concatenate([state.grad_rheology_dual, state.grad_friction_dual]))
+
+
+def _coefficient_fields(spaces, x):
+    n = spaces.coeff_omega.dof_count
+    return Field(spaces.coeff_omega, x[:n]), Field(spaces.coeff_basal, x[n:])
+
+
+def _bounds(spaces, params):
+    """Lower and upper bounds of the stacked coefficient vector."""
+    sizes = (spaces.coeff_omega.dof_count, spaces.coeff_basal.dof_count)
+    return np.repeat(np.array(list(params.box.values())), sizes, axis=0).T
+
+
+def _points_out(x, g, bounds, eps):
+    """Mask of the stacked nodes within ``eps`` of a bound (from
+    :func:`_bounds`) whose gradient dual ``g`` points out of the box."""
+    lo, hi = bounds
+    return ((x <= lo + eps) & (g > 0.0)) | ((x >= hi - eps) & (g < 0.0))
+
+
+def _riesz(spaces, dual, representation):
+    """Stacked Riesz representative of a stacked dual vector."""
+    n = spaces.coeff_omega.dof_count
+    return np.concatenate([represent(dual[:n], spaces, "omega", representation),
+                           represent(dual[n:], spaces, "basal", representation)])
+
+
+def _gauss_newton_step(state, params, representation, free, g0):
+    """Inexact solve of H s = -g on the ``free`` nodes (a 0/1 mask) by
+    CG preconditioned with the Riesz map.
+
+    CG starts from s = 0 and stops when the residual's Riesz norm falls
+    to min(CG_FORCING_MAX, sqrt(|g| / g0)) times that of the free
+    gradient g, after CG_MAX_ITERATIONS Hessian products, or on a
+    direction of non-positive curvature.  ``g0`` of None stands for
+    |g|.  Returns (s, |g|).
+    """
+    spaces = state.rheology.space.parent
+
+    def apply(d):
+        return free * np.concatenate(
+            hessian_product(state, *_coefficient_fields(spaces, d), params))
+
+    r = -free * _stacked(state)[1]
+    z = free * _riesz(spaces, r, representation)
+    s = np.zeros_like(r)
+    d = z
+    rz = float(r @ z)
+    g_norm = np.sqrt(rz)
+    stop = min(CG_FORCING_MAX ** 2, g_norm / g0 if g0 else 1.0) * rz
+    for k in range(CG_MAX_ITERATIONS):
+        if rz <= stop:
+            break
+        hd = apply(d)
+        curvature = float(d @ hd)
+        if curvature <= 0.0:
+            if k == 0:
+                s = d           # the preconditioned steepest descent step
+            break
+        a = rz / curvature
+        s = s + a * d
+        r = r - a * hd
+        z = free * _riesz(spaces, r, representation)
+        rz, rz_old = float(r @ z), rz
+        d = z + (rz / rz_old) * d
+    return s, g_norm
+
+
 def run_inversion(rheology0, friction0, obs, params, opt_config=None,
                   solver_config=None):
-    """Projected gradient descent from (rheology0, friction0).
+    """Projected inexact Gauss-Newton-CG from (rheology0, friction0).
 
     Every iterate stays in the admissible box, the cost decreases
     monotonically, and each history row records
     (iteration, cost, misfit, reg_rheology, reg_friction,
-    projected_grad_norm, accepted_step).  Each line-search trial's
-    forward solve is warm started from the current iterate and
-    preconditioned by the LU of its dual operator.
+    projected_grad_norm, accepted_step).  At each accepted state the
+    nodes within the Bertsekas epsilon of a bound whose gradient points
+    out of the box move to that bound, CG solves the Gauss-Newton
+    system on the others, and a monotone Armijo search runs from the
+    full projected step.  Each trial's forward solve is warm started
+    from the first-order prediction of its state and preconditioned by
+    the LU of the current dual operator.
 
     Returns
     -------
     InversionResult with the final state, the history rows, the trial
     rows (iteration, step, cost or None, outcome ``accepted``,
     ``rejected`` or ``solver_failure``, failure text) and the reason
-    descent stopped (``converged``, ``max_iterations``,
+    the iteration stopped (``converged``, ``max_iterations``,
     ``line_search_failed`` or ``iteration_budget_zero``).  Raises
     NonFiniteCostError when the starting cost is not finite.
     """
@@ -276,6 +404,8 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     state = make_state(rheology0, friction0, obs, params, solver_config)
     _require_finite_cost(state)
     spaces = state.rheology.space.parent
+    n_u = spaces.n_u
+    bounds = _bounds(spaces, params)
     evaluate_gradient(state, params, opt.representation)
     history = [(0, state.cost.total, state.cost.misfit, state.cost.reg_rheology,
                 state.cost.reg_friction, state.projected_grad_norm, 0.0)]
@@ -283,28 +413,38 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     if opt.max_iterations == 0:
         return InversionResult(state, history, "iteration_budget_zero", trials)
 
-    alpha = opt.step_init
+    grad_tol = max(GRAD_TOL, GRAD_RTOL * state.projected_grad_norm)
+    g0 = None
     reason = "max_iterations"
     for it in range(1, opt.max_iterations + 1):
-        if state.projected_grad_norm <= GRAD_TOL:
+        if state.projected_grad_norm <= grad_tol:
             reason = "converged"
             break
+        # Bertsekas' epsilon-active nodes move onto their bound, CG
+        # steps the others
+        x, g = _stacked(state)
+        active = _points_out(x, g, bounds,
+                             min(ACTIVE_EPS, state.projected_grad_norm))
+        step, g_norm = _gauss_newton_step(
+            state, params, opt.representation, (~active).astype(np.float64), g0)
+        g0 = g0 or g_norm
+        step = np.where(active, np.where(g > 0.0, *bounds) - x, step)
+        alpha = 1.0
         accepted = None
         for _ in range(opt.ls_max + 1):
-            trial_b = Field(spaces.coeff_omega,
-                            state.rheology.values - alpha * state.grad_rheology.values)
-            trial_f = Field(spaces.coeff_basal,
-                            state.friction.values - alpha * state.grad_friction.values)
-            trial_b, trial_f = project_onto_W(trial_b, trial_f, params)
-            delta_b = trial_b.values - state.rheology.values
-            delta_f = trial_f.values - state.friction.values
-            if np.linalg.norm(delta_b) == 0.0 and np.linalg.norm(delta_f) == 0.0:
+            trial_b, trial_f = project_onto_W(
+                *_coefficient_fields(spaces, x + alpha * step), params)
+            delta = np.concatenate([trial_b.values, trial_f.values]) - x
+            if not np.any(delta):
                 break     # projection swallowed the whole step
-            pred = float(state.grad_rheology_dual @ delta_b
-                         + state.grad_friction_dual @ delta_f)
+            pred = float(g @ delta)
+            dx = linearized_state(state, *_coefficient_fields(spaces, delta),
+                                  params)
+            warm = (Field(spaces.velocity, state.velocity.values + dx[:n_u]),
+                    Field(spaces.pressure, state.pressure.values + dx[n_u:]))
             try:
                 trial = make_state(trial_b, trial_f, obs, params, solver_config,
-                                   warm_start=(state.velocity, state.pressure),
+                                   warm_start=warm,
                                    preconditioner=state.adjoint_lu)
             except SolverError as exc:
                 trials.append((it, alpha, None, "solver_failure", str(exc)))
@@ -325,9 +465,8 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
         history.append((it, state.cost.total, state.cost.misfit,
                         state.cost.reg_rheology, state.cost.reg_friction,
                         state.projected_grad_norm, alpha))
-        alpha *= STEP_GROWTH
     else:
-        if state.projected_grad_norm <= GRAD_TOL:
+        if state.projected_grad_norm <= grad_tol:
             reason = "converged"
     return InversionResult(state, history, reason, trials)
 

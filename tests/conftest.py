@@ -5,10 +5,13 @@ that tests mutate (inversion states, gradient caches) are built inside
 the tests themselves.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import pglacier as pg
+from pglacier import inversion
 from pglacier.assembly import (_SAME, _SWAP, _bed_kernel, _check_args,
                                _derivative_factors, _pair_trace,
                                _pair_trial_gradients, _point, _saddle_system)
@@ -52,6 +55,25 @@ def truth_friction(spaces):
     # smooth profile inside [0.1, 0.9]
     return pg.field_from_callable(
         spaces.coeff_basal, lambda x, y: 0.5 + 0.4 * np.cos(np.pi * x))
+
+
+def raise_trial_costs(monkeypatch, trials):
+    """Patch ``inversion.make_state`` so that the line-search trials
+    numbered in ``trials`` (trial 1 is the call after the starting
+    state's) return a cost 1 above their own, which the line search
+    rejects.  Returns the list of calls, failed ones included."""
+    calls = []
+    original = inversion.make_state
+
+    def make_state(*args, **kwargs):
+        calls.append(args)
+        state = original(*args, **kwargs)
+        if len(calls) - 1 in trials:
+            state.cost = replace(state.cost, total=state.cost.total + 1.0)
+        return state
+
+    monkeypatch.setattr(inversion, "make_state", make_state)
+    return calls
 
 
 def slit_bed_mesh():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pglacier as pg
-from conftest import slit_bed_mesh
+from conftest import raise_trial_costs, slit_bed_mesh
 from pglacier import adjoint, cli, inversion
 from pglacier.cli import entry
 from pglacier.config import load_config
@@ -264,11 +264,11 @@ def test_removed_linear_solver_key_exits_2(tmp_path, capsys):
     assert "unknown config key" in err and "solver.linear_solver" in err
 
 
-def test_invert_line_search_failure_exits_5(tmp_path, capsys):
-    # a huge first step lands on the box corners and raises the cost;
-    # with two trials per line search descent stops at once
+def test_invert_line_search_failure_exits_5(tmp_path, capsys, monkeypatch):
+    # every trial costs more than the start; with two trials per line
+    # search the iteration stops at once
+    raise_trial_costs(monkeypatch, range(1, 100))
     cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
-                    + "opt.step_init = 1e6\n"
                     + "opt.ls_max = 1\n"
                     + "run.out = %s\n" % (tmp_path / "o"))
     assert run(["invert", "--config", cfg]) == 5
@@ -281,10 +281,11 @@ def test_invert_line_search_failure_exits_5(tmp_path, capsys):
         assert (tmp_path / "o" / name).exists()
 
 
-def test_invert_writes_deterministic_trial_log(tmp_path):
-    base = (TINY_MESH + TWIN_BLOCK
-            + "opt.max_iterations = 3\nopt.step_init = 1e6\n")
+def test_invert_writes_deterministic_trial_log(tmp_path, monkeypatch):
+    base = TINY_MESH + TWIN_BLOCK + "opt.max_iterations = 3\n"
     for name in ("a", "b"):
+        # each run rejects its first trial
+        raise_trial_costs(monkeypatch, {1})
         cfg = write_cfg(tmp_path, base + "run.out = %s\n" % (tmp_path / name),
                         name + ".cfg")
         assert run(["invert", "--config", cfg]) == 0
@@ -497,10 +498,10 @@ def test_taylor_on_field_at_box_bound_exits_2(tmp_path, capsys, key, value):
                     + "taylor.directions = 1\n"
                     + "run.out = %s\n" % (tmp_path / "o"))
     assert run(["taylor", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: key '%s': field reaches a bound of "
-                          "the admissible box" % key)
-    assert "scaled by" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: key '%s': field reaches a "
+                                   "bound of the admissible box" % key)
+    assert "scaled by" not in captured.out
 
 
 def test_taylor_on_field_just_inside_the_box_scales_only_that_field(
@@ -515,6 +516,23 @@ def test_taylor_on_field_just_inside_the_box_scales_only_that_field(
     assert "friction part scaled by" in out
     assert "rheology part scaled by" not in out
     assert "first-order remainder slopes meet threshold 1.8" in out
+
+
+def test_taylor_with_every_field_a_hair_inside_the_box_exits_2(tmp_path,
+                                                              capsys):
+    # used to scale both parts of every direction (by 5e-10 and 5e-12),
+    # giving first-order slopes 0.483, 0.302, 0.187 and exit 4
+    cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
+                    + "fields.rheology = 0.1000000001\n"
+                    + "fields.friction = 1e-12\n"
+                    + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["taylor", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: key 'fields.rheology': every "
+                                   "field lies within 0.0001 of its box width")
+    assert "friction 1e-13" in captured.err
+    assert "scaled by" not in captured.out
+    assert not (tmp_path / "o" / "taylor_report.csv").exists()
 
 
 def test_taylor_solves_and_factors_its_base_state_once(tmp_path, monkeypatch):

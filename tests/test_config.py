@@ -87,6 +87,7 @@ def test_missing_equals_is_rejected():
     ("opt.armijo_shrink = 0.5",
      "line 1: key 'opt.armijo_shrink': unknown config key"),
     ("opt.armijo_c = 1e-4", "line 1: key 'opt.armijo_c': unknown config key"),
+    ("opt.step_init = 1.0", "line 1: key 'opt.step_init': unknown config key"),
     ("verify.samples = 0", "must be >= 1"),
 ])
 def test_value_validation(line, msg):
@@ -97,7 +98,7 @@ def test_value_validation(line, msg):
 @pytest.mark.parametrize("key,value", [
     ("physics.body_force_x", "nan"),
     ("physics.mu0", "inf"),
-    ("opt.step_init", "-inf"),
+    ("physics.reg_rheology", "-inf"),
     ("physics.s", "NaN"),
     ("mesh.observed_xmin", "inf"),
 ])

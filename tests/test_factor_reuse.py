@@ -12,7 +12,7 @@ from pglacier.adjoint import factor_adjoint, solve_adjoint
 from pglacier.inversion import OptimizationConfig, make_state, run_inversion
 from pglacier.verify import discrete_suite
 
-from conftest import truth_friction, truth_rheology
+from conftest import raise_trial_costs, truth_friction, truth_rheology
 
 
 def count_calls(monkeypatch, owner, name):
@@ -39,11 +39,10 @@ def test_run_inversion_factors_dual_once_per_accepted_iterate(
         base_coeffs):
     operators = count_calls(monkeypatch, adjoint, "assemble_adjoint_operator")
     solves = count_calls(monkeypatch, inversion, "solve_adjoint")
-    trials = count_calls(monkeypatch, inversion, "make_state")
-    # a huge first step is rejected several times before one is accepted
+    # the first step is rejected twice before one is accepted
+    trials = raise_trial_costs(monkeypatch, {1, 2})
     result = run_inversion(*base_coeffs, twin_obs, tilted_params,
-                           OptimizationConfig(max_iterations=3, step_init=1e6),
-                           tight_solver)
+                           OptimizationConfig(max_iterations=3), tight_solver)
     assert len(operators) == len(result.history)
     assert len(solves) == len(result.history)
     # rejected trials made forward solves but no dual solve

@@ -1,5 +1,5 @@
 """Reduced-cost evaluation, adjoint gradients, the Taylor check and
-projected gradient descent."""
+the projected Gauss-Newton iteration."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from pglacier.inversion import (NonFiniteCostError, OptimizationConfig,
                                 run_inversion, taylor_test)
 from pglacier.spaces import velocity_trace
 
-from conftest import truth_friction, truth_rheology
+from conftest import raise_trial_costs, truth_friction, truth_rheology
 
 rng = np.random.default_rng(47)
 
@@ -315,14 +315,14 @@ def test_trials_log_every_line_search_trial(monkeypatch, slab_spaces,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(inversion, "solve_forward", fails_once)
+    raise_trial_costs(monkeypatch, {2})     # and rejects the second
     result = run_inversion(*base_coeffs, twin_obs, tilted_params,
-                           OptimizationConfig(max_iterations=3, step_init=1e6),
-                           tight_solver)
+                           OptimizationConfig(max_iterations=3), tight_solver)
     trials = result.trials
     assert len(trials) == len(calls) - 1
-    assert trials[0] == (1, 1e6, None, "solver_failure",
+    assert trials[0] == (1, 1.0, None, "solver_failure",
                          "injected forward failure")
-    assert trials[1][:2] == (1, 5e5)        # the step halves after a failure
+    assert trials[1][:2] == (1, 0.5)        # the step halves after a failure
     outcomes = [t[3] for t in trials]
     assert set(outcomes) <= {"accepted", "rejected", "solver_failure"}
     assert "rejected" in outcomes
