@@ -107,9 +107,9 @@ def misfit_derivative_rhs(velocity, obs):
 def factor_adjoint(velocity, rheology, friction, params):
     """Sparse LU of the reduced dual operator at the converged state,
     which is the forward Jacobian there (``assemble_adjoint_operator``
-    is ``assemble_jacobian``)."""
+    is ``assemble_jacobian``), in the mesh's node-blocked order."""
     system = assemble_adjoint_operator(velocity, rheology, friction, params)
-    return factorize(system.reduced())
+    return factorize(system.reduced(), system.spaces.saddle_order())
 
 
 def solve_adjoint(velocity, obs, lu):

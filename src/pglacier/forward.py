@@ -19,12 +19,20 @@ step and may finish without a factorization of its own.
 Every LU comes from ``_factorize``: a forward solve's through
 ``_LinearSolver``, all others (the dual operator, the Gram matrices of
 the Riesz map) through ``factorize``.  It exploits the symmetry of
-these operators: a minimum-degree ordering of A + A^T with
-pivots taken on the diagonal keeps the fill of a symmetric
-elimination.  An LU of that kind is checked by one probe solve; if
-SuperLU raises or the probe misses ``PROBE_RTOL``, the matrix is
-factored again with SuperLU's default COLAMD ordering and partial
-pivoting, and the forward solve counts the fallback.
+these operators and takes pivots on the diagonal.  The saddle operator
+(forward Jacobian, dual operator) is factored in the node-blocked order
+of :meth:`Spaces.saddle_order`: a minimum-degree order of the P2 node
+graph in which each node's velocity dofs precede its pressure dof, so
+no zero pressure diagonal is pivoted on before the velocity pivots that
+fill it.  That order is built once per mesh, on the mesh's first saddle
+factorization, together with a slot map that gathers each operator's
+data into the permuted CSC matrix; SuperLU then factors it in its
+natural order.  Any other operator (a Gram matrix) is ordered by a
+minimum-degree ordering of A + A^T.  An LU of either kind is checked by
+one probe solve; if SuperLU raises or the probe misses ``PROBE_RTOL``,
+the unpermuted matrix is factored again with SuperLU's default COLAMD
+ordering and partial pivoting, and the forward solve counts the
+fallback.
 """
 
 from __future__ import annotations
@@ -144,35 +152,55 @@ def _probe_passes(matrix, lu):
     return bool(residual <= PROBE_RTOL * np.abs(rhs).max())
 
 
-def _factorize(matrix):
+class _PermutedLU:
+    """SuperLU ``lu`` of ``A[order][:, order]``, solving with A itself."""
+
+    def __init__(self, lu, order):
+        self.lu, self.order = lu, order
+
+    def solve(self, rhs):
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order])
+        return x
+
+
+def _factorize(matrix, order=None):
     """``(lu, fell_back)``: the symmetric-mode LU of ``matrix``, or its
     COLAMD LU (``fell_back`` true) when the symmetric one raises or
     fails the probe.
 
-    With pivots on the diagonal SuperLU steps past an exactly zero pivot
-    by itself, but a tiny nonzero one can give a useless LU without an
+    With a :class:`SaddleOrder` ``order`` of the matrix's pattern, the
+    symmetric attempt factors ``order.permute(matrix)`` in its natural
+    order; without one, SuperLU orders A + A^T by minimum degree.  With
+    pivots on the diagonal SuperLU steps past an exactly zero pivot by
+    itself, but a tiny nonzero one can give a useless LU without an
     error, hence the probe.
     """
-    csc = matrix.tocsc()
+    if order is None:
+        csc, spec = matrix.tocsc(), "MMD_AT_PLUS_A"
+    else:
+        csc, spec = order.permute(matrix), "NATURAL"
     try:
-        lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(csc, permc_spec=spec, diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError:
         lu = None
     if lu is not None and _probe_passes(csc, lu):
-        return lu, False
-    lu = None                               # release the rejected LU first
+        return (lu if order is None else _PermutedLU(lu, order.order)), False
+    lu = csc = None                         # release the rejected LU first
     try:
-        return spla.splu(csc), True
+        return spla.splu(matrix.tocsc()), True
     except RuntimeError as exc:
         raise SolverError("sparse factorization failed: %s" % exc)
 
 
-def factorize(matrix):
-    """Sparse LU of a symmetric reduced operator: minimum-degree ordering
-    of A + A^T with diagonal pivots, or COLAMD with partial pivoting
-    when that LU fails its probe solve (see ``_factorize``)."""
-    return _factorize(matrix)[0]
+def factorize(matrix, order=None):
+    """Sparse LU of a symmetric reduced operator with diagonal pivots:
+    in the node-blocked ``order`` (``spaces.saddle_order()``) for a
+    saddle operator, by minimum degree on A + A^T otherwise, or COLAMD
+    with partial pivoting when that LU fails its probe solve (see
+    ``_factorize``).  Only the LU's ``solve`` is for callers."""
+    return _factorize(matrix, order)[0]
 
 
 class _LinearSolver:
@@ -183,11 +211,13 @@ class _LinearSolver:
     GMRES falls short (an exact solve, ``rtol = 0``, always factorizes).
     A refactorization rebinds only this object's reference, so a
     caller's LU is never replaced; the solver's own LU lives as long as
-    this object, never beyond the forward solve.  ``fallbacks`` counts
-    the factorizations that fell back to COLAMD.
+    this object, never beyond the forward solve.  Its LUs take the
+    node-blocked order of ``spaces``; ``fallbacks`` counts those that
+    fell back to COLAMD.
     """
 
-    def __init__(self, lu=None):
+    def __init__(self, spaces, lu=None):
+        self.spaces = spaces
         self.lu = lu
         self.factorizations = 0
         self.krylov_iterations = 0
@@ -202,7 +232,7 @@ class _LinearSolver:
             if x is not None:
                 return x
         self.lu = None                      # release the stale LU first
-        self.lu, fell_back = _factorize(matrix)
+        self.lu, fell_back = _factorize(matrix, self.spaces.saddle_order())
         self.factorizations += 1
         self.fallbacks += fell_back
         return self.lu.solve(rhs)
@@ -351,7 +381,7 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
         if np.any(values < lo) or np.any(values > hi):
             raise ValueError("%s field leaves the admissible box" % name)
 
-    linear = _LinearSolver(preconditioner)
+    linear = _LinearSolver(spaces, preconditioner)
     if warm_start is not None:
         x0 = np.concatenate([warm_start[0].values, warm_start[1].values])
         x_hat0 = spaces.reduce_vector(x0)

@@ -45,6 +45,10 @@ REPRESENTATIONS = ("L2", "H1_smoothed")
 # ARMIJO_SHRINK after a rejected or failed trial.
 GRAD_TOL = 1e-9
 GRAD_RTOL = 1e-6
+# On noisy data (noise_sigma > 0) the iteration also stops once the
+# misfit falls to DISCREPANCY_TAU times the expected misfit of the truth
+# (Morozov's discrepancy principle, see ``noise_misfit``).
+DISCREPANCY_TAU = 1.1
 CG_FORCING_MAX = 0.5
 CG_MAX_ITERATIONS = 50
 ACTIVE_EPS = 1e-2
@@ -376,6 +380,25 @@ def _gauss_newton_step(state, params, representation, free, g0):
     return s, g_norm
 
 
+def noise_misfit(spaces, obs):
+    """Expected misfit of the truth under the data's noise:
+    0.5 sigma^2 times the stored components per point times the
+    observed length (0 for exact data)."""
+    components = 2 if obs.mode == "full_vector" else 1
+    length = float(spaces.bedge_lengths[spaces.mesh.observed_edges].sum())
+    return 0.5 * obs.noise_sigma ** 2 * components * length
+
+
+def _stop_reason(state, grad_tol, misfit_floor):
+    """``converged`` at a small projected gradient, ``noise_level`` at a
+    misfit within the noise (never on exact data), else None."""
+    if state.projected_grad_norm <= grad_tol:
+        return "converged"
+    if misfit_floor > 0.0 and state.cost.misfit <= misfit_floor:
+        return "noise_level"
+    return None
+
+
 def run_inversion(rheology0, friction0, obs, params, opt_config=None,
                   solver_config=None):
     """Projected inexact Gauss-Newton-CG from (rheology0, friction0).
@@ -396,9 +419,11 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     InversionResult with the final state, the history rows, the trial
     rows (iteration, step, cost or None, outcome ``accepted``,
     ``rejected`` or ``solver_failure``, failure text) and the reason
-    the iteration stopped (``converged``, ``max_iterations``,
-    ``line_search_failed`` or ``iteration_budget_zero``).  Raises
-    NonFiniteCostError when the starting cost is not finite.
+    the iteration stopped (``converged``, ``noise_level`` when noisy
+    data is fitted to ``DISCREPANCY_TAU`` times :func:`noise_misfit`,
+    ``max_iterations``, ``line_search_failed`` or
+    ``iteration_budget_zero``).  Raises NonFiniteCostError when the
+    starting cost is not finite.
     """
     opt = opt_config or OptimizationConfig()
     state = make_state(rheology0, friction0, obs, params, solver_config)
@@ -414,11 +439,11 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
         return InversionResult(state, history, "iteration_budget_zero", trials)
 
     grad_tol = max(GRAD_TOL, GRAD_RTOL * state.projected_grad_norm)
+    misfit_floor = DISCREPANCY_TAU * noise_misfit(spaces, obs)
     g0 = None
-    reason = "max_iterations"
     for it in range(1, opt.max_iterations + 1):
-        if state.projected_grad_norm <= grad_tol:
-            reason = "converged"
+        reason = _stop_reason(state, grad_tol, misfit_floor)
+        if reason is not None:
             break
         # Bertsekas' epsilon-active nodes move onto their bound, CG
         # steps the others
@@ -466,8 +491,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
                         state.cost.reg_rheology, state.cost.reg_friction,
                         state.projected_grad_norm, alpha))
     else:
-        if state.projected_grad_norm <= grad_tol:
-            reason = "converged"
+        reason = _stop_reason(state, grad_tol, misfit_floor) or "max_iterations"
     return InversionResult(state, history, reason, trials)
 
 

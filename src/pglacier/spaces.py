@@ -23,6 +23,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import (BoundaryTag, Mesh, MeshError, boundary_frames, edge_keys,
                    triangle_edge_keys)
@@ -320,6 +321,14 @@ class SaddlePattern:
                              shape=self.shape)
 
 
+def _frozen(index):
+    """``index`` as a read-only int32 array, shared by every matrix built
+    on a per-mesh pattern."""
+    index = index.astype(np.int32, copy=False)
+    index.flags.writeable = False
+    return index
+
+
 def _saddle_pattern(spaces):
     """:class:`SaddlePattern` of ``spaces`` from the node-node, node-vertex
     and vertex-node adjacency of its triangles."""
@@ -394,16 +403,84 @@ def _saddle_pattern(spaces):
                              (own[i] * other[j])[mj], (other[i] * other[j])[both]])
     mixed = sp.csr_matrix((m_data, (m_rows, m_cols)), shape=(m.size, indices.size))
 
-    def frozen(index):
-        index = index.astype(np.int32, copy=False)
-        index.flags.writeable = False
-        return index
     # The two long slot maps are kept as int32: half the memory of the
     # per-mesh cache for a little conversion time in bincount and take.
-    return SaddlePattern((n, n), frozen(indptr), frozen(indices),
+    return SaddlePattern((n, n), _frozen(indptr), _frozen(indices),
                          velocity_slots.ravel().astype(np.int32), bed_slots.ravel(),
-                         coupling_slots, frozen(red_indptr), frozen(red_indices),
+                         coupling_slots, _frozen(red_indptr), _frozen(red_indices),
                          source.astype(np.int32), red_pos[m], mixed, unit_slots)
+
+
+@dataclass(frozen=True)
+class SaddleOrder:
+    """Node-blocked fill-reducing order of the eliminated saddle operator,
+    and the gather that permutes an operator into it.
+
+    ``order`` lists the system dofs node by node, in a minimum-degree
+    order of the P2 node graph (nodes that share a triangle): each
+    node's two velocity dofs, then its pressure dof if the node is a
+    vertex.  Each zero pressure diagonal is thus reached after pivots
+    on velocity dofs that couple to it, which a dof-by-dof order cannot
+    arrange, as it does not see that diagonal.  ``indptr``
+    and ``indices`` are the CSC pattern of ``A[order][:, order]`` for an
+    operator A on the eliminated pattern of :class:`SaddlePattern`, and
+    ``slots`` the position in A's data of each of its entries.
+    """
+
+    order: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+    def permute(self, matrix):
+        """``matrix[order][:, order]`` in CSC form, for ``matrix`` on the
+        eliminated saddle pattern."""
+        if matrix.nnz != self.slots.size:
+            raise ValueError("permute needs an operator on the eliminated "
+                             "saddle pattern")
+        return sp.csc_matrix((matrix.data[self.slots], self.indices, self.indptr),
+                             shape=matrix.shape)
+
+
+def _node_order(spaces):
+    """Minimum-degree order of the P2 node graph.
+
+    SciPy has no ordering-only call: an incomplete LU that drops every
+    off-diagonal entry of a diagonally dominant matrix on the graph runs
+    SuperLU's MMD on A + A^T at little factoring cost, and ``perm_c``
+    sends each node to its position.
+    """
+    nodes, nn = spaces.tri_p2_nodes, spaces.n_vnodes
+    _, row, col, _, count, _ = _adjacency(nodes[:, :, None], nodes[:, None, :],
+                                          nn, nn)
+    graph = sp.csc_matrix((np.where(row == col, count[row], -1.0), col,
+                           np.concatenate([[0], np.cumsum(count)])), shape=(nn, nn))
+    lu = spla.spilu(graph, permc_spec="MMD_AT_PLUS_A", drop_tol=np.inf,
+                    fill_factor=1.0)
+    return np.argsort(lu.perm_c)
+
+
+def _saddle_order(spaces):
+    """:class:`SaddleOrder` of ``spaces``: the node order expanded to
+    dofs, and the permuted pattern of the eliminated operator."""
+    nv, nn, n = spaces.mesh.num_vertices, spaces.n_vnodes, spaces.n_sys
+    node_dofs = np.full((nn, 3), -1)
+    node_dofs[:, 0] = 2 * np.arange(nn)
+    node_dofs[:, 1] = node_dofs[:, 0] + 1
+    node_dofs[:nv, 2] = spaces.n_u + np.arange(nv)
+    order = node_dofs[_node_order(spaces)].ravel()
+    order = order[order >= 0]
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+
+    pattern = spaces.saddle_pattern()
+    rows = np.repeat(position, np.diff(pattern.reduced_indptr))
+    # a CSC matrix whose data are the slots; conversion sorts each column
+    gather = sp.csc_matrix((np.arange(rows.size),
+                            (rows, position[pattern.reduced_indices])),
+                           shape=(n, n))
+    return SaddleOrder(_frozen(order), _frozen(gather.indptr),
+                       _frozen(gather.indices), _frozen(gather.data))
 
 
 class Spaces:
@@ -412,8 +489,9 @@ class Spaces:
     Built once per mesh by :func:`build_spaces`.  Holds the unique-edge
     table, physical basis gradients at quadrature points, boundary edge
     node triples and geometry, the velocity constraint set, and lazily
-    cached data used for assembly and regularization: the saddle
-    pattern (:meth:`saddle_pattern`) and auxiliary matrices.
+    cached data used for assembly, factorization and regularization:
+    the saddle pattern (:meth:`saddle_pattern`), the node-blocked order
+    of its LUs (:meth:`saddle_order`) and auxiliary matrices.
     """
 
     def __init__(self, mesh):
@@ -542,6 +620,13 @@ class Spaces:
         if "saddle_pattern" not in self._cache:
             self._cache["saddle_pattern"] = _saddle_pattern(self)
         return self._cache["saddle_pattern"]
+
+    def saddle_order(self):
+        """The :class:`SaddleOrder` of this mesh, built on the first
+        saddle factorization, apart from the pattern."""
+        if "saddle_order" not in self._cache:
+            self._cache["saddle_order"] = _saddle_order(self)
+        return self._cache["saddle_order"]
 
     def eliminate(self, matrix):
         """Symmetric row/column elimination with unit diagonal.

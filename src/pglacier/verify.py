@@ -225,7 +225,8 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
     nq = spaces.quadrature.edge_points.size
     system = assemble_adjoint_operator(v, rheology, friction, params)
     K = system.matrix.tocsr()[:spaces.n_u, :spaces.n_u]
-    lu = factorize(system.reduced())      # one LU for every dual solve
+    # one LU for every dual solve
+    lu = factorize(system.reduced(), spaces.saddle_order())
     coer_ok = True
     margin = np.inf
     for _ in range(DUAL_OBSERVATIONS):

@@ -334,3 +334,116 @@ def test_symmetric_lu_fills_less_than_colamd():
     rhs = spaces.reduce_vector(rng.standard_normal(spaces.n_sys))
     x, y = lu.solve(rhs), plain.solve(rhs)
     assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
+
+
+def bedded_spaces_16x8():
+    mesh = pg.generate_slab_mesh(2.0, 1.0, 16, 8,
+                                 bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
+    return pg.build_spaces(mesh)
+
+
+def test_saddle_order_is_node_blocked():
+    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
+    order = spaces.saddle_order().order
+    assert np.array_equal(np.sort(order), np.arange(spaces.n_sys))
+    position = np.empty(spaces.n_sys, dtype=np.int64)
+    position[order] = np.arange(spaces.n_sys)
+    # every node's two velocity dofs stand together, and a vertex's
+    # pressure dof follows them at once
+    nodes = np.arange(spaces.n_vnodes)
+    assert np.all(position[2 * nodes + 1] == position[2 * nodes] + 1)
+    vertices = np.arange(spaces.mesh.num_vertices)
+    assert np.all(position[spaces.n_u + vertices]
+                  == position[2 * vertices + 1] + 1)
+
+
+def test_saddle_order_is_built_once_per_mesh(monkeypatch, tilted_params):
+    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
+    builds = []
+    real = pg.spaces._saddle_order
+
+    def counted(spaces_):
+        builds.append(spaces_)
+        return real(spaces_)
+
+    monkeypatch.setattr(pg.spaces, "_saddle_order", counted)
+    spaces.saddle_pattern()
+    assert builds == []                     # the pattern alone does not
+    B, tau = coeffs(spaces)
+    sol = solve_forward(B, tau, tilted_params)
+    assert builds == [spaces]
+    cached = spaces.saddle_order()
+    factor_adjoint(sol.velocity, B, tau, tilted_params)
+    assert spaces.saddle_order() is cached
+    assert builds == [spaces]
+
+
+def test_gathered_permutation_equals_fancy_indexing():
+    spaces = bedded_spaces_16x8()
+    pattern = spaces.saddle_pattern()
+    matrix = pattern.eliminate(rng.standard_normal(pattern.nnz))
+    saddle = spaces.saddle_order()
+    gathered = saddle.permute(matrix)
+    indexed = matrix[saddle.order][:, saddle.order].tocsc()
+    indexed.sort_indices()
+    assert gathered.format == "csc"
+    assert np.array_equal(gathered.indptr, indexed.indptr)
+    assert np.array_equal(gathered.indices, indexed.indices)
+    assert np.array_equal(gathered.data, indexed.data)
+    with pytest.raises(ValueError, match="saddle pattern"):
+        saddle.permute(matrix[:, :-1])
+
+
+def test_node_order_fills_less_than_dof_minimum_degree():
+    spaces = bedded_spaces_16x8()
+    B, tau = coeffs(spaces)
+    params = PhysicsParams(body_force=TILTED_FORCE)
+    sol = solve_forward(B, tau, params)
+    assert sol.report.converged
+    assert sol.report.lu_fallbacks == 0
+    matrix = assemble_jacobian(sol.velocity, B, tau, params).reduced()
+    ordered, fell_back = forward._factorize(matrix, spaces.saddle_order())
+    dof_mmd, _ = forward._factorize(matrix)
+    assert not fell_back
+    assert (ordered.lu.L.nnz + ordered.lu.U.nnz
+            < dof_mmd.L.nnz + dof_mmd.U.nnz)
+    plain = scipy.sparse.linalg.splu(matrix.tocsc())
+    rhs = spaces.reduce_vector(rng.standard_normal(spaces.n_sys))
+    x, y = ordered.solve(rhs), plain.solve(rhs)
+    assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("how", ["raise", "probe"])
+def test_failed_ordered_lu_falls_back_to_unpermuted_colamd(
+        monkeypatch, slab_spaces, tilted_params, how):
+    B, tau = coeffs(slab_spaces)
+    matrix = assemble_jacobian(pg.zero_field(slab_spaces.velocity), B, tau,
+                               tilted_params).reduced()
+    rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+    saddle = slab_spaces.saddle_order()
+    real = scipy.sparse.linalg.splu
+    calls = []
+
+    def splu(csc, **kwargs):
+        calls.append((csc, kwargs))
+        if kwargs.get("options", {}).get("SymmetricMode"):
+            if how == "raise":
+                raise RuntimeError("Factor is exactly singular")
+            return _ProbeFailingLU()
+        return real(csc, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    lu, fell_back = forward._factorize(matrix, saddle)
+    assert fell_back
+    # the permuted symmetric attempt, then COLAMD with pivoting on the
+    # matrix as given
+    assert [kwargs.get("permc_spec") for _, kwargs in calls] == ["NATURAL", None]
+    assert calls[1][1] == {}
+    assert (calls[1][0] != matrix).nnz == 0
+    x = lu.solve(rhs)
+    assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    sol = solve_forward(B, tau, tilted_params)
+    assert sol.report.converged
+    assert sol.report.factorizations == 1
+    assert sol.report.lu_fallbacks == 1

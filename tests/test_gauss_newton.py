@@ -159,3 +159,51 @@ def test_boxed_twin_inversion_converges(fine_spaces, tilted_params,
     state = result.state
     assert in_box(state.rheology, state.friction, boxed)
     assert np.any(state.rheology.values == 0.9)
+
+
+@pytest.mark.parametrize("mode", ["full_vector", "tangential"])
+def test_noise_misfit_is_the_expected_misfit_of_the_truth(
+        slab_spaces, tilted_params, tight_solver, mode):
+    truth = (truth_rheology(slab_spaces), truth_friction(slab_spaces))
+    exact = pg.make_twin_data(*truth, tilted_params, mode=mode,
+                              solver_config=tight_solver)
+    assert inversion.noise_misfit(slab_spaces, exact) == 0.0
+    velocity = pg.solve_forward(*truth, tilted_params, tight_solver).velocity
+    sigma = 1e-3
+    draws = [pg.misfit(velocity, pg.Observation(
+        exact.samples + sigma * np.random.default_rng(seed).standard_normal(
+            exact.samples.shape), mode, sigma)) for seed in range(200)]
+    expected = inversion.noise_misfit(
+        slab_spaces, pg.Observation(exact.samples, mode, sigma))
+    assert abs(np.mean(draws) / expected - 1.0) <= 0.05
+
+
+def test_noisy_inversion_stops_at_the_noise_level(slab_spaces, tilted_params,
+                                                  tight_solver, base_coeffs):
+    truth = (truth_rheology(slab_spaces), truth_friction(slab_spaces))
+    obs = pg.make_twin_data(*truth, tilted_params, noise_sigma=1e-3,
+                            solver_config=tight_solver)
+    floor = inversion.DISCREPANCY_TAU * inversion.noise_misfit(slab_spaces, obs)
+    result = run_inversion(*base_coeffs, obs, tilted_params,
+                           OptimizationConfig(max_iterations=50), tight_solver)
+    misfits = [row[2] for row in result.history]
+    assert result.reason == "noise_level"
+    assert misfits[-1] <= floor < min(misfits[:-1])
+
+    # data that starts within the noise takes no step
+    start = run_inversion(*truth, obs, tilted_params,
+                          OptimizationConfig(max_iterations=50), tight_solver)
+    assert start.reason == "noise_level"
+    assert len(start.history) == 1 and start.trials == []
+
+
+
+def test_exact_data_never_stops_at_the_noise_level(
+        slab_spaces, tilted_params, tight_solver, twin_obs):
+    # started at the truth of exact data the misfit is exactly 0, which
+    # is at no noise level
+    truth = (truth_rheology(slab_spaces), truth_friction(slab_spaces))
+    result = run_inversion(*truth, twin_obs, tilted_params,
+                           OptimizationConfig(max_iterations=1), tight_solver)
+    assert result.history[0][2] == 0.0
+    assert result.reason != "noise_level"
