@@ -7,6 +7,11 @@ coercivity), and a discrete suite on an assembled problem checking the
 energy bound, the Hoelder bound of the viscous volume term, dual-
 operator coercivity and the measured trace constant.
 
+The pointwise sweep holds its samples component-major and runs them in
+cache-sized batches: a 2x2 or 2-vector kernel has only 2-4 components,
+so in the C layout every sum over them is an inner loop of that length,
+while with the sample axis innermost it is a few whole-vector passes.
+
 Every check returns a CheckResult; fitted constants are reported in
 the detail string so the CLI can print a table.
 """
@@ -32,6 +37,10 @@ DEFAULT_PRIME_DELTA_VALUES = (1e-3, 0.1, 1.0)
 
 TRACE_ITERATIONS = 200       # power iterations of trace_constant
 DUAL_OBSERVATIONS = 10       # random data of the dual-coercivity check
+
+# Samples per batch of the pointwise sweep: one (batch, 2, 2) array is
+# 256 KB, so a batch's kernel temporaries stay in cache.
+_SAMPLE_BATCH = 8192
 
 # Relative slack for comparisons that are exact in real arithmetic but
 # accumulate a few ulps in floats.
@@ -70,75 +79,96 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
     sample pairs and the vector kernel on 2-vector pairs.  The norm
     bound, monotonicity and Lipschitz checks accept delta = 0;
     derivative coercivity requires delta > 0 and a zero in
-    ``prime_delta_values`` is refused outright.
+    ``prime_delta_values`` is refused outright, as are an empty sweep
+    (``samples < 1`` or an empty value list) that would pass vacuously.
+
+    The samples are drawn at once, copied component-major (the sample
+    axis innermost in memory) and checked in batches of
+    ``_SAMPLE_BATCH``.  Every sum over the 2 or 4 kernel components is
+    then a few passes over whole vectors rather than an inner loop of
+    length 2-4, and a batch's temporaries stay in cache through all its
+    (p, delta) checks.  The batches fold into one max, min or all per
+    check, so the results do not depend on the batch size.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %r" % (samples,))
+    for name, values in (("p_values", p_values), ("delta_values", delta_values),
+                         ("prime_delta_values", prime_delta_values)):
+        if len(values) == 0:
+            raise ValueError("%s is empty: the sweep needs at least one value"
+                             % name)
     for d in prime_delta_values:
         if d <= 0.0:
             raise ValueError("derivative-kernel checks need delta > 0; "
                              "remove %r from the delta sweep" % (d,))
     rng = np.random.default_rng(seed)
-    P, Q, W, u, v, w = _sample_pairs(rng, samples)
-    # One row per kernel law: kernel, derivative, kernel axes, the sample
-    # pair (x, y), the coercivity direction and whether the law's scaled
-    # monotonicity ratio is reported (the matrix law's only).
-    laws = ((s_omega, s_omega_prime_apply, (-2, -1), P, Q, W, True),
-            (s_gamma, s_gamma_prime_apply, (-1,), u, v, w, False))
-    # |x|, |y| and |x - y|^2 per law, the only arrays kept across the sweep.
-    norms = [(np.sqrt((x ** 2).sum(axis=axes)), np.sqrt((y ** 2).sum(axis=axes)),
-              ((x - y) ** 2).sum(axis=axes))
-             for _, _, axes, x, y, _, _ in laws]
-
-    # (a) |S(x)| <= |x|^(p-1), (b) strict monotonicity with the scaled
-    # ratio of :func:`monotonicity_witness` and (c) the two-sided ratio
-    # constants, from one evaluation of each kernel on x and on y per
-    # (p, delta).
-    norm_ok = mono_ok = True
+    # Each draw is replaced in turn by a copy with the sample axis
+    # innermost in memory, viewed back in its shape (n, ...), so at most
+    # one extra array is held and every batch below is a view.
+    draws = list(_sample_pairs(rng, samples))
+    for k in range(len(draws)):
+        draws[k] = np.moveaxis(
+            np.ascontiguousarray(np.moveaxis(draws[k], 0, -1)), -1, 0)
+    norm_ok = mono_ok = coer_ok = True
     worst = lip_max = 0.0
-    ratio_min = np.inf
-    for pv in p_values:
-        for dv in delta_values:
-            params = PhysicsParams(p=pv, delta=dv)
-            for (kernel, _, axes, x, y, _, scaled), (nx, ny, d2) in zip(laws, norms):
-                sx = kernel(x, params)
-                lhs = np.sqrt((sx ** 2).sum(axis=axes))
-                rhs = nx ** (pv - 1.0)
-                norm_ok &= bool(np.all(lhs <= rhs * (1.0 + _EPS)))
-                worst = max(worst, float((lhs / rhs).max()))
-                sx -= kernel(y, params)                 # S(x) - S(y)
-                pairing = (sx * (x - y)).sum(axis=axes)
-                mono_ok &= bool(np.all(pairing > 0.0))
-                base = (dv + nx + ny) ** (pv - 2.0)
-                if scaled:
-                    bound = base * d2
-                    ratio_min = min(ratio_min, float(np.nanmin(np.where(
-                        bound > 0.0, pairing / np.where(bound > 0.0, bound, 1.0),
-                        np.nan))))
-                lip = np.sqrt((sx ** 2).sum(axis=axes)) / (base * np.sqrt(d2))
-                lip_max = max(lip_max, float(lip.max()))
-    results = [
+    ratio_min = margin_min = np.inf
+    for lo in range(0, samples, _SAMPLE_BATCH):
+        P, Q, W, u, v, w = (a[lo:lo + _SAMPLE_BATCH] for a in draws)
+        # One row per kernel law: kernel, derivative, kernel axes, the
+        # sample pair (x, y), the coercivity direction and whether the
+        # law's scaled monotonicity ratio is reported (the matrix law's
+        # only).  Built here, so the kernels are looked up at call time.
+        laws = ((s_omega, s_omega_prime_apply, (-2, -1), P, Q, W, True),
+                (s_gamma, s_gamma_prime_apply, (-1,), u, v, w, False))
+        for kernel, prime, axes, x, y, z, scaled in laws:
+            x2 = (x ** 2).sum(axis=axes)
+            nx = np.sqrt(x2)
+            ny = np.sqrt((y ** 2).sum(axis=axes))
+            d2 = ((x - y) ** 2).sum(axis=axes)
+            # (a) |S(x)| <= |x|^(p-1), (b) strict monotonicity with the
+            # scaled ratio of :func:`monotonicity_witness` and (c) the
+            # two-sided ratio constants, from one evaluation of the
+            # kernel on x and on y per (p, delta).
+            for pv in p_values:
+                for dv in delta_values:
+                    params = PhysicsParams(p=pv, delta=dv)
+                    sx = kernel(x, params)
+                    lhs = np.sqrt((sx ** 2).sum(axis=axes))
+                    rhs = nx ** (pv - 1.0)
+                    norm_ok &= bool(np.all(lhs <= rhs * (1.0 + _EPS)))
+                    worst = max(worst, float((lhs / rhs).max()))
+                    sx -= kernel(y, params)             # S(x) - S(y)
+                    pairing = (sx * (x - y)).sum(axis=axes)
+                    mono_ok &= bool(np.all(pairing > 0.0))
+                    base = (dv + nx + ny) ** (pv - 2.0)
+                    if scaled:
+                        bound = base * d2
+                        ratio_min = min(ratio_min, float(np.nanmin(np.where(
+                            bound > 0.0,
+                            pairing / np.where(bound > 0.0, bound, 1.0),
+                            np.nan))))
+                    lip = np.sqrt((sx ** 2).sum(axis=axes)) / (base * np.sqrt(d2))
+                    lip_max = max(lip_max, float(lip.max()))
+
+            # (d) derivative coercivity, delta > 0 only.
+            z2 = (z ** 2).sum(axis=axes)
+            for pv in p_values:
+                for dv in prime_delta_values:
+                    params = PhysicsParams(p=pv, delta=dv)
+                    form = (prime(x, z, params) * z).sum(axis=axes)
+                    scale = (x2 + dv ** 2) ** ((pv - 2.0) / 2.0) * z2
+                    coer_ok &= bool(np.all(form >= (pv - 1.0) * scale - _EPS * scale))
+                    margin_min = min(margin_min,
+                                     float((form / scale).min() - (pv - 1.0)))
+    return [
         CheckResult("kernel norm bound |S(P)| <= |P|^(p-1)", norm_ok,
                     "max ratio %.15g" % worst),
         CheckResult("strict monotonicity (S(P)-S(Q)):(P-Q) > 0", mono_ok,
                     "min scaled ratio %.15g" % ratio_min),
         CheckResult("Lipschitz ratio (fitted constant < 10)",
-                    bool(lip_max < 10.0), "fitted C = %.15g" % lip_max)]
-
-    # (d) derivative coercivity, delta > 0 only.
-    coer_ok = True
-    margin_min = np.inf
-    for _, prime, axes, x, _, w, _ in laws:
-        x2, w2 = (x ** 2).sum(axis=axes), (w ** 2).sum(axis=axes)
-        for pv in p_values:
-            for dv in prime_delta_values:
-                params = PhysicsParams(p=pv, delta=dv)
-                form = (prime(x, w, params) * w).sum(axis=axes)
-                scale = (x2 + dv ** 2) ** ((pv - 2.0) / 2.0) * w2
-                coer_ok &= bool(np.all(form >= (pv - 1.0) * scale - _EPS * scale))
-                margin_min = min(margin_min,
-                                 float((form / scale).min() - (pv - 1.0)))
-    results.append(CheckResult("derivative coercivity >= (p-1) scale",
-                               coer_ok, "min margin %.3g" % margin_min))
-    return results
+                    bool(lip_max < 10.0), "fitted C = %.15g" % lip_max),
+        CheckResult("derivative coercivity >= (p-1) scale",
+                    coer_ok, "min margin %.3g" % margin_min)]
 
 
 def _random_admissible(spaces, rng):
@@ -157,14 +187,14 @@ def trace_constant(spaces):
     H1 = (mass + stiffness).tocsc()
     lu = factorize(H1)
     x = np.ones(spaces.n_u)
-    lam = 0.0
     for _ in range(TRACE_ITERATIONS):
         y = lu.solve(M_tr @ x)
         nrm = np.linalg.norm(y)
         if nrm == 0.0:
             return 0.0
         x = y / nrm
-        lam = float(x @ (M_tr @ x)) / float(x @ (H1 @ x))
+    # the Rayleigh quotient of the last iterate
+    lam = float(x @ (M_tr @ x)) / float(x @ (H1 @ x))
     return float(np.sqrt(lam))
 
 

@@ -5,6 +5,8 @@ import pytest
 
 import pglacier as pg
 from conftest import reference_pointwise_suite
+from pglacier import verify
+from pglacier.tensor_ops import s_omega
 from pglacier.verify import (CheckResult, discrete_suite, pointwise_suite,
                              trace_constant)
 
@@ -62,6 +64,42 @@ def test_pointwise_suite_matches_reference(kwargs):
 def test_pointwise_rejects_nonpositive_prime_delta(bad):
     with pytest.raises(ValueError, match="remove %r from the delta sweep" % bad):
         pointwise_suite(samples=100, prime_delta_values=[0.1, bad])
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_pointwise_rejects_empty_sample_count(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        pointwise_suite(samples=samples)
+
+
+@pytest.mark.parametrize("name", ["p_values", "delta_values",
+                                  "prime_delta_values"])
+def test_pointwise_rejects_empty_value_list(name):
+    # an empty sweep would report PASS with an infinite ratio or margin
+    with pytest.raises(ValueError, match="%s is empty" % name):
+        pointwise_suite(samples=100, **{name: []})
+
+
+@pytest.mark.parametrize("batch", [1000, 20000])
+def test_pointwise_suite_is_batch_invariant(monkeypatch, batch):
+    # 10007 is no multiple of 1000, so the last batch is short; 20000
+    # checks every sample in one batch
+    expected = [r.line() for r in pointwise_suite(samples=10007, seed=3)]
+    monkeypatch.setattr(verify, "_SAMPLE_BATCH", batch)
+    assert [r.line() for r in pointwise_suite(samples=10007, seed=3)] == expected
+
+
+def test_pointwise_suite_looks_up_the_matrix_kernel_at_call_time(monkeypatch):
+    # the benchmark's speed clock probes from a hook at verify.s_omega
+    calls = []
+
+    def counting(P, params):
+        calls.append(P.shape)
+        return s_omega(P, params)
+
+    monkeypatch.setattr(verify, "s_omega", counting)
+    pointwise_suite(samples=100, p_values=[1.5], delta_values=[0.1])
+    assert calls == [(100, 2, 2)] * 2
 
 
 def test_discrete_suite_passes(slab_spaces, tilted_params, base_coeffs):
