@@ -15,7 +15,9 @@ Factoring and solving are separate steps: ``factor_adjoint`` makes the
 sparse LU of the reduced operator, and ``solve_adjoint`` always takes
 that LU, so one factorization serves every dual solve at a state and,
 in the inversion, the Gauss-Newton Hessian products there and the
-forward solves of the next line-search trials.
+forward solves of the next line-search trials.  Those products apply
+the misfit's second derivative as one sparse matrix, the observation
+Gram matrix of ``observation_gram``, cached per mesh and mode.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _basal_quad_integral, assemble_adjoint_operator, trace_dual
+from .assembly import (_basal_quad_integral, _cached, _element_matrix, _pair_trace,
+                       assemble_adjoint_operator, trace_dual)
 from .forward import factorize
 from .spaces import Field, velocity_trace
 
@@ -104,6 +107,29 @@ def misfit_derivative_rhs(velocity, obs):
     return spaces.project_dual(out)
 
 
+def observation_gram(spaces, mode):
+    """Gram matrix Q^ of the projected velocity trace on the observed
+    edges, in the reduced frame (n_sys x n_sys), cached per mesh and
+    projection mode: for a reduced system vector w with zero constrained
+    entries, ``Q^ @ w`` is the reduced misfit derivative of the velocity
+    part of ``expand_vector(w)`` against zero data."""
+    def build():
+        observed = spaces.mesh.observed_edges
+        tv = spaces.edge_trace_vals
+        mass = _pair_trace(spaces, observed, tv[None], tv)        # (k, a, b)
+        if mode == "tangential":
+            t = spaces.bedge_tangents[observed]
+            frame = t[:, :, None] * t[:, None, :]                 # (k, c, d)
+        else:
+            frame = np.broadcast_to(np.eye(2), (observed.size, 2, 2))
+        blocks = np.einsum("kab,kcd->kacbd", mass, frame).reshape(-1, 6, 6)
+        dofs = spaces.trace_dofs(observed)
+        gram = _element_matrix(blocks, dofs, dofs, (spaces.n_u, spaces.n_u))
+        reduction = spaces.velocity_reduction()
+        return (reduction @ gram @ reduction.T).tocsr()
+    return _cached(spaces, "observation_gram_" + mode, build)
+
+
 def factor_adjoint(velocity, rheology, friction, params):
     """Sparse LU of the reduced dual operator at the converged state,
     which is the forward Jacobian there (``assemble_adjoint_operator``
@@ -121,11 +147,6 @@ def solve_adjoint(velocity, obs, lu):
     the homogeneous constraints.
     """
     spaces = velocity.space.parent
-    x = solve_held(spaces, lu, -misfit_derivative_rhs(velocity, obs))
+    x = spaces.expand_vector(lu.solve(spaces.reduce_vector(
+        -misfit_derivative_rhs(velocity, obs))))
     return Field(spaces.velocity, x[:spaces.n_u])
-
-
-def solve_held(spaces, lu, dual):
-    """System vector solving the reduced operator held as ``lu`` against
-    the system dual vector ``dual``, both in plain x/y components."""
-    return spaces.expand_vector(lu.solve(spaces.reduce_vector(dual)))

@@ -23,6 +23,9 @@ trace values.  Dual vectors are scattered with ``np.bincount``;
 operators are written straight into the data array of the mesh's fixed
 saddle pattern (:meth:`Spaces.saddle_pattern`) through its slot maps,
 and constraint elimination is index arithmetic (a gather) on that data.
+The coefficient Jacobian (:func:`assemble_coeff_jacobian`), whose
+products are the coefficient derivative and the gradient duals, and
+the auxiliary matrices sum their element blocks by COO conversion.
 The four linear-element mass and stiffness matrices keep their closed
 forms.  Each space has one pair of Gram matrices (:func:`gram_matrices`)
 and its L2, V2 and H1 norms are their quadratic forms; integrals of
@@ -192,43 +195,29 @@ def _strain(grad):
     return 0.5 * (grad + np.swapaxes(grad, 2, 3))
 
 
-def _viscous_flux(grad, rheology, params, mu0):
-    """B S(Dv) + mu0 grad v at every quadrature point, as a flux with
-    axes (t, q, j, c) for the component c and the derivative x_j."""
-    flux = scalar_values_at_quadrature(rheology)[:, :, None, None] \
-        * s_omega(_strain(grad), params)
-    if mu0:
-        flux += mu0 * np.swapaxes(grad, 2, 3)
-    return flux
-
-
-def _bed_dual(spaces, velocity, friction, params):
-    """Velocity dual of (tau S(v), phi) on the bed."""
-    bed = spaces.basal_edge_indices
-    traction = basal_coeff_on_edges(friction)[:, :, None] \
-        * s_gamma(velocity_trace(velocity, bed), params)
-    return trace_dual(spaces, bed, traction)
-
-
-def _momentum_dual(spaces, local, velocity, friction, params):
-    """Velocity dual: element vectors (nt, 6, 2) plus the bed term."""
-    return _scatter(spaces.tri_vel_dofs, local, spaces.n_u) \
-        + _bed_dual(spaces, velocity, friction, params)
-
-
 def _residual_raw(velocity, pressure, rheology, friction, params):
     """Unprojected dual vector of the momentum/continuity residual."""
     spaces = _check_args(velocity, rheology, friction)
     grad = velocity_gradients_at_quadrature(velocity)
-    flux = _viscous_flux(grad, rheology, params, params.mu0)
+    # B S(Dv) + mu0 grad v as a flux, axes (t, q, j, c) for the
+    # component c and the derivative x_j
+    flux = scalar_values_at_quadrature(rheology)[:, :, None, None] \
+        * s_omega(_strain(grad), params)
+    if params.mu0:
+        flux += params.mu0 * np.swapaxes(grad, 2, 3)
     pi_q = scalar_values_at_quadrature(pressure)
     flux[:, :, 0, 0] -= pi_q
     flux[:, :, 1, 1] -= pi_q
     load = np.broadcast_to(params.body_force, (1, spaces.p2_vals.shape[0], 2))
     local = _pair_volume(spaces, flux) - _pair_volume(spaces, load, spaces.p2_vals)
     r_p = _pair_volume(spaces, grad[:, :, 0, 0] + grad[:, :, 1, 1], spaces.p1_vals)
+    # the bed term (tau S(v), phi)
+    bed = spaces.basal_edge_indices
+    traction = basal_coeff_on_edges(friction)[:, :, None] \
+        * s_gamma(velocity_trace(velocity, bed), params)
     return np.concatenate([
-        _momentum_dual(spaces, local, velocity, friction, params),
+        _scatter(spaces.tri_vel_dofs, local, spaces.n_u)
+        + trace_dual(spaces, bed, traction),
         _scatter(spaces.mesh.triangles, r_p, spaces.mesh.num_vertices)])
 
 
@@ -245,9 +234,42 @@ def assemble_residual(velocity, pressure, rheology, friction, params):
                                              friction, params))
 
 
+def assemble_coeff_jacobian(velocity, params):
+    """Derivative of the operator with respect to the coefficients at a
+    fixed velocity: the sparse matrix G(v) of the bilinear form
+
+        b(v; c, phi) = (c_B S(Dv), grad phi) + (c_tau S(v), phi) on the bed,
+
+    with one row per velocity dof and one column per coefficient dof,
+    the vertex space first, then the bed chain (n_u x (n_vertices +
+    n_bed), CSR).  ``G @ c`` is the velocity part of the operator
+    derivative along c, and ``G.T @ lambda`` stacks the cost gradient's
+    data terms for a dual state lambda.
+    """
+    spaces = _require_spaces(velocity, SpaceKind.VELOCITY_P2_VEC)
+    nv = spaces.mesh.num_vertices
+    shape = (spaces.n_u, nv + spaces.coeff_basal.dof_count)
+    S = s_omega(_strain(velocity_gradients_at_quadrature(velocity)), params)
+    # flux of each vertex basis direction, axes (t, q, j, c, k)
+    volume = _pair_volume(spaces, S[..., None] * spaces.p1_vals[None, :, None, None, :])
+    # traction of each bed-chain basis direction, axes (k, m, c, l)
+    bed = spaces.basal_edge_indices
+    s = spaces.quadrature.edge_points
+    hats = np.stack([1.0 - s, s], axis=1)
+    traction = s_gamma(velocity_trace(velocity, bed), params)[..., None] \
+        * hats[:, None, :]
+    bed_blocks = _pair_trace(spaces, bed, traction, spaces.edge_trace_vals)
+    return (_element_matrix(volume.reshape(-1, 12, 3), spaces.tri_vel_dofs,
+                            spaces.mesh.triangles, shape)
+            + _element_matrix(bed_blocks.reshape(-1, 6, 2), spaces.trace_dofs(bed),
+                              nv + spaces.basal_edge_dofs, shape))
+
+
 def assemble_coeff_derivative(velocity, rheology_dir, friction_dir, params):
     """Dual vector of the operator derivative with respect to the
-    coefficients, in directions (rheology_dir, friction_dir).
+    coefficients, in directions (rheology_dir, friction_dir): the
+    constraint projection of ``G d`` for the coefficient Jacobian G of
+    :func:`assemble_coeff_jacobian`.
 
     Velocity-test entries are (Btilde S(Dv), grad phi) plus the bed term
     (tautilde S(v), phi); pressure-test entries are zero.  Linear in the
@@ -258,32 +280,22 @@ def assemble_coeff_derivative(velocity, rheology_dir, friction_dir, params):
         raise ValueError("rheology direction must live on the vertex space")
     if friction_dir.space.kind is not SpaceKind.COEFF_BASAL_P1:
         raise ValueError("friction direction must live on the bed chain")
-    flux = _viscous_flux(velocity_gradients_at_quadrature(velocity), rheology_dir,
-                         params, 0.0)
     out = np.zeros(spaces.n_sys)
-    out[:spaces.n_u] = _momentum_dual(spaces, _pair_volume(spaces, flux), velocity,
-                                      friction_dir, params)
+    out[:spaces.n_u] = assemble_coeff_jacobian(velocity, params) @ np.concatenate(
+        [rheology_dir.values, friction_dir.values])
     return spaces.project_dual(out)
 
 
 def assemble_coeff_gradient_duals(velocity, adjoint, params):
     """Dual vectors of the cost gradient's data terms on the coefficient
     spaces: per vertex basis N_k the integral of N_k S(Dv) : grad(lambda)
-    and per bed basis N_m the integral of N_m S(v) . lambda."""
+    and per bed basis N_m the integral of N_m S(v) . lambda, the two
+    parts of ``G.T @ lambda`` for the coefficient Jacobian G of
+    :func:`assemble_coeff_jacobian`."""
     spaces = _require_spaces(velocity, SpaceKind.VELOCITY_P2_VEC)
-    S = s_omega(_strain(velocity_gradients_at_quadrature(velocity)), params)
-    inner = (S * velocity_gradients_at_quadrature(adjoint)).sum(axis=(2, 3))
-    g_rheo = _scatter(spaces.mesh.triangles,
-                      _pair_volume(spaces, inner, spaces.p1_vals),
-                      spaces.mesh.num_vertices)
-    bed = spaces.basal_edge_indices
-    pair = (s_gamma(velocity_trace(velocity, bed), params)
-            * velocity_trace(adjoint, bed)).sum(axis=2)
-    s = spaces.quadrature.edge_points
-    g_fric = _scatter(spaces.basal_edge_dofs,
-                      _pair_trace(spaces, bed, pair, np.stack([1.0 - s, s], axis=1)),
-                      spaces.coeff_basal.dof_count)
-    return g_rheo, g_fric
+    g = assemble_coeff_jacobian(velocity, params).T @ adjoint.values
+    nv = spaces.mesh.num_vertices
+    return g[:nv], g[nv:]
 
 
 # -- operators on the saddle pattern -------------------------------------

@@ -10,10 +10,13 @@ onto it, CG preconditioned by the Riesz map solves the Gauss-Newton
 system on the other nodes, and a monotone Armijo search backtracks
 from the full projected step.  Only an accepted iterate gets a
 gradient, which factors the dual operator (the Jacobian) at its state,
-solves the dual problem and keeps the LU.  That one LU serves the whole
-iterate: every Gauss-Newton Hessian product is two solves on it, and
-it preconditions the forward solves of the next trials, each warm
-started from the first-order prediction of its state.  Every trial,
+solves the dual problem and keeps the LU, together with the
+coefficient Jacobian G of the operator at that state in the reduced
+frame.  Those two serve the whole iterate: every Gauss-Newton Hessian
+product is two solves on the LU between sparse products with G, the
+observation Gram matrix and G^T, and the LU preconditions the forward
+solves of the next trials, each warm started from the first-order
+prediction of its state, itself one solve on G d.  Every trial,
 accepted, rejected or failed, is logged.  Every cost is a state from
 :func:`make_state`, and the Taylor check perturbs one such state with
 the same warm start and preconditioner.
@@ -26,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import (Observation, _projected_trace, factor_adjoint, misfit,
-                      misfit_derivative_rhs, solve_adjoint, solve_held)
-from .assembly import (_cached, assemble_coeff_derivative,
-                       assemble_coeff_gradient_duals, basal_p1_stiffness,
-                       gram_matrices, omega_p1_stiffness, solver_sign)
+                      observation_gram, solve_adjoint)
+from .assembly import (_cached, assemble_coeff_jacobian, basal_p1_stiffness,
+                       gram_matrices, omega_p1_stiffness)
 from .forward import SolverError, factorize, solve_forward
 from .spaces import Field, SpaceKind
 
@@ -91,10 +93,13 @@ class InversionState:
     """Current iterate with its cached solves and gradient data.
 
     The forward state and cost are solved when the state is made; the
-    dual state and the LU of the dual operator it was solved with are
-    filled by the first gradient request.  The cache token ties the
-    stored solves to the coefficient values they were made for;
-    gradient evaluation refuses stale states.
+    dual state, the LU of the dual operator it was solved with and the
+    coefficient Jacobian in the reduced frame (``coeff_jacobian``, from
+    :func:`assemble_coeff_jacobian` and the mesh's velocity reduction,
+    with its transpose ``coeff_jacobian_t``) are filled by the first
+    gradient request.  The cache token ties the stored solves and
+    operators to the coefficient values they were made for; gradients,
+    linearized states and Hessian products refuse stale states.
     """
 
     rheology: Field
@@ -105,6 +110,8 @@ class InversionState:
     obs: Observation
     adjoint_state: Field = None
     adjoint_lu: object = None
+    coeff_jacobian: object = None
+    coeff_jacobian_t: object = None
     grad_rheology: Field = None
     grad_friction: Field = None
     grad_rheology_dual: np.ndarray = None
@@ -207,20 +214,32 @@ def gradient_duals(state, params):
     spaces (data terms via the dual state plus Tikhonov terms).
 
     The first request at a state factors the dual operator, solves the
-    dual problem and keeps both on the state.
+    dual problem and assembles the reduced coefficient Jacobian, and
+    keeps all three on the state; the data terms are G^T applied to the
+    reduced dual state.
     """
     if state._token != state.token():
         raise ValueError("stale inversion state: coefficients changed since "
                          "the cached solves")
+    spaces = state.rheology.space.parent
     if state.adjoint_state is None:
         state.adjoint_lu = factor_adjoint(state.velocity, state.rheology,
                                           state.friction, params)
         state.adjoint_state = solve_adjoint(state.velocity, state.obs,
                                             state.adjoint_lu)
-    g_rheo, g_fric = assemble_coeff_gradient_duals(state.velocity,
-                                                   state.adjoint_state, params)
+        state.coeff_jacobian = spaces.velocity_reduction() @ \
+            assemble_coeff_jacobian(state.velocity, params)
+        state.coeff_jacobian_t = state.coeff_jacobian.T.tocsr()
+    g_rheo, g_fric = _split(spaces, state.coeff_jacobian_t @ (
+        spaces.velocity_reduction() @ state.adjoint_state.values))
     r_rheo, r_fric = _tikhonov_duals(state.rheology, state.friction, params)
     return g_rheo + r_rheo, g_fric + r_fric
+
+
+def _split(spaces, stacked):
+    """The vertex and bed parts of a stacked coefficient vector."""
+    n = spaces.coeff_omega.dof_count
+    return stacked[:n], stacked[n:]
 
 
 def _tikhonov_duals(rheology, friction, params):
@@ -272,37 +291,41 @@ def directional_derivative(state, rheology_dir, friction_dir, params):
     return float(g_rheo @ rheology_dir.values + g_fric @ friction_dir.values)
 
 
+def _held_solve(state, rheology_dir, friction_dir):
+    """Reduced system vector J^-1 (-G d) for the direction d on the held
+    LU of the state's dual operator (the Jacobian J) and its reduced
+    coefficient Jacobian G."""
+    if state._token != state.token() or state.coeff_jacobian is None:
+        raise ValueError("Hessian products and linearized states need a "
+                         "fresh state with its gradient evaluated")
+    d = np.concatenate([rheology_dir.values, friction_dir.values])
+    return state.adjoint_lu.solve(-(state.coeff_jacobian @ d))
+
+
 def linearized_state(state, rheology_dir, friction_dir, params):
     """First-order change of the forward state along a coefficient
-    direction: the system vector J^-1 (-sign dR/dc[d]) on the held LU of
-    the state's dual operator (the Jacobian)."""
+    direction, at a state whose gradient was evaluated: the system
+    vector of J^-1 (-G d) in plain x/y components, one solve on the
+    held LU."""
     spaces = state.rheology.space.parent
-    rhs = -(solver_sign(spaces) * assemble_coeff_derivative(
-        state.velocity, rheology_dir, friction_dir, params))
-    return solve_held(spaces, state.adjoint_lu, rhs)
+    return spaces.expand_vector(_held_solve(state, rheology_dir, friction_dir))
 
 
 def hessian_product(state, rheology_dir, friction_dir, params):
     """Dual vectors of the Gauss-Newton Hessian of the reduced cost
-    applied to a coefficient direction, at a state whose gradient was
+    applied to a coefficient direction d, at a state whose gradient was
     evaluated.
 
-    Two solves on the held LU and three assemblies: the linearized
-    velocity du, the misfit derivative of du against zero data, the dual
-    solve of its negative and the pairing of that dual state with the
-    coefficient derivative, plus the Tikhonov terms.
+    Two solves on the held LU and sparse products with the held reduced
+    coefficient Jacobian G and the mesh's observation Gram matrix Q:
+    w = J^-1 (-G d) is the linearized state, z = J^-1 (-Q w) the dual
+    state of its misfit against zero data, and G^T z, plus the Tikhonov
+    terms, the product.  No element assembly runs.
     """
-    if state._token != state.token() or state.adjoint_lu is None:
-        raise ValueError("Hessian products need a fresh state with its "
-                         "gradient evaluated")
     spaces = state.rheology.space.parent
-    n_u = spaces.n_u
-    du = Field(spaces.velocity,
-               linearized_state(state, rheology_dir, friction_dir, params)[:n_u])
-    zero = Observation(np.zeros_like(state.obs.samples), state.obs.mode)
-    dl = Field(spaces.velocity, solve_held(
-        spaces, state.adjoint_lu, -misfit_derivative_rhs(du, zero))[:n_u])
-    h_rheo, h_fric = assemble_coeff_gradient_duals(state.velocity, dl, params)
+    w = _held_solve(state, rheology_dir, friction_dir)
+    z = state.adjoint_lu.solve(-(observation_gram(spaces, state.obs.mode) @ w))
+    h_rheo, h_fric = _split(spaces, state.coeff_jacobian_t @ z)
     r_rheo, r_fric = _tikhonov_duals(rheology_dir, friction_dir, params)
     return h_rheo + r_rheo, h_fric + r_fric
 
@@ -315,8 +338,8 @@ def _stacked(state):
 
 
 def _coefficient_fields(spaces, x):
-    n = spaces.coeff_omega.dof_count
-    return Field(spaces.coeff_omega, x[:n]), Field(spaces.coeff_basal, x[n:])
+    b, f = _split(spaces, x)
+    return Field(spaces.coeff_omega, b), Field(spaces.coeff_basal, f)
 
 
 def _bounds(spaces, params):
@@ -334,9 +357,9 @@ def _points_out(x, g, bounds, eps):
 
 def _riesz(spaces, dual, representation):
     """Stacked Riesz representative of a stacked dual vector."""
-    n = spaces.coeff_omega.dof_count
-    return np.concatenate([represent(dual[:n], spaces, "omega", representation),
-                           represent(dual[n:], spaces, "basal", representation)])
+    omega, basal = _split(spaces, dual)
+    return np.concatenate([represent(omega, spaces, "omega", representation),
+                           represent(basal, spaces, "basal", representation)])
 
 
 def _gauss_newton_step(state, params, representation, free, g0):

@@ -597,15 +597,31 @@ class Spaces:
             [self.constraints.rotation, sp.identity(nv, format="csr")], format="csr")
         self.sys_constrained = np.concatenate(
             [self.constraints.constrained, np.zeros(nv, dtype=bool)])
+        # R^T as its own CSR matrix: transposing R per call builds a new
+        # CSC matrix each time
+        self._rotation_t = self.sys_rotation.T.tocsr()
         self._cache = {}
 
     # -- constraint plumbing on full system vectors/matrices ------------
 
     def reduce_vector(self, vec):
         """Rotate a dual/system vector and zero its constrained entries."""
-        out = self.sys_rotation.T @ vec
+        out = self._rotation_t @ vec
         out[self.sys_constrained] = 0.0
         return out
+
+    def velocity_reduction(self):
+        """The row map ``P R^T`` of the velocity dofs, built on first use:
+        an (n_sys, n_u) CSR matrix whose product with a matrix M of one
+        row per velocity dof is M in the reduced frame, each column the
+        :meth:`reduce_vector` of that column with zero pressure entries."""
+        if "velocity_reduction" not in self._cache:
+            keep = np.flatnonzero(~self.sys_constrained[:self.n_u])
+            select = sp.csr_matrix((np.ones(keep.size), (keep, keep)),
+                                   shape=(self.n_sys, self.n_u))
+            self._cache["velocity_reduction"] = (
+                select @ self._rotation_t[:self.n_u, :self.n_u]).tocsr()
+        return self._cache["velocity_reduction"]
 
     def expand_vector(self, reduced):
         """Back from the rotated frame to plain x/y components."""

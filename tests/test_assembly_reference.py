@@ -4,7 +4,9 @@ The reference below loops over quadrature points, contracts each with
 ``einsum`` over all triangles (or bed edges) and sums element blocks by
 COO conversion, as the kernels did before they were fused.  It pins the
 fused residual, Jacobian, eliminated Jacobian and gradient duals to that
-math on a bedded slab with a random constraint-satisfying state.
+math on a bedded slab with a random constraint-satisfying state, and
+the coefficient Jacobian G, held per inversion iterate, to the element
+path of the operator derivative and the gradient duals it replaced.
 """
 
 import numpy as np
@@ -13,8 +15,9 @@ import scipy.sparse as sp
 
 import pglacier as pg
 from pglacier.mesh import BoundaryTag
-from pglacier.assembly import (_residual_raw, assemble_coeff_gradient_duals,
-                               assemble_jacobian)
+from pglacier.assembly import (_residual_raw, assemble_coeff_derivative,
+                               assemble_coeff_gradient_duals,
+                               assemble_coeff_jacobian, assemble_jacobian)
 from pglacier.spaces import (basal_coeff_on_edges, scalar_values_at_quadrature,
                              velocity_gradients_at_quadrature, velocity_trace)
 from pglacier.tensor_ops import s_gamma, s_omega
@@ -167,6 +170,32 @@ def reference_gradient_duals(spaces, velocity, adjoint, params):
     return g_rheo, g_fric
 
 
+def reference_coeff_derivative(spaces, velocity, rheology_dir, friction_dir,
+                               params):
+    """Velocity dual of (Btilde S(Dv), grad phi) + (tautilde S(v), phi) on
+    the bed, element by element."""
+    q = spaces.quadrature
+    grad = velocity_gradients_at_quadrature(velocity)
+    S = s_omega(0.5 * (grad + np.swapaxes(grad, 2, 3)), params)
+    B_q = scalar_values_at_quadrature(rheology_dir)
+    r_u = np.zeros((spaces.mesh.num_triangles, 6, 2))
+    for iq in range(q.tri_weights.size):
+        detw = q.tri_weights[iq] * spaces.det
+        r_u += np.einsum("t,tcj,taj->tac", detw * B_q[:, iq], S[:, iq],
+                         spaces.phys_grads[:, iq])
+    out = np.zeros(spaces.n_u)
+    np.add.at(out, spaces.tri_vel_dofs.ravel(), r_u.ravel())
+    bed = spaces.basal_edge_indices
+    Sg = s_gamma(velocity_trace(velocity, bed), params) \
+        * basal_coeff_on_edges(friction_dir)[:, :, None]
+    r_e = np.zeros((bed.size, 3, 2))
+    for im in range(q.edge_weights.size):
+        lw = q.edge_weights[im] * spaces.bedge_lengths[bed]
+        r_e += np.einsum("k,kc,a->kac", lw, Sg[:, im], spaces.edge_trace_vals[im])
+    np.add.at(out, bed_dofs(spaces).ravel(), r_e.ravel())
+    return out
+
+
 def relative_gap(a, b):
     assert a.shape == b.shape
     return np.max(np.abs(a - b)) / np.max(np.abs(b)) if b.size else 0.0
@@ -235,3 +264,38 @@ def test_pattern_is_shared_per_mesh(case):
     assert np.array_equal(a.reduced().indices, b.reduced().indices)
     with pytest.raises(ValueError, match="saddle pattern"):
         spaces.eliminate((a.matrix + sp.identity(spaces.n_sys)).tocsr())
+
+
+def random_direction(spaces, seed):
+    rng = np.random.default_rng(seed)
+    return (pg.Field(spaces.coeff_omega,
+                     rng.standard_normal(spaces.coeff_omega.dof_count)),
+            pg.Field(spaces.coeff_basal,
+                     rng.standard_normal(spaces.coeff_basal.dof_count)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coeff_jacobian_products_match_element_reference(case, seed):
+    spaces, v, _, _, _, _, params = case
+    d_b, d_t = random_direction(spaces, seed)
+    ref = reference_coeff_derivative(spaces, v, d_b, d_t, params)
+    G = assemble_coeff_jacobian(v, params)
+    assert G.shape == (spaces.n_u, spaces.mesh.num_vertices
+                       + spaces.coeff_basal.dof_count)
+    d = np.concatenate([d_b.values, d_t.values])
+    assert relative_gap(G @ d, ref) <= RTOL
+    padded = np.concatenate([ref, np.zeros(spaces.n_sys - spaces.n_u)])
+    # the reduced frame the inversion holds, and the projected wrapper
+    assert relative_gap(spaces.velocity_reduction() @ G @ d,
+                        spaces.reduce_vector(padded)) <= RTOL
+    assert relative_gap(assemble_coeff_derivative(v, d_b, d_t, params),
+                        spaces.project_dual(padded)) <= RTOL
+
+
+def test_coeff_jacobian_transpose_matches_gradient_reference(case):
+    spaces, v, _, lam, _, _, params = case
+    g = assemble_coeff_jacobian(v, params).T @ lam.values
+    ref_rheo, ref_fric = reference_gradient_duals(spaces, v, lam, params)
+    nv = spaces.mesh.num_vertices
+    assert relative_gap(g[:nv], ref_rheo) <= RTOL
+    assert relative_gap(g[nv:], ref_fric) <= RTOL

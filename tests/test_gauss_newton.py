@@ -1,12 +1,14 @@
-"""The Gauss-Newton Hessian on the held dual LU and the projected
-Gauss-Newton-CG iteration built on it."""
+"""The Gauss-Newton Hessian on the held dual LU and coefficient
+Jacobian, and the projected Gauss-Newton-CG iteration built on it."""
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 import pglacier as pg
-from pglacier import adjoint, inversion
+from pglacier import adjoint, assembly, inversion
+from pglacier.assembly import (assemble_coeff_derivative,
+                               assemble_coeff_gradient_duals)
 from pglacier.inversion import (OptimizationConfig, evaluate_gradient,
                                 gradient_duals, hessian_product, in_box,
                                 linearized_state, make_state,
@@ -80,6 +82,95 @@ def test_hessian_matches_gradient_differences_at_noiseless_truth(
         got = np.concatenate(hessian_product(state, db, df, tilted_params))
         fd = (np.concatenate(shifted[0]) - np.concatenate(shifted[1])) / (2 * h)
         assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.fixture(params=["full_vector", "tangential"])
+def mode_state(request, slab_spaces, tilted_params, tight_solver,
+               base_coeffs):
+    obs = pg.make_twin_data(truth_rheology(slab_spaces),
+                            truth_friction(slab_spaces), tilted_params,
+                            mode=request.param, solver_config=tight_solver)
+    state = make_state(*base_coeffs, obs, tilted_params, tight_solver)
+    evaluate_gradient(state, tilted_params)
+    return state
+
+
+def element_path_hessian(state, d_b, d_t, params):
+    """The Hessian product as assembled element by element: linearized
+    state, misfit derivative against zero data, dual solve and gradient
+    duals of that dual state, plus the Tikhonov terms."""
+    spaces = state.rheology.space.parent
+    n_u, lu = spaces.n_u, state.adjoint_lu
+
+    def held(dual):
+        return pg.Field(spaces.velocity, spaces.expand_vector(
+            lu.solve(spaces.reduce_vector(dual)))[:n_u])
+    du = held(-(pg.solver_sign(spaces)
+                * assemble_coeff_derivative(state.velocity, d_b, d_t, params)))
+    zero = pg.Observation(np.zeros_like(state.obs.samples), state.obs.mode)
+    dl = held(-pg.misfit_derivative_rhs(du, zero))
+    data = assemble_coeff_gradient_duals(state.velocity, dl, params)
+    reg = inversion._tikhonov_duals(d_b, d_t, params)
+    return np.concatenate([data[0] + reg[0], data[1] + reg[1]])
+
+
+def test_hessian_matches_the_element_path(slab_spaces, tilted_params,
+                                          mode_state):
+    for _ in range(3):
+        d = random_direction(slab_spaces)
+        got = np.concatenate(hessian_product(mode_state, *d, tilted_params))
+        want = element_path_hessian(mode_state, *d, tilted_params)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_observation_gram_is_the_reduced_misfit_derivative(slab_spaces,
+                                                          mode_state):
+    mode = mode_state.obs.mode
+    Q = adjoint.observation_gram(slab_spaces, mode)
+    assert Q is adjoint.observation_gram(slab_spaces, mode)
+    zero = pg.Observation(np.zeros_like(mode_state.obs.samples), mode)
+    for _ in range(3):
+        w = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+        du = pg.Field(slab_spaces.velocity,
+                      slab_spaces.expand_vector(w)[:slab_spaces.n_u])
+        want = slab_spaces.reduce_vector(pg.misfit_derivative_rhs(du, zero))
+        assert np.linalg.norm(Q @ w - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_held_coefficient_jacobian_belongs_to_one_state(
+        slab_spaces, tilted_params, tight_solver, twin_obs, base_coeffs,
+        base_state):
+    B, tau = base_coeffs
+    other = make_state(pg.Field(B.space, 1.1 * B.values), tau, twin_obs,
+                       tilted_params, tight_solver)
+    assert other.coeff_jacobian is None
+    evaluate_gradient(other, tilted_params)
+    assert other.coeff_jacobian is not base_state.coeff_jacobian
+    assert abs(other.coeff_jacobian - base_state.coeff_jacobian).max() > 0.0
+    # coefficients changed after the solves: every held product refuses
+    other.rheology.values[0] += 0.01
+    d = random_direction(slab_spaces)
+    with pytest.raises(ValueError, match="fresh state"):
+        hessian_product(other, *d, tilted_params)
+    with pytest.raises(ValueError, match="fresh state"):
+        linearized_state(other, *d, tilted_params)
+    with pytest.raises(ValueError, match="stale inversion state"):
+        gradient_duals(other, tilted_params)
+
+
+def test_hessian_product_runs_no_element_assembly(monkeypatch, slab_spaces,
+                                                  tilted_params, base_state):
+    d = random_direction(slab_spaces)
+    first = hessian_product(base_state, *d, tilted_params)   # builds Q once
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("element assembly in a Hessian product")
+    for name in ("_pair_volume", "_pair_trace", "_element_matrix"):
+        monkeypatch.setattr(assembly, name, refuse)
+    monkeypatch.setattr(inversion, "assemble_coeff_jacobian", refuse)
+    again = hessian_product(base_state, *d, tilted_params)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    linearized_state(base_state, *d, tilted_params)
 
 
 def test_hessian_refuses_a_state_without_its_dual_lu(

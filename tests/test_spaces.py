@@ -260,6 +260,36 @@ def test_reduce_expand_round_trip(slab_spaces):
     assert np.array_equal(y[slab_spaces.n_u:], x[slab_spaces.n_u:])
 
 
+@pytest.fixture(scope="module")
+def curved_bed_spaces():
+    """8x4 slab on a sine bed: its slip tangents are off the axes."""
+    bed = lambda x: 0.1 * np.sin(np.pi * x)
+    return pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 8, 4,
+                                                 bed_profile=bed))
+
+
+def test_reduce_vector_equals_the_transposed_rotation_product(curved_bed_spaces):
+    # the held R^T must give bit for bit what transposing R per call gave:
+    # a rotated column has at most two entries, so no sum reorders
+    spaces = curved_bed_spaces
+    for _ in range(3):
+        x = rng.standard_normal(spaces.n_sys)
+        old = spaces.sys_rotation.T @ x
+        old[spaces.sys_constrained] = 0.0
+        assert np.array_equal(spaces.reduce_vector(x), old)
+
+
+def test_velocity_reduction_reduces_each_column(curved_bed_spaces):
+    spaces = curved_bed_spaces
+    M = rng.standard_normal((spaces.n_u, 3))
+    reduced = spaces.velocity_reduction() @ M
+    pad = np.zeros(spaces.n_sys - spaces.n_u)
+    for k in range(3):
+        want = spaces.reduce_vector(np.concatenate([M[:, k], pad]))
+        assert np.allclose(reduced[:, k], want, rtol=0.0, atol=1e-15)
+    assert spaces.velocity_reduction() is spaces.velocity_reduction()
+
+
 def test_slip_normals_on_curved_bed():
     bed = lambda x: 0.1 * np.sin(np.pi * x)
     spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 8, 4,
