@@ -30,7 +30,13 @@ class FieldIOError(ValueError):
 
 
 def _float_rows(values):
-    return [repr(float(v)) for v in values]
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _vector_rows(values):
+    """``x y 0.0`` rows of an (n, 2) array, with repr precision."""
+    return ["%r %r 0.0" % (x, y)
+            for x, y in np.asarray(values, dtype=float).tolist()]
 
 
 def save_field_csv(field, path):
@@ -227,11 +233,10 @@ def save_vtk(mesh, path, scalars=None, vectors=None):
     nt = mesh.triangles.shape[0]
     lines = ["# vtk DataFile Version 3.0", "pglacier output", "ASCII",
              "DATASET UNSTRUCTURED_GRID", "POINTS %d double" % nv]
-    for x, y in mesh.vertices:
-        lines.append("%s %s 0.0" % (repr(float(x)), repr(float(y))))
+    lines.extend(_vector_rows(mesh.vertices))
     lines.append("CELLS %d %d" % (nt, 4 * nt))
-    for tri in mesh.triangles:
-        lines.append("3 %d %d %d" % tuple(tri))
+    lines.extend(["3 %d %d %d" % (a, b, c)
+                  for a, b, c in mesh.triangles.tolist()])
     lines.append("CELL_TYPES %d" % nt)
     lines.extend(["5"] * nt)
     lines.append("POINT_DATA %d" % nv)
@@ -249,8 +254,7 @@ def save_vtk(mesh, path, scalars=None, vectors=None):
             raise ValueError("vector %r has shape %s, need (%d, 2)"
                              % (name, vals.shape, nv))
         lines.append("VECTORS %s double" % name)
-        for vx, vy in vals:
-            lines.append("%s %s 0.0" % (repr(float(vx)), repr(float(vy))))
+        lines.extend(_vector_rows(vals))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -3,25 +3,30 @@
 Each Newton step assembles the exact symmetric saddle-point Jacobian
 after symmetric constraint elimination and backtracks on the euclidean
 norm of the reduced system residual.  One forward solve factorizes
-once: its first linear solve (the p = 2 warm start, or the first Newton
-step) is a sparse LU solve, and every later step runs right-
-preconditioned GMRES on ``J . LU^-1`` with that LU, to Eisenstat-Walker
-forcing terms.  When one GMRES cycle of ``GMRES_RESTART`` iterations
-misses its tolerance, the step refactorizes at the current Jacobian,
-solves directly and keeps the new LU.  The default initial guess solves
-the linear (p = 2) problem once; if plain Newton stalls, the solver
-retries with a short continuation ladder in the exponent, still
-preconditioned by the same LU.  A caller holding the LU of a nearby
-Jacobian (the inversion keeps the dual operator's) passes it as
+once, in single precision: its first linear solve (the p = 2 warm
+start, or the first Newton step) is a direct solve on that LU with two
+steps of iterative refinement in double precision, and every later
+step runs flexible GMRES preconditioned by that LU, to Eisenstat-
+Walker forcing terms.  Flexible GMRES keeps the preconditioned vectors,
+so its residual is the true double-precision residual whatever the
+precision of the LU.  When one GMRES cycle of ``GMRES_RESTART``
+iterations misses its tolerance, the step refactorizes at the current
+Jacobian, solves directly and keeps the new LU.  The default initial
+guess solves the linear (p = 2) problem once; if plain Newton stalls,
+the solver retries with a short continuation ladder in the exponent,
+still preconditioned by the same LU.  A caller holding the LU of a
+nearby Jacobian (the inversion keeps the dual operator's) passes it as
 ``preconditioner``; the solve then runs GMRES from its first Newton
 step and may finish without a factorization of its own.
 
-Every LU comes from ``_factorize``: a forward solve's through
-``_LinearSolver``, all others (the dual operator, the Gram matrices of
-the Riesz map) through ``factorize``.  It exploits the symmetry of
-these operators and takes pivots on the diagonal.  The saddle operator
-(forward Jacobian, dual operator) is factored in the node-blocked order
-of :meth:`Spaces.saddle_order`: a minimum-degree order of the P2 node
+Every LU comes from ``_factorize``: a forward solve's own through
+``_LinearSolver``, in single precision, all others (the dual operator,
+the Gram matrices of the Riesz map, the trace constant) through
+``factorize``, in double precision, as they are exact solves with no
+Krylov loop around them.  It exploits the symmetry of these operators
+and takes pivots on the diagonal.  The saddle operator (forward
+Jacobian, dual operator) is factored in the node-blocked order of
+:meth:`Spaces.saddle_order`: a minimum-degree order of the P2 node
 graph in which each node's velocity dofs precede its pressure dof, so
 no zero pressure diagonal is pivoted on before the velocity pivots that
 fill it.  That order is built once per mesh, on the mesh's first saddle
@@ -29,10 +34,11 @@ factorization, together with a slot map that gathers each operator's
 data into the permuted CSC matrix; SuperLU then factors it in its
 natural order.  Any other operator (a Gram matrix) is ordered by a
 minimum-degree ordering of A + A^T.  An LU of either kind is checked by
-one probe solve; if SuperLU raises or the probe misses ``PROBE_RTOL``,
-the unpermuted matrix is factored again with SuperLU's default COLAMD
-ordering and partial pivoting, and the forward solve counts the
-fallback.
+one probe solve (refined twice in double precision for a single-
+precision LU); if SuperLU raises or the probe misses ``PROBE_RTOL``,
+the unpermuted matrix is factored again in double precision with
+SuperLU's default COLAMD ordering and partial pivoting, and the
+forward solve counts the fallback.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .assembly import (assemble_jacobian, _residual_raw, norm, solver_sign)
 from .spaces import Field, SpaceKind, zero_field
@@ -68,6 +75,13 @@ LS_MAX = 30
 # relative residual in the max norm; otherwise A is factored again with
 # COLAMD and partial pivoting.
 PROBE_RTOL = 1e-8
+
+# Steps of double-precision refinement on a forward solve's own single-
+# precision LU, in the direct solve that follows its factorization and
+# in the probe of that LU.  One step leaves the probe of the p = 2
+# Jacobian just above PROBE_RTOL on some bedded 64x32 slabs (1.2e-8 to
+# 4.4e-8), where two reach 1e-12.
+DIRECT_REFINEMENTS = 2
 
 
 class SolverError(Exception):
@@ -115,56 +129,99 @@ class ForwardSolution:
 
 
 def _gmres(matrix, lu, rhs, rtol):
-    """One cycle of GMRES on ``matrix . lu^-1`` (right preconditioning,
-    so its residual is the true residual of ``matrix . x = rhs``).
+    """One cycle of flexible GMRES on ``matrix . x = rhs``, preconditioned
+    by ``lu`` from the right.
 
-    Returns ``(x, iterations)``; ``x`` is None when the cycle ends above
-    ``rtol * |rhs|``.
+    The cycle keeps each preconditioned vector z_k = lu^-1 v_k and builds
+    x from them, so its Arnoldi relation, and with it the residual, holds
+    in double precision whatever the precision of ``lu``.  Givens
+    rotations keep the Hessenberg matrix triangular as it grows; the last
+    entry of the rotated right-hand side is then the residual norm of
+    the current iterate.
+
+    Returns ``(x, iterations, residual)``, with ``residual`` that norm at
+    exit; ``x`` is None when the cycle ends above ``rtol * |rhs|``.
     """
     beta = float(np.linalg.norm(rhs))
     basis = np.empty((GMRES_RESTART + 1, rhs.size))
     basis[0] = rhs / beta
-    hess = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+    precond = np.empty((GMRES_RESTART, rhs.size))
+    hess = np.zeros((GMRES_RESTART, GMRES_RESTART))
+    cos = np.zeros(GMRES_RESTART)
+    sin = np.zeros(GMRES_RESTART)
     target = np.zeros(GMRES_RESTART + 1)
     target[0] = beta
     for k in range(GMRES_RESTART):
-        w = matrix @ lu.solve(basis[k])
+        precond[k] = lu.solve(basis[k])
+        w = matrix @ precond[k]
+        h = hess[:, k]
         for i in range(k + 1):              # modified Gram-Schmidt
-            hess[i, k] = basis[i] @ w
-            w -= hess[i, k] * basis[i]
-        hess[k + 1, k] = np.linalg.norm(w)
-        h, g = hess[:k + 2, :k + 1], target[:k + 2]
-        y = np.linalg.lstsq(h, g, rcond=None)[0]
-        if np.linalg.norm(h @ y - g) <= rtol * beta:
-            return lu.solve(y @ basis[:k + 1]), k + 1
-        if hess[k + 1, k] == 0.0:           # breakdown short of the target
-            return None, k + 1
-        basis[k + 1] = w / hess[k + 1, k]
-    return None, GMRES_RESTART
+            h[i] = basis[i] @ w
+            w -= h[i] * basis[i]
+        below = float(np.linalg.norm(w))
+        for i in range(k):                  # the earlier rotations
+            h[i], h[i + 1] = (cos[i] * h[i] + sin[i] * h[i + 1],
+                              cos[i] * h[i + 1] - sin[i] * h[i])
+        diagonal = math.hypot(h[k], below)
+        if diagonal == 0.0:                 # a singular Hessenberg matrix
+            return None, k + 1, abs(target[k])
+        cos[k], sin[k] = h[k] / diagonal, below / diagonal
+        h[k] = diagonal
+        target[k + 1] = -sin[k] * target[k]
+        target[k] *= cos[k]
+        if abs(target[k + 1]) <= rtol * beta:
+            y = solve_triangular(hess[:k + 1, :k + 1], target[:k + 1])
+            return y @ precond[:k + 1], k + 1, abs(target[k + 1])
+        if below == 0.0:                    # breakdown short of the target
+            return None, k + 1, abs(target[k + 1])
+        basis[k + 1] = w / below
+    return None, GMRES_RESTART, abs(target[GMRES_RESTART])
 
 
-def _probe_passes(matrix, lu):
-    """Whether ``lu`` solves ``matrix . x = matrix . 1`` to ``PROBE_RTOL``
-    in the max norm; a non-finite residual fails."""
+def _refined_solve(matrix, lu, rhs, steps):
+    """``lu``'s solve of ``matrix . x = rhs`` followed by ``steps`` steps
+    of iterative refinement, with residuals in double precision."""
+    x = lu.solve(rhs)
+    for _ in range(steps):
+        x += lu.solve(rhs - matrix @ x)
+    return x
+
+
+def _probe_passes(matrix, lu, steps):
+    """Whether ``lu``, refined ``steps`` times, solves
+    ``matrix . x = matrix . 1`` to ``PROBE_RTOL`` in the max norm; a
+    non-finite residual fails."""
     rhs = matrix @ np.ones(matrix.shape[0])
     with np.errstate(all="ignore"):
-        residual = np.abs(matrix @ lu.solve(rhs) - rhs).max()
+        x = _refined_solve(matrix, lu, rhs, steps)
+        residual = np.abs(matrix @ x - rhs).max()
     return bool(residual <= PROBE_RTOL * np.abs(rhs).max())
 
 
 class _PermutedLU:
-    """SuperLU ``lu`` of ``A[order][:, order]``, solving with A itself."""
+    """SuperLU ``lu`` of ``A[order][:, order]``, solving with A itself.
 
-    def __init__(self, lu, order):
-        self.lu, self.order = lu, order
+    A ``single`` (float32) ``lu`` solves each right-hand side divided by
+    its max-abs, so that no finite one overflows in the cast, and
+    returns the solution in double precision.
+    """
+
+    def __init__(self, lu, order, single=False):
+        self.lu, self.order, self.single = lu, order, single
 
     def solve(self, rhs):
         x = np.empty_like(rhs)
-        x[self.order] = self.lu.solve(rhs[self.order])
+        if self.single:
+            scale = np.abs(rhs).max() or 1.0
+            x[self.order] = self.lu.solve(
+                (rhs[self.order] / scale).astype(np.float32))
+            x *= scale
+        else:
+            x[self.order] = self.lu.solve(rhs[self.order])
         return x
 
 
-def _factorize(matrix, order=None):
+def _factorize(matrix, order=None, single=False):
     """``(lu, fell_back)``: the symmetric-mode LU of ``matrix``, or its
     COLAMD LU (``fell_back`` true) when the symmetric one raises or
     fails the probe.
@@ -174,20 +231,31 @@ def _factorize(matrix, order=None):
     order; without one, SuperLU orders A + A^T by minimum degree.  With
     pivots on the diagonal SuperLU steps past an exactly zero pivot by
     itself, but a tiny nonzero one can give a useless LU without an
-    error, hence the probe.
+    error, hence the probe.  With ``single`` (and an ``order``) the
+    symmetric attempt factors a float32 copy, and the probe measures the
+    solve that ``_LinearSolver`` makes right after a factorization, with
+    ``DIRECT_REFINEMENTS`` steps of refinement in double precision; an
+    entry beyond float32 range fails it.  The COLAMD LU is always double
+    precision.
     """
     if order is None:
         csc, spec = matrix.tocsc(), "MMD_AT_PLUS_A"
     else:
         csc, spec = order.permute(matrix), "NATURAL"
+    if single:
+        with np.errstate(over="ignore"):
+            csc = csc.astype(np.float32)
     try:
         lu = spla.splu(csc, permc_spec=spec, diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError:
         lu = None
-    if lu is not None and _probe_passes(csc, lu):
-        return (lu if order is None else _PermutedLU(lu, order.order)), False
-    lu = csc = None                         # release the rejected LU first
+    csc = None                              # the LU no longer needs it
+    if lu is not None:
+        lu = lu if order is None else _PermutedLU(lu, order.order, single)
+        if _probe_passes(matrix, lu, DIRECT_REFINEMENTS if single else 0):
+            return lu, False
+    lu = None                               # release the rejected LU first
     try:
         return spla.splu(matrix.tocsc()), True
     except RuntimeError as exc:
@@ -207,13 +275,15 @@ class _LinearSolver:
     """The linear solves of one forward solve, sharing one LU.
 
     Without a starting LU the first solve factorizes; later ones run
-    GMRES preconditioned by the current LU and refactorize only when
-    GMRES falls short (an exact solve, ``rtol = 0``, always factorizes).
-    A refactorization rebinds only this object's reference, so a
-    caller's LU is never replaced; the solver's own LU lives as long as
-    this object, never beyond the forward solve.  Its LUs take the
-    node-blocked order of ``spaces``; ``fallbacks`` counts those that
-    fell back to COLAMD.
+    flexible GMRES preconditioned by the current LU and refactorize only
+    when GMRES falls short (a direct solve, ``rtol = 0``, always
+    factorizes).  A refactorization rebinds only this object's
+    reference, so a caller's LU is never replaced; the solver's own LU
+    lives as long as this object, never beyond the forward solve.  Its
+    LUs are single precision, in the node-blocked order of ``spaces``;
+    the solve right after one refines ``DIRECT_REFINEMENTS`` times in
+    double precision.  ``fallbacks`` counts the LUs that fell back to
+    double-precision COLAMD.
     """
 
     def __init__(self, spaces, lu=None):
@@ -227,15 +297,16 @@ class _LinearSolver:
         """Solve ``matrix . x = rhs``, to relative residual ``rtol``
         when the LU preconditions GMRES."""
         if self.lu is not None and rtol > 0.0:
-            x, iterations = _gmres(matrix, self.lu, rhs, rtol)
+            x, iterations, _ = _gmres(matrix, self.lu, rhs, rtol)
             self.krylov_iterations += iterations
             if x is not None:
                 return x
         self.lu = None                      # release the stale LU first
-        self.lu, fell_back = _factorize(matrix, self.spaces.saddle_order())
+        self.lu, fell_back = _factorize(matrix, self.spaces.saddle_order(),
+                                        single=True)
         self.factorizations += 1
         self.fallbacks += fell_back
-        return self.lu.solve(rhs)
+        return _refined_solve(matrix, self.lu, rhs, DIRECT_REFINEMENTS)
 
 
 def _forcing_term(res, res_prev, eta_prev, floor):
@@ -310,7 +381,8 @@ def _newton(spaces, x_hat0, rheology, friction, params, config, linear):
 
 
 def _linear_state(spaces, rheology, friction, params, linear):
-    """One exact solve of the linear (p = s = 2) problem, used as a warm
+    """One direct solve of the linear (p = s = 2) problem, refined to
+    double precision on the forward solve's own LU, used as a warm
     start.  Returns reduced rotated coordinates."""
     p2 = replace(params, p=2.0, s=2.0)
     zero_v = zero_field(spaces.velocity)
@@ -353,10 +425,11 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
         place of the linear (p = 2) solve.
     preconditioner : SuperLU, optional
         LU of a nearby reduced Jacobian (the dual operator at a nearby
-        state, say).  Every Newton step then runs GMRES on
-        ``J . LU^-1`` from the start and factorizes only on a miss;
-        ``report.factorizations`` counts this solve's own LUs, and
-        ``report.lu_fallbacks`` those of them that fell back to COLAMD.
+        state, say).  Every Newton step then runs flexible GMRES
+        preconditioned by it from the start and factorizes only on a
+        miss; ``report.factorizations`` counts this solve's own LUs,
+        and ``report.lu_fallbacks`` those of them that fell back to
+        COLAMD.
 
     Returns
     -------

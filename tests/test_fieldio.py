@@ -272,6 +272,43 @@ def test_vtk_structure(tmp_path, spaces):
         assert float(sx) == vx and float(sy) == vy and sz == "0.0"
 
 
+def reference_vtk(mesh, scalars, vectors):
+    """The VTK text written one numpy row at a time."""
+    lines = ["# vtk DataFile Version 3.0", "pglacier output", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", "POINTS %d double" % len(mesh.vertices)]
+    for x, y in mesh.vertices:
+        lines.append("%s %s 0.0" % (repr(float(x)), repr(float(y))))
+    lines.append("CELLS %d %d" % (len(mesh.triangles), 4 * len(mesh.triangles)))
+    for tri in mesh.triangles:
+        lines.append("3 %d %d %d" % tuple(tri))
+    lines.append("CELL_TYPES %d" % len(mesh.triangles))
+    lines.extend(["5"] * len(mesh.triangles))
+    lines.append("POINT_DATA %d" % len(mesh.vertices))
+    for name, vals in scalars.items():
+        lines += ["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
+        lines.extend(repr(float(v)) for v in vals)
+    for name, vals in vectors.items():
+        lines.append("VECTORS %s double" % name)
+        for vx, vy in vals:
+            lines.append("%s %s 0.0" % (repr(float(vx)), repr(float(vy))))
+    return "\n".join(lines) + "\n"
+
+
+def test_vtk_bytes_match_row_by_row_reference(tmp_path):
+    # integer and float32 data are written as the doubles they hold
+    mesh = pg.generate_slab_mesh(2.0, 1.0, 6, 3,
+                                 bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
+    nv = mesh.num_vertices
+    scalars = {"awkward": awkward_values(nv), "index": np.arange(nv),
+               "single": (rng.standard_normal(nv) / 3.0).astype(np.float32)}
+    vectors = {"velocity": awkward_values(2 * nv).reshape(nv, 2),
+               "index": np.arange(2 * nv).reshape(nv, 2),
+               "single": rng.standard_normal((nv, 2)).astype(np.float32)}
+    path = tmp_path / "out.vtk"
+    save_vtk(mesh, path, scalars=scalars, vectors=vectors)
+    assert path.read_text() == reference_vtk(mesh, scalars, vectors)
+
+
 def test_vtk_rejects_bad_shapes(tmp_path, spaces):
     with pytest.raises(ValueError, match="scalar 'b' has shape"):
         save_vtk(spaces.mesh, tmp_path / "x.vtk",

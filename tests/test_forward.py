@@ -265,9 +265,103 @@ def test_gmres_residual_is_the_true_residual(slab_spaces, tilted_params,
                                tilted_params).reduced()
     lu = scipy.sparse.linalg.splu(nearby.tocsc())
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
-    x, iterations = forward._gmres(matrix, lu, rhs, 1e-8)
+    x, iterations, _ = forward._gmres(matrix, lu, rhs, 1e-8)
     assert 0 < iterations <= forward.GMRES_RESTART
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def jacobians(spaces, solution, params):
+    """The reduced Jacobian at ``solution`` and the one at rest."""
+    B, tau = coeffs(spaces)
+    return (assemble_jacobian(solution.velocity, B, tau, params).reduced(),
+            assemble_jacobian(pg.zero_field(spaces.velocity), B, tau,
+                              params).reduced())
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 1e-8, 1e-11])
+def test_gmres_residual_estimate_is_the_true_residual(
+        slab_spaces, tilted_params, base_solution, rtol):
+    # the rotated right-hand side's last entry is the residual norm of
+    # the returned iterate, also when a float32 LU preconditions
+    matrix, nearby = jacobians(slab_spaces, base_solution, tilted_params)
+    lu, fell_back = forward._factorize(nearby, slab_spaces.saddle_order(),
+                                       single=True)
+    assert not fell_back
+    rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+    x, iterations, estimate = forward._gmres(matrix, lu, rhs, rtol)
+    true = np.linalg.norm(matrix @ x - rhs)
+    assert true <= rtol * np.linalg.norm(rhs)
+    assert abs(estimate - true) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def test_forward_lu_is_single_precision_and_dual_lu_double(
+        monkeypatch, slab_spaces, tilted_params):
+    real = scipy.sparse.linalg.splu
+    dtypes = []
+
+    def splu(matrix, **kwargs):
+        dtypes.append(matrix.dtype)
+        return real(matrix, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    B, tau = coeffs(slab_spaces)
+    sol = solve_forward(B, tau, tilted_params)
+    assert sol.report.lu_fallbacks == 0
+    assert dtypes == [np.float32] * sol.report.factorizations
+    del dtypes[:]
+    factor_adjoint(sol.velocity, B, tau, tilted_params)
+    assert dtypes == [np.float64]
+
+
+def test_double_precision_lus_solve_without_refinement(
+        slab_spaces, tilted_params, base_solution):
+    # the dual operator's LU and the Riesz maps' LUs are exact solves
+    matrix, _ = jacobians(slab_spaces, base_solution, tilted_params)
+    lu = factor_adjoint(base_solution.velocity, *coeffs(slab_spaces),
+                        tilted_params)
+    rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+    x = lu.solve(rhs)
+    assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    for which, space in (("omega", slab_spaces.coeff_omega),
+                         ("basal", slab_spaces.coeff_basal)):
+        mass, stiffness = pg.assembly.gram_matrices(space)
+        dual = rng.standard_normal(space.dof_count)
+        for representation, gram in (("L2", mass),
+                                     ("H1_smoothed", mass + stiffness)):
+            x = pg.inversion.represent(dual, slab_spaces, which, representation)
+            assert (np.linalg.norm(gram @ x - dual)
+                    <= 1e-12 * np.linalg.norm(dual))
+
+
+@pytest.mark.filterwarnings("error")
+def test_single_precision_lu_solves_a_huge_right_hand_side(
+        slab_spaces, tilted_params, base_solution):
+    # each right-hand side is scaled to unit max-abs before the float32
+    # cast, which would overflow 1e300 to inf
+    matrix, _ = jacobians(slab_spaces, base_solution, tilted_params)
+    rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+    unrefined, refined = [], []
+    for b in (rhs, 1e300 * rhs):
+        linear = forward._LinearSolver(slab_spaces)
+        x = linear.solve(matrix, b)
+        assert linear.fallbacks == 0
+        refined.append(np.abs(matrix @ x - b).max() / np.abs(b).max())
+        x = linear.lu.solve(b)
+        unrefined.append(np.abs(matrix @ x - b).max() / np.abs(b).max())
+    assert unrefined[1] == pytest.approx(unrefined[0], rel=1e-6)
+    assert max(refined) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_jacobian_beyond_single_precision_falls_back_to_double(
+        slab_spaces, tilted_params, base_solution):
+    matrix, _ = jacobians(slab_spaces, base_solution, tilted_params)
+    matrix = 1e39 * matrix
+    rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+    linear = forward._LinearSolver(slab_spaces)
+    x = linear.solve(matrix, rhs)
+    assert linear.factorizations == linear.fallbacks == 1
+    assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 class _ProbeFailingLU:
