@@ -15,17 +15,27 @@ finite-difference checks can flip the pressure block of the residual
 consistently.
 
 Every operator and dual vector is one contraction over all quadrature
-points by one of two primitives: ``_pair_volume`` pairs a per-point
-integrand over all (triangle, point) pairs with the gradients of the
-quadratic basis (a flux) or with a table of basis values, and
+points by one of three primitives.  Volume point arrays hold the
+triangle innermost, axes (q, ..., t), so every pointwise step is a
+whole-vector pass.  On affine triangles the physical basis gradients
+are the fixed reference gradients pulled back by each triangle's
+inverse transpose T, so ``_pair_flux`` pulls a flux back to the
+reference element and pairs it with the weighted reference gradients
+in one matrix product over all triangles, ``_pair_volume`` pairs a
+per-point value with a basis value table the same way, and
 ``_pair_trace`` pairs one over (boundary edge, point) pairs with edge
-trace values.  Dual vectors are scattered with ``np.bincount``;
-operators are written straight into the data array of the mesh's fixed
-saddle pattern (:meth:`Spaces.saddle_pattern`) through its slot maps,
-and constraint elimination is index arithmetic (a gather) on that data.
-The coefficient Jacobian (:func:`assemble_coeff_jacobian`), whose
-products are the coefficient derivative and the gradient duals, and
-the auxiliary matrices sum their element blocks by COO conversion.
+trace values.  The Jacobian's velocity block is likewise one product of
+a per-mesh table of reference gradient pairs with a per-point geometry
+tensor (:func:`assemble_jacobian`).  Dual vectors are scattered with
+``np.bincount``; operators are written straight into the data array of
+a per-mesh pattern through precomputed slot maps, also with
+``np.bincount``: the Jacobian into the saddle pattern
+(:meth:`Spaces.saddle_pattern`), on which constraint elimination is
+index arithmetic (a gather), and the coefficient Jacobian
+(:func:`assemble_coeff_jacobian`), whose products are the coefficient
+derivative and the gradient duals, into a pattern of its own.  The
+auxiliary matrices, built once per mesh, sum their element blocks by
+COO conversion.
 The four linear-element mass and stiffness matrices keep their closed
 forms.  Each space has one pair of Gram matrices (:func:`gram_matrices`)
 and its L2, V2 and H1 norms are their quadratic forms; integrals of
@@ -43,8 +53,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .spaces import (SpaceKind, basal_coeff_on_edges, scalar_values_at_quadrature,
-                     velocity_gradients_at_quadrature, velocity_trace,
+from .spaces import (SpaceKind, _adjacency, _frozen, basal_coeff_on_edges,
+                     point_scalar_values, point_velocity_gradients,
+                     scalar_values_at_quadrature, velocity_trace,
                      velocity_values_at_quadrature)
 from .tensor_ops import s_gamma, s_omega
 
@@ -102,24 +113,55 @@ def _cached(spaces, key, builder):
     return spaces._cache[key]
 
 
-# -- the two pairing primitives ----------------------------------------
+# -- the pairing primitives -------------------------------------------
 
 
-def _weighted_grads(spaces):
-    """w_q |det_t| grad N_a, laid out like ``spaces.basis_grads``."""
-    w = np.repeat(spaces.quadrature.tri_weights, 2)
-    return _cached(spaces, "weighted_grads",
-                   lambda: spaces.basis_grads * (spaces.det[:, None, None] * w))
+def _reference_tables(spaces):
+    """Per-mesh tables of the volume contractions: the weighted reference
+    gradients w_q dN_a/dxi_m with rows (q, m), the pair table w_q
+    dN_a/dxi_m dN_b/dxi_n with rows (a, b) and columns (q, m, n), and
+    the flux pull-back det_t inv_t[j, m, t]."""
+    def build():
+        w = spaces.quadrature.tri_weights
+        ref = spaces.ref_grads
+        nq = w.size
+        weighted = (ref * w[:, None, None]).reshape(2 * nq, 6)
+        pairs = np.einsum("q,qma,qnb->abqmn", w, ref, ref).reshape(36, 4 * nq)
+        return weighted, pairs, spaces.inv_t * spaces.det
+    return _cached(spaces, "reference_tables", build)
 
 
-def _pair_values(integrand, basis, weights, measure):
-    """out[k, a, ...] = measure[k] sum_m weights[m] integrand[k, m, ...]
-    basis[m, a] as one batched matmul; a leading integrand axis of length
-    1 broadcasts over k."""
-    tail = integrand.shape[2:]
-    flat = integrand.reshape(integrand.shape[:2] + (int(np.prod(tail)),))
-    out = np.matmul((basis * weights[:, None]).T, flat) * measure[:, None, None]
-    return out.reshape((measure.size, basis.shape[1]) + tail)
+def _pull_back(inv_t, flux):
+    """out[q, m, ..., t] = sum_j inv_t[j, m, t] flux[q, j, ..., t]: a flux
+    or gradient with physical axis j in reference axis m; a trailing
+    flux axis of length 1 broadcasts over triangles."""
+    mid = (1,) * (flux.ndim - 3)
+    return (flux[:, 0, None] * inv_t[0].reshape((2,) + mid + (-1,))
+            + flux[:, 1, None] * inv_t[1].reshape((2,) + mid + (-1,)))
+
+
+def _pair_flux(spaces, flux):
+    """Pair a per-point flux with the gradients of the quadratic basis
+    over all (triangle, quadrature point) pairs: out[a, ..., t] =
+    sum_{q, j} w_q det_t flux[q, j, ..., t] dN_a/dx_j.  The flux, axes
+    (q, j, ..., t) with the triangle innermost, is pulled back to the
+    reference element and paired with the weighted reference gradients
+    in one matmul.  Returns shape (6, ..., nt)."""
+    weighted, _, det_inv_t = _reference_tables(spaces)
+    phi = _pull_back(det_inv_t, flux)
+    out = weighted.T @ phi.reshape(weighted.shape[0], -1)
+    return out.reshape((6,) + phi.shape[2:])
+
+
+def _pair_volume(spaces, integrand, basis):
+    """Pair a per-point integrand with a basis value table ``basis`` (nq,
+    n_local) over all (triangle, quadrature point) pairs in one matmul:
+    out[a, ..., t] = sum_q w_q det_t integrand[q, ..., t] basis[q, a],
+    with the triangle innermost; a trailing integrand axis of length 1
+    broadcasts over triangles.  Returns shape (n_local, ..., nt)."""
+    weighted = basis * spaces.quadrature.tri_weights[:, None]
+    out = weighted.T @ integrand.reshape(integrand.shape[0], -1)
+    return out.reshape(basis.shape[1:] + integrand.shape[1:]) * spaces.det
 
 
 def _omega_quad_integral(spaces, pointwise):
@@ -136,26 +178,6 @@ def _basal_quad_integral(spaces, edges, pointwise):
     return float(np.einsum("m,k,km->", w, lengths, pointwise))
 
 
-def _pair_volume(spaces, integrand, basis=None):
-    """Pair a per-point integrand with basis functions over all
-    (triangle, quadrature point) pairs in one contraction.
-
-    With ``basis`` None the integrand is a flux of shape (nt, nq, 2, ...)
-    and out[t, a, ...] = sum_{q, j} w_q |det_t| integrand[t, q, j, ...]
-    dN_a/dx_j over the quadratic basis.  Otherwise ``basis`` is a value
-    table (nq, n_local) and out[t, a, ...] = sum_q w_q |det_t|
-    integrand[t, q, ...] basis[q, a]; a leading axis of length 1 then
-    broadcasts over triangles.  Returns shape (nt, n_local, ...).
-    """
-    if basis is not None:
-        return _pair_values(integrand, basis, spaces.quadrature.tri_weights, spaces.det)
-    nt, nq = integrand.shape[:2]
-    tail = integrand.shape[3:]
-    out = np.matmul(_weighted_grads(spaces),
-                    integrand.reshape(nt, 2 * nq, int(np.prod(tail))))
-    return out.reshape((nt, 6) + tail)
-
-
 def _pair_trace(spaces, edges, integrand, basis):
     """Pair a per-point integrand with edge basis values ``basis`` (m,
     n_local) over all (boundary edge, quadrature point) pairs of
@@ -163,13 +185,16 @@ def _pair_trace(spaces, edges, integrand, basis):
     integrand[k, m, ...] basis[m, a]; a leading axis of length 1
     broadcasts over edges.  Returns (len(edges), n_local, ...).
     """
-    return _pair_values(integrand, basis, spaces.quadrature.edge_weights,
-                        spaces.bedge_lengths[edges])
+    tail = integrand.shape[2:]
+    flat = integrand.reshape(integrand.shape[:2] + (int(np.prod(tail)),))
+    weighted = basis * spaces.quadrature.edge_weights[:, None]
+    out = np.matmul(weighted.T, flat) * spaces.bedge_lengths[edges][:, None, None]
+    return out.reshape(out.shape[:2] + tail)
 
 
 def _scatter(dofs, local, size):
-    """Sum local entries into a dual vector; ``dofs`` matches the leading
-    axes of ``local``."""
+    """Sum local entries into a dual vector; ``dofs`` holds the dof of
+    each entry of ``local`` in the same order."""
     return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=size)
 
 
@@ -192,33 +217,39 @@ def _element_matrix(blocks, row_dofs, col_dofs, shape):
 
 
 def _strain(grad):
-    return 0.5 * (grad + np.swapaxes(grad, 2, 3))
+    """Symmetric part of triangle-innermost gradients, axes (q, i, j, t)."""
+    return 0.5 * (grad + np.swapaxes(grad, 1, 2))
+
+
+def _s_omega_points(strain, params):
+    """Matrix kernel of triangle-innermost strains, axes (q, i, j, t)."""
+    return np.moveaxis(s_omega(np.moveaxis(strain, 3, 1), params), 1, 3)
 
 
 def _residual_raw(velocity, pressure, rheology, friction, params):
     """Unprojected dual vector of the momentum/continuity residual."""
     spaces = _check_args(velocity, rheology, friction)
-    grad = velocity_gradients_at_quadrature(velocity)
-    # B S(Dv) + mu0 grad v as a flux, axes (t, q, j, c) for the
-    # component c and the derivative x_j
-    flux = scalar_values_at_quadrature(rheology)[:, :, None, None] \
-        * s_omega(_strain(grad), params)
-    if params.mu0:
-        flux += params.mu0 * np.swapaxes(grad, 2, 3)
-    pi_q = scalar_values_at_quadrature(pressure)
-    flux[:, :, 0, 0] -= pi_q
-    flux[:, :, 1, 1] -= pi_q
-    load = np.broadcast_to(params.body_force, (1, spaces.p2_vals.shape[0], 2))
-    local = _pair_volume(spaces, flux) - _pair_volume(spaces, load, spaces.p2_vals)
-    r_p = _pair_volume(spaces, grad[:, :, 0, 0] + grad[:, :, 1, 1], spaces.p1_vals)
+    grad = point_velocity_gradients(velocity)
+    # B S(Dv) + mu0 grad v as a flux, axes (q, j, c, t) for the component
+    # c and the derivative x_j
+    flux = point_scalar_values(rheology)[:, None, None] \
+        * _s_omega_points(_strain(grad), params)
+    flux += params.mu0 * np.swapaxes(grad, 1, 2)
+    pi_q = point_scalar_values(pressure)
+    flux[:, 0, 0] -= pi_q
+    flux[:, 1, 1] -= pi_q
+    load = np.broadcast_to(np.reshape(params.body_force, (1, 2, 1)),
+                           (spaces.p2_vals.shape[0], 2, 1))
+    local = _pair_flux(spaces, flux) - _pair_volume(spaces, load, spaces.p2_vals)
+    r_p = _pair_volume(spaces, grad[:, 0, 0] + grad[:, 1, 1], spaces.p1_vals)
     # the bed term (tau S(v), phi)
     bed = spaces.basal_edge_indices
     traction = basal_coeff_on_edges(friction)[:, :, None] \
         * s_gamma(velocity_trace(velocity, bed), params)
     return np.concatenate([
-        _scatter(spaces.tri_vel_dofs, local, spaces.n_u)
+        _scatter(spaces.tri_vel_dofs.T, local, spaces.n_u)
         + trace_dual(spaces, bed, traction),
-        _scatter(spaces.mesh.triangles, r_p, spaces.mesh.num_vertices)])
+        _scatter(spaces.mesh.triangles.T, r_p, spaces.mesh.num_vertices)])
 
 
 def assemble_residual(velocity, pressure, rheology, friction, params):
@@ -247,11 +278,9 @@ def assemble_coeff_jacobian(velocity, params):
     data terms for a dual state lambda.
     """
     spaces = _require_spaces(velocity, SpaceKind.VELOCITY_P2_VEC)
-    nv = spaces.mesh.num_vertices
-    shape = (spaces.n_u, nv + spaces.coeff_basal.dof_count)
-    S = s_omega(_strain(velocity_gradients_at_quadrature(velocity)), params)
-    # flux of each vertex basis direction, axes (t, q, j, c, k)
-    volume = _pair_volume(spaces, S[..., None] * spaces.p1_vals[None, :, None, None, :])
+    S = _s_omega_points(_strain(point_velocity_gradients(velocity)), params)
+    # flux of each vertex basis direction, axes (q, j, c, k, t)
+    volume = _pair_flux(spaces, S[:, :, :, None] * spaces.p1_vals[:, None, None, :, None])
     # traction of each bed-chain basis direction, axes (k, m, c, l)
     bed = spaces.basal_edge_indices
     s = spaces.quadrature.edge_points
@@ -259,10 +288,34 @@ def assemble_coeff_jacobian(velocity, params):
     traction = s_gamma(velocity_trace(velocity, bed), params)[..., None] \
         * hats[:, None, :]
     bed_blocks = _pair_trace(spaces, bed, traction, spaces.edge_trace_vals)
-    return (_element_matrix(volume.reshape(-1, 12, 3), spaces.tri_vel_dofs,
-                            spaces.mesh.triangles, shape)
-            + _element_matrix(bed_blocks.reshape(-1, 6, 2), spaces.trace_dofs(bed),
-                              nv + spaces.basal_edge_dofs, shape))
+    indptr, indices, slots = _coeff_pattern(spaces)
+    data = np.bincount(slots, weights=np.concatenate([volume.ravel(), bed_blocks.ravel()]),
+                       minlength=indices.size)
+    return sp.csr_matrix((data, indices, indptr), shape=(
+        spaces.n_u, spaces.mesh.num_vertices + spaces.coeff_basal.dof_count))
+
+
+def _coeff_pattern(spaces):
+    """CSR ``indptr`` and ``indices`` of the coefficient Jacobian, built
+    once per mesh, and the slot in its data of every element-block entry:
+    the volume blocks with axes (a, c, k, t) (velocity node a and
+    component c, vertex k of triangle t), then the bed blocks with axes
+    (edge, a, c, l) (trace node a and component c, chain end l)."""
+    def build():
+        nt, nv = spaces.mesh.num_triangles, spaces.mesh.num_vertices
+        bed = spaces.basal_edge_indices
+        volume_shape, bed_shape = (12, 3, nt), (bed.size, 6, 2)
+        rows = np.concatenate([
+            np.broadcast_to(spaces.tri_vel_dofs.T[:, None], volume_shape).ravel(),
+            np.broadcast_to(spaces.trace_dofs(bed)[:, :, None], bed_shape).ravel()])
+        cols = np.concatenate([
+            np.broadcast_to(spaces.mesh.triangles.T, volume_shape).ravel(),
+            np.broadcast_to(nv + spaces.basal_edge_dofs[:, None], bed_shape).ravel()])
+        _, _, col, _, count, slots = _adjacency(
+            rows, cols, spaces.n_u, nv + spaces.coeff_basal.dof_count)
+        return (_frozen(np.concatenate([[0], np.cumsum(count)])), _frozen(col),
+                _frozen(slots))
+    return _cached(spaces, "coeff_pattern", build)
 
 
 def assemble_coeff_derivative(velocity, rheology_dir, friction_dir, params):
@@ -305,18 +358,18 @@ def coupling_matrix(spaces):
     """Velocity-pressure coupling C with C[(a,c), k] = -(psi_k, d_c phi_a),
     cached per mesh; the full operator uses [[K, C], [C^T, 0]]."""
     def build():
-        flux = -np.eye(2)[None, :, :, None] * spaces.p1_vals[:, None, None, :]
-        blocks = _pair_volume(spaces, np.broadcast_to(
-            flux, (spaces.mesh.num_triangles,) + flux.shape))
-        return _element_matrix(blocks.reshape(-1, 12, 3), spaces.tri_vel_dofs,
+        # flux -delta_jc psi_k, axes (q, j, c, k, t), alike on every triangle
+        flux = -np.eye(2)[None, :, :, None, None] * spaces.p1_vals[:, None, None, :, None]
+        blocks = _pair_flux(spaces, flux).reshape(12, 3, -1)
+        return _element_matrix(np.moveaxis(blocks, 2, 0), spaces.tri_vel_dofs,
                                spaces.mesh.triangles,
                                (spaces.n_u, spaces.mesh.num_vertices))
     return _cached(spaces, "coupling", build)
 
 
 def _saddle_system(spaces, blocks, bed_blocks):
-    """Symmetric saddle operator from velocity element blocks (axes t, a,
-    c, d, b) and bed-edge blocks (axes k, a, c, b, d), written into the
+    """Symmetric saddle operator from velocity element blocks (axes a, b,
+    c, d, t) and bed-edge blocks (axes k, a, c, b, d), written into the
     data of the mesh's saddle pattern next to the cached coupling."""
     pattern = spaces.saddle_pattern()
 
@@ -336,14 +389,14 @@ def _saddle_system(spaces, blocks, bed_blocks):
 
 def _derivative_factors(velocity, rheology, friction, params):
     """Arguments of the derivative kernels, S'(E) W = c1 (E : W) E + c2 W
-    and s'(v) w = g1 (v . w) v + g2 w: the strain E with B c1 and B c2
-    at the triangle points, and the bed trace v with tau g1 and tau g2
-    at the bed points."""
+    and s'(v) w = g1 (v . w) v + g2 w: the strain E, axes (q, i, j, t),
+    with B c1 and B c2, axes (q, t), at the triangle points, and the bed
+    trace v with tau g1 and tau g2 at the bed points."""
     if params.delta <= 0.0:
         raise ValueError("Jacobian assembly needs delta > 0, got %r" % params.delta)
-    strain = _strain(velocity_gradients_at_quadrature(velocity))
-    mag2 = (strain ** 2).sum(axis=(2, 3)) + params.delta ** 2
-    B = scalar_values_at_quadrature(rheology)
+    strain = _strain(point_velocity_gradients(velocity))
+    mag2 = (strain ** 2).sum(axis=(1, 2)) + params.delta ** 2
+    B = point_scalar_values(rheology)
     p, s = params.p, params.s
     v = velocity_trace(velocity, velocity.space.parent.basal_edge_indices)
     vmag2 = (v ** 2).sum(axis=2) + params.delta ** 2
@@ -363,61 +416,51 @@ def _bed_kernel(v, g1, g2):
     return kernel
 
 
-# Constant maps on 2x2 gradients, axes (j, c, l, d): the identity
-# delta_cd delta_jl and the transposition delta_cl delta_jd.
-_SAME = np.einsum("jl,cd->jcld", np.eye(2), np.eye(2))
-_SWAP = np.einsum("cl,jd->jcld", np.eye(2), np.eye(2))
-
-
-# Triangles per batch of trial fluxes: keeps the (batch, nq, 48) flux
-# array near half a megabyte whatever the mesh size.
-_TRIAL_BATCH = 256
-
-
-def _pair_trial_gradients(spaces, kernel):
-    """Element blocks of the integral of dN_a/dx_j kernel[j, c, l, d]
-    dN_b/dx_l with axes (t, a, c, d, b), the order of the saddle
-    pattern's ``velocity_slots``; ``kernel`` (nt, nq, 2, 2, 2, 2) maps
-    the gradient of trial function N_b e_d (derivative l of component d)
-    to a flux (component c along x_j) at every point.  The volume pairing
-    of ``_pair_volume``, run on batches of triangles."""
-    nt, nq = kernel.shape[:2]
-    kernel = np.swapaxes(kernel, 4, 5).reshape(nt, nq, 8, 2)
-    grads = np.swapaxes(spaces.phys_grads, 2, 3)
-    weighted = _weighted_grads(spaces)
-    out = np.empty((nt, 6, 24))
-    for lo in range(0, nt, _TRIAL_BATCH):
-        t = slice(lo, lo + _TRIAL_BATCH)
-        # flux of every trial function, axes (t, q, j, c, d, b)
-        flux = np.matmul(kernel[t], grads[t])
-        out[t] = np.matmul(weighted[t], flux.reshape(-1, 2 * nq, 24))
-    return out.reshape(nt, 6, 2, 2, 6)
-
-
-def _point(values):
-    """Per-point scalars (nt, nq) broadcast against (j, c, l, d) axes."""
-    return values[:, :, None, None, None, None]
+def _jacobian_tables(spaces):
+    """Per-mesh constants of the Jacobian's point tensor, axes (m, n, c,
+    d, t): T_dm T_cn + delta_cd S_mn and det_t delta_cd S_mn, with T =
+    ``inv_t[:, :, t]`` and S = T^T T."""
+    def build():
+        T = spaces.inv_t.transpose(1, 0, 2)             # T[m, j, t] = T_jm
+        same = np.zeros((2, 2, 2, 2, spaces.mesh.num_triangles))
+        for c in range(2):
+            same[:, :, c, c] = np.einsum("mjt,njt->mnt", T, T)
+        return T[:, None, None] * T[None, :, :, None] + same, same * spaces.det
+    return _cached(spaces, "jacobian_tables", build)
 
 
 def assemble_jacobian(velocity, rheology, friction, params):
     """Derivative of the residual at the given state, as a symmetric
     saddle-point :class:`AssembledSystem`.
 
-    The velocity block pairs the derivative kernels with symmetric test
-    gradients; the coupling block and its transpose are shared exactly.
-    Requires delta > 0.
+    The velocity block of a triangle with inverse transpose T, for test
+    node a and component c and trial node b and component d, is a
+    contraction of the reference gradients,
+
+        block[a, b, c, d] = sum_{q, m, n} w_q dN_a/dxi_m dN_b/dxi_n K[q, m, n, c, d]
+
+    with K = det (B c1 F_mc F_nd + (mu0 + B c2 / 2) delta_cd S_mn
+    + (B c2 / 2) T_dm T_cn), E the strain, F = T^T E and S = T^T T: one
+    matmul of the per-mesh pair table with K over all triangles.  The
+    coupling block and its transpose are shared exactly.  Requires
+    delta > 0.
     """
     spaces = _check_args(velocity, rheology, friction)
     strain, bc1, bc2, v, tg1, tg2 = _derivative_factors(
         velocity, rheology, friction, params)
-    # B S'(Dv) + mu0 on trial gradients: (mu0 + B c2 / 2) delta_cd delta_jl
-    # + (B c2 / 2) delta_cl delta_jd + B c1 E_jc E_ld
-    kernel = _point(bc1) * strain[:, :, :, :, None, None] * strain[:, :, None, None]
-    kernel += _point(params.mu0 + 0.5 * bc2) * _SAME + _point(0.5 * bc2) * _SWAP
+    both, same_det = _jacobian_tables(spaces)
+    _, pairs, _ = _reference_tables(spaces)
+    # K with axes (q, m, n, c, d, t)
+    F = _pull_back(spaces.inv_t, strain)
+    gF = (spaces.det * bc1)[:, None, None] * F
+    kernel = gF[:, :, None, :, None] * F[:, None, :, None]
+    kernel += (0.5 * spaces.det * bc2)[:, None, None, None, None] * both
+    kernel += params.mu0 * same_det
+    blocks = pairs @ kernel.reshape(pairs.shape[1], -1)
     # bed: tau (g1 v_c v_d + g2 delta_cd) N_b, axes (k, m, c, b, d)
     tv = spaces.edge_trace_vals
     bed = _bed_kernel(v, tg1, tg2)[:, :, :, None, :] * tv[None, :, None, :, None]
-    return _saddle_system(spaces, _pair_trial_gradients(spaces, kernel),
+    return _saddle_system(spaces, blocks,
                           _pair_trace(spaces, spaces.basal_edge_indices, bed, tv))
 
 
@@ -487,8 +530,10 @@ def _identity_blocks(blocks):
 def velocity_v2_stiffness(spaces):
     """Full-gradient stiffness of the velocity space (both components)."""
     def build():
-        grads = _pair_volume(spaces, np.swapaxes(spaces.phys_grads, 2, 3))
-        blocks = _identity_blocks(grads).reshape(-1, 12, 12)
+        # flux of each trial function: its physical gradient, axes (q, j, b, t)
+        grads = np.einsum("jnt,qnb->qjbt", spaces.inv_t, spaces.ref_grads)
+        blocks = np.moveaxis(_pair_flux(spaces, grads), 2, 0)
+        blocks = _identity_blocks(blocks).reshape(-1, 12, 12)
         n = spaces.n_u
         return _element_matrix(blocks, spaces.tri_vel_dofs, spaces.tri_vel_dofs, (n, n))
     return _cached(spaces, "velocity_v2", build)
@@ -497,8 +542,8 @@ def velocity_v2_stiffness(spaces):
 def velocity_mass(spaces):
     """L2 mass matrix of the velocity space."""
     def build():
-        values = _pair_volume(spaces, spaces.p2_vals[None], spaces.p2_vals)
-        blocks = _identity_blocks(values).reshape(-1, 12, 12)
+        values = _pair_volume(spaces, spaces.p2_vals[:, :, None], spaces.p2_vals)
+        blocks = _identity_blocks(np.moveaxis(values, 2, 0)).reshape(-1, 12, 12)
         n = spaces.n_u
         return _element_matrix(blocks, spaces.tri_vel_dofs, spaces.tri_vel_dofs, (n, n))
     return _cached(spaces, "velocity_mass", build)

@@ -275,8 +275,9 @@ class SaddlePattern:
     triangles' vertices; pressure row n_u + k holds the velocity columns
     of the nodes around vertex k.  The ``*_slots`` arrays give the
     position in the data array of every element-block entry:
-    ``velocity_slots`` for the velocity blocks with axes (t, a, c, d, b)
-    (test node a and component c, trial component d and node b) and
+    ``velocity_slots`` for the velocity blocks with axes (a, b, c, d, t)
+    (test node a, trial node b, test component c, trial component d and
+    the triangle innermost) and
     ``bed_slots`` for the bed-edge blocks with axes (k, a, c, b, d).
     ``coupling_slots`` holds the positions of the entries of C in CSR
     order; C^T fills the pressure rows, from ``indptr[n_u]`` on.
@@ -353,10 +354,14 @@ def _saddle_pattern(spaces):
         indices[start[2 * vp_row + c] + 2 * vv_n[vp_row] + vp_pos] = n_u + vp_col
         indices[start[n_u + pv_row] + 2 * pv_pos + c] = 2 * pv_col + c
 
-    comp = np.arange(2)
-    vel_start = start[spaces.tri_vel_dofs].reshape(-1, 6, 2)
-    velocity_slots = (vel_start[:, :, :, None, None] + comp[:, None]
-                      + 2 * vv_pos[vv_of][:, :, None, None, :])
+    # velocity_slots in the (a, b, c, d, t) order of the Jacobian's GEMM,
+    # computed in int32: row start of dof (a, c), plus the trial
+    # component d, plus twice the place of node b in node a's row
+    comp = np.arange(2, dtype=np.int32)
+    vel_start = start[spaces.tri_vel_dofs.T].astype(np.int32).reshape(6, 2, -1)
+    pair_pos = (2 * vv_pos[vv_of]).astype(np.int32).transpose(1, 2, 0)
+    velocity_slots = (vel_start[:, None, :, None] + comp[:, None]
+                      + pair_pos[:, :, None, None])
     bed_nodes = spaces.bedge_nodes[spaces.basal_edge_indices]
     bed_pairs = np.searchsorted(vv_keys,
                                 bed_nodes[:, :, None] * nn + bed_nodes[:, None, :])
@@ -406,7 +411,7 @@ def _saddle_pattern(spaces):
     # The two long slot maps are kept as int32: half the memory of the
     # per-mesh cache for a little conversion time in bincount and take.
     return SaddlePattern((n, n), _frozen(indptr), _frozen(indices),
-                         velocity_slots.ravel().astype(np.int32), bed_slots.ravel(),
+                         velocity_slots.ravel(), bed_slots.ravel(),
                          coupling_slots, _frozen(red_indptr), _frozen(red_indices),
                          source.astype(np.int32), red_pos[m], mixed, unit_slots)
 
@@ -487,8 +492,12 @@ class Spaces:
     """Bundle of the four spaces plus shared element tables.
 
     Built once per mesh by :func:`build_spaces`.  Holds the unique-edge
-    table, physical basis gradients at quadrature points, boundary edge
-    node triples and geometry, the velocity constraint set, and lazily
+    table, the affine geometry of the triangles (``det``, the Jacobian
+    determinant of each map, and ``inv_t``, the inverse transposes of
+    the maps with axes (i, j, t): ``inv_t[:, :, t]`` maps reference
+    gradients of triangle t to physical ones), the reference basis
+    gradients at the quadrature points, boundary edge node triples and
+    geometry, the velocity constraint set, and lazily
     cached data used for assembly, factorization and regularization:
     the saddle pattern (:meth:`saddle_pattern`), the node-blocked order
     of its LUs (:meth:`saddle_order`) and auxiliary matrices.
@@ -518,11 +527,15 @@ class Spaces:
         ])
 
         # P2 node ids per triangle: vertices then midpoints of (0,1), (1,2), (2,0).
+        # The velocity dofs are stored column-major, so that their
+        # transpose, the (12, nt) table of triangle-innermost point arrays,
+        # is contiguous.
         self.tri_p2_nodes = np.hstack([mesh.triangles, nv + self.tri_edges])
-        self.tri_vel_dofs = (2 * self.tri_p2_nodes[:, :, None]
-                             + np.arange(2)[None, None, :]).reshape(nt, 12)
+        self.tri_vel_dofs = np.asfortranarray(
+            (2 * self.tri_p2_nodes[:, :, None] + np.arange(2)).reshape(nt, 12))
 
-        # Affine maps and physical basis gradients.
+        # Affine maps: the Jacobian determinant and the inverse transpose
+        # of each triangle's map, triangle-innermost.
         a = mesh.vertices[mesh.triangles[:, 0]]
         b = mesh.vertices[mesh.triangles[:, 1]]
         c = mesh.vertices[mesh.triangles[:, 2]]
@@ -530,26 +543,23 @@ class Spaces:
         jac[:, :, 0] = b - a
         jac[:, :, 1] = c - a
         self.det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv_t = np.empty_like(jac)          # inverse transpose of the map
-        inv_t[:, 0, 0] = jac[:, 1, 1]
-        inv_t[:, 0, 1] = -jac[:, 1, 0]
-        inv_t[:, 1, 0] = -jac[:, 0, 1]
-        inv_t[:, 1, 1] = jac[:, 0, 0]
-        inv_t /= self.det[:, None, None]
+        inv_t = np.empty((2, 2, nt))
+        inv_t[0, 0] = jac[:, 1, 1]
+        inv_t[0, 1] = -jac[:, 1, 0]
+        inv_t[1, 0] = -jac[:, 0, 1]
+        inv_t[1, 1] = jac[:, 0, 0]
+        inv_t /= self.det
+        self.inv_t = inv_t
 
         q = self.quadrature
         self.p2_vals = p2_values(q.tri_points)
         self.p1_vals = p1_values(q.tri_points)
-        ref_grads = p2_reference_gradients(q.tri_points)
-        # basis_grads[t, a, 2 q + i] = (inv_t[t] @ ref_grads[q, a, :])[i],
-        # stored basis-major so that one matmul contracts all points of a
-        # triangle; phys_grads[t, q, a, i] is the same data point-major.
-        nq = q.tri_points.shape[0]
-        self.basis_grads = np.ascontiguousarray(
-            np.einsum("tij,qaj->taqi", inv_t, ref_grads)).reshape(nt, 6, 2 * nq)
-        self.phys_grads = self.basis_grads.reshape(nt, 6, nq, 2).transpose(0, 2, 1, 3)
+        # ref_grads[q, m, a] = dN_a/dxi_m at reference point q; the physical
+        # gradient of N_a on triangle t is inv_t[:, :, t] @ ref_grads[q, :, a].
+        self.ref_grads = np.ascontiguousarray(
+            p2_reference_gradients(q.tri_points).transpose(0, 2, 1))
         p1_ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        self.p1_grads = np.einsum("tij,aj->tai", inv_t, p1_ref)
+        self.p1_grads = np.einsum("ijt,aj->tai", inv_t, p1_ref)
         self.qpoints_xy = (a[:, None, :]
                            + np.einsum("tij,qj->tqi", jac, q.tri_points))
 
@@ -691,19 +701,38 @@ def velocity_values_at_quadrature(field):
     return np.einsum("qa,tac->tqc", sp_.p2_vals, velocity_local_coeffs(field))
 
 
+def point_velocity_gradients(field):
+    """Velocity gradient (rows are components) at the triangle quadrature
+    points, triangle-innermost: shape (nq, 2, 2, nt) with entry
+    [q, i, j, t] = d v_i / d x_j.  One matmul of the reference gradients
+    with the local dofs of all triangles, then the pull-back by
+    ``inv_t``."""
+    sp_ = field.space.parent
+    nq, nt = sp_.ref_grads.shape[0], sp_.mesh.num_triangles
+    coeffs = field.values[sp_.tri_vel_dofs.T].reshape(6, 2 * nt)     # (a, (c, t))
+    ref = (sp_.ref_grads.reshape(2 * nq, 6) @ coeffs).reshape(nq, 2, 2, nt)
+    inv_t = sp_.inv_t
+    return ref[:, 0, :, None] * inv_t[:, 0] + ref[:, 1, :, None] * inv_t[:, 1]
+
+
 def velocity_gradients_at_quadrature(field):
     """Velocity gradient (rows are components) at quadrature points,
-    shape (nt, nq, 2, 2) with entry [i, j] = d v_i / d x_j."""
+    shape (nt, nq, 2, 2) with entry [i, j] = d v_i / d x_j: a view of
+    :func:`point_velocity_gradients`."""
+    return point_velocity_gradients(field).transpose(3, 0, 1, 2)
+
+
+def point_scalar_values(field):
+    """Vertex-based scalar at the triangle quadrature points,
+    triangle-innermost, shape (nq, nt)."""
     sp_ = field.space.parent
-    coeffs = velocity_local_coeffs(field).transpose(0, 2, 1)       # (nt, 2, 6)
-    grads = np.matmul(coeffs, sp_.basis_grads)                      # (nt, 2, 2 nq)
-    return grads.reshape(grads.shape[0], 2, -1, 2).transpose(0, 2, 1, 3)
+    return sp_.p1_vals @ field.values[field.space.mesh.triangles.T]
 
 
 def scalar_values_at_quadrature(field):
-    """Vertex-based scalar at the triangle quadrature points, (nt, nq)."""
-    sp_ = field.space.parent
-    return field.values[field.space.mesh.triangles] @ sp_.p1_vals.T
+    """Vertex-based scalar at the triangle quadrature points, (nt, nq): a
+    view of :func:`point_scalar_values`."""
+    return point_scalar_values(field).T
 
 
 def velocity_trace(field, edge_indices):

@@ -26,7 +26,7 @@ from .adjoint import Observation, solve_adjoint
 from .assembly import _omega_quad_integral, _strain, assemble_adjoint_operator, \
     basal_trace_mass, gram_matrices, norm
 from .forward import SolverError, factorize, solve_forward
-from .spaces import Field, scalar_values_at_quadrature, \
+from .spaces import Field, point_velocity_gradients, scalar_values_at_quadrature, \
     velocity_gradients_at_quadrature, velocity_trace
 from .tensor_ops import (PhysicsParams, s_gamma, s_gamma_prime_apply, s_omega,
                          s_omega_prime_apply)
@@ -232,7 +232,7 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
     v = solution.velocity
     r = 2.0 / (2.0 - params.p)
     coeff_norm = norm(rheology, "Lr_omega", r=r)
-    Dv = _strain(velocity_gradients_at_quadrature(v))
+    Dv = _strain(point_velocity_gradients(v)).transpose(3, 0, 1, 2)
     Dv_l2 = float(np.sqrt(_omega_quad_integral(spaces, (Dv ** 2).sum(axis=(2, 3)))))
     # B and S(Dv) at the quadrature points, shared by the five probes of
     # (B S(Dv), grad phi).

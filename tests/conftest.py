@@ -12,11 +12,11 @@ import pytest
 
 import pglacier as pg
 from pglacier import inversion
-from pglacier.assembly import (_SAME, _SWAP, _bed_kernel, _check_args,
-                               _derivative_factors, _pair_trace,
-                               _pair_trial_gradients, _point, _saddle_system)
+from pglacier.assembly import (_bed_kernel, _check_args, _derivative_factors,
+                               _pair_trace, _saddle_system)
 from pglacier.forward import SolverConfig
 from pglacier.spaces import (SpaceKind, basal_coeff_on_edges,
+                             p2_reference_gradients,
                              scalar_values_at_quadrature,
                              velocity_gradients_at_quadrature,
                              velocity_values_at_quadrature)
@@ -135,30 +135,59 @@ def twin_obs(slab_spaces, tilted_params, tight_solver):
                              solver_config=tight_solver)
 
 
+def physical_gradients(spaces):
+    """Physical gradients of the quadratic basis at the quadrature points,
+    shape (nt, nq, 6, 2): entry [t, q, a, i] is dN_a/dx_i, built from
+    the reference gradients and the inverse transposes ``inv_t``."""
+    ref = p2_reference_gradients(spaces.quadrature.tri_points)
+    return np.einsum("ijt,qaj->tqai", spaces.inv_t, ref)
+
+
+# Constant maps on 2x2 gradients, axes (j, c, l, d): the identity
+# delta_cd delta_jl and the transposition delta_cl delta_jd.
+_SAME = np.einsum("jl,cd->jcld", np.eye(2), np.eye(2))
+_SWAP = np.einsum("cl,jd->jcld", np.eye(2), np.eye(2))
+
+
+def pair_trial_gradients(spaces, kernel):
+    """Element blocks of the integral of dN_a/dx_j kernel[j, c, l, d]
+    dN_b/dx_l, triangle by triangle with physical gradients, axes (t, a,
+    c, d, b); ``kernel`` (nt, nq, 2, 2, 2, 2) maps the gradient of trial
+    function N_b e_d (derivative l of component d) to a flux (component
+    c along x_j) at every point."""
+    grads = physical_gradients(spaces)
+    weights = spaces.quadrature.tri_weights[None, :] * spaces.det[:, None]
+    return np.einsum("tq,tqaj,tqjcld,tqbl->tacdb", weights, grads, kernel, grads,
+                     optimize=True)
+
+
 def derivative_kernel_operator(velocity, rheology, friction, params):
     """Operator of the dual (adjoint) problem at the given state.
 
     Assembled independently of :func:`assemble_jacobian` by building the
     derivative-kernel image of each trial function and contracting it
-    with the full (unsymmetrized) test gradient; since the image is a
-    symmetric matrix the result equals the Jacobian entrywise up to
-    rounding, and tests assert that equality.
+    with the full (unsymmetrized) test gradient, triangle by triangle;
+    since the image is a symmetric matrix the result equals the Jacobian
+    entrywise up to rounding, and tests assert that equality.
     """
     spaces = _check_args(velocity, rheology, friction)
     strain, bc1, bc2, v, tg1, tg2 = _derivative_factors(
         velocity, rheology, friction, params)
+    # per-point arrays with axes (t, q, ...)
+    strain, bc1, bc2 = strain.transpose(3, 0, 1, 2), bc1.T, bc2.T
     nt, nq = strain.shape[:2]
     # symmetric part T of a trial gradient H, T_jc = sym[j, c, l, d] H_dl
     sym = 0.5 * (_SAME + _SWAP)
     # image B (c1 (Dv : T) Dv + c2 T) + mu0 H, with Dv : T = (Dv : sym)_ld H_dl
     Dv_sym = np.matmul(strain.reshape(nt, nq, 4), sym.reshape(4, 4)).reshape(nt, nq, 2, 2)
-    image = _point(bc1) * strain[:, :, :, :, None, None] * Dv_sym[:, :, None, None] \
-        + _point(bc2) * sym + params.mu0 * _SAME
+    point = (slice(None), slice(None)) + (None,) * 4
+    image = bc1[point] * strain[:, :, :, :, None, None] * Dv_sym[:, :, None, None] \
+        + bc2[point] * sym + params.mu0 * _SAME
     # bed: image tau s'(v) of trial N_b e_d, axes (k, m, b, d, c)
     tv = spaces.edge_trace_vals
     bed_image = tv[None, :, :, None, None] * _bed_kernel(v, tg1, tg2)[:, :, None, :, :]
     return _saddle_system(
-        spaces, _pair_trial_gradients(spaces, image),
+        spaces, pair_trial_gradients(spaces, image).transpose(1, 4, 2, 3, 0),
         _pair_trace(spaces, spaces.basal_edge_indices,
                     np.moveaxis(bed_image, 4, 2), tv))
 

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 import pglacier as pg
 from conftest import derivative_kernel_operator as assemble_adjoint_operator
+from conftest import physical_gradients
 from conftest import quadrature_norm as norm
 from pglacier.assembly import (assemble_coeff_derivative,
                                assemble_coeff_gradient_duals,
@@ -100,10 +101,11 @@ def naive_linear_saddle(spaces, B, tau, mu0):
     n_u = spaces.n_u
     K = np.zeros((n_u, n_u))
     tris = spaces.mesh.triangles
+    grads = physical_gradients(spaces)
     for t in range(spaces.mesh.num_triangles):
         for iq in range(q.tri_points.shape[0]):
             w = q.tri_weights[iq] * spaces.det[t]
-            G = spaces.phys_grads[t, iq]
+            G = grads[t, iq]
             Bq = sum(B.values[tris[t, k]] * spaces.p1_vals[iq][k]
                      for k in range(3))
             for a in range(6):
@@ -134,7 +136,7 @@ def naive_linear_saddle(spaces, B, tau, mu0):
     for t in range(spaces.mesh.num_triangles):
         for iq in range(q.tri_points.shape[0]):
             w = q.tri_weights[iq] * spaces.det[t]
-            G = spaces.phys_grads[t, iq]
+            G = grads[t, iq]
             for a in range(6):
                 for c in range(2):
                     for k in range(3):

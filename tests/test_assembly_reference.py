@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 import pglacier as pg
+from conftest import derivative_kernel_operator, physical_gradients
 from pglacier.mesh import BoundaryTag
 from pglacier.assembly import (_residual_raw, assemble_coeff_derivative,
                                assemble_coeff_gradient_duals,
@@ -66,6 +67,7 @@ def bed_dofs(spaces):
 def reference_residual(spaces, velocity, pressure, rheology, friction, params):
     q = spaces.quadrature
     nt = spaces.mesh.num_triangles
+    grads = physical_gradients(spaces)
     grad = velocity_gradients_at_quadrature(velocity)
     strain = 0.5 * (grad + np.swapaxes(grad, 2, 3))
     S = s_omega(strain, params)
@@ -77,7 +79,7 @@ def reference_residual(spaces, velocity, pressure, rheology, friction, params):
     r_p = np.zeros((nt, 3))
     for iq in range(q.tri_weights.size):
         detw = q.tri_weights[iq] * spaces.det
-        G = spaces.phys_grads[:, iq]
+        G = grads[:, iq]
         r_u += np.einsum("t,tcj,taj->tac", detw * B_q[:, iq], S[:, iq], G)
         r_u += params.mu0 * np.einsum("t,tcj,taj->tac", detw, grad[:, iq], G)
         r_u -= np.einsum("t,tac->tac", detw * pi_q[:, iq], G)
@@ -101,6 +103,7 @@ def reference_jacobian_blocks(spaces, velocity, rheology, friction, params):
     """COO rows, columns and values of every element-block entry."""
     q = spaces.quadrature
     nt = spaces.mesh.num_triangles
+    grads = physical_gradients(spaces)
     grad = velocity_gradients_at_quadrature(velocity)
     strain = 0.5 * (grad + np.swapaxes(grad, 2, 3))
     mag2 = (strain ** 2).sum(axis=(2, 3)) + params.delta ** 2
@@ -112,7 +115,7 @@ def reference_jacobian_blocks(spaces, velocity, rheology, friction, params):
     C = np.zeros((nt, 6, 2, 3))
     for iq in range(q.tri_weights.size):
         detw = q.tri_weights[iq] * spaces.det
-        G = spaces.phys_grads[:, iq]
+        G = grads[:, iq]
         GG = np.einsum("tad,tbd->tab", G, G)
         Qv = np.einsum("tij,taj->tai", strain[:, iq], G)
         w2 = detw * B_q[:, iq] * c2[:, iq]
@@ -175,6 +178,7 @@ def reference_coeff_derivative(spaces, velocity, rheology_dir, friction_dir,
     """Velocity dual of (Btilde S(Dv), grad phi) + (tautilde S(v), phi) on
     the bed, element by element."""
     q = spaces.quadrature
+    grads = physical_gradients(spaces)
     grad = velocity_gradients_at_quadrature(velocity)
     S = s_omega(0.5 * (grad + np.swapaxes(grad, 2, 3)), params)
     B_q = scalar_values_at_quadrature(rheology_dir)
@@ -182,7 +186,7 @@ def reference_coeff_derivative(spaces, velocity, rheology_dir, friction_dir,
     for iq in range(q.tri_weights.size):
         detw = q.tri_weights[iq] * spaces.det
         r_u += np.einsum("t,tcj,taj->tac", detw * B_q[:, iq], S[:, iq],
-                         spaces.phys_grads[:, iq])
+                         grads[:, iq])
     out = np.zeros(spaces.n_u)
     np.add.at(out, spaces.tri_vel_dofs.ravel(), r_u.ravel())
     bed = spaces.basal_edge_indices
@@ -194,6 +198,37 @@ def reference_coeff_derivative(spaces, velocity, rheology_dir, friction_dir,
         r_e += np.einsum("k,kc,a->kac", lw, Sg[:, im], spaces.edge_trace_vals[im])
     np.add.at(out, bed_dofs(spaces).ravel(), r_e.ravel())
     return out
+
+
+def reference_coeff_jacobian(spaces, velocity, params):
+    """The coefficient Jacobian from per-point element blocks summed by
+    COO conversion."""
+    q = spaces.quadrature
+    nt, nv = spaces.mesh.num_triangles, spaces.mesh.num_vertices
+    grads = physical_gradients(spaces)
+    grad = velocity_gradients_at_quadrature(velocity)
+    S = s_omega(0.5 * (grad + np.swapaxes(grad, 2, 3)), params)
+    volume = np.zeros((nt, 6, 2, 3))
+    for iq in range(q.tri_weights.size):
+        volume += np.einsum("t,tcj,taj,k->tack", q.tri_weights[iq] * spaces.det,
+                            S[:, iq], grads[:, iq], spaces.p1_vals[iq])
+    bed = spaces.basal_edge_indices
+    Sg = s_gamma(velocity_trace(velocity, bed), params)
+    s = q.edge_points
+    edge = np.zeros((bed.size, 3, 2, 2))
+    for im in range(s.size):
+        lw = q.edge_weights[im] * spaces.bedge_lengths[bed]
+        edge += np.einsum("k,kc,a,l->kacl", lw, Sg[:, im],
+                          spaces.edge_trace_vals[im], np.array([1.0 - s[im], s[im]]))
+    vel_rows = np.broadcast_to(spaces.tri_vel_dofs[:, :, None], (nt, 12, 3))
+    vel_cols = np.broadcast_to(spaces.mesh.triangles[:, None, :], (nt, 12, 3))
+    bed_rows = np.broadcast_to(bed_dofs(spaces)[:, :, None], (bed.size, 6, 2))
+    bed_cols = np.broadcast_to(nv + spaces.basal_edge_dofs[:, None, :], (bed.size, 6, 2))
+    return sp.coo_matrix(
+        (np.concatenate([volume.ravel(), edge.ravel()]),
+         (np.concatenate([vel_rows.ravel(), bed_rows.ravel()]),
+          np.concatenate([vel_cols.ravel(), bed_cols.ravel()]))),
+        shape=(spaces.n_u, nv + spaces.coeff_basal.dof_count)).tocsr()
 
 
 def relative_gap(a, b):
@@ -299,3 +334,100 @@ def test_coeff_jacobian_transpose_matches_gradient_reference(case):
     nv = spaces.mesh.num_vertices
     assert relative_gap(g[:nv], ref_rheo) <= RTOL
     assert relative_gap(g[nv:], ref_fric) <= RTOL
+
+
+def test_coeff_jacobian_entries_match_element_reference(case):
+    spaces, v, _, _, _, _, params = case
+    G = assemble_coeff_jacobian(v, params)
+    ref = reference_coeff_jacobian(spaces, v, params)
+    assert np.array_equal(G.indptr, ref.indptr)
+    assert np.array_equal(G.indices, ref.indices)
+    assert relative_gap(G.data, ref.data) <= 1e-14
+    # the pattern is built once per mesh and shared by every G
+    again = assemble_coeff_jacobian(pg.zero_field(spaces.velocity), params)
+    assert np.shares_memory(again.indices, G.indices)
+
+
+def unit_slab():
+    """The 1x1 slab on [0, 2] x [0, 1]: two triangles, one bed edge whose
+    ends sit on the dirichlet walls."""
+    B, D, A = (int(BoundaryTag.BASAL), int(BoundaryTag.DIRICHLET),
+               int(BoundaryTag.ATMOSPHERE))
+    return pg.Mesh(np.array([(0, 0), (2, 0), (2, 1), (0, 1)], dtype=float),
+                   np.array([(0, 1, 2), (0, 2, 3)]),
+                   np.array([(0, 1), (3, 2), (0, 3), (1, 2)]),
+                   np.array([B, A, D, D]), np.array([False, True, False, False]))
+
+
+def jittered_file_mesh(directory):
+    """A bedded 8x4 slab whose interior vertices move by up to a quarter
+    cell (fixed seed), written to a mesh file and read back."""
+    mesh = pg.generate_slab_mesh(2.0, 1.0, 8, 4,
+                                 bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
+    h = np.array([2.0 / 8, 0.95 / 4])
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.boundary_edges.ravel()] = False
+    vertices = mesh.vertices.copy()
+    shift = np.random.default_rng(0).uniform(-0.25, 0.25, vertices.shape) * h
+    vertices[interior] += shift[interior]
+    path = directory / "jittered.pgmesh"
+    pg.save_mesh(pg.Mesh(vertices, mesh.triangles, mesh.boundary_edges,
+                         mesh.boundary_tags, mesh.observed), path)
+    return pg.load_mesh(path)
+
+
+@pytest.fixture(scope="module", params=["jittered", "unit"])
+def odd_state(request, tmp_path_factory):
+    """A random constraint-satisfying state on the jittered file mesh or
+    the two-triangle slab."""
+    if request.param == "jittered":
+        mesh = jittered_file_mesh(tmp_path_factory.mktemp("mesh"))
+    else:
+        mesh = unit_slab()
+    spaces = pg.build_spaces(mesh)
+    rng = np.random.default_rng(7)
+    full = spaces.expand_vector(spaces.reduce_vector(
+        0.4 * rng.standard_normal(spaces.n_sys)))
+    return (spaces, pg.Field(spaces.velocity, full[:spaces.n_u]),
+            pg.Field(spaces.pressure, full[spaces.n_u:]),
+            pg.Field(spaces.coeff_omega,
+                     1.0 + 0.5 * rng.random(spaces.coeff_omega.dof_count)),
+            pg.Field(spaces.coeff_basal,
+                     0.3 + 0.4 * rng.random(spaces.coeff_basal.dof_count)))
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0])
+@pytest.mark.parametrize("delta", [1e-4, 0.1])
+def test_contraction_matches_oracle_and_reference(odd_state, p, delta):
+    spaces, v, pressure, B, tau = odd_state
+    params = pg.PhysicsParams(p=p, delta=delta, body_force=(0.5, -1.0))
+    J = assemble_jacobian(v, B, tau, params).matrix
+    oracle = derivative_kernel_operator(v, B, tau, params).matrix
+    assert relative_gap(J.data, oracle.data) <= 1e-13
+    ref = reference_residual(spaces, v, pressure, B, tau, params)
+    assert relative_gap(_residual_raw(v, pressure, B, tau, params), ref) <= 1e-13
+
+
+def test_velocity_slots_follow_the_contraction_order(odd_state):
+    spaces = odd_state[0]
+    pattern = spaces.saddle_pattern()
+    n = spaces.n_sys
+    keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
+    assert np.all(np.diff(keys) > 0)
+    dofs = spaces.tri_vel_dofs.reshape(-1, 6, 2)              # (t, a, c)
+
+    def slots(rows, cols):
+        rows, cols = np.broadcast_arrays(rows, cols)
+        found = np.searchsorted(keys, rows * n + cols)
+        assert np.array_equal(keys[found], rows * n + cols)
+        return found.ravel()
+    # (a, b, c, d, t): test node and trial node, then their components
+    by_node = dofs.transpose(1, 2, 0)
+    expected = slots(by_node[:, None, :, None], by_node[None, :, None])
+    assert pattern.velocity_slots.dtype == np.int32
+    assert np.array_equal(pattern.velocity_slots, expected)
+    # the triangle-outermost (t, a, c, d, b) order hits every position
+    # as often
+    outer = slots(dofs[:, :, :, None, None], dofs.transpose(0, 2, 1)[:, None, None])
+    assert np.array_equal(np.bincount(outer, minlength=pattern.nnz),
+                          np.bincount(pattern.velocity_slots, minlength=pattern.nnz))

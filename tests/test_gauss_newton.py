@@ -165,7 +165,7 @@ def test_hessian_product_runs_no_element_assembly(monkeypatch, slab_spaces,
 
     def refuse(*args, **kwargs):
         raise AssertionError("element assembly in a Hessian product")
-    for name in ("_pair_volume", "_pair_trace", "_element_matrix"):
+    for name in ("_pair_flux", "_pair_volume", "_pair_trace", "_element_matrix"):
         monkeypatch.setattr(assembly, name, refuse)
     monkeypatch.setattr(inversion, "assemble_coeff_jacobian", refuse)
     again = hessian_product(base_state, *d, tilted_params)
