@@ -302,7 +302,7 @@ def _held_solve(state, rheology_dir, friction_dir):
     return state.adjoint_lu.solve(-(state.coeff_jacobian @ d))
 
 
-def linearized_state(state, rheology_dir, friction_dir, params):
+def linearized_state(state, rheology_dir, friction_dir):
     """First-order change of the forward state along a coefficient
     direction, at a state whose gradient was evaluated: the system
     vector of J^-1 (-G d) in plain x/y components, one solve on the
@@ -486,8 +486,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
             if not np.any(delta):
                 break     # projection swallowed the whole step
             pred = float(g @ delta)
-            dx = linearized_state(state, *_coefficient_fields(spaces, delta),
-                                  params)
+            dx = linearized_state(state, *_coefficient_fields(spaces, delta))
             warm = (Field(spaces.velocity, state.velocity.values + dx[:n_u]),
                     Field(spaces.pressure, state.pressure.values + dx[n_u:]))
             try:

@@ -91,6 +91,23 @@ def slit_bed_mesh():
                    np.array([False] * 5 + [True, True, False]))
 
 
+def jittered_file_mesh(directory):
+    """A bedded 8x4 slab whose interior vertices move by up to a quarter
+    cell (fixed seed), written to a mesh file and read back."""
+    mesh = pg.generate_slab_mesh(2.0, 1.0, 8, 4,
+                                 bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
+    h = np.array([2.0 / 8, 0.95 / 4])
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.boundary_edges.ravel()] = False
+    vertices = mesh.vertices.copy()
+    shift = np.random.default_rng(0).uniform(-0.25, 0.25, vertices.shape) * h
+    vertices[interior] += shift[interior]
+    path = directory / "jittered.pgmesh"
+    pg.save_mesh(pg.Mesh(vertices, mesh.triangles, mesh.boundary_edges,
+                         mesh.boundary_tags, mesh.observed), path)
+    return pg.load_mesh(path)
+
+
 @pytest.fixture(scope="session")
 def slab_spaces():
     """8x4 slab on [0, 2] x [0, 1], full surface observed."""

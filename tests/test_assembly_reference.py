@@ -14,7 +14,8 @@ import pytest
 import scipy.sparse as sp
 
 import pglacier as pg
-from conftest import derivative_kernel_operator, physical_gradients
+from conftest import (derivative_kernel_operator, jittered_file_mesh,
+                      physical_gradients)
 from pglacier.mesh import BoundaryTag
 from pglacier.assembly import (_residual_raw, assemble_coeff_derivative,
                                assemble_coeff_gradient_duals,
@@ -357,23 +358,6 @@ def unit_slab():
                    np.array([(0, 1, 2), (0, 2, 3)]),
                    np.array([(0, 1), (3, 2), (0, 3), (1, 2)]),
                    np.array([B, A, D, D]), np.array([False, True, False, False]))
-
-
-def jittered_file_mesh(directory):
-    """A bedded 8x4 slab whose interior vertices move by up to a quarter
-    cell (fixed seed), written to a mesh file and read back."""
-    mesh = pg.generate_slab_mesh(2.0, 1.0, 8, 4,
-                                 bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
-    h = np.array([2.0 / 8, 0.95 / 4])
-    interior = np.ones(mesh.num_vertices, dtype=bool)
-    interior[mesh.boundary_edges.ravel()] = False
-    vertices = mesh.vertices.copy()
-    shift = np.random.default_rng(0).uniform(-0.25, 0.25, vertices.shape) * h
-    vertices[interior] += shift[interior]
-    path = directory / "jittered.pgmesh"
-    pg.save_mesh(pg.Mesh(vertices, mesh.triangles, mesh.boundary_edges,
-                         mesh.boundary_tags, mesh.observed), path)
-    return pg.load_mesh(path)
 
 
 @pytest.fixture(scope="module", params=["jittered", "unit"])

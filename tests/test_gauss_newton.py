@@ -52,8 +52,7 @@ def test_hessian_quadratic_form_is_observed_change_plus_tikhonov(
     for _ in range(3):
         d = random_direction(slab_spaces)
         du = pg.Field(slab_spaces.velocity,
-                      linearized_state(base_state, *d, tilted_params)
-                      [:slab_spaces.n_u])
+                      linearized_state(base_state, *d)[:slab_spaces.n_u])
         # |O du|^2 is twice the misfit of du against zero data, and the
         # Tikhonov term twice the regularization parts of d
         want = 2.0 * (pg.misfit(du, zero)
@@ -153,7 +152,7 @@ def test_held_coefficient_jacobian_belongs_to_one_state(
     with pytest.raises(ValueError, match="fresh state"):
         hessian_product(other, *d, tilted_params)
     with pytest.raises(ValueError, match="fresh state"):
-        linearized_state(other, *d, tilted_params)
+        linearized_state(other, *d)
     with pytest.raises(ValueError, match="stale inversion state"):
         gradient_duals(other, tilted_params)
 
@@ -170,7 +169,7 @@ def test_hessian_product_runs_no_element_assembly(monkeypatch, slab_spaces,
     monkeypatch.setattr(inversion, "assemble_coeff_jacobian", refuse)
     again = hessian_product(base_state, *d, tilted_params)
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    linearized_state(base_state, *d, tilted_params)
+    linearized_state(base_state, *d)
 
 
 def test_hessian_refuses_a_state_without_its_dual_lu(

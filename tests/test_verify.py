@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import pglacier as pg
-from conftest import reference_pointwise_suite
+from conftest import jittered_file_mesh, reference_pointwise_suite
 from pglacier import verify
+from pglacier.assembly import basal_trace_mass, gram_matrices
 from pglacier.tensor_ops import s_omega
 from pglacier.verify import (CheckResult, discrete_suite, pointwise_suite,
                              trace_constant)
@@ -146,3 +148,54 @@ def test_trace_constant_stable_under_refinement(slab_spaces, fine_spaces):
     fine = trace_constant(fine_spaces)
     # discrete approximations of one continuum constant
     assert abs(coarse - fine) <= 0.05 * fine
+
+
+def dense_trace_constant(spaces):
+    """Square root of the top eigenvalue of the pencil (M_tr, M + K) by a
+    dense generalized eigensolve."""
+    mass, stiffness = gram_matrices(spaces.velocity)
+    H1 = (mass + stiffness).toarray()
+    n = spaces.n_u
+    lam = sla.eigh(basal_trace_mass(spaces).toarray(), H1, eigvals_only=True,
+                   subset_by_index=[n - 1, n - 1])[0]
+    return float(np.sqrt(lam))
+
+
+@pytest.mark.parametrize("nx", [2, 4, None],
+                         ids=["flat-2x2", "flat-4x2", "jittered-8x4"])
+def test_trace_constant_matches_dense_eigensolve(nx, tmp_path):
+    spaces = pg.build_spaces(jittered_file_mesh(tmp_path) if nx is None
+                             else pg.generate_slab_mesh(2.0, 1.0, nx, 2))
+    want = dense_trace_constant(spaces)
+    assert abs(trace_constant(spaces) - want) <= 1e-12 * want
+
+
+def test_trace_constant_solve_budget(monkeypatch, fine_spaces):
+    # Lanczos takes 21 solves on the H1 LU here; a power iteration
+    # converges to the same digits only after hundreds
+    solves = []
+    factorize = verify.factorize
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(verify, "factorize",
+                        lambda *args: CountingLU(factorize(*args)))
+    c = trace_constant(fine_spaces)
+    assert 1.0 < c < 2.0
+    assert 0 < len(solves) <= 60
+
+
+def test_trace_constant_is_zero_without_bed_edges():
+    # a valid mesh needs no BASAL edge; its trace constant is exactly 0
+    mesh = pg.generate_slab_mesh(2.0, 1.0, 4, 2)
+    tags = mesh.boundary_tags.copy()
+    tags[tags == int(pg.BoundaryTag.BASAL)] = int(pg.BoundaryTag.DIRICHLET)
+    spaces = pg.build_spaces(pg.Mesh(mesh.vertices, mesh.triangles,
+                                     mesh.boundary_edges, tags, mesh.observed))
+    assert trace_constant(spaces) == 0.0
