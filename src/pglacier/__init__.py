@@ -11,9 +11,8 @@ well-posed.
 from .adjoint import (Observation, factor_adjoint, misfit,
                       misfit_derivative_rhs, solve_adjoint)
 from .assembly import (AssembledSystem, assemble_adjoint_operator,
-                       assemble_coeff_derivative,
-                       assemble_coeff_gradient_duals, assemble_jacobian,
-                       assemble_residual, norm, solver_sign)
+                       assemble_jacobian, assemble_residual, norm,
+                       solver_sign)
 from .config import ConfigError, RunConfig, config_from_text, load_config, \
     realize_field
 from .fieldio import (FieldIOError, load_field_csv, load_observation,
@@ -40,8 +39,7 @@ __all__ = [
     "InversionState", "Mesh", "MeshError", "MeshFormatError", "Observation",
     "OptimizationConfig", "PhysicsParams", "RunConfig", "SolveReport",
     "SolverConfig", "SolverError", "SpaceKind", "Spaces",
-    "assemble_adjoint_operator", "assemble_coeff_derivative",
-    "assemble_coeff_gradient_duals", "assemble_jacobian", "assemble_residual",
+    "assemble_adjoint_operator", "assemble_jacobian", "assemble_residual",
     "build_spaces", "config_from_text", "constant_field",
     "discrete_suite", "evaluate_gradient", "factor_adjoint",
     "field_from_callable", "generate_slab_mesh", "load_config",

@@ -133,9 +133,9 @@ def observation_gram(spaces, mode):
 def factor_adjoint(velocity, rheology, friction, params):
     """Sparse LU of the reduced dual operator at the converged state,
     which is the forward Jacobian there (``assemble_adjoint_operator``
-    is ``assemble_jacobian``), in the mesh's node-blocked order."""
+    is ``assemble_jacobian``), in the reduced frame's own order."""
     system = assemble_adjoint_operator(velocity, rheology, friction, params)
-    return factorize(system.reduced(), system.spaces.saddle_order())
+    return factorize(system.reduced(), "NATURAL")
 
 
 def solve_adjoint(velocity, obs, lu):

@@ -30,10 +30,11 @@ tensor (:func:`assemble_jacobian`).  Dual vectors are scattered with
 ``np.bincount``; operators are written straight into the data array of
 a per-mesh pattern through precomputed slot maps, also with
 ``np.bincount``: the Jacobian into the saddle pattern
-(:meth:`Spaces.saddle_pattern`), on which constraint elimination is
-index arithmetic (a gather), and the coefficient Jacobian
-(:func:`assemble_coeff_jacobian`), whose products are the coefficient
-derivative and the gradient duals, into a pattern of its own.  The
+(:meth:`Spaces.saddle_pattern`), from which constraint elimination
+gathers the reduced operator (:meth:`Spaces.eliminate`), and the
+coefficient Jacobian (:func:`assemble_coeff_jacobian`), whose products
+are the coefficient derivative and the gradient duals, into a pattern
+of its own.  The
 auxiliary matrices, built once per mesh, sum their element blocks by
 COO conversion.
 The four linear-element mass and stiffness matrices keep their closed
@@ -64,15 +65,16 @@ from .tensor_ops import s_gamma, s_omega
 class AssembledSystem:
     """Sparse symmetric operator on the saddle pattern of ``spaces``.
 
-    ``matrix`` is the full (unconstrained) saddle-point operator;
-    :meth:`reduced` eliminates the rotated-frame dofs of
-    ``spaces.sys_constrained`` by symmetric row/column elimination with
-    unit diagonal.
+    ``matrix`` is the full (unconstrained) saddle-point operator in
+    plain x/y components; :meth:`reduced` is the operator in the reduced
+    frame of ``spaces``, with the dofs of ``spaces.sys_constrained``
+    eliminated by symmetric row/column elimination with unit diagonal: a
+    CSC matrix that a saddle LU factors as it stands.
     """
 
     matrix: sp.csr_matrix
     spaces: object
-    _reduced: sp.csr_matrix = field(default=None, repr=False)
+    _reduced: sp.csc_matrix = field(default=None, repr=False)
 
     def reduced(self):
         if self._reduced is None:
@@ -316,39 +318,6 @@ def _coeff_pattern(spaces):
         return (_frozen(np.concatenate([[0], np.cumsum(count)])), _frozen(col),
                 _frozen(slots))
     return _cached(spaces, "coeff_pattern", build)
-
-
-def assemble_coeff_derivative(velocity, rheology_dir, friction_dir, params):
-    """Dual vector of the operator derivative with respect to the
-    coefficients, in directions (rheology_dir, friction_dir): the
-    constraint projection of ``G d`` for the coefficient Jacobian G of
-    :func:`assemble_coeff_jacobian`.
-
-    Velocity-test entries are (Btilde S(Dv), grad phi) plus the bed term
-    (tautilde S(v), phi); pressure-test entries are zero.  Linear in the
-    directions.
-    """
-    spaces = _require_spaces(velocity, SpaceKind.VELOCITY_P2_VEC)
-    if rheology_dir.space.kind is not SpaceKind.COEFF_OMEGA_P1:
-        raise ValueError("rheology direction must live on the vertex space")
-    if friction_dir.space.kind is not SpaceKind.COEFF_BASAL_P1:
-        raise ValueError("friction direction must live on the bed chain")
-    out = np.zeros(spaces.n_sys)
-    out[:spaces.n_u] = assemble_coeff_jacobian(velocity, params) @ np.concatenate(
-        [rheology_dir.values, friction_dir.values])
-    return spaces.project_dual(out)
-
-
-def assemble_coeff_gradient_duals(velocity, adjoint, params):
-    """Dual vectors of the cost gradient's data terms on the coefficient
-    spaces: per vertex basis N_k the integral of N_k S(Dv) : grad(lambda)
-    and per bed basis N_m the integral of N_m S(v) . lambda, the two
-    parts of ``G.T @ lambda`` for the coefficient Jacobian G of
-    :func:`assemble_coeff_jacobian`."""
-    spaces = _require_spaces(velocity, SpaceKind.VELOCITY_P2_VEC)
-    g = assemble_coeff_jacobian(velocity, params).T @ adjoint.values
-    nv = spaces.mesh.num_vertices
-    return g[:nv], g[nv:]
 
 
 # -- operators on the saddle pattern -------------------------------------

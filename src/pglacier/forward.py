@@ -24,21 +24,19 @@ Every LU comes from ``_factorize``: a forward solve's own through
 the Gram matrices of the Riesz map, the trace constant) through
 ``factorize``, in double precision, as they are exact solves with no
 Krylov loop around them.  It exploits the symmetry of these operators
-and takes pivots on the diagonal.  The saddle operator (forward
-Jacobian, dual operator) is factored in the node-blocked order of
-:meth:`Spaces.saddle_order`: a minimum-degree order of the P2 node
-graph in which each node's velocity dofs precede its pressure dof, so
-no zero pressure diagonal is pivoted on before the velocity pivots that
-fill it.  That order is built once per mesh, on the mesh's first saddle
-factorization, together with a slot map that gathers each operator's
-data into the permuted CSC matrix; SuperLU then factors it in its
-natural order.  Any other operator (a Gram matrix) is ordered by a
-minimum-degree ordering of A + A^T.  An LU of either kind is checked by
-one probe solve (refined twice in double precision for a single-
-precision LU); if SuperLU raises or the probe misses ``PROBE_RTOL``,
-the unpermuted matrix is factored again in double precision with
-SuperLU's default COLAMD ordering and partial pivoting, and the
-forward solve counts the fallback.
+and takes pivots on the diagonal.  A reduced saddle operator (forward
+Jacobian, dual operator) is factored in its own order: the reduced
+frame of :class:`~pglacier.spaces.ReducedFrame` runs node by node, in a
+minimum-degree order of the P2 node graph with each node's velocity
+dofs before its pressure dof, so no zero pressure diagonal is pivoted
+on before the velocity pivots that fill it, and SuperLU factors the
+reduced operator's own CSC arrays in their natural order.  Any other
+operator (a Gram matrix) is ordered by a minimum-degree ordering of
+A + A^T.  An LU of either kind is checked by one probe solve (refined
+twice in double precision for a single-precision LU); if SuperLU
+raises or the probe misses ``PROBE_RTOL``, the matrix is factored again
+as given, in double precision with SuperLU's default COLAMD ordering
+and partial pivoting, and the forward solve counts the fallback.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
@@ -198,61 +197,51 @@ def _probe_passes(matrix, lu, steps):
     return bool(residual <= PROBE_RTOL * np.abs(rhs).max())
 
 
-class _PermutedLU:
-    """SuperLU ``lu`` of ``A[order][:, order]``, solving with A itself.
+class _SingleLU:
+    """A float32 SuperLU ``lu`` solving in double precision: each
+    right-hand side is divided by its max-abs before the cast, so that no
+    finite one overflows, and the solution is scaled back in double
+    precision."""
 
-    A ``single`` (float32) ``lu`` solves each right-hand side divided by
-    its max-abs, so that no finite one overflows in the cast, and
-    returns the solution in double precision.
-    """
-
-    def __init__(self, lu, order, single=False):
-        self.lu, self.order, self.single = lu, order, single
+    def __init__(self, lu):
+        self.lu = lu
 
     def solve(self, rhs):
-        x = np.empty_like(rhs)
-        if self.single:
-            scale = np.abs(rhs).max() or 1.0
-            x[self.order] = self.lu.solve(
-                (rhs[self.order] / scale).astype(np.float32))
-            x *= scale
-        else:
-            x[self.order] = self.lu.solve(rhs[self.order])
+        scale = np.abs(rhs).max() or 1.0
+        x = self.lu.solve((rhs / scale).astype(np.float32)).astype(np.float64)
+        x *= scale
         return x
 
 
-def _factorize(matrix, order=None, single=False):
-    """``(lu, fell_back)``: the symmetric-mode LU of ``matrix``, or its
-    COLAMD LU (``fell_back`` true) when the symmetric one raises or
-    fails the probe.
+def _factorize(matrix, permc_spec="MMD_AT_PLUS_A", single=False):
+    """``(lu, fell_back)``: the symmetric-mode LU of ``matrix`` in the
+    column order ``permc_spec``, or its COLAMD LU (``fell_back`` true)
+    when the symmetric one raises or fails the probe.
 
-    With a :class:`SaddleOrder` ``order`` of the matrix's pattern, the
-    symmetric attempt factors ``order.permute(matrix)`` in its natural
-    order; without one, SuperLU orders A + A^T by minimum degree.  With
+    A reduced saddle operator is factored in its own node-blocked order,
+    ``"NATURAL"``; other operators by minimum degree on A + A^T.  With
     pivots on the diagonal SuperLU steps past an exactly zero pivot by
     itself, but a tiny nonzero one can give a useless LU without an
-    error, hence the probe.  With ``single`` (and an ``order``) the
-    symmetric attempt factors a float32 copy, and the probe measures the
-    solve that ``_LinearSolver`` makes right after a factorization, with
-    ``DIRECT_REFINEMENTS`` steps of refinement in double precision; an
-    entry beyond float32 range fails it.  The COLAMD LU is always double
-    precision.
+    error, hence the probe.  With ``single`` the symmetric attempt
+    factors a float32 copy of the data on the matrix's own index arrays,
+    and the probe measures the solve that ``_LinearSolver`` makes right
+    after a factorization, with ``DIRECT_REFINEMENTS`` steps of
+    refinement in double precision; an entry beyond float32 range fails
+    it.  The COLAMD LU is always double precision.
     """
-    if order is None:
-        csc, spec = matrix.tocsc(), "MMD_AT_PLUS_A"
-    else:
-        csc, spec = order.permute(matrix), "NATURAL"
+    csc = matrix.tocsc()
     if single:
         with np.errstate(over="ignore"):
-            csc = csc.astype(np.float32)
+            csc = sp.csc_matrix((csc.data.astype(np.float32), csc.indices,
+                                 csc.indptr), shape=csc.shape)
     try:
-        lu = spla.splu(csc, permc_spec=spec, diag_pivot_thresh=0.0,
+        lu = spla.splu(csc, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                        options=dict(SymmetricMode=True))
     except RuntimeError:
         lu = None
     csc = None                              # the LU no longer needs it
     if lu is not None:
-        lu = lu if order is None else _PermutedLU(lu, order.order, single)
+        lu = _SingleLU(lu) if single else lu
         if _probe_passes(matrix, lu, DIRECT_REFINEMENTS if single else 0):
             return lu, False
     lu = None                               # release the rejected LU first
@@ -262,13 +251,13 @@ def _factorize(matrix, order=None, single=False):
         raise SolverError("sparse factorization failed: %s" % exc)
 
 
-def factorize(matrix, order=None):
+def factorize(matrix, permc_spec="MMD_AT_PLUS_A"):
     """Sparse LU of a symmetric reduced operator with diagonal pivots:
-    in the node-blocked ``order`` (``spaces.saddle_order()``) for a
-    saddle operator, by minimum degree on A + A^T otherwise, or COLAMD
+    in the column order ``permc_spec`` (``"NATURAL"`` for a reduced
+    saddle operator, by minimum degree on A + A^T otherwise), or COLAMD
     with partial pivoting when that LU fails its probe solve (see
     ``_factorize``).  Only the LU's ``solve`` is for callers."""
-    return _factorize(matrix, order)[0]
+    return _factorize(matrix, permc_spec)[0]
 
 
 class _LinearSolver:
@@ -280,14 +269,13 @@ class _LinearSolver:
     factorizes).  A refactorization rebinds only this object's
     reference, so a caller's LU is never replaced; the solver's own LU
     lives as long as this object, never beyond the forward solve.  Its
-    LUs are single precision, in the node-blocked order of ``spaces``;
-    the solve right after one refines ``DIRECT_REFINEMENTS`` times in
-    double precision.  ``fallbacks`` counts the LUs that fell back to
+    LUs are single precision, in the reduced frame's own order; the
+    solve right after one refines ``DIRECT_REFINEMENTS`` times in double
+    precision.  ``fallbacks`` counts the LUs that fell back to
     double-precision COLAMD.
     """
 
-    def __init__(self, spaces, lu=None):
-        self.spaces = spaces
+    def __init__(self, lu=None):
         self.lu = lu
         self.factorizations = 0
         self.krylov_iterations = 0
@@ -302,8 +290,7 @@ class _LinearSolver:
             if x is not None:
                 return x
         self.lu = None                      # release the stale LU first
-        self.lu, fell_back = _factorize(matrix, self.spaces.saddle_order(),
-                                        single=True)
+        self.lu, fell_back = _factorize(matrix, "NATURAL", single=True)
         self.factorizations += 1
         self.fallbacks += fell_back
         return _refined_solve(matrix, self.lu, rhs, DIRECT_REFINEMENTS)
@@ -454,7 +441,7 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
         if np.any(values < lo) or np.any(values > hi):
             raise ValueError("%s field leaves the admissible box" % name)
 
-    linear = _LinearSolver(spaces, preconditioner)
+    linear = _LinearSolver(preconditioner)
     if warm_start is not None:
         x0 = np.concatenate([warm_start[0].values, warm_start[1].values])
         x_hat0 = spaces.reduce_vector(x0)

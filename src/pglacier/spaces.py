@@ -10,7 +10,9 @@ to zero, and on the bed the normal component vanishes.  Bed constraints
 are installed by rotating the dof pair at each bed node into a local
 tangent/normal frame; midpoint nodes use the exact edge normal, vertices
 the unit-normalized sum of adjacent bed edge normals.  Dirichlet wins at
-corners shared with the bed, the bed wins over the free surface.
+corners shared with the bed, the bed wins over the free surface.  The
+reduced saddle system numbers these rotated dofs node by node, in the
+fill-reducing order its LUs use (:class:`ReducedFrame`).
 
 Quadrature weights are applied only in :mod:`pglacier.assembly`, which
 also holds the Gram matrices and norms of these spaces.
@@ -268,7 +270,7 @@ def _adjacency(rows, cols, n_rows, n_cols):
 @dataclass(frozen=True)
 class SaddlePattern:
     """CSR pattern of the saddle operator [[K, C], [C^T, 0]] on one mesh,
-    and of its constraint-eliminated form.
+    in plain x/y components.
 
     Velocity row 2 R + c holds the columns 2 C + d of the P2 nodes C
     sharing a triangle with node R, then the pressure columns of those
@@ -280,16 +282,9 @@ class SaddlePattern:
     the triangle innermost) and
     ``bed_slots`` for the bed-edge blocks with axes (k, a, c, b, d).
     ``coupling_slots`` holds the positions of the entries of C in CSR
-    order; C^T fills the pressure rows, from ``indptr[n_u]`` on.
-
-    Elimination is index arithmetic on the data: the eliminated operator
-    keeps the entries whose row and column are both free, in order, so
-    its data is ``data[source]``, except at ``mixed_slots``, the entries
-    in a row or column of a slip node's free tangential dof, which
-    ``mixed @ data`` rotates into the tangent/normal frame; the
-    constrained rows hold only their unit diagonal at ``unit_slots``.
-    The index arrays are read-only and shared by every matrix built on
-    the pattern.
+    order; C^T fills the pressure rows, from ``indptr[n_u]`` on.  The
+    index arrays are read-only and shared by every matrix built on the
+    pattern; :class:`ReducedFrame` eliminates the constraints from it.
     """
 
     shape: tuple
@@ -298,12 +293,6 @@ class SaddlePattern:
     velocity_slots: np.ndarray
     bed_slots: np.ndarray
     coupling_slots: np.ndarray
-    reduced_indptr: np.ndarray
-    reduced_indices: np.ndarray
-    source: np.ndarray
-    mixed_slots: np.ndarray
-    mixed: sp.csr_matrix
-    unit_slots: np.ndarray
 
     @property
     def nnz(self):
@@ -312,14 +301,6 @@ class SaddlePattern:
     def matrix(self, data):
         """Operator with the given data on the full pattern."""
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-    def eliminate(self, data):
-        """Eliminated operator from the data of a full-pattern operator."""
-        reduced = np.take(data, self.source)
-        reduced[self.mixed_slots] = self.mixed @ data
-        reduced[self.unit_slots] = 1.0
-        return sp.csr_matrix((reduced, self.reduced_indices, self.reduced_indptr),
-                             shape=self.shape)
 
 
 def _frozen(index):
@@ -370,81 +351,60 @@ def _saddle_pattern(spaces):
                  + 2 * vv_pos[bed_pairs][:, :, None, :, None] + comp)
     coupling_slots = np.flatnonzero(indices[:indptr[n_u]] >= n_u)
 
-    # Elimination: keep entries whose row and column are both free, in
-    # order, and give each constrained row its unit diagonal.
-    constrained = spaces.sys_constrained
-    row_of = np.repeat(np.arange(n, dtype=np.int32), row_len)
-    kept = np.flatnonzero(~constrained[row_of] & ~constrained[indices])
-    i, j = row_of[kept], indices[kept]
-    del row_of
-    red_len = np.where(constrained, 1, np.bincount(i, minlength=n))
-    red_indptr = np.concatenate([[0], np.cumsum(red_len)])
-    red_pos = np.arange(kept.size) + (np.cumsum(constrained) - constrained)[i]
-    unit_slots = red_indptr[:-1][constrained]
-    red_indices = np.empty(red_indptr[-1], dtype=np.int32)
-    red_indices[red_pos] = j
-    red_indices[unit_slots] = np.flatnonzero(constrained)
-    source = np.zeros(red_indices.size, dtype=np.int64)
-    source[red_pos] = kept
-
-    # The free rotated dof 2k of a slip node is t . (v_2k, v_2k+1): its
-    # row (column) also gathers row 2k + 1, which has the same layout one
-    # row length further on (column 2k + 1, the next slot).
-    slip = np.flatnonzero(spaces.constraints.kinds == int(NodeConstraint.SLIP))
-    own, other = np.ones(n), np.zeros(n)
-    own[2 * slip] = spaces.constraints.tangents[slip, 0]
-    other[2 * slip] = spaces.constraints.tangents[slip, 1]
-    is_mixed = np.zeros(n, dtype=bool)
-    is_mixed[2 * slip] = True
-    m = np.flatnonzero(is_mixed[i] | is_mixed[j])
-    i, j, kept = i[m], j[m], kept[m]
-    mi, mj = is_mixed[i], is_mixed[j]
-    both = mi & mj
-    rows = np.arange(m.size)
-    m_rows = np.concatenate([rows, rows[mi], rows[mj], rows[both]])
-    m_cols = np.concatenate([kept, kept[mi] + row_len[i[mi]], kept[mj] + 1,
-                             kept[both] + row_len[i[both]] + 1])
-    m_data = np.concatenate([own[i] * own[j], (other[i] * own[j])[mi],
-                             (own[i] * other[j])[mj], (other[i] * other[j])[both]])
-    mixed = sp.csr_matrix((m_data, (m_rows, m_cols)), shape=(m.size, indices.size))
-
-    # The two long slot maps are kept as int32: half the memory of the
-    # per-mesh cache for a little conversion time in bincount and take.
+    # The long slot map is kept as int32: half the memory of the per-mesh
+    # cache for a little conversion time in bincount.
     return SaddlePattern((n, n), _frozen(indptr), _frozen(indices),
                          velocity_slots.ravel(), bed_slots.ravel(),
-                         coupling_slots, _frozen(red_indptr), _frozen(red_indices),
-                         source.astype(np.int32), red_pos[m], mixed, unit_slots)
+                         coupling_slots)
 
 
 @dataclass(frozen=True)
-class SaddleOrder:
-    """Node-blocked fill-reducing order of the eliminated saddle operator,
-    and the gather that permutes an operator into it.
+class ReducedFrame:
+    """The reduced frame of the saddle system on one mesh: the numbering,
+    rotation and constraint elimination shared by every reduced vector,
+    reduced operator and saddle LU.
 
-    ``order`` lists the system dofs node by node, in a minimum-degree
-    order of the P2 node graph (nodes that share a triangle): each
-    node's two velocity dofs, then its pressure dof if the node is a
-    vertex.  Each zero pressure diagonal is thus reached after pivots
-    on velocity dofs that couple to it, which a dof-by-dof order cannot
-    arrange, as it does not see that diagonal.  ``indptr``
-    and ``indices`` are the CSC pattern of ``A[order][:, order]`` for an
-    operator A on the eliminated pattern of :class:`SaddlePattern`, and
-    ``slots`` the position in A's data of each of its entries.
+    Reduced dofs run node by node, in a minimum-degree order of the P2
+    node graph (nodes that share a triangle): each node's two velocity
+    dofs, in the tangent/normal frame at slip nodes, then its pressure
+    dof if the node is a vertex.  A saddle LU factors the reduced
+    operator in this order as it stands, so each zero pressure diagonal
+    is reached after pivots on velocity dofs that couple to it, which a
+    dof-by-dof order cannot arrange, as it does not see that diagonal.
+
+    ``rotation`` R is orthogonal and maps reduced coordinates to plain
+    system ones (x = R x_hat); ``rotation_t`` is R^T as its own CSR
+    matrix, as transposing R per call would build a new matrix each
+    time.  ``constrained`` marks the reduced dofs eliminated to zero
+    (both components of fixed nodes, the normal component of slip
+    nodes).  ``indptr`` and ``indices`` are the CSC pattern of the
+    eliminated operator: the entries whose row and column are both free,
+    and a unit diagonal in the constrained ones, at ``unit_slots``.  Its
+    data is that of a full-pattern operator gathered at ``source``,
+    except at ``mixed_slots``, the entries in a row or column of a slip
+    node's free tangential dof, which ``mixed @ data`` rotates into the
+    tangent/normal frame.  The index arrays are read-only and shared by
+    every reduced operator.
     """
 
-    order: np.ndarray
+    rotation: sp.csr_matrix
+    rotation_t: sp.csr_matrix
+    constrained: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray
+    source: np.ndarray
+    mixed_slots: np.ndarray
+    mixed: sp.csr_matrix
+    unit_slots: np.ndarray
 
-    def permute(self, matrix):
-        """``matrix[order][:, order]`` in CSC form, for ``matrix`` on the
-        eliminated saddle pattern."""
-        if matrix.nnz != self.slots.size:
-            raise ValueError("permute needs an operator on the eliminated "
-                             "saddle pattern")
-        return sp.csc_matrix((matrix.data[self.slots], self.indices, self.indptr),
-                             shape=matrix.shape)
+    def eliminate(self, data):
+        """Eliminated operator, in CSC form, from the data of a
+        full-pattern operator."""
+        reduced = np.take(data, self.source)
+        reduced[self.mixed_slots] = self.mixed @ data
+        reduced[self.unit_slots] = 1.0
+        return sp.csc_matrix((reduced, self.indices, self.indptr),
+                             shape=self.rotation.shape)
 
 
 def _node_order(spaces):
@@ -465,9 +425,10 @@ def _node_order(spaces):
     return np.argsort(lu.perm_c)
 
 
-def _saddle_order(spaces):
-    """:class:`SaddleOrder` of ``spaces``: the node order expanded to
-    dofs, and the permuted pattern of the eliminated operator."""
+def _reduced_frame(spaces):
+    """:class:`ReducedFrame` of ``spaces``: the node order expanded to
+    dofs, the rotation and constraints renumbered by it, and the
+    eliminated pattern in that numbering."""
     nv, nn, n = spaces.mesh.num_vertices, spaces.n_vnodes, spaces.n_sys
     node_dofs = np.full((nn, 3), -1)
     node_dofs[:, 0] = 2 * np.arange(nn)
@@ -478,14 +439,63 @@ def _saddle_order(spaces):
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
 
+    # The plain rotation R0 and constraint mask, in system dof numbering;
+    # reduced dof k is dof order[k] of R0's frame.
+    plain = sp.block_diag([spaces.constraints.rotation, sp.identity(nv)],
+                          format="coo")
+    rotation = sp.csr_matrix((plain.data, (plain.row, position[plain.col])),
+                             shape=(n, n))
+    constrained = np.concatenate([spaces.constraints.constrained,
+                                  np.zeros(nv, dtype=bool)])
+
+    # Elimination keeps the entries whose row and column are both free
+    # and gives each constrained dof its unit diagonal.  A CSC matrix in
+    # the reduced numbering whose data are the entry numbers, kept ones
+    # first, gives each entry its slot: conversion sorts each column.
     pattern = spaces.saddle_pattern()
-    rows = np.repeat(position, np.diff(pattern.reduced_indptr))
-    # a CSC matrix whose data are the slots; conversion sorts each column
-    gather = sp.csc_matrix((np.arange(rows.size),
-                            (rows, position[pattern.reduced_indices])),
-                           shape=(n, n))
-    return SaddleOrder(_frozen(order), _frozen(gather.indptr),
-                       _frozen(gather.indices), _frozen(gather.data))
+    row_len = np.diff(pattern.indptr)
+    row_of = np.repeat(np.arange(n, dtype=np.int32), row_len)
+    kept = np.flatnonzero(~constrained[row_of] & ~constrained[pattern.indices])
+    i, j = row_of[kept], pattern.indices[kept]
+    del row_of
+    units = np.flatnonzero(constrained)
+    entries = sp.csc_matrix((np.arange(kept.size + units.size),
+                             (position[np.concatenate([i, units])],
+                              position[np.concatenate([j, units])])), shape=(n, n))
+    slot = np.empty(entries.nnz, dtype=np.int64)
+    slot[entries.data] = np.arange(entries.nnz)
+    # source stays intp: np.take would convert an int32 one on every
+    # elimination
+    source = np.zeros(entries.nnz, dtype=np.intp)
+    source[slot[:kept.size]] = kept
+    unit_slots = slot[kept.size:]
+
+    # The free rotated dof 2k of a slip node is t . (v_2k, v_2k+1): its
+    # row (column) also gathers row 2k + 1, which has the same layout one
+    # row length further on (column 2k + 1, the next slot).
+    slip = np.flatnonzero(spaces.constraints.kinds == int(NodeConstraint.SLIP))
+    own, other = np.ones(n), np.zeros(n)
+    own[2 * slip] = spaces.constraints.tangents[slip, 0]
+    other[2 * slip] = spaces.constraints.tangents[slip, 1]
+    is_mixed = np.zeros(n, dtype=bool)
+    is_mixed[2 * slip] = True
+    m = np.flatnonzero(is_mixed[i] | is_mixed[j])
+    i, j, kept = i[m], j[m], kept[m]
+    mi, mj = is_mixed[i], is_mixed[j]
+    both = mi & mj
+    rows = np.arange(m.size)
+    m_rows = np.concatenate([rows, rows[mi], rows[mj], rows[both]])
+    m_cols = np.concatenate([kept, kept[mi] + row_len[i[mi]], kept[mj] + 1,
+                             kept[both] + row_len[i[both]] + 1])
+    m_data = np.concatenate([own[i] * own[j], (other[i] * own[j])[mi],
+                             (own[i] * other[j])[mj], (other[i] * other[j])[both]])
+    mixed = sp.csr_matrix((m_data, (m_rows, m_cols)), shape=(m.size, pattern.nnz))
+
+    constrained = constrained[order]
+    constrained.flags.writeable = False
+    return ReducedFrame(rotation, rotation.T.tocsr(), constrained,
+                        _frozen(entries.indptr), _frozen(entries.indices),
+                        source, slot[m], mixed, unit_slots)
 
 
 class Spaces:
@@ -499,8 +509,8 @@ class Spaces:
     gradients at the quadrature points, boundary edge node triples and
     geometry, the velocity constraint set, and lazily
     cached data used for assembly, factorization and regularization:
-    the saddle pattern (:meth:`saddle_pattern`), the node-blocked order
-    of its LUs (:meth:`saddle_order`) and auxiliary matrices.
+    the saddle pattern (:meth:`saddle_pattern`), the reduced frame
+    (:meth:`reduced_frame`) and auxiliary matrices.
     """
 
     def __init__(self, mesh):
@@ -603,21 +613,33 @@ class Spaces:
 
         self.n_u = 2 * self.n_vnodes
         self.n_sys = self.n_u + nv
-        self.sys_rotation = sp.block_diag(
-            [self.constraints.rotation, sp.identity(nv, format="csr")], format="csr")
-        self.sys_constrained = np.concatenate(
-            [self.constraints.constrained, np.zeros(nv, dtype=bool)])
-        # R^T as its own CSR matrix: transposing R per call builds a new
-        # CSC matrix each time
-        self._rotation_t = self.sys_rotation.T.tocsr()
         self._cache = {}
 
-    # -- constraint plumbing on full system vectors/matrices ------------
+    # -- the reduced frame: vectors and operators -----------------------
+
+    def reduced_frame(self):
+        """The :class:`ReducedFrame` of this mesh, built on the first
+        reduction, apart from the spaces and the saddle pattern."""
+        if "reduced_frame" not in self._cache:
+            self._cache["reduced_frame"] = _reduced_frame(self)
+        return self._cache["reduced_frame"]
+
+    @property
+    def sys_rotation(self):
+        """R, from reduced coordinates to plain system ones."""
+        return self.reduced_frame().rotation
+
+    @property
+    def sys_constrained(self):
+        """The reduced dofs eliminated to zero."""
+        return self.reduced_frame().constrained
 
     def reduce_vector(self, vec):
-        """Rotate a dual/system vector and zero its constrained entries."""
-        out = self._rotation_t @ vec
-        out[self.sys_constrained] = 0.0
+        """A dual/system vector in the reduced frame, with its constrained
+        entries zeroed."""
+        frame = self.reduced_frame()
+        out = frame.rotation_t @ vec
+        out[frame.constrained] = 0.0
         return out
 
     def velocity_reduction(self):
@@ -626,16 +648,17 @@ class Spaces:
         row per velocity dof is M in the reduced frame, each column the
         :meth:`reduce_vector` of that column with zero pressure entries."""
         if "velocity_reduction" not in self._cache:
-            keep = np.flatnonzero(~self.sys_constrained[:self.n_u])
+            frame = self.reduced_frame()
+            keep = np.flatnonzero(~frame.constrained)
             select = sp.csr_matrix((np.ones(keep.size), (keep, keep)),
-                                   shape=(self.n_sys, self.n_u))
+                                   shape=(self.n_sys, self.n_sys))
             self._cache["velocity_reduction"] = (
-                select @ self._rotation_t[:self.n_u, :self.n_u]).tocsr()
+                select @ frame.rotation_t[:, :self.n_u]).tocsr()
         return self._cache["velocity_reduction"]
 
     def expand_vector(self, reduced):
-        """Back from the rotated frame to plain x/y components."""
-        return self.sys_rotation @ reduced
+        """Back from the reduced frame to plain x/y components."""
+        return self.reduced_frame().rotation @ reduced
 
     def trace_dofs(self, edges):
         """Velocity dofs of the P2 node triples of boundary edges, (k, 6)."""
@@ -647,26 +670,21 @@ class Spaces:
             self._cache["saddle_pattern"] = _saddle_pattern(self)
         return self._cache["saddle_pattern"]
 
-    def saddle_order(self):
-        """The :class:`SaddleOrder` of this mesh, built on the first
-        saddle factorization, apart from the pattern."""
-        if "saddle_order" not in self._cache:
-            self._cache["saddle_order"] = _saddle_order(self)
-        return self._cache["saddle_order"]
-
     def eliminate(self, matrix):
         """Symmetric row/column elimination with unit diagonal.
 
-        Rotates into the tangent/normal frame, drops constrained rows
+        Takes the operator into the reduced frame (node-blocked and in
+        the tangent/normal frame at slip nodes), drops constrained rows
         and columns, and puts 1 on the eliminated diagonal so the
-        reduced operator stays symmetric and nonsingular.  ``matrix``
-        must have the CSR pattern of :meth:`saddle_pattern`.
+        reduced operator stays symmetric and nonsingular; returns it in
+        CSC form.  ``matrix`` must have the CSR pattern of
+        :meth:`saddle_pattern`.
         """
         pattern = self.saddle_pattern()
         if not (np.array_equal(matrix.indptr, pattern.indptr)
                 and np.array_equal(matrix.indices, pattern.indices)):
             raise ValueError("eliminate needs an operator on this mesh's saddle pattern")
-        return pattern.eliminate(matrix.data)
+        return self.reduced_frame().eliminate(matrix.data)
 
     def project_dual(self, vec):
         """Zero the constrained components of a dual vector in place of

@@ -7,7 +7,8 @@ coercivity), and a discrete suite on an assembled problem checking the
 energy bound, the Hoelder bound of the viscous volume term, dual-
 operator coercivity and the measured bed-trace constant: the square
 root of the top eigenvalue of the pencil (M_tr, M + K) of the bed-trace
-mass and the H1 Gram matrix, found by Lanczos on one LU of M + K.
+mass and the H1 Gram matrix, found by Lanczos on one LU of M + K and
+cached per mesh.
 
 The pointwise sweep holds its samples component-major and runs them in
 cache-sized batches: a 2x2 or 2-vector kernel has only 2-4 components,
@@ -26,8 +27,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .adjoint import Observation, solve_adjoint
-from .assembly import _omega_quad_integral, _strain, assemble_adjoint_operator, \
-    basal_trace_mass, gram_matrices, norm
+from .assembly import _cached, _omega_quad_integral, _strain, \
+    assemble_adjoint_operator, basal_trace_mass, gram_matrices, norm
 from .forward import SolverError, factorize, solve_forward
 from .spaces import Field, point_velocity_gradients, scalar_values_at_quadrature, \
     velocity_gradients_at_quadrature, velocity_trace
@@ -185,21 +186,24 @@ def trace_constant(spaces):
     """Largest ratio of bed-trace L2 norm to H1 norm over the velocity
     space: the square root of the top eigenvalue of the pencil
     (M_tr, M + K), found by Lanczos (ARPACK) with the H1 LU as the
-    inverse of M + K, about 30 solves on it.  The fixed start vector
-    keeps reruns byte-identical.  A mesh without bed edges gives 0.0."""
-    M_tr = basal_trace_mass(spaces)
-    if M_tr.count_nonzero() == 0:
-        return 0.0          # ARPACK refuses the zero start vector it would make
-    mass, stiffness = gram_matrices(spaces.velocity)
-    H1 = (mass + stiffness).tocsc()
-    lu = factorize(H1)
-    n = spaces.n_u
-    lam = spla.eigsh(M_tr, k=1, M=H1,
-                     Minv=spla.LinearOperator((n, n), matvec=lu.solve,
-                                              dtype=float),
-                     which="LA", tol=0, v0=np.ones(n),
-                     return_eigenvectors=False)[0]
-    return float(np.sqrt(max(lam, 0.0)))
+    inverse of M + K, about 30 solves on it, and cached per mesh.  The
+    fixed start vector keeps reruns byte-identical.  A mesh without bed
+    edges gives 0.0."""
+    def build():
+        M_tr = basal_trace_mass(spaces)
+        if M_tr.count_nonzero() == 0:
+            return 0.0      # ARPACK refuses the zero start vector it would make
+        mass, stiffness = gram_matrices(spaces.velocity)
+        H1 = (mass + stiffness).tocsc()
+        lu = factorize(H1)
+        n = spaces.n_u
+        lam = spla.eigsh(M_tr, k=1, M=H1,
+                         Minv=spla.LinearOperator((n, n), matvec=lu.solve,
+                                                  dtype=float),
+                         which="LA", tol=0, v0=np.ones(n),
+                         return_eigenvectors=False)[0]
+        return float(np.sqrt(max(lam, 0.0)))
+    return _cached(spaces, "trace_constant", build)
 
 
 def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
@@ -260,7 +264,7 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
     system = assemble_adjoint_operator(v, rheology, friction, params)
     K = system.matrix.tocsr()[:spaces.n_u, :spaces.n_u]
     # one LU for every dual solve
-    lu = factorize(system.reduced(), spaces.saddle_order())
+    lu = factorize(system.reduced(), "NATURAL")
     coer_ok = True
     margin = np.inf
     for _ in range(DUAL_OBSERVATIONS):

@@ -13,7 +13,8 @@ import pytest
 import pglacier as pg
 from pglacier import inversion
 from pglacier.assembly import (_bed_kernel, _check_args, _derivative_factors,
-                               _pair_trace, _saddle_system)
+                               _pair_trace, _saddle_system,
+                               assemble_coeff_jacobian)
 from pglacier.forward import SolverConfig
 from pglacier.spaces import (SpaceKind, basal_coeff_on_edges,
                              p2_reference_gradients,
@@ -207,6 +208,25 @@ def derivative_kernel_operator(velocity, rheology, friction, params):
         spaces, pair_trial_gradients(spaces, image).transpose(1, 4, 2, 3, 0),
         _pair_trace(spaces, spaces.basal_edge_indices,
                     np.moveaxis(bed_image, 4, 2), tv))
+
+
+def coeff_derivative(velocity, rheology_dir, friction_dir, params):
+    """Dual vector (length n_sys) of the operator derivative along the
+    coefficient directions: the constraint projection of ``G d`` for the
+    coefficient Jacobian G, with zero pressure-test entries."""
+    spaces = velocity.space.parent
+    out = np.zeros(spaces.n_sys)
+    out[:spaces.n_u] = assemble_coeff_jacobian(velocity, params) @ np.concatenate(
+        [rheology_dir.values, friction_dir.values])
+    return spaces.project_dual(out)
+
+
+def coeff_gradient_duals(velocity, adjoint, params):
+    """The vertex and bed parts of ``G.T @ adjoint.values`` for the
+    coefficient Jacobian G: the cost gradient's data terms."""
+    g = assemble_coeff_jacobian(velocity, params).T @ adjoint.values
+    nv = velocity.space.mesh.num_vertices
+    return g[:nv], g[nv:]
 
 
 def _frob(P):

@@ -9,12 +9,11 @@ import pytest
 import scipy.sparse as sp
 
 import pglacier as pg
+from conftest import coeff_derivative, coeff_gradient_duals
 from conftest import derivative_kernel_operator as assemble_adjoint_operator
 from conftest import physical_gradients
 from conftest import quadrature_norm as norm
-from pglacier.assembly import (assemble_coeff_derivative,
-                               assemble_coeff_gradient_duals,
-                               assemble_jacobian, assemble_residual,
+from pglacier.assembly import (assemble_jacobian, assemble_residual,
                                basal_p1_mass, basal_p1_stiffness,
                                basal_trace_mass, coupling_matrix,
                                omega_p1_mass,
@@ -217,7 +216,7 @@ def test_coeff_derivative_zero_directions(slab_spaces, tilted_params):
     v, _ = random_state(slab_spaces)
     zB = pg.constant_field(slab_spaces.coeff_omega, 0.0)
     zt = pg.constant_field(slab_spaces.coeff_basal, 0.0)
-    d = assemble_coeff_derivative(v, zB, zt, tilted_params)
+    d = coeff_derivative(v, zB, zt, tilted_params)
     assert np.array_equal(d, np.zeros(slab_spaces.n_sys))
 
 
@@ -228,11 +227,11 @@ def test_coeff_derivative_is_linear(slab_spaces, tilted_params):
     B2 = pg.Field(spaces.coeff_omega, rng.standard_normal(spaces.coeff_omega.dof_count))
     t1 = pg.Field(spaces.coeff_basal, rng.standard_normal(spaces.coeff_basal.dof_count))
     t2 = pg.Field(spaces.coeff_basal, rng.standard_normal(spaces.coeff_basal.dof_count))
-    combo = assemble_coeff_derivative(
+    combo = coeff_derivative(
         v, pg.Field(spaces.coeff_omega, B1.values + 2.0 * B2.values),
         pg.Field(spaces.coeff_basal, t1.values + 2.0 * t2.values), tilted_params)
-    parts = assemble_coeff_derivative(v, B1, t1, tilted_params) \
-        + 2.0 * assemble_coeff_derivative(v, B2, t2, tilted_params)
+    parts = coeff_derivative(v, B1, t1, tilted_params) \
+        + 2.0 * coeff_derivative(v, B2, t2, tilted_params)
     assert np.allclose(combo, parts, atol=1e-13 * np.max(np.abs(parts)))
 
 
@@ -249,7 +248,7 @@ def test_residual_is_affine_in_coefficients(slab_spaces, tilted_params):
                            pg.Field(spaces.coeff_omega, B.values + dB.values),
                            pg.Field(spaces.coeff_basal, tau.values + dt.values),
                            tilted_params)
-    d = assemble_coeff_derivative(v, dB, dt, tilted_params)
+    d = coeff_derivative(v, dB, dt, tilted_params)
     assert np.max(np.abs(r1 - r0 - d)) <= 1e-12 * max(np.max(np.abs(r0)), 1.0)
 
 
@@ -261,9 +260,9 @@ def test_gradient_duals_pair_like_coeff_derivative(slab_spaces, tilted_params):
     lam, _ = random_state(spaces, scale=0.5)
     dB = pg.Field(spaces.coeff_omega, rng.standard_normal(spaces.coeff_omega.dof_count))
     dt = pg.Field(spaces.coeff_basal, rng.standard_normal(spaces.coeff_basal.dof_count))
-    g_rheo, g_fric = assemble_coeff_gradient_duals(v, lam, tilted_params)
+    g_rheo, g_fric = coeff_gradient_duals(v, lam, tilted_params)
     left = g_rheo @ dB.values + g_fric @ dt.values
-    d = assemble_coeff_derivative(v, dB, dt, tilted_params)
+    d = coeff_derivative(v, dB, dt, tilted_params)
     right = d[:spaces.n_u] @ lam.values
     assert abs(left - right) <= 1e-12 * max(abs(left), 1.0)
 

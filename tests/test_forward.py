@@ -8,13 +8,12 @@ import scipy.sparse.linalg
 import pglacier as pg
 from pglacier import forward
 from pglacier.adjoint import factor_adjoint
-from pglacier.assembly import (assemble_coeff_derivative, assemble_jacobian,
-                               solver_sign)
+from pglacier.assembly import assemble_jacobian, solver_sign
 from pglacier.forward import (SolverConfig, SolverError, energy_bound,
                               solve_forward)
 from pglacier.tensor_ops import PhysicsParams
 
-from conftest import TILTED_FORCE
+from conftest import TILTED_FORCE, coeff_derivative
 
 rng = np.random.default_rng(23)
 
@@ -182,7 +181,7 @@ def test_solve_linearized_is_coefficient_sensitivity(slab_spaces,
                   rng.standard_normal(spaces.coeff_basal.dof_count))
     base = solve_forward(B, tau, tilted_params, tight_solver)
     sign = solver_sign(spaces)
-    d = assemble_coeff_derivative(base.velocity, dB, dt, tilted_params)
+    d = coeff_derivative(base.velocity, dB, dt, tilted_params)
     lu = factor_adjoint(base.velocity, B, tau, tilted_params)
     dv = spaces.expand_vector(lu.solve(spaces.reduce_vector(-(sign * d))))
     dv = dv[:spaces.n_u]
@@ -284,8 +283,7 @@ def test_gmres_residual_estimate_is_the_true_residual(
     # the rotated right-hand side's last entry is the residual norm of
     # the returned iterate, also when a float32 LU preconditions
     matrix, nearby = jacobians(slab_spaces, base_solution, tilted_params)
-    lu, fell_back = forward._factorize(nearby, slab_spaces.saddle_order(),
-                                       single=True)
+    lu, fell_back = forward._factorize(nearby, "NATURAL", single=True)
     assert not fell_back
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
     x, iterations, estimate = forward._gmres(matrix, lu, rhs, rtol)
@@ -342,7 +340,7 @@ def test_single_precision_lu_solves_a_huge_right_hand_side(
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
     unrefined, refined = [], []
     for b in (rhs, 1e300 * rhs):
-        linear = forward._LinearSolver(slab_spaces)
+        linear = forward._LinearSolver()
         x = linear.solve(matrix, b)
         assert linear.fallbacks == 0
         refined.append(np.abs(matrix @ x - b).max() / np.abs(b).max())
@@ -358,7 +356,7 @@ def test_jacobian_beyond_single_precision_falls_back_to_double(
     matrix, _ = jacobians(slab_spaces, base_solution, tilted_params)
     matrix = 1e39 * matrix
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
-    linear = forward._LinearSolver(slab_spaces)
+    linear = forward._LinearSolver()
     x = linear.solve(matrix, rhs)
     assert linear.factorizations == linear.fallbacks == 1
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -436,56 +434,105 @@ def bedded_spaces_16x8():
     return pg.build_spaces(mesh)
 
 
-def test_saddle_order_is_node_blocked():
-    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
-    order = spaces.saddle_order().order
-    assert np.array_equal(np.sort(order), np.arange(spaces.n_sys))
-    position = np.empty(spaces.n_sys, dtype=np.int64)
-    position[order] = np.arange(spaces.n_sys)
-    # every node's two velocity dofs stand together, and a vertex's
-    # pressure dof follows them at once
-    nodes = np.arange(spaces.n_vnodes)
-    assert np.all(position[2 * nodes + 1] == position[2 * nodes] + 1)
-    vertices = np.arange(spaces.mesh.num_vertices)
-    assert np.all(position[spaces.n_u + vertices]
-                  == position[2 * vertices + 1] + 1)
+def bedded_spaces_4x2():
+    mesh = pg.generate_slab_mesh(2.0, 1.0, 4, 2,
+                                 bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
+    return pg.build_spaces(mesh)
 
 
-def test_saddle_order_is_built_once_per_mesh(monkeypatch, tilted_params):
-    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
+def test_reduced_frame_is_node_blocked():
+    spaces = bedded_spaces_4x2()
+    n, n_u = spaces.n_sys, spaces.n_u
+    R = spaces.sys_rotation.tocsc()
+    assert abs(R.T @ R - scipy.sparse.identity(n)).max() <= 1e-15
+    # column k of R holds the plain dofs of reduced dof k: all of one
+    # node, its two velocity dofs or the pressure dof of a vertex
+    column = np.repeat(np.arange(n), np.diff(R.indptr))
+    dof_node = np.where(R.indices < n_u, R.indices // 2, R.indices - n_u)
+    node = np.empty(n, dtype=np.int64)
+    node[column] = dof_node
+    assert np.array_equal(node[column], dof_node)
+    pressure = np.zeros(n, dtype=bool)
+    pressure[column[R.indices >= n_u]] = True
+    # every node's dofs stand together, its velocity dofs first and a
+    # vertex's pressure dof last
+    first = np.flatnonzero(np.diff(node, prepend=-1))
+    assert np.array_equal(np.sort(node[first]), np.arange(spaces.n_vnodes))
+    size = np.diff(np.append(first, n))
+    assert np.array_equal(size, np.where(node[first] < spaces.mesh.num_vertices, 3, 2))
+    place = np.arange(n) - np.repeat(first, size)
+    assert np.array_equal(pressure, place == 2)
+    # slip nodes keep their tangent/normal pair, normal eliminated
+    slip = int(np.count_nonzero(spaces.constraints.kinds
+                                == pg.spaces.NodeConstraint.SLIP))
+    assert slip > 0
+    assert np.count_nonzero(np.diff(R.indptr) == 2) == 2 * slip
+
+
+def test_reduced_frame_is_built_once_per_mesh(monkeypatch, tilted_params):
     builds = []
-    real = pg.spaces._saddle_order
+    real = pg.spaces._reduced_frame
 
     def counted(spaces_):
         builds.append(spaces_)
         return real(spaces_)
 
-    monkeypatch.setattr(pg.spaces, "_saddle_order", counted)
-    spaces.saddle_pattern()
-    assert builds == []                     # the pattern alone does not
+    monkeypatch.setattr(pg.spaces, "_reduced_frame", counted)
+    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
     B, tau = coeffs(spaces)
+    spaces.saddle_pattern()
+    assemble_jacobian(pg.zero_field(spaces.velocity), B, tau, tilted_params)
+    assert builds == []           # neither the spaces nor the pattern do
     sol = solve_forward(B, tau, tilted_params)
     assert builds == [spaces]
-    cached = spaces.saddle_order()
+    cached = spaces.reduced_frame()
     factor_adjoint(sol.velocity, B, tau, tilted_params)
-    assert spaces.saddle_order() is cached
+    assert spaces.reduced_frame() is cached
     assert builds == [spaces]
 
 
-def test_gathered_permutation_equals_fancy_indexing():
-    spaces = bedded_spaces_16x8()
+def test_reduced_operator_is_column_major():
+    # random data on the full pattern is far from symmetric, so a row-
+    # major gather would show
+    spaces = bedded_spaces_4x2()
     pattern = spaces.saddle_pattern()
-    matrix = pattern.eliminate(rng.standard_normal(pattern.nnz))
-    saddle = spaces.saddle_order()
-    gathered = saddle.permute(matrix)
-    indexed = matrix[saddle.order][:, saddle.order].tocsc()
-    indexed.sort_indices()
-    assert gathered.format == "csc"
-    assert np.array_equal(gathered.indptr, indexed.indptr)
-    assert np.array_equal(gathered.indices, indexed.indices)
-    assert np.array_equal(gathered.data, indexed.data)
-    with pytest.raises(ValueError, match="saddle pattern"):
-        saddle.permute(matrix[:, :-1])
+    full = pattern.matrix(rng.standard_normal(pattern.nnz))
+    reduced = spaces.eliminate(full)
+    assert reduced.format == "csc"
+    R = spaces.sys_rotation
+    cons = spaces.sys_constrained
+    want = (R.T @ full @ R).toarray()
+    want[cons, :] = 0.0
+    want[:, cons] = 0.0
+    want[cons, cons] = 1.0
+    assert np.abs(reduced.toarray() - want).max() <= 1e-13 * np.abs(want).max()
+    frame = spaces.reduced_frame()
+    assert reduced.indptr is frame.indptr
+    assert np.shares_memory(reduced.indices, frame.indices)
+
+
+def test_saddle_lu_factors_the_reduced_arrays_in_natural_order(
+        monkeypatch, slab_spaces, tilted_params, base_solution):
+    matrix, _ = jacobians(slab_spaces, base_solution, tilted_params)
+    real = scipy.sparse.linalg.splu
+    calls = []
+
+    def splu(csc, **kwargs):
+        calls.append((csc, kwargs))
+        return real(csc, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    forward.factorize(matrix, "NATURAL")
+    forward._factorize(matrix, "NATURAL", single=True)
+    assert [kwargs["permc_spec"] for _, kwargs in calls] == ["NATURAL"] * 2
+    # the double LU gets the operator itself, the single one a float32
+    # copy of its data on the same index arrays: nothing is gathered
+    assert calls[0][0] is matrix
+    single = calls[1][0]
+    assert single.dtype == np.float32
+    assert np.array_equal(single.data, matrix.data.astype(np.float32))
+    assert single.indptr is matrix.indptr
+    assert np.shares_memory(single.indices, matrix.indices)
 
 
 def test_node_order_fills_less_than_dof_minimum_degree():
@@ -496,12 +543,11 @@ def test_node_order_fills_less_than_dof_minimum_degree():
     assert sol.report.converged
     assert sol.report.lu_fallbacks == 0
     matrix = assemble_jacobian(sol.velocity, B, tau, params).reduced()
-    ordered, fell_back = forward._factorize(matrix, spaces.saddle_order())
+    ordered, fell_back = forward._factorize(matrix, "NATURAL")
     dof_mmd, _ = forward._factorize(matrix)
     assert not fell_back
-    assert (ordered.lu.L.nnz + ordered.lu.U.nnz
-            < dof_mmd.L.nnz + dof_mmd.U.nnz)
-    plain = scipy.sparse.linalg.splu(matrix.tocsc())
+    assert ordered.L.nnz + ordered.U.nnz < dof_mmd.L.nnz + dof_mmd.U.nnz
+    plain = scipy.sparse.linalg.splu(matrix)
     rhs = spaces.reduce_vector(rng.standard_normal(spaces.n_sys))
     x, y = ordered.solve(rhs), plain.solve(rhs)
     assert np.linalg.norm(x - y) <= 1e-10 * np.linalg.norm(y)
@@ -514,7 +560,6 @@ def test_failed_ordered_lu_falls_back_to_unpermuted_colamd(
     matrix = assemble_jacobian(pg.zero_field(slab_spaces.velocity), B, tau,
                                tilted_params).reduced()
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
-    saddle = slab_spaces.saddle_order()
     real = scipy.sparse.linalg.splu
     calls = []
 
@@ -527,13 +572,13 @@ def test_failed_ordered_lu_falls_back_to_unpermuted_colamd(
         return real(csc, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-    lu, fell_back = forward._factorize(matrix, saddle)
+    lu, fell_back = forward._factorize(matrix, "NATURAL")
     assert fell_back
-    # the permuted symmetric attempt, then COLAMD with pivoting on the
-    # matrix as given
+    # the attempt in the reduced frame's own order, then COLAMD with
+    # pivoting on that same matrix
     assert [kwargs.get("permc_spec") for _, kwargs in calls] == ["NATURAL", None]
     assert calls[1][1] == {}
-    assert (calls[1][0] != matrix).nnz == 0
+    assert calls[0][0] is matrix and calls[1][0] is matrix
     x = lu.solve(rhs)
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 

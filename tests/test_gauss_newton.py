@@ -7,14 +7,13 @@ import scipy.sparse.linalg as spla
 
 import pglacier as pg
 from pglacier import adjoint, assembly, inversion
-from pglacier.assembly import (assemble_coeff_derivative,
-                               assemble_coeff_gradient_duals)
 from pglacier.inversion import (OptimizationConfig, evaluate_gradient,
                                 gradient_duals, hessian_product, in_box,
                                 linearized_state, make_state,
                                 regularization_parts, run_inversion)
 
-from conftest import truth_friction, truth_rheology
+from conftest import (coeff_derivative, coeff_gradient_duals, truth_friction,
+                      truth_rheology)
 
 rng = np.random.default_rng(29)
 
@@ -105,10 +104,10 @@ def element_path_hessian(state, d_b, d_t, params):
         return pg.Field(spaces.velocity, spaces.expand_vector(
             lu.solve(spaces.reduce_vector(dual)))[:n_u])
     du = held(-(pg.solver_sign(spaces)
-                * assemble_coeff_derivative(state.velocity, d_b, d_t, params)))
+                * coeff_derivative(state.velocity, d_b, d_t, params)))
     zero = pg.Observation(np.zeros_like(state.obs.samples), state.obs.mode)
     dl = held(-pg.misfit_derivative_rhs(du, zero))
-    data = assemble_coeff_gradient_duals(state.velocity, dl, params)
+    data = coeff_gradient_duals(state.velocity, dl, params)
     reg = inversion._tikhonov_duals(d_b, d_t, params)
     return np.concatenate([data[0] + reg[0], data[1] + reg[1]])
 

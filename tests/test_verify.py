@@ -138,9 +138,31 @@ def test_check_result_line_format():
 
 def test_trace_constant_is_deterministic_and_sane(slab_spaces):
     c1 = trace_constant(slab_spaces)
-    c2 = trace_constant(slab_spaces)
+    # measured again on a fresh bundle, past the per-mesh cache
+    c2 = trace_constant(pg.build_spaces(slab_spaces.mesh))
     assert c1 == c2
     assert 1.0 < c1 < 2.0
+
+
+def test_discrete_suite_factors_h1_once_per_mesh(monkeypatch, slab_spaces,
+                                                 tilted_params):
+    spaces = pg.build_spaces(slab_spaces.mesh)
+    coeffs = (pg.constant_field(spaces.coeff_omega, 1.0),
+              pg.constant_field(spaces.coeff_basal, 0.5))
+    h1 = []
+    factorize = verify.factorize
+
+    def counted(matrix, *args):
+        if matrix.shape == (spaces.n_u, spaces.n_u):
+            h1.append(matrix)
+        return factorize(matrix, *args)
+
+    monkeypatch.setattr(verify, "factorize", counted)
+    lines = [[r.line() for r in discrete_suite(*coeffs, tilted_params, seed=s)
+              if r.name.startswith("bed-trace")] for s in (0, 1)]
+    assert len(h1) == 1
+    assert lines[0] == lines[1]
+    assert "C_trace = " in lines[0][0]
 
 
 def test_trace_constant_stable_under_refinement(slab_spaces, fine_spaces):
@@ -186,7 +208,8 @@ def test_trace_constant_solve_budget(monkeypatch, fine_spaces):
 
     monkeypatch.setattr(verify, "factorize",
                         lambda *args: CountingLU(factorize(*args)))
-    c = trace_constant(fine_spaces)
+    # a fresh bundle: the constant is cached per mesh
+    c = trace_constant(pg.build_spaces(fine_spaces.mesh))
     assert 1.0 < c < 2.0
     assert 0 < len(solves) <= 60
 
