@@ -29,12 +29,11 @@ a per-mesh table of reference gradient pairs with a per-point geometry
 tensor (:func:`assemble_jacobian`).  Dual vectors are scattered with
 ``np.bincount``; operators are written straight into the data array of
 a per-mesh pattern through precomputed slot maps, also with
-``np.bincount``: the Jacobian into the saddle pattern
-(:meth:`Spaces.saddle_pattern`), from which constraint elimination
-gathers the reduced operator (:meth:`Spaces.eliminate`), and the
-coefficient Jacobian (:func:`assemble_coeff_jacobian`), whose products
-are the coefficient derivative and the gradient duals, into a pattern
-of its own.  The
+``np.bincount``: the Jacobian's element blocks into the eliminated
+pattern of the reduced frame (:meth:`Spaces.eliminate`), weighted by
+the tangent at slip nodes, and the coefficient Jacobian
+(:func:`assemble_coeff_jacobian`), whose products are the coefficient
+derivative and the gradient duals, into a pattern of its own.  The
 auxiliary matrices, built once per mesh, sum their element blocks by
 COO conversion.
 The four linear-element mass and stiffness matrices keep their closed
@@ -63,22 +62,28 @@ from .tensor_ops import s_gamma, s_omega
 
 @dataclass
 class AssembledSystem:
-    """Sparse symmetric operator on the saddle pattern of ``spaces``.
+    """Symmetric saddle-point operator [[K, C], [C^T, 0]] on ``spaces``.
 
-    ``matrix`` is the full (unconstrained) saddle-point operator in
-    plain x/y components; :meth:`reduced` is the operator in the reduced
-    frame of ``spaces``, with the dofs of ``spaces.sys_constrained``
-    eliminated by symmetric row/column elimination with unit diagonal: a
-    CSC matrix that a saddle LU factors as it stands.
+    K is kept as its element blocks in plain x/y components: ``blocks``
+    for the triangles, axes (a, b, c, d, t), and ``bed_blocks`` for the
+    bed edges, axes (k, a, c, b, d); C is the mesh's
+    :func:`coupling_matrix`.  :meth:`reduced` is the operator in the
+    reduced frame of ``spaces``, with the dofs of
+    ``spaces.sys_constrained`` eliminated by symmetric row/column
+    elimination with unit diagonal: a CSC matrix that a saddle LU factors
+    as it stands, scattered from the blocks on the first call, which
+    builds the reduced frame on the mesh's first reduction.
     """
 
-    matrix: sp.csr_matrix
     spaces: object
+    blocks: np.ndarray = field(repr=False)
+    bed_blocks: np.ndarray = field(repr=False)
     _reduced: sp.csc_matrix = field(default=None, repr=False)
 
     def reduced(self):
         if self._reduced is None:
-            self._reduced = self.spaces.eliminate(self.matrix)
+            self._reduced = self.spaces.eliminate(
+                self.blocks, self.bed_blocks, _reduced_coupling(self.spaces))
         return self._reduced
 
 
@@ -320,7 +325,7 @@ def _coeff_pattern(spaces):
     return _cached(spaces, "coeff_pattern", build)
 
 
-# -- operators on the saddle pattern -------------------------------------
+# -- saddle operators ---------------------------------------------------
 
 
 def coupling_matrix(spaces):
@@ -336,24 +341,18 @@ def coupling_matrix(spaces):
     return _cached(spaces, "coupling", build)
 
 
-def _saddle_system(spaces, blocks, bed_blocks):
-    """Symmetric saddle operator from velocity element blocks (axes a, b,
-    c, d, t) and bed-edge blocks (axes k, a, c, b, d), written into the
-    data of the mesh's saddle pattern next to the cached coupling."""
-    pattern = spaces.saddle_pattern()
-
-    def coupling_data():
+def _reduced_coupling(spaces):
+    """The coupling blocks C and C^T and the unit diagonal of the
+    constrained dofs as data of the reduced frame's pattern, cached per
+    mesh: the part every reduced saddle operator shares."""
+    def build():
         C = coupling_matrix(spaces)
-        data = np.zeros(pattern.nnz)
-        data[pattern.coupling_slots] = C.data
-        data[pattern.indptr[spaces.n_u]:] = C.T.tocsr().data
+        frame = spaces.reduced_frame()
+        data = frame.scatter(frame.coupling,
+                             np.concatenate([C.data, C.T.tocsr().data]))
+        data[frame.unit_slots] = 1.0
         return data
-    data = np.bincount(pattern.velocity_slots, weights=blocks.ravel(),
-                       minlength=pattern.nnz)
-    data += np.bincount(pattern.bed_slots, weights=bed_blocks.ravel(),
-                        minlength=pattern.nnz)
-    data += _cached(spaces, "saddle_coupling", coupling_data)
-    return AssembledSystem(pattern.matrix(data), spaces)
+    return _cached(spaces, "saddle_coupling", build)
 
 
 def _derivative_factors(velocity, rheology, friction, params):
@@ -411,8 +410,8 @@ def assemble_jacobian(velocity, rheology, friction, params):
     with K = det (B c1 F_mc F_nd + (mu0 + B c2 / 2) delta_cd S_mn
     + (B c2 / 2) T_dm T_cn), E the strain, F = T^T E and S = T^T T: one
     matmul of the per-mesh pair table with K over all triangles.  The
-    coupling block and its transpose are shared exactly.  Requires
-    delta > 0.
+    coupling block and its transpose are shared exactly.  Nothing is
+    scattered until :meth:`AssembledSystem.reduced`.  Requires delta > 0.
     """
     spaces = _check_args(velocity, rheology, friction)
     strain, bc1, bc2, v, tg1, tg2 = _derivative_factors(
@@ -429,8 +428,8 @@ def assemble_jacobian(velocity, rheology, friction, params):
     # bed: tau (g1 v_c v_d + g2 delta_cd) N_b, axes (k, m, c, b, d)
     tv = spaces.edge_trace_vals
     bed = _bed_kernel(v, tg1, tg2)[:, :, :, None, :] * tv[None, :, None, :, None]
-    return _saddle_system(spaces, blocks,
-                          _pair_trace(spaces, spaces.basal_edge_indices, bed, tv))
+    return AssembledSystem(spaces, blocks,
+                           _pair_trace(spaces, spaces.basal_edge_indices, bed, tv))
 
 
 # The dual operator is the transpose of the Jacobian, and the Jacobian is

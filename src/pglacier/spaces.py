@@ -267,42 +267,6 @@ def _adjacency(rows, cols, n_rows, n_cols):
     return keys, row, col, pos, count, inverse.reshape(np.broadcast(rows, cols).shape)
 
 
-@dataclass(frozen=True)
-class SaddlePattern:
-    """CSR pattern of the saddle operator [[K, C], [C^T, 0]] on one mesh,
-    in plain x/y components.
-
-    Velocity row 2 R + c holds the columns 2 C + d of the P2 nodes C
-    sharing a triangle with node R, then the pressure columns of those
-    triangles' vertices; pressure row n_u + k holds the velocity columns
-    of the nodes around vertex k.  The ``*_slots`` arrays give the
-    position in the data array of every element-block entry:
-    ``velocity_slots`` for the velocity blocks with axes (a, b, c, d, t)
-    (test node a, trial node b, test component c, trial component d and
-    the triangle innermost) and
-    ``bed_slots`` for the bed-edge blocks with axes (k, a, c, b, d).
-    ``coupling_slots`` holds the positions of the entries of C in CSR
-    order; C^T fills the pressure rows, from ``indptr[n_u]`` on.  The
-    index arrays are read-only and shared by every matrix built on the
-    pattern; :class:`ReducedFrame` eliminates the constraints from it.
-    """
-
-    shape: tuple
-    indptr: np.ndarray
-    indices: np.ndarray
-    velocity_slots: np.ndarray
-    bed_slots: np.ndarray
-    coupling_slots: np.ndarray
-
-    @property
-    def nnz(self):
-        return self.indices.size
-
-    def matrix(self, data):
-        """Operator with the given data on the full pattern."""
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-
 def _frozen(index):
     """``index`` as a read-only int32 array, shared by every matrix built
     on a per-mesh pattern."""
@@ -312,10 +276,22 @@ def _frozen(index):
 
 
 def _saddle_pattern(spaces):
-    """:class:`SaddlePattern` of ``spaces`` from the node-node, node-vertex
-    and vertex-node adjacency of its triangles."""
-    nv, nn, n_u, n = (spaces.mesh.num_vertices, spaces.n_vnodes, spaces.n_u,
-                      spaces.n_sys)
+    """CSR pattern of the saddle operator [[K, C], [C^T, 0]] of ``spaces``
+    in plain x/y components, from the node-node, node-vertex and
+    vertex-node adjacency of its triangles; an input of
+    :func:`_reduced_frame`, not kept.
+
+    Velocity row 2 R + c holds the columns 2 C + d of the P2 nodes C
+    sharing a triangle with node R, then the pressure columns of those
+    triangles' vertices; pressure row n_u + k holds the velocity columns
+    of the nodes around vertex k.  Returns ``indptr``, ``indices`` and
+    the position among the entries of every element-block entry:
+    ``velocity_slots`` for the velocity blocks with axes (a, b, c, d, t)
+    (test node a, trial node b, test component c, trial component d and
+    the triangle innermost) and ``bed_slots`` for the bed-edge blocks
+    with axes (k, a, c, b, d).
+    """
+    nv, nn, n_u = spaces.mesh.num_vertices, spaces.n_vnodes, spaces.n_u
     nodes, tris = spaces.tri_p2_nodes, spaces.mesh.triangles
     vv_keys, vv_row, vv_col, vv_pos, vv_n, vv_of = _adjacency(
         nodes[:, :, None], nodes[:, None, :], nn, nn)
@@ -349,13 +325,7 @@ def _saddle_pattern(spaces):
     bed_start = start[spaces.trace_dofs(spaces.basal_edge_indices)].reshape(-1, 3, 2)
     bed_slots = (bed_start[:, :, :, None, None]
                  + 2 * vv_pos[bed_pairs][:, :, None, :, None] + comp)
-    coupling_slots = np.flatnonzero(indices[:indptr[n_u]] >= n_u)
-
-    # The long slot map is kept as int32: half the memory of the per-mesh
-    # cache for a little conversion time in bincount.
-    return SaddlePattern((n, n), _frozen(indptr), _frozen(indices),
-                         velocity_slots.ravel(), bed_slots.ravel(),
-                         coupling_slots)
+    return indptr, indices, velocity_slots.ravel(), bed_slots.ravel()
 
 
 @dataclass(frozen=True)
@@ -379,11 +349,24 @@ class ReducedFrame:
     (both components of fixed nodes, the normal component of slip
     nodes).  ``indptr`` and ``indices`` are the CSC pattern of the
     eliminated operator: the entries whose row and column are both free,
-    and a unit diagonal in the constrained ones, at ``unit_slots``.  Its
-    data is that of a full-pattern operator gathered at ``source``,
-    except at ``mixed_slots``, the entries in a row or column of a slip
-    node's free tangential dof, which ``mixed @ data`` rotates into the
-    tangent/normal frame.  The index arrays are read-only and shared by
+    and a unit diagonal in the constrained ones, at ``unit_slots``.
+
+    Operators are scattered into that pattern straight from their
+    element blocks.  Every plain dof feeds at most one free reduced dof,
+    with weight 1, or the tangent component t_c at a slip node, so each
+    block entry has one slot, or the dump slot nnz past the data in a
+    fixed node's row or column, and the weight w_row w_col.  A slot map
+    is the tuple (slots, scaled, targets, index, weights): the int32
+    slot of every plain entry, the dump for those whose weight is not 1;
+    the positions of those entries; the slots that they and the map's
+    extra entries reach, each once; the place in ``targets`` of each of
+    them; and their weights.  ``jacobian`` maps the velocity blocks
+    (axes a, b, c, d, t), with the bed blocks (axes k, a, c, b, d) as
+    its extra entries; ``coupling`` maps the data of C and then of C^T
+    in CSR order.  The weighted sums are added after the plain ones, as
+    bed terms after volume terms, so on a flat bed, whose weights are 0
+    and 1, every sum rounds as if the plain operator were summed first
+    and rotated after.  The index arrays are read-only and shared by
     every reduced operator.
     """
 
@@ -392,19 +375,21 @@ class ReducedFrame:
     constrained: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    source: np.ndarray
-    mixed_slots: np.ndarray
-    mixed: sp.csr_matrix
     unit_slots: np.ndarray
+    jacobian: tuple
+    coupling: tuple
 
-    def eliminate(self, data):
-        """Eliminated operator, in CSC form, from the data of a
-        full-pattern operator."""
-        reduced = np.take(data, self.source)
-        reduced[self.mixed_slots] = self.mixed @ data
-        reduced[self.unit_slots] = 1.0
-        return sp.csc_matrix((reduced, self.indices, self.indptr),
-                             shape=self.rotation.shape)
+    def scatter(self, slot_map, values, extra=np.zeros(0)):
+        """Reduced data summing the entries ``values`` of ``slot_map``
+        (``jacobian`` or ``coupling``) and its ``extra`` entries."""
+        slots, scaled, targets, index, weights = slot_map
+        if values.size != slots.size:
+            raise ValueError("%d entries for a slot map of %d on this mesh"
+                             % (values.size, slots.size))
+        data = np.bincount(slots, weights=values, minlength=self.indices.size + 1)
+        weighted = np.concatenate([values[scaled], extra]) * weights
+        data[targets] += np.bincount(index, weights=weighted, minlength=targets.size)
+        return data[:-1]
 
 
 def _node_order(spaces):
@@ -452,50 +437,58 @@ def _reduced_frame(spaces):
     # and gives each constrained dof its unit diagonal.  A CSC matrix in
     # the reduced numbering whose data are the entry numbers, kept ones
     # first, gives each entry its slot: conversion sorts each column.
-    pattern = spaces.saddle_pattern()
-    row_len = np.diff(pattern.indptr)
+    indptr, indices, velocity_slots, bed_slots = _saddle_pattern(spaces)
+    row_len = np.diff(indptr)
     row_of = np.repeat(np.arange(n, dtype=np.int32), row_len)
-    kept = np.flatnonzero(~constrained[row_of] & ~constrained[pattern.indices])
-    i, j = row_of[kept], pattern.indices[kept]
-    del row_of
+    kept = np.flatnonzero(~constrained[row_of] & ~constrained[indices])
     units = np.flatnonzero(constrained)
     entries = sp.csc_matrix((np.arange(kept.size + units.size),
-                             (position[np.concatenate([i, units])],
-                              position[np.concatenate([j, units])])), shape=(n, n))
-    slot = np.empty(entries.nnz, dtype=np.int64)
-    slot[entries.data] = np.arange(entries.nnz)
-    # source stays intp: np.take would convert an int32 one on every
-    # elimination
-    source = np.zeros(entries.nnz, dtype=np.intp)
-    source[slot[:kept.size]] = kept
-    unit_slots = slot[kept.size:]
+                             (position[np.concatenate([row_of[kept], units])],
+                              position[np.concatenate([indices[kept], units])])),
+                            shape=(n, n))
+    nnz = entries.nnz
+    slot = np.empty(nnz, dtype=np.int32)
+    slot[entries.data] = np.arange(nnz, dtype=np.int32)
 
-    # The free rotated dof 2k of a slip node is t . (v_2k, v_2k+1): its
-    # row (column) also gathers row 2k + 1, which has the same layout one
-    # row length further on (column 2k + 1, the next slot).
+    # Every entry goes to the slot of a kept entry or to the dump slot nnz.
+    # A slip node's normal row has the layout of its tangential row one
+    # row length before (its normal column: the slot before), so an entry
+    # there takes the slot of that entry, or the dump in a fixed node's
+    # column (row).
     slip = np.flatnonzero(spaces.constraints.kinds == int(NodeConstraint.SLIP))
-    own, other = np.ones(n), np.zeros(n)
-    own[2 * slip] = spaces.constraints.tangents[slip, 0]
-    other[2 * slip] = spaces.constraints.tangents[slip, 1]
-    is_mixed = np.zeros(n, dtype=bool)
-    is_mixed[2 * slip] = True
-    m = np.flatnonzero(is_mixed[i] | is_mixed[j])
-    i, j, kept = i[m], j[m], kept[m]
-    mi, mj = is_mixed[i], is_mixed[j]
-    both = mi & mj
-    rows = np.arange(m.size)
-    m_rows = np.concatenate([rows, rows[mi], rows[mj], rows[both]])
-    m_cols = np.concatenate([kept, kept[mi] + row_len[i[mi]], kept[mj] + 1,
-                             kept[both] + row_len[i[both]] + 1])
-    m_data = np.concatenate([own[i] * own[j], (other[i] * own[j])[mi],
-                             (own[i] * other[j])[mj], (other[i] * other[j])[both]])
-    mixed = sp.csr_matrix((m_data, (m_rows, m_cols)), shape=(m.size, pattern.nnz))
+    normal = np.zeros(n, dtype=bool)
+    normal[2 * slip + 1] = True
+    target = np.full(indices.size, nnz, dtype=np.int32)
+    target[kept] = slot[:kept.size]
+    moved = np.flatnonzero(normal[row_of] | normal[indices])
+    target[moved] = target[moved - normal[row_of[moved]] * row_len[row_of[moved]]
+                           - normal[indices[moved]]]
+    # The weight w_row w_col of every entry, w = t_c on a slip node's dofs
+    tangent = np.ones(n)
+    tangent[2 * slip] = spaces.constraints.tangents[slip, 0]
+    tangent[2 * slip + 1] = spaces.constraints.tangents[slip, 1]
+    weight = tangent[row_of] * tangent[indices]
+
+    def compose(source, extra=np.zeros(0, dtype=np.int64)):
+        """Slot map of the entries at the plain positions ``source``, with
+        the entries at ``extra`` weighted whatever their weights."""
+        scaled = np.flatnonzero(weight[source] != 1.0)
+        more = np.concatenate([source[scaled], extra])
+        targets, index = np.unique(target[more], return_inverse=True)
+        slots = target[source]
+        slots[scaled] = nnz
+        return slots, scaled, targets, index, weight[more]
+
+    n_u = spaces.n_u
+    jacobian = compose(velocity_slots, bed_slots)
+    coupling = compose(np.concatenate([np.flatnonzero(indices[:indptr[n_u]] >= n_u),
+                                       np.arange(indptr[n_u], indices.size)]))
 
     constrained = constrained[order]
     constrained.flags.writeable = False
     return ReducedFrame(rotation, rotation.T.tocsr(), constrained,
                         _frozen(entries.indptr), _frozen(entries.indices),
-                        source, slot[m], mixed, unit_slots)
+                        slot[kept.size:].copy(), jacobian, coupling)
 
 
 class Spaces:
@@ -509,8 +502,7 @@ class Spaces:
     gradients at the quadrature points, boundary edge node triples and
     geometry, the velocity constraint set, and lazily
     cached data used for assembly, factorization and regularization:
-    the saddle pattern (:meth:`saddle_pattern`), the reduced frame
-    (:meth:`reduced_frame`) and auxiliary matrices.
+    the reduced frame (:meth:`reduced_frame`) and auxiliary matrices.
     """
 
     def __init__(self, mesh):
@@ -619,7 +611,7 @@ class Spaces:
 
     def reduced_frame(self):
         """The :class:`ReducedFrame` of this mesh, built on the first
-        reduction, apart from the spaces and the saddle pattern."""
+        reduction, not with the spaces or a Jacobian."""
         if "reduced_frame" not in self._cache:
             self._cache["reduced_frame"] = _reduced_frame(self)
         return self._cache["reduced_frame"]
@@ -664,27 +656,23 @@ class Spaces:
         """Velocity dofs of the P2 node triples of boundary edges, (k, 6)."""
         return (2 * self.bedge_nodes[edges][:, :, None] + np.arange(2)).reshape(-1, 6)
 
-    def saddle_pattern(self):
-        """The :class:`SaddlePattern` of this mesh, built on first use."""
-        if "saddle_pattern" not in self._cache:
-            self._cache["saddle_pattern"] = _saddle_pattern(self)
-        return self._cache["saddle_pattern"]
+    def eliminate(self, blocks, bed_blocks, coupling):
+        """The reduced operator, in CSC form, of the saddle matrix whose
+        velocity block sums the element blocks ``blocks`` (axes a, b, c,
+        d, t) and the bed blocks ``bed_blocks`` (axes k, a, c, b, d).
 
-    def eliminate(self, matrix):
-        """Symmetric row/column elimination with unit diagonal.
-
-        Takes the operator into the reduced frame (node-blocked and in
-        the tangent/normal frame at slip nodes), drops constrained rows
-        and columns, and puts 1 on the eliminated diagonal so the
-        reduced operator stays symmetric and nonsingular; returns it in
-        CSC form.  ``matrix`` must have the CSR pattern of
-        :meth:`saddle_pattern`.
+        One scatter writes the blocks straight into the pattern of the
+        reduced frame: node-blocked, in the tangent/normal frame at slip
+        nodes, with constrained rows and columns dropped.  ``coupling``
+        is the reduced data of the coupling block and of the unit
+        diagonal of the constrained dofs, which keeps the operator
+        symmetric and nonsingular.
         """
-        pattern = self.saddle_pattern()
-        if not (np.array_equal(matrix.indptr, pattern.indptr)
-                and np.array_equal(matrix.indices, pattern.indices)):
-            raise ValueError("eliminate needs an operator on this mesh's saddle pattern")
-        return self.reduced_frame().eliminate(matrix.data)
+        frame = self.reduced_frame()
+        data = frame.scatter(frame.jacobian, blocks.ravel(), bed_blocks.ravel())
+        data += coupling
+        return sp.csc_matrix((data, frame.indices, frame.indptr),
+                             shape=frame.rotation.shape)
 
     def project_dual(self, vec):
         """Zero the constrained components of a dual vector in place of

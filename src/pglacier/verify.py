@@ -261,16 +261,19 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
     # Dual-operator coercivity on computed dual states.
     observed = spaces.mesh.observed_edges
     nq = spaces.quadrature.edge_points.size
-    system = assemble_adjoint_operator(v, rheology, friction, params)
-    K = system.matrix.tocsr()[:spaces.n_u, :spaces.n_u]
+    A_hat = assemble_adjoint_operator(v, rheology, friction, params).reduced()
     # one LU for every dual solve
-    lu = factorize(system.reduced(), "NATURAL")
+    lu = factorize(A_hat, "NATURAL")
     coer_ok = True
     margin = np.inf
     for _ in range(DUAL_OBSERVATIONS):
         obs = Observation(rng.standard_normal((observed.size, nq, 2)))
         lam = solve_adjoint(v, obs, lu)
-        energy = float(lam.values @ (K @ lam.values))
+        # lambda satisfies the constraints and R is orthogonal, so its
+        # reduced vector gives lambda . K lambda
+        x_hat = spaces.reduce_vector(
+            np.concatenate([lam.values, np.zeros(spaces.n_sys - spaces.n_u)]))
+        energy = float(x_hat @ (A_hat @ x_hat))
         v2 = norm(lam, "V2_seminorm")
         floor = params.mu0 * v2 ** 2
         coer_ok &= bool(energy >= floor * (1.0 - 1e-10))

@@ -9,12 +9,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import pglacier as pg
 from pglacier import inversion
-from pglacier.assembly import (_bed_kernel, _check_args, _derivative_factors,
-                               _pair_trace, _saddle_system,
-                               assemble_coeff_jacobian)
+from pglacier.assembly import (AssembledSystem, _bed_kernel, _check_args,
+                               _derivative_factors, _pair_trace,
+                               assemble_coeff_jacobian, coupling_matrix)
 from pglacier.forward import SolverConfig
 from pglacier.spaces import (SpaceKind, basal_coeff_on_edges,
                              p2_reference_gradients,
@@ -204,10 +205,34 @@ def derivative_kernel_operator(velocity, rheology, friction, params):
     # bed: image tau s'(v) of trial N_b e_d, axes (k, m, b, d, c)
     tv = spaces.edge_trace_vals
     bed_image = tv[None, :, :, None, None] * _bed_kernel(v, tg1, tg2)[:, :, None, :, :]
-    return _saddle_system(
+    return AssembledSystem(
         spaces, pair_trial_gradients(spaces, image).transpose(1, 4, 2, 3, 0),
         _pair_trace(spaces, spaces.basal_edge_indices,
                     np.moveaxis(bed_image, 4, 2), tv))
+
+
+def full_operator(system):
+    """The saddle operator [[K, C], [C^T, 0]] of an :class:`AssembledSystem`
+    at plain dofs, CSR: its element blocks and the coupling matrix summed
+    by one COO conversion, independent of every slot map."""
+    spaces = system.spaces
+    nt = spaces.mesh.num_triangles
+    dofs = spaces.tri_vel_dofs.T.reshape(6, 2, nt)                # (a, c, t)
+    shape = (6, 6, 2, 2, nt)
+    bed = spaces.trace_dofs(spaces.basal_edge_indices).reshape(-1, 3, 2)
+    bed_shape = bed.shape + (3, 2)
+    C = coupling_matrix(spaces).tocoo()
+    rows = np.concatenate([
+        np.broadcast_to(dofs[:, None, :, None], shape).ravel(),
+        np.broadcast_to(bed[:, :, :, None, None], bed_shape).ravel(),
+        C.row, spaces.n_u + C.col])
+    cols = np.concatenate([
+        np.broadcast_to(dofs[None, :, None, :], shape).ravel(),
+        np.broadcast_to(bed[:, None, None], bed_shape).ravel(),
+        spaces.n_u + C.col, C.row])
+    values = np.concatenate([system.blocks.ravel(), system.bed_blocks.ravel(),
+                             C.data, C.data])
+    return sp.coo_matrix((values, (rows, cols)), shape=(spaces.n_sys,) * 2).tocsr()
 
 
 def coeff_derivative(velocity, rheology_dir, friction_dir, params):

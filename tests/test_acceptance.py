@@ -21,7 +21,7 @@ from pglacier.inversion import (OptimizationConfig, directional_derivative,
                                 run_inversion, taylor_test)
 from pglacier.verify import pointwise_suite
 
-from conftest import TILTED_FORCE, truth_friction, truth_rheology
+from conftest import TILTED_FORCE, full_operator, truth_friction, truth_rheology
 
 
 @pytest.fixture
@@ -73,9 +73,10 @@ def test_criterion_2_jacobian_consistency(criterion, slab_spaces,
         rng = np.random.default_rng(7)
         for _ in range(5):
             vel, pres, _ = random_admissible_state(spaces, rng)
-            J = assemble_jacobian(vel, rheology, friction, tilted_params).matrix
-            A = assemble_adjoint_operator(vel, rheology, friction,
-                                          tilted_params).matrix
+            J = full_operator(assemble_jacobian(vel, rheology, friction,
+                                                tilted_params))
+            A = full_operator(assemble_adjoint_operator(vel, rheology, friction,
+                                                        tilted_params))
             scale = abs(J).max()
             assert abs(J - J.T).max() <= 1e-12 * scale
             assert abs(J - A).max() <= 1e-12 * scale
@@ -188,8 +189,8 @@ def test_criterion_6_adjoint_well_posedness(criterion, slab_spaces,
         spaces = slab_spaces
         rheology, friction = base_coeffs
         vel = base_solution.velocity
-        K = assemble_adjoint_operator(
-            vel, rheology, friction, tilted_params).matrix.tocsr()
+        K = full_operator(assemble_adjoint_operator(
+            vel, rheology, friction, tilted_params))
         K = K[:spaces.n_u, :spaces.n_u]
         observed = spaces.mesh.observed_edges
         nq = spaces.quadrature.edge_points.size

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import pglacier as pg
 from conftest import coeff_derivative, coeff_gradient_duals
 from conftest import derivative_kernel_operator as assemble_adjoint_operator
-from conftest import physical_gradients
+from conftest import full_operator, physical_gradients
 from conftest import quadrature_norm as norm
 from pglacier.assembly import (assemble_jacobian, assemble_residual,
                                basal_p1_mass, basal_p1_stiffness,
@@ -151,7 +151,7 @@ def test_linear_jacobian_matches_naive_assembly():
     B, tau = random_coeffs(spaces)
     v, _ = random_state(spaces)
     params = PhysicsParams(p=2.0, delta=0.5, mu0=0.05)
-    J = assemble_jacobian(v, B, tau, params).matrix.toarray()
+    J = full_operator(assemble_jacobian(v, B, tau, params)).toarray()
     naive = naive_linear_saddle(spaces, B, tau, params.mu0)
     assert np.max(np.abs(J - naive)) <= 1e-12 * np.max(np.abs(naive))
 
@@ -162,8 +162,8 @@ def test_linear_jacobian_is_state_independent():
     v1, _ = random_state(spaces)
     v2, _ = random_state(spaces, scale=3.0)
     params = PhysicsParams(p=2.0, delta=0.5)
-    J1 = assemble_jacobian(v1, B, tau, params).matrix
-    J2 = assemble_jacobian(v2, B, tau, params).matrix
+    J1 = full_operator(assemble_jacobian(v1, B, tau, params))
+    J2 = full_operator(assemble_jacobian(v2, B, tau, params))
     assert abs(J1 - J2).max() <= 1e-13 * abs(J1).max()
 
 
@@ -171,7 +171,7 @@ def test_jacobian_is_symmetric(slab_spaces, tilted_params):
     B = pg.constant_field(slab_spaces.coeff_omega, 1.0)
     tau = pg.constant_field(slab_spaces.coeff_basal, 0.5)
     v, _ = random_state(slab_spaces)
-    J = assemble_jacobian(v, B, tau, tilted_params).matrix
+    J = full_operator(assemble_jacobian(v, B, tau, tilted_params))
     assert abs(J - J.T).max() <= 1e-12 * abs(J).max()
 
 
@@ -181,7 +181,7 @@ def test_jacobian_matches_difference_quotient(slab_spaces, tilted_params):
     tau = pg.constant_field(spaces.coeff_basal, 0.5)
     v, pres = random_state(spaces)
     sign = solver_sign(spaces)
-    J = assemble_jacobian(v, B, tau, tilted_params).matrix
+    J = full_operator(assemble_jacobian(v, B, tau, tilted_params))
     z = rng.standard_normal(spaces.n_sys)
     z = spaces.expand_vector(spaces.reduce_vector(z))
     Jz = spaces.project_dual(sign * (J @ z))
@@ -207,8 +207,8 @@ def test_jacobian_rejects_zero_delta(slab_spaces):
 def test_adjoint_operator_equals_jacobian(slab_spaces, tilted_params):
     B, tau = random_coeffs(slab_spaces)
     v, _ = random_state(slab_spaces, scale=0.5)
-    J = assemble_jacobian(v, B, tau, tilted_params).matrix
-    A = assemble_adjoint_operator(v, B, tau, tilted_params).matrix
+    J = full_operator(assemble_jacobian(v, B, tau, tilted_params))
+    A = full_operator(assemble_adjoint_operator(v, B, tau, tilted_params))
     assert abs(J - A).max() <= 1e-12 * abs(J).max()
 
 

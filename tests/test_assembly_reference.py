@@ -15,11 +15,12 @@ import scipy.sparse as sp
 
 import pglacier as pg
 from conftest import (coeff_gradient_duals, derivative_kernel_operator,
-                      jittered_file_mesh, physical_gradients)
+                      full_operator, jittered_file_mesh, physical_gradients)
 from pglacier.mesh import BoundaryTag
-from pglacier.assembly import (_residual_raw, assemble_coeff_jacobian,
-                               assemble_jacobian)
-from pglacier.spaces import (basal_coeff_on_edges, scalar_values_at_quadrature,
+from pglacier.assembly import (_reduced_coupling, _residual_raw,
+                               assemble_coeff_jacobian, assemble_jacobian)
+from pglacier.spaces import (_saddle_pattern, basal_coeff_on_edges,
+                             scalar_values_at_quadrature,
                              velocity_gradients_at_quadrature, velocity_trace)
 from pglacier.tensor_ops import s_gamma, s_omega
 
@@ -246,7 +247,7 @@ def test_jacobian_matches_reference(case):
     spaces, v, _, _, B, tau, params = case
     rows, cols, vals = reference_jacobian_blocks(spaces, v, B, tau, params)
     ref = sp.coo_matrix((vals, (rows, cols)), shape=(spaces.n_sys,) * 2).toarray()
-    J = assemble_jacobian(v, B, tau, params).matrix
+    J = full_operator(assemble_jacobian(v, B, tau, params))
     assert relative_gap(J.toarray(), ref) <= RTOL
     # every element-block position is stored, nothing else
     struct = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
@@ -294,11 +295,12 @@ def test_pattern_is_shared_per_mesh(case):
     spaces, v, _, _, B, tau, params = case
     a = assemble_jacobian(v, B, tau, params)
     b = assemble_jacobian(pg.zero_field(spaces.velocity), B, tau, params)
-    assert spaces.saddle_pattern() is spaces.saddle_pattern()
-    assert np.array_equal(a.matrix.indices, b.matrix.indices)
+    assert spaces.reduced_frame() is spaces.reduced_frame()
+    assert np.array_equal(full_operator(a).indices, full_operator(b).indices)
     assert np.array_equal(a.reduced().indices, b.reduced().indices)
-    with pytest.raises(ValueError, match="saddle pattern"):
-        spaces.eliminate((a.matrix + sp.identity(spaces.n_sys)).tocsr())
+    # blocks that are not this mesh's have no slots in its frame
+    with pytest.raises(ValueError, match="slot map"):
+        spaces.eliminate(a.blocks[..., 1:], a.bed_blocks, _reduced_coupling(spaces))
 
 
 def random_direction(spaces, seed):
@@ -382,8 +384,8 @@ def odd_state(request, tmp_path_factory):
 def test_contraction_matches_oracle_and_reference(odd_state, p, delta):
     spaces, v, pressure, B, tau = odd_state
     params = pg.PhysicsParams(p=p, delta=delta, body_force=(0.5, -1.0))
-    J = assemble_jacobian(v, B, tau, params).matrix
-    oracle = derivative_kernel_operator(v, B, tau, params).matrix
+    J = full_operator(assemble_jacobian(v, B, tau, params))
+    oracle = full_operator(derivative_kernel_operator(v, B, tau, params))
     assert relative_gap(J.data, oracle.data) <= 1e-13
     ref = reference_residual(spaces, v, pressure, B, tau, params)
     assert relative_gap(_residual_raw(v, pressure, B, tau, params), ref) <= 1e-13
@@ -391,9 +393,9 @@ def test_contraction_matches_oracle_and_reference(odd_state, p, delta):
 
 def test_velocity_slots_follow_the_contraction_order(odd_state):
     spaces = odd_state[0]
-    pattern = spaces.saddle_pattern()
+    indptr, indices, velocity_slots, _ = _saddle_pattern(spaces)
     n = spaces.n_sys
-    keys = np.repeat(np.arange(n), np.diff(pattern.indptr)) * n + pattern.indices
+    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
     assert np.all(np.diff(keys) > 0)
     dofs = spaces.tri_vel_dofs.reshape(-1, 6, 2)              # (t, a, c)
 
@@ -405,10 +407,10 @@ def test_velocity_slots_follow_the_contraction_order(odd_state):
     # (a, b, c, d, t): test node and trial node, then their components
     by_node = dofs.transpose(1, 2, 0)
     expected = slots(by_node[:, None, :, None], by_node[None, :, None])
-    assert pattern.velocity_slots.dtype == np.int32
-    assert np.array_equal(pattern.velocity_slots, expected)
+    assert velocity_slots.dtype == np.int32
+    assert np.array_equal(velocity_slots, expected)
     # the triangle-outermost (t, a, c, d, b) order hits every position
     # as often
     outer = slots(dofs[:, :, :, None, None], dofs.transpose(0, 2, 1)[:, None, None])
-    assert np.array_equal(np.bincount(outer, minlength=pattern.nnz),
-                          np.bincount(pattern.velocity_slots, minlength=pattern.nnz))
+    assert np.array_equal(np.bincount(outer, minlength=indices.size),
+                          np.bincount(velocity_slots, minlength=indices.size))

@@ -8,12 +8,14 @@ import scipy.sparse.linalg
 import pglacier as pg
 from pglacier import forward
 from pglacier.adjoint import factor_adjoint
-from pglacier.assembly import assemble_jacobian, solver_sign
+from pglacier.assembly import (AssembledSystem, _reduced_coupling,
+                               assemble_jacobian, solver_sign)
 from pglacier.forward import (SolverConfig, SolverError, energy_bound,
                               solve_forward)
 from pglacier.tensor_ops import PhysicsParams
 
-from conftest import TILTED_FORCE, coeff_derivative
+from conftest import (TILTED_FORCE, coeff_derivative, full_operator,
+                      jittered_file_mesh)
 
 rng = np.random.default_rng(23)
 
@@ -160,7 +162,7 @@ def test_solve_system_satisfies_reduced_equations(slab_spaces, tilted_params):
     lu = factor_adjoint(vel, B, tau, tilted_params)
     rhs = rng.standard_normal(slab_spaces.n_sys)
     x = slab_spaces.expand_vector(lu.solve(slab_spaces.reduce_vector(rhs)))
-    lhs = slab_spaces.reduce_vector(system.matrix @ x)
+    lhs = slab_spaces.reduce_vector(full_operator(system) @ x)
     want = slab_spaces.reduce_vector(rhs)
     assert np.max(np.abs(lhs - want)) <= 1e-10 * max(np.max(np.abs(want)), 1.0)
     # the expanded solution satisfies the constraints exactly
@@ -480,9 +482,8 @@ def test_reduced_frame_is_built_once_per_mesh(monkeypatch, tilted_params):
     monkeypatch.setattr(pg.spaces, "_reduced_frame", counted)
     spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
     B, tau = coeffs(spaces)
-    spaces.saddle_pattern()
     assemble_jacobian(pg.zero_field(spaces.velocity), B, tau, tilted_params)
-    assert builds == []           # neither the spaces nor the pattern do
+    assert builds == []           # neither the spaces nor a Jacobian do
     sol = solve_forward(B, tau, tilted_params)
     assert builds == [spaces]
     cached = spaces.reduced_frame()
@@ -491,17 +492,21 @@ def test_reduced_frame_is_built_once_per_mesh(monkeypatch, tilted_params):
     assert builds == [spaces]
 
 
-def test_reduced_operator_is_column_major():
-    # random data on the full pattern is far from symmetric, so a row-
-    # major gather would show
-    spaces = bedded_spaces_4x2()
-    pattern = spaces.saddle_pattern()
-    full = pattern.matrix(rng.standard_normal(pattern.nnz))
-    reduced = spaces.eliminate(full)
+@pytest.mark.parametrize("mesh", ["bedded_4x2", "jittered"])
+def test_eliminate_scatters_blocks_into_the_reduced_frame(mesh, tmp_path):
+    # random element and bed blocks are far from symmetric, so a slot map
+    # that swaps rows and columns, or drops the slip weights, would show
+    spaces = (bedded_spaces_4x2() if mesh == "bedded_4x2"
+              else pg.build_spaces(jittered_file_mesh(tmp_path)))
+    nt, n_bed = spaces.mesh.num_triangles, spaces.basal_edge_indices.size
+    system = AssembledSystem(spaces, rng.standard_normal((6, 6, 2, 2, nt)),
+                             rng.standard_normal((n_bed, 3, 2, 3, 2)))
+    reduced = spaces.eliminate(system.blocks, system.bed_blocks,
+                               _reduced_coupling(spaces))
     assert reduced.format == "csc"
     R = spaces.sys_rotation
     cons = spaces.sys_constrained
-    want = (R.T @ full @ R).toarray()
+    want = (R.T @ full_operator(system) @ R).toarray()
     want[cons, :] = 0.0
     want[:, cons] = 0.0
     want[cons, cons] = 1.0
