@@ -38,20 +38,20 @@ from .spaces import Field, SpaceKind
 REPRESENTATIONS = ("L2", "H1_smoothed")
 
 # The iteration stops at a projected gradient norm of GRAD_TOL, or of
-# GRAD_RTOL times its starting value.  CG stops at the forcing term
-# min(CG_FORCING_MAX, sqrt(|g| / |g0|)) in the Riesz norm or after
-# CG_MAX_ITERATIONS Hessian products.  Nodes within ACTIVE_EPS (or the
-# projected gradient norm, if smaller) of a bound whose gradient points
-# out of the box are active.  A trial is accepted when its cost falls by
-# ARMIJO_C times the predicted decrease; the step shrinks by
-# ARMIJO_SHRINK after a rejected or failed trial.
+# GRAD_RTOL times its starting value.  CG stops at the quadratic forcing
+# term min(CG_FORCING_MAX, |g| / |g0|) of ``_cg_forcing`` in the Riesz
+# norm or after CG_MAX_ITERATIONS Hessian products.  Nodes within
+# ACTIVE_EPS (or the projected gradient norm, if smaller) of a bound
+# whose gradient points out of the box are active.  A trial is accepted
+# when its cost falls by ARMIJO_C times the predicted decrease; the step
+# shrinks by ARMIJO_SHRINK after a rejected or failed trial.
 GRAD_TOL = 1e-9
 GRAD_RTOL = 1e-6
 # On noisy data (noise_sigma > 0) the iteration also stops once the
 # misfit falls to DISCREPANCY_TAU times the expected misfit of the truth
 # (Morozov's discrepancy principle, see ``noise_misfit``).
 DISCREPANCY_TAU = 1.1
-CG_FORCING_MAX = 0.5
+CG_FORCING_MAX = 0.1
 CG_MAX_ITERATIONS = 50
 ACTIVE_EPS = 1e-2
 ARMIJO_SHRINK = 0.5
@@ -362,15 +362,27 @@ def _riesz(spaces, dual, representation):
                            represent(basal, spaces, "basal", representation)])
 
 
+def _cg_forcing(g_norm, g0):
+    """Relative CG tolerance eta = min(CG_FORCING_MAX, |g| / |g0|) of an
+    iterate whose free gradient has Riesz norm ``g_norm``; ``g0`` is
+    that norm at the first iterate, and None (or 0) gives the cap.
+
+    A forcing term of order |g| makes inexact Newton converge
+    quadratically near the solution (Dembo, Eisenstat & Steihaug, SIAM
+    J. Numer. Anal. 1982), so late iterates solve the Gauss-Newton
+    system accurately instead of polishing over more outer iterations.
+    """
+    return min(CG_FORCING_MAX, g_norm / g0) if g0 else CG_FORCING_MAX
+
+
 def _gauss_newton_step(state, params, representation, free, g0):
     """Inexact solve of H s = -g on the ``free`` nodes (a 0/1 mask) by
     CG preconditioned with the Riesz map.
 
     CG starts from s = 0 and stops when the residual's Riesz norm falls
-    to min(CG_FORCING_MAX, sqrt(|g| / g0)) times that of the free
-    gradient g, after CG_MAX_ITERATIONS Hessian products, or on a
-    direction of non-positive curvature.  ``g0`` of None stands for
-    |g|.  Returns (s, |g|).
+    to :func:`_cg_forcing` eta times that of the free gradient g, after
+    CG_MAX_ITERATIONS Hessian products, or on a direction of
+    non-positive curvature.  Returns (s, |g|).
     """
     spaces = state.rheology.space.parent
 
@@ -384,7 +396,7 @@ def _gauss_newton_step(state, params, representation, free, g0):
     d = z
     rz = float(r @ z)
     g_norm = np.sqrt(rz)
-    stop = min(CG_FORCING_MAX ** 2, g_norm / g0 if g0 else 1.0) * rz
+    stop = _cg_forcing(g_norm, g0) ** 2 * rz     # rz is a squared norm
     for k in range(CG_MAX_ITERATIONS):
         if rz <= stop:
             break
