@@ -40,7 +40,8 @@ class Observation:
 
     ``samples`` has shape (observed edges, edge points, 2) in
     full_vector mode and (observed edges, edge points) in
-    tangential mode, aligned with the mesh's observed-edge order.
+    tangential mode, aligned with the mesh's observed-edge order, and
+    every sample is finite.
     ``noise_sigma`` records the standard deviation used when the data
     was synthesized (0 for exact data).
     """
@@ -57,6 +58,14 @@ class Observation:
         if self.samples.ndim != want:
             raise ValueError("%s observations need %d-dimensional samples, got %d"
                              % (self.mode, want, self.samples.ndim))
+        if self.mode == "full_vector" and self.samples.shape[2] != 2:
+            raise ValueError("full_vector samples need shape (edges, points, 2), "
+                             "got %s" % (self.samples.shape,))
+        bad = np.argwhere(~np.isfinite(self.samples))
+        if bad.size:
+            first = tuple(bad[0].tolist())
+            raise ValueError("observation sample %s is %r, not finite"
+                             % (first, float(self.samples[first])))
 
 
 def _check_alignment(spaces, obs):

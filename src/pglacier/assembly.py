@@ -31,7 +31,9 @@ tensor (:func:`assemble_jacobian`).  Dual vectors are scattered with
 a per-mesh pattern through precomputed slot maps, also with
 ``np.bincount``: the Jacobian's element blocks into the eliminated
 pattern of the reduced frame (:meth:`Spaces.eliminate`), weighted by
-the tangent at slip nodes, and the coefficient Jacobian
+the tangent at slip nodes, whose pattern and slots come from one keyed
+pass over the element entries (:class:`ReducedFrame`), and the
+coefficient Jacobian
 (:func:`assemble_coeff_jacobian`), whose products are the coefficient
 derivative and the gradient duals, into a pattern of its own.  The
 auxiliary matrices, built once per mesh, sum their element blocks by
@@ -318,7 +320,7 @@ def _coeff_pattern(spaces):
         cols = np.concatenate([
             np.broadcast_to(spaces.mesh.triangles.T, volume_shape).ravel(),
             np.broadcast_to(nv + spaces.basal_edge_dofs[:, None], bed_shape).ravel()])
-        _, _, col, _, count, slots = _adjacency(
+        _, col, count, slots = _adjacency(
             rows, cols, spaces.n_u, nv + spaces.coeff_basal.dof_count)
         return (_frozen(np.concatenate([[0], np.cumsum(count)])), _frozen(col),
                 _frozen(slots))

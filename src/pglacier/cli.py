@@ -92,8 +92,10 @@ def _coefficients(cfg, spaces, params, section):
 
 def _box_margins(rheology, friction, params):
     """Each field's distance from the bounds of its admissible interval,
-    keyed by field name: negative outside it, nan for a nan value."""
-    return {key: float(min((field.values - lo).min(), (hi - field.values).min()))
+    keyed by field name: negative outside it, nan for a nan value and
+    inf for a field with no values (a mesh with no bed has no friction)."""
+    return {key: float(min((field.values - lo).min(initial=np.inf),
+                           (hi - field.values).min(initial=np.inf)))
             for field, (key, (lo, hi)) in zip((rheology, friction),
                                               params.box.items())}
 
@@ -231,8 +233,8 @@ def _taylor_directions(cfg, spaces, rng):
     for _ in range(cfg["taylor.directions"]):
         db = rng.standard_normal(n_omega)
         df = rng.standard_normal(n_basal)
-        yield (Field(spaces.coeff_omega, db / max(np.abs(db).max(), 1.0)),
-               Field(spaces.coeff_basal, df / max(np.abs(df).max(), 1.0)))
+        yield (Field(spaces.coeff_omega, db / np.abs(db).max(initial=1.0)),
+               Field(spaces.coeff_basal, df / np.abs(df).max(initial=1.0)))
 
 
 def cmd_taylor(cfg, out):
@@ -244,7 +246,8 @@ def cmd_taylor(cfg, out):
                               "[%r, %r], so no perturbation of it stays inside"
                               % params.box[key], "fields." + key)
     relative = {key: margin / (params.box[key][1] - params.box[key][0])
-                for key, margin in margins.items()}
+                for (key, margin), field in zip(margins.items(), (rheology, friction))
+                if field.values.size}
     roomiest = max(relative, key=relative.get)
     if relative[roomiest] < TAYLOR_MARGIN_FLOOR:
         raise ConfigError("every field lies within %g of its box width from a "
@@ -267,7 +270,7 @@ def cmd_taylor(cfg, out):
             raise ConfigError("zero perturbation direction", "taylor.directions")
         parts = []      # each field's part keeps to that field's margin
         for (key, margin), part in zip(margins.items(), (db, df)):
-            biggest = h_max * np.abs(part.values).max()
+            biggest = h_max * np.abs(part.values).max(initial=0.0)
             if biggest > margin:
                 scale = 0.5 * margin / biggest
                 print("direction %d: %s part scaled by %g to stay inside the box"

@@ -253,9 +253,12 @@ def _tikhonov_duals(rheology, friction, params):
 def represent(dual, spaces, which, representation):
     """Riesz representative of a coefficient-space dual vector in the
     chosen inner product (plain L2 or the H1 smoother); the LU of its
-    Gram matrix is cached per mesh."""
+    Gram matrix is cached per mesh.  A space with no dofs (the friction
+    space of a mesh with no bed) has nothing to factor."""
     if representation not in REPRESENTATIONS:
         raise ValueError("unknown gradient representation %r" % representation)
+    if not dual.size:
+        return np.zeros(0)
     space = spaces.coeff_omega if which == "omega" else spaces.coeff_basal
 
     def build():

@@ -257,14 +257,12 @@ def _build_constraints(mesh, n_nodes, bedge_nodes, edge_normals):
 
 def _adjacency(rows, cols, n_rows, n_cols):
     """Unique (row, col) pairs of two broadcast index arrays, sorted by
-    row then column.  Returns the pair keys, their rows and columns, the
-    position of each pair within its row, the pair count per row and the
-    pair of every input entry."""
+    row then column.  Returns their rows and columns, the pair count per
+    row and the pair of every input entry."""
     keys, inverse = np.unique((rows * n_cols + cols).ravel(), return_inverse=True)
     row, col = keys // n_cols, keys % n_cols
-    count = np.bincount(row, minlength=n_rows)
-    pos = np.arange(keys.size) - (np.cumsum(count) - count)[row]
-    return keys, row, col, pos, count, inverse.reshape(np.broadcast(rows, cols).shape)
+    return (row, col, np.bincount(row, minlength=n_rows),
+            inverse.reshape(np.broadcast(rows, cols).shape))
 
 
 def _frozen(index):
@@ -273,59 +271,6 @@ def _frozen(index):
     index = index.astype(np.int32, copy=False)
     index.flags.writeable = False
     return index
-
-
-def _saddle_pattern(spaces):
-    """CSR pattern of the saddle operator [[K, C], [C^T, 0]] of ``spaces``
-    in plain x/y components, from the node-node, node-vertex and
-    vertex-node adjacency of its triangles; an input of
-    :func:`_reduced_frame`, not kept.
-
-    Velocity row 2 R + c holds the columns 2 C + d of the P2 nodes C
-    sharing a triangle with node R, then the pressure columns of those
-    triangles' vertices; pressure row n_u + k holds the velocity columns
-    of the nodes around vertex k.  Returns ``indptr``, ``indices`` and
-    the position among the entries of every element-block entry:
-    ``velocity_slots`` for the velocity blocks with axes (a, b, c, d, t)
-    (test node a, trial node b, test component c, trial component d and
-    the triangle innermost) and ``bed_slots`` for the bed-edge blocks
-    with axes (k, a, c, b, d).
-    """
-    nv, nn, n_u = spaces.mesh.num_vertices, spaces.n_vnodes, spaces.n_u
-    nodes, tris = spaces.tri_p2_nodes, spaces.mesh.triangles
-    vv_keys, vv_row, vv_col, vv_pos, vv_n, vv_of = _adjacency(
-        nodes[:, :, None], nodes[:, None, :], nn, nn)
-    _, vp_row, vp_col, vp_pos, vp_n, _ = _adjacency(
-        nodes[:, :, None], tris[:, None, :], nn, nv)
-    _, pv_row, pv_col, pv_pos, pv_n, _ = _adjacency(
-        tris[:, None, :], nodes[:, :, None], nv, nn)
-
-    row_len = np.concatenate([np.repeat(2 * vv_n + vp_n, 2), 2 * pv_n])
-    indptr = np.concatenate([[0], np.cumsum(row_len)])
-    start = indptr[:-1]
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    for c in range(2):
-        vv_first = start[2 * vv_row + c] + 2 * vv_pos
-        indices[vv_first] = 2 * vv_col
-        indices[vv_first + 1] = 2 * vv_col + 1
-        indices[start[2 * vp_row + c] + 2 * vv_n[vp_row] + vp_pos] = n_u + vp_col
-        indices[start[n_u + pv_row] + 2 * pv_pos + c] = 2 * pv_col + c
-
-    # velocity_slots in the (a, b, c, d, t) order of the Jacobian's GEMM,
-    # computed in int32: row start of dof (a, c), plus the trial
-    # component d, plus twice the place of node b in node a's row
-    comp = np.arange(2, dtype=np.int32)
-    vel_start = start[spaces.tri_vel_dofs.T].astype(np.int32).reshape(6, 2, -1)
-    pair_pos = (2 * vv_pos[vv_of]).astype(np.int32).transpose(1, 2, 0)
-    velocity_slots = (vel_start[:, None, :, None] + comp[:, None]
-                      + pair_pos[:, :, None, None])
-    bed_nodes = spaces.bedge_nodes[spaces.basal_edge_indices]
-    bed_pairs = np.searchsorted(vv_keys,
-                                bed_nodes[:, :, None] * nn + bed_nodes[:, None, :])
-    bed_start = start[spaces.trace_dofs(spaces.basal_edge_indices)].reshape(-1, 3, 2)
-    bed_slots = (bed_start[:, :, :, None, None]
-                 + 2 * vv_pos[bed_pairs][:, :, None, :, None] + comp)
-    return indptr, indices, velocity_slots.ravel(), bed_slots.ravel()
 
 
 @dataclass(frozen=True)
@@ -352,12 +297,15 @@ class ReducedFrame:
     and a unit diagonal in the constrained ones, at ``unit_slots``.
 
     Operators are scattered into that pattern straight from their
-    element blocks.  Every plain dof feeds at most one free reduced dof,
-    with weight 1, or the tangent component t_c at a slip node, so each
-    block entry has one slot, or the dump slot nnz past the data in a
-    fixed node's row or column, and the weight w_row w_col.  A slot map
-    is the tuple (slots, scaled, targets, index, weights): the int32
-    slot of every plain entry, the dump for those whose weight is not 1;
+    element blocks.  Every plain dof feeds at most one free reduced dof:
+    its own with weight 1, the tangential dof of its slip node with
+    weight t_c, or none at a fixed node.  So each block entry has one
+    slot, or the dump slot nnz past the data in a fixed node's row or
+    column, and the weight w_row w_col, and one keyed pass over the
+    entries gives the pattern and every slot (:func:`_reduced_frame`).
+    A slot map is the tuple (slots, scaled, targets, index, weights):
+    the int32 slot of every entry, the dump for those whose weight is
+    not 1;
     the positions of those entries; the slots that they and the map's
     extra entries reach, each once; the place in ``targets`` of each of
     them; and their weights.  ``jacobian`` maps the velocity blocks
@@ -401,8 +349,7 @@ def _node_order(spaces):
     sends each node to its position.
     """
     nodes, nn = spaces.tri_p2_nodes, spaces.n_vnodes
-    _, row, col, _, count, _ = _adjacency(nodes[:, :, None], nodes[:, None, :],
-                                          nn, nn)
+    row, col, count, _ = _adjacency(nodes[:, :, None], nodes[:, None, :], nn, nn)
     graph = sp.csc_matrix((np.where(row == col, count[row], -1.0), col,
                            np.concatenate([[0], np.cumsum(count)])), shape=(nn, nn))
     lu = spla.spilu(graph, permc_spec="MMD_AT_PLUS_A", drop_tol=np.inf,
@@ -413,7 +360,8 @@ def _node_order(spaces):
 def _reduced_frame(spaces):
     """:class:`ReducedFrame` of ``spaces``: the node order expanded to
     dofs, the rotation and constraints renumbered by it, and the
-    eliminated pattern in that numbering."""
+    eliminated pattern and slot maps in that numbering, from one unique
+    over the keys of the element entries."""
     nv, nn, n = spaces.mesh.num_vertices, spaces.n_vnodes, spaces.n_sys
     node_dofs = np.full((nn, 3), -1)
     node_dofs[:, 0] = 2 * np.arange(nn)
@@ -434,61 +382,70 @@ def _reduced_frame(spaces):
                                   np.zeros(nv, dtype=bool)])
 
     # Elimination keeps the entries whose row and column are both free
-    # and gives each constrained dof its unit diagonal.  A CSC matrix in
-    # the reduced numbering whose data are the entry numbers, kept ones
-    # first, gives each entry its slot: conversion sorts each column.
-    indptr, indices, velocity_slots, bed_slots = _saddle_pattern(spaces)
-    row_len = np.diff(indptr)
-    row_of = np.repeat(np.arange(n, dtype=np.int32), row_len)
-    kept = np.flatnonzero(~constrained[row_of] & ~constrained[indices])
-    units = np.flatnonzero(constrained)
-    entries = sp.csc_matrix((np.arange(kept.size + units.size),
-                             (position[np.concatenate([row_of[kept], units])],
-                              position[np.concatenate([indices[kept], units])])),
-                            shape=(n, n))
-    nnz = entries.nnz
-    slot = np.empty(nnz, dtype=np.int32)
-    slot[entries.data] = np.arange(nnz, dtype=np.int32)
+    # and gives each constrained dof its unit diagonal.  Each entry is
+    # keyed by the free reduced (column, row) that its plain dofs feed,
+    # or by the dump key n^2 in a fixed node's row or column: one unique
+    # over the keys is the CSC pattern, sorted by column then row, and
+    # its inverse the slot of every entry, nnz for the dump.
+    cons, n_u, nt = spaces.constraints, spaces.n_u, spaces.mesh.num_triangles
+    slip = np.flatnonzero(cons.kinds == int(NodeConstraint.SLIP))
+    fixed = np.flatnonzero(cons.kinds == int(NodeConstraint.FIXED))
+    dump = n * n
+    row_key = position.copy()
+    row_key[2 * slip + 1] = position[2 * slip]
+    col_key = n * row_key
+    for key in (row_key, col_key):
+        key[2 * fixed] = key[2 * fixed + 1] = dump
+    weight = np.ones(n)
+    weight[2 * slip] = cons.tangents[slip, 0]
+    weight[2 * slip + 1] = cons.tangents[slip, 1]
 
-    # Every entry goes to the slot of a kept entry or to the dump slot nnz.
-    # A slip node's normal row has the layout of its tangential row one
-    # row length before (its normal column: the slot before), so an entry
-    # there takes the slot of that entry, or the dump in a fixed node's
-    # column (row).
-    slip = np.flatnonzero(spaces.constraints.kinds == int(NodeConstraint.SLIP))
-    normal = np.zeros(n, dtype=bool)
-    normal[2 * slip + 1] = True
-    target = np.full(indices.size, nnz, dtype=np.int32)
-    target[kept] = slot[:kept.size]
-    moved = np.flatnonzero(normal[row_of] | normal[indices])
-    target[moved] = target[moved - normal[row_of[moved]] * row_len[row_of[moved]]
-                           - normal[indices[moved]]]
-    # The weight w_row w_col of every entry, w = t_c on a slip node's dofs
-    tangent = np.ones(n)
-    tangent[2 * slip] = spaces.constraints.tangents[slip, 0]
-    tangent[2 * slip + 1] = spaces.constraints.tangents[slip, 1]
-    weight = tangent[row_of] * tangent[indices]
+    # The entries: the velocity blocks (a, b, c, d, t), the bed blocks
+    # (k, a, c, b, d), C and C^T in CSR order, and the unit diagonal.
+    vel = spaces.tri_vel_dofs.T.reshape(6, 2, nt)                 # (a, c, t)
+    bed = spaces.trace_dofs(spaces.basal_edge_indices).reshape(-1, 3, 2)
+    c_row, c_col, _, _ = _adjacency(spaces.tri_vel_dofs[:, :, None],
+                                    spaces.mesh.triangles[:, None, :], n_u, nv)
+    c_col += n_u
+    by_col = np.argsort(c_col, kind="stable")
+    c_rows = np.concatenate([c_row, c_col[by_col]])
+    c_cols = np.concatenate([c_col, c_row[by_col]])
+    keys = np.concatenate([
+        (col_key[vel][None, :, None] + row_key[vel][:, None, :, None]).ravel(),
+        (row_key[bed][..., None, None] + col_key[bed][:, None, None]).ravel(),
+        col_key[c_cols] + row_key[c_rows],
+        (n + 1) * position[np.flatnonzero(constrained)]])
+    pattern, slot = np.unique(np.minimum(keys, dump, out=keys), return_inverse=True)
+    nnz = np.searchsorted(pattern, dump)
+    col, row = np.divmod(pattern[:nnz], n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+    vel_slots, bed_slots, c_slots, unit_slots = np.split(
+        slot.astype(np.int32), np.cumsum([144 * nt, 36 * len(bed), c_rows.size]))
 
-    def compose(source, extra=np.zeros(0, dtype=np.int64)):
-        """Slot map of the entries at the plain positions ``source``, with
-        the entries at ``extra`` weighted whatever their weights."""
-        scaled = np.flatnonzero(weight[source] != 1.0)
-        more = np.concatenate([source[scaled], extra])
-        targets, index = np.unique(target[more], return_inverse=True)
-        slots = target[source]
+    def slot_map(slots, scaled, weights, extra=np.zeros(0, dtype=np.int32),
+                 extra_weights=np.zeros(0)):
+        """Slot map of the entries at ``slots``, those at ``scaled``
+        weighted by ``weights``, and ``extra`` weighted entries."""
+        targets, index = np.unique(np.concatenate([slots[scaled], extra]),
+                                   return_inverse=True)
         slots[scaled] = nnz
-        return slots, scaled, targets, index, weight[more]
+        return slots, scaled, targets, index, np.concatenate([weights, extra_weights])
 
-    n_u = spaces.n_u
-    jacobian = compose(velocity_slots, bed_slots)
-    coupling = compose(np.concatenate([np.flatnonzero(indices[:indptr[n_u]] >= n_u),
-                                       np.arange(indptr[n_u], indices.size)]))
+    w = weight[vel]
+    off = w != 1.0
+    scaled = np.flatnonzero(off[:, None, :, None] | off[None, :, None])
+    a, b, c, d, t = np.unravel_index(scaled, (6, 6, 2, 2, nt))
+    jacobian = slot_map(vel_slots, scaled, w[a, c, t] * w[b, d, t], bed_slots,
+                        (weight[bed][..., None, None]
+                         * weight[bed][:, None, None]).ravel())
+    w = weight[c_rows] * weight[c_cols]
+    scaled = np.flatnonzero(w != 1.0)
+    coupling = slot_map(c_slots, scaled, w[scaled])
 
     constrained = constrained[order]
     constrained.flags.writeable = False
     return ReducedFrame(rotation, rotation.T.tocsr(), constrained,
-                        _frozen(entries.indptr), _frozen(entries.indices),
-                        slot[kept.size:].copy(), jacobian, coupling)
+                        _frozen(indptr), _frozen(row), unit_slots, jacobian, coupling)
 
 
 class Spaces:

@@ -236,15 +236,18 @@ def discrete_suite(rheology, friction, params, solver_config=None, seed=0):
         bool(rep.final_energy <= rep.energy_bound * (1.0 + _EPS)),
         "|v|_V2 = %.15g, bound = %.15g" % (rep.final_energy, rep.energy_bound)))
 
-    # Hoelder bound of the volume term with exponent r = 2/(2-p).
+    # Hoelder bound of the volume term with exponent r = 2/(2-p) on B;
+    # at p = 2, r is infinite and the norm is the largest |B| at the
+    # quadrature points, where the integrals are summed.  B and S(Dv) at
+    # those points are shared by the five probes of (B S(Dv), grad phi).
     v = solution.velocity
-    r = 2.0 / (2.0 - params.p)
-    coeff_norm = norm(rheology, "Lr_omega", r=r)
+    Bq = scalar_values_at_quadrature(rheology)
+    if params.p < 2.0:
+        coeff_norm = norm(rheology, "Lr_omega", r=2.0 / (2.0 - params.p))
+    else:
+        coeff_norm = float(np.abs(Bq).max())
     Dv = _strain(point_velocity_gradients(v)).transpose(3, 0, 1, 2)
     Dv_l2 = float(np.sqrt(_omega_quad_integral(spaces, (Dv ** 2).sum(axis=(2, 3)))))
-    # B and S(Dv) at the quadrature points, shared by the five probes of
-    # (B S(Dv), grad phi).
-    Bq = scalar_values_at_quadrature(rheology)
     S = s_omega(Dv, params)
     hoelder_ok = True
     worst = 0.0

@@ -31,6 +31,21 @@ def test_mode_validation():
         Observation(np.zeros((2, 3, 2)), mode="tangential")
 
 
+@pytest.mark.parametrize("samples,mode,msg", [
+    (np.zeros((2, 3, 3)), "full_vector", r"shape \(edges, points, 2\), got \(2, 3, 3\)"),
+    (np.zeros((2, 3, 1)), "full_vector", r"got \(2, 3, 1\)"),
+    (np.where(np.arange(12).reshape(2, 3, 2) == 7, np.nan, 1.0), "full_vector",
+     r"sample \(1, 0, 1\) is nan, not finite"),
+    (np.array([[0.0, 1.0, np.inf], [np.nan, 0.0, 0.0]]), "tangential",
+     r"sample \(0, 2\) is inf, not finite"),
+], ids=["three_components", "one_component", "nan", "inf"])
+def test_bad_samples_are_rejected(samples, mode, msg):
+    # these used to fail later: a broadcast error in the misfit, or a nan
+    # misfit that the inversion reported as observations too large
+    with pytest.raises(ValueError, match=msg):
+        Observation(samples, mode=mode)
+
+
 def test_alignment_error_names_both_shapes(slab_spaces):
     v = pg.constant_field(slab_spaces.velocity, 0.0)
     obs = Observation(np.zeros((3, 2, 2)))

@@ -18,8 +18,9 @@ from conftest import (coeff_gradient_duals, derivative_kernel_operator,
                       full_operator, jittered_file_mesh, physical_gradients)
 from pglacier.mesh import BoundaryTag
 from pglacier.assembly import (_reduced_coupling, _residual_raw,
-                               assemble_coeff_jacobian, assemble_jacobian)
-from pglacier.spaces import (_saddle_pattern, basal_coeff_on_edges,
+                               assemble_coeff_jacobian, assemble_jacobian,
+                               coupling_matrix)
+from pglacier.spaces import (basal_coeff_on_edges,
                              scalar_values_at_quadrature,
                              velocity_gradients_at_quadrature, velocity_trace)
 from pglacier.tensor_ops import s_gamma, s_omega
@@ -391,26 +392,64 @@ def test_contraction_matches_oracle_and_reference(odd_state, p, delta):
     assert relative_gap(_residual_raw(v, pressure, B, tau, params), ref) <= 1e-13
 
 
-def test_velocity_slots_follow_the_contraction_order(odd_state):
+def test_slot_maps_follow_the_rotation_and_constraints(odd_state):
+    """Every element entry at plain dofs (p, q) goes to the CSC position
+    of the free reduced (row, column) that p and q feed, with weight
+    R[p, i] R[q, j], or to the dump slot nnz in a fixed node's row or
+    column; the reduced dofs are read off ``sys_rotation`` and
+    ``sys_constrained`` alone."""
     spaces = odd_state[0]
-    indptr, indices, velocity_slots, _ = _saddle_pattern(spaces)
-    n = spaces.n_sys
-    keys = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
-    assert np.all(np.diff(keys) > 0)
-    dofs = spaces.tri_vel_dofs.reshape(-1, 6, 2)              # (t, a, c)
+    frame = spaces.reduced_frame()
+    n, n_u, nnz = spaces.n_sys, spaces.n_u, frame.indices.size
+    R = spaces.sys_rotation.tocsr()
+    free = ~spaces.sys_constrained
+    plain = np.repeat(np.arange(n), np.diff(R.indptr))
+    feeds_free = free[R.indices]
+    assert np.bincount(plain[feeds_free], minlength=n).max() <= 1
+    feed = np.full(n, -1)
+    feed[plain[feeds_free]] = R.indices[feeds_free]
+    weight = np.zeros(n)
+    weight[plain[feeds_free]] = R.data[feeds_free]
+    keys = np.repeat(np.arange(n), np.diff(frame.indptr)) * n + frame.indices
 
-    def slots(rows, cols):
-        rows, cols = np.broadcast_arrays(rows, cols)
-        found = np.searchsorted(keys, rows * n + cols)
-        assert np.array_equal(keys[found], rows * n + cols)
-        return found.ravel()
-    # (a, b, c, d, t): test node and trial node, then their components
-    by_node = dofs.transpose(1, 2, 0)
-    expected = slots(by_node[:, None, :, None], by_node[None, :, None])
-    assert velocity_slots.dtype == np.int32
-    assert np.array_equal(velocity_slots, expected)
-    # the triangle-outermost (t, a, c, d, b) order hits every position
-    # as often
-    outer = slots(dofs[:, :, :, None, None], dofs.transpose(0, 2, 1)[:, None, None])
-    assert np.array_equal(np.bincount(outer, minlength=indices.size),
-                          np.bincount(velocity_slots, minlength=indices.size))
+    def expected(rows, cols):
+        rows, cols = (a.ravel() for a in np.broadcast_arrays(rows, cols))
+        fed = (feed[rows] >= 0) & (feed[cols] >= 0)
+        key = feed[cols[fed]] * n + feed[rows[fed]]
+        slot = np.full(rows.size, nnz)
+        slot[fed] = np.searchsorted(keys, key)
+        assert np.array_equal(keys[slot[fed]], key)
+        return slot, fed, weight[rows] * weight[cols]
+
+    def check(slot_map, rows, cols, extra_rows=None, extra_cols=None):
+        slots, scaled, targets, index, weights = slot_map
+        assert slots.dtype == np.int32 and targets.dtype == np.int32
+        slot, fed, w = expected(rows, cols)
+        # an entry of weight other than 1 is summed through the targets
+        got, got_w = slots.astype(np.int64), np.ones(slots.size)
+        got[scaled] = targets[index[:scaled.size]]
+        got_w[scaled] = weights[:scaled.size]
+        assert np.array_equal(got, slot)
+        assert np.all(slot[~fed] == nnz) and np.all(slot[fed] < nnz)
+        assert np.array_equal(got_w[fed], w[fed])
+        if extra_rows is not None:
+            slot, fed, w = expected(extra_rows, extra_cols)
+            assert np.array_equal(targets[index[scaled.size:]], slot)
+            assert np.array_equal(weights[scaled.size:][fed], w[fed])
+
+    # velocity blocks (a, b, c, d, t) and bed blocks (k, a, c, b, d)
+    vel = spaces.tri_vel_dofs.T.reshape(6, 2, -1)
+    bed = spaces.trace_dofs(spaces.basal_edge_indices).reshape(-1, 3, 2)
+    check(frame.jacobian, vel[:, None, :, None], vel[None, :, None],
+          bed[..., None, None], bed[:, None, None])
+    # C then C^T, each in CSR order
+    C = coupling_matrix(spaces)
+    CT = C.T.tocsr()
+    check(frame.coupling,
+          np.concatenate([np.repeat(np.arange(n_u), np.diff(C.indptr)),
+                          n_u + np.repeat(np.arange(CT.shape[0]), np.diff(CT.indptr))]),
+          np.concatenate([n_u + C.indices, CT.indices]))
+    # the unit diagonal of the constrained dofs, each once
+    assert frame.unit_slots.dtype == np.int32
+    assert np.array_equal(np.sort(keys[frame.unit_slots]),
+                          np.flatnonzero(~free) * (n + 1))

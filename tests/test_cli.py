@@ -566,3 +566,31 @@ def test_taylor_solves_and_factors_its_base_state_once(tmp_path, monkeypatch):
     assert k == 2
     lines = (tmp_path / "o" / "taylor_report.csv").read_text().splitlines()
     assert lines[1:] == rows
+
+
+def test_every_subcommand_runs_on_a_mesh_file_with_no_bed(tmp_path):
+    # a valid mesh file with no basal edge has an empty friction space:
+    # every subcommand used to exit 1 on its empty box margin, then
+    # invert on its 0x0 Riesz Gram matrix and taylor on its empty parts
+    mesh = pg.generate_slab_mesh(2.0, 1.0, 8, 4)
+    tags = mesh.boundary_tags.copy()
+    tags[tags == int(pg.BoundaryTag.BASAL)] = int(pg.BoundaryTag.DIRICHLET)
+    save_mesh(pg.Mesh(mesh.vertices, mesh.triangles, mesh.boundary_edges, tags,
+                      mesh.observed), tmp_path / "clamped.pgmesh")
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, "mesh.source = file\nmesh.path = %s\n"
+                    % (tmp_path / "clamped.pgmesh") + TWIN_BLOCK
+                    + "taylor.directions = 1\n" + "run.out = %s\n" % out)
+    for command in ("forward", "verify", "invert", "taylor"):
+        assert run([command, "--config", cfg]) == 0, command
+    assert "lu_fallbacks,0" in (out / "report.csv").read_text().splitlines()
+    with open(out / "verify_report.csv", newline="") as fh:
+        rows = {row["check"]: row for row in csv.DictReader(fh)}
+    assert all(row["passed"] == "1" for row in rows.values())
+    assert rows["bed-trace constant (measured)"]["detail"] == "C_trace = 0"
+    assert len((out / "taylor_report.csv").read_text().splitlines()) == 1 + 4
+    # the empty friction field has no room to perturb, so it does not
+    # hide a rheology field a hair inside its box
+    hair = write_cfg(tmp_path, "fields.rheology = 0.1000000001\n"
+                     + open(cfg).read(), name="hair.cfg")
+    assert run(["taylor", "--config", hair]) == 2

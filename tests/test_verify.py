@@ -118,6 +118,16 @@ def test_discrete_suite_passes(slab_spaces, tilted_params, base_coeffs):
         assert r.passed, r.line()
 
 
+def test_discrete_suite_passes_at_p_2(slab_spaces, base_coeffs):
+    # the Hoelder exponent 2/(2-p) on B used to divide by zero here
+    params = pg.PhysicsParams(p=2.0, body_force=(0.5, -1.0))
+    results = discrete_suite(*base_coeffs, params, seed=0)
+    hoelder = next(r for r in results if r.name == "volume-term Hoelder bound")
+    assert 0.0 < detail_float(hoelder, "max ratio ") <= 1.0
+    for r in results:
+        assert r.passed, r.line()
+
+
 def test_discrete_suite_dual_coercivity_has_margin(slab_spaces, tilted_params,
                                                    base_coeffs):
     results = discrete_suite(*base_coeffs, tilted_params, seed=3)
