@@ -43,7 +43,7 @@ class Observation:
     tangential mode, aligned with the mesh's observed-edge order, and
     every sample is finite.
     ``noise_sigma`` records the standard deviation used when the data
-    was synthesized (0 for exact data).
+    was synthesized (0 for exact data), a finite float >= 0.
     """
 
     samples: np.ndarray
@@ -53,6 +53,7 @@ class Observation:
     def __post_init__(self):
         if self.mode not in PROJECTION_MODES:
             raise ValueError("unknown projection mode %r" % self.mode)
+        self.noise_sigma = _checked_noise_sigma(self.noise_sigma)
         self.samples = np.asarray(self.samples, dtype=np.float64)
         want = 3 if self.mode == "full_vector" else 2
         if self.samples.ndim != want:
@@ -66,6 +67,16 @@ class Observation:
             first = tuple(bad[0].tolist())
             raise ValueError("observation sample %s is %r, not finite"
                              % (first, float(self.samples[first])))
+
+
+def _checked_noise_sigma(sigma):
+    """``sigma`` as a float, or ValueError unless it is finite and >= 0:
+    a nan sigma would turn the inversion's noise-level stop off, and a
+    negative one would act as its absolute value."""
+    sigma = float(sigma)
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("noise_sigma must be a finite float >= 0, got %r" % sigma)
+    return sigma
 
 
 def _check_alignment(spaces, obs):

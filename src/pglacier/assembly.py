@@ -31,13 +31,14 @@ tensor (:func:`assemble_jacobian`).  Dual vectors are scattered with
 a per-mesh pattern through precomputed slot maps, also with
 ``np.bincount``: the Jacobian's element blocks into the eliminated
 pattern of the reduced frame (:meth:`Spaces.eliminate`), weighted by
-the tangent at slip nodes, whose pattern and slots come from one keyed
-pass over the element entries (:class:`ReducedFrame`), and the
-coefficient Jacobian
+the tangent at slip nodes, and the coefficient Jacobian
 (:func:`assemble_coeff_jacobian`), whose products are the coefficient
 derivative and the gradient duals, into a pattern of its own.  The
-auxiliary matrices, built once per mesh, sum their element blocks by
-COO conversion.
+reduced frame's pattern and slots come from one keyed pass over the
+element entries (:class:`ReducedFrame`), among them the coupling's
+element blocks, keyed once as C and once as C^T and scattered once per
+mesh.  The auxiliary matrices, built once per mesh, sum their element
+blocks by COO conversion.
 The four linear-element mass and stiffness matrices keep their closed
 forms.  Each space has one pair of Gram matrices (:func:`gram_matrices`)
 and its L2, V2 and H1 norms are their quadratic forms; integrals of
@@ -68,13 +69,14 @@ class AssembledSystem:
 
     K is kept as its element blocks in plain x/y components: ``blocks``
     for the triangles, axes (a, b, c, d, t), and ``bed_blocks`` for the
-    bed edges, axes (k, a, c, b, d); C is the mesh's
-    :func:`coupling_matrix`.  :meth:`reduced` is the operator in the
-    reduced frame of ``spaces``, with the dofs of
-    ``spaces.sys_constrained`` eliminated by symmetric row/column
-    elimination with unit diagonal: a CSC matrix that a saddle LU factors
-    as it stands, scattered from the blocks on the first call, which
-    builds the reduced frame on the mesh's first reduction.
+    bed edges, axes (k, a, c, b, d); C is the mesh's own coupling, whose
+    element blocks are keyed as C and as C^T and scattered once per mesh.
+    :meth:`reduced` is the operator in the reduced frame of ``spaces``,
+    with the dofs of ``spaces.reduced_frame().constrained`` eliminated
+    by symmetric row/column elimination with unit diagonal: a CSC matrix
+    that a saddle LU factors as it stands, scattered from the blocks on
+    the first call, which builds the reduced frame on the mesh's first
+    reduction.
     """
 
     spaces: object
@@ -330,28 +332,24 @@ def _coeff_pattern(spaces):
 # -- saddle operators ---------------------------------------------------
 
 
-def coupling_matrix(spaces):
-    """Velocity-pressure coupling C with C[(a,c), k] = -(psi_k, d_c phi_a),
-    cached per mesh; the full operator uses [[K, C], [C^T, 0]]."""
-    def build():
-        # flux -delta_jc psi_k, axes (q, j, c, k, t), alike on every triangle
-        flux = -np.eye(2)[None, :, :, None, None] * spaces.p1_vals[:, None, None, :, None]
-        blocks = _pair_flux(spaces, flux).reshape(12, 3, -1)
-        return _element_matrix(np.moveaxis(blocks, 2, 0), spaces.tri_vel_dofs,
-                               spaces.mesh.triangles,
-                               (spaces.n_u, spaces.mesh.num_vertices))
-    return _cached(spaces, "coupling", build)
+def _coupling_blocks(spaces):
+    """Element blocks of the velocity-pressure coupling C[(a, c), k] =
+    -(psi_k, d_c phi_a), axes (a, c, k, t); the full operator is
+    [[K, C], [C^T, 0]]."""
+    # flux -delta_jc psi_k, axes (q, j, c, k, t), alike on every triangle
+    flux = -np.eye(2)[None, :, :, None, None] * spaces.p1_vals[:, None, None, :, None]
+    return _pair_flux(spaces, flux)
 
 
 def _reduced_coupling(spaces):
-    """The coupling blocks C and C^T and the unit diagonal of the
-    constrained dofs as data of the reduced frame's pattern, cached per
-    mesh: the part every reduced saddle operator shares."""
+    """The coupling blocks, scattered as C and as C^T, and the unit
+    diagonal of the constrained dofs as data of the reduced frame's
+    pattern, cached per mesh: the part every reduced saddle operator
+    shares."""
     def build():
-        C = coupling_matrix(spaces)
+        blocks = _coupling_blocks(spaces).ravel()
         frame = spaces.reduced_frame()
-        data = frame.scatter(frame.coupling,
-                             np.concatenate([C.data, C.T.tocsr().data]))
+        data = frame.scatter(frame.coupling, np.concatenate([blocks, blocks]))
         data[frame.unit_slots] = 1.0
         return data
     return _cached(spaces, "saddle_coupling", build)

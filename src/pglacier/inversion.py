@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import (Observation, _projected_trace, factor_adjoint, misfit,
-                      observation_gram, solve_adjoint)
+from .adjoint import (Observation, _checked_noise_sigma, _projected_trace,
+                      factor_adjoint, misfit, observation_gram, solve_adjoint)
 from .assembly import (_cached, assemble_coeff_jacobian, basal_p1_stiffness,
                        gram_matrices, omega_p1_stiffness)
 from .forward import SolverError, factorize, solve_forward
@@ -586,8 +586,11 @@ def make_twin_data(rheology_true, friction_true, params, noise_sigma=0.0,
 
     Solves the forward problem at the truth, samples the trace on the
     observed edges, projects per ``mode`` and adds seeded Gaussian noise
-    of standard deviation ``noise_sigma`` per stored component.
+    of standard deviation ``noise_sigma`` per stored component; a
+    non-finite or negative ``noise_sigma`` raises ValueError before the
+    solve.
     """
+    noise_sigma = _checked_noise_sigma(noise_sigma)
     solution = solve_forward(rheology_true, friction_true, params, solver_config)
     if not solution.report.converged:
         raise SolverError("twin forward solve did not converge")
@@ -597,4 +600,4 @@ def make_twin_data(rheology_true, friction_true, params, noise_sigma=0.0,
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         samples = samples + noise_sigma * rng.standard_normal(samples.shape)
-    return Observation(samples, mode, float(noise_sigma))
+    return Observation(samples, mode, noise_sigma)

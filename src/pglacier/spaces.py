@@ -305,17 +305,17 @@ class ReducedFrame:
     entries gives the pattern and every slot (:func:`_reduced_frame`).
     A slot map is the tuple (slots, scaled, targets, index, weights):
     the int32 slot of every entry, the dump for those whose weight is
-    not 1;
-    the positions of those entries; the slots that they and the map's
-    extra entries reach, each once; the place in ``targets`` of each of
-    them; and their weights.  ``jacobian`` maps the velocity blocks
-    (axes a, b, c, d, t), with the bed blocks (axes k, a, c, b, d) as
-    its extra entries; ``coupling`` maps the data of C and then of C^T
-    in CSR order.  The weighted sums are added after the plain ones, as
-    bed terms after volume terms, so on a flat bed, whose weights are 0
-    and 1, every sum rounds as if the plain operator were summed first
-    and rotated after.  The index arrays are read-only and shared by
-    every reduced operator.
+    not 1; the positions of those entries; the slots that they and the
+    map's extra entries reach, each once; the place in ``targets`` of
+    each of them; and their weights.  ``jacobian`` maps the velocity
+    blocks (axes a, b, c, d, t), with the bed blocks (axes k, a, c, b,
+    d) as its extra entries; ``coupling`` maps the coupling blocks (axes
+    a, c, k, t: velocity node a and component c, vertex k of triangle
+    t) twice over, keyed as C and then as C^T.  The weighted sums are
+    added after the plain ones, as bed terms after volume terms, so on
+    a flat bed, whose weights are 0 and 1, every sum rounds as if the
+    plain operator were summed first and rotated after.  The index
+    arrays are read-only and shared by every reduced operator.
     """
 
     rotation: sp.csr_matrix
@@ -401,26 +401,23 @@ def _reduced_frame(spaces):
     weight[2 * slip + 1] = cons.tangents[slip, 1]
 
     # The entries: the velocity blocks (a, b, c, d, t), the bed blocks
-    # (k, a, c, b, d), C and C^T in CSR order, and the unit diagonal.
+    # (k, a, c, b, d), the coupling blocks (a, c, k, t) as C and then as
+    # C^T, and the unit diagonal.
     vel = spaces.tri_vel_dofs.T.reshape(6, 2, nt)                 # (a, c, t)
     bed = spaces.trace_dofs(spaces.basal_edge_indices).reshape(-1, 3, 2)
-    c_row, c_col, _, _ = _adjacency(spaces.tri_vel_dofs[:, :, None],
-                                    spaces.mesh.triangles[:, None, :], n_u, nv)
-    c_col += n_u
-    by_col = np.argsort(c_col, kind="stable")
-    c_rows = np.concatenate([c_row, c_col[by_col]])
-    c_cols = np.concatenate([c_col, c_row[by_col]])
+    pres = n_u + spaces.mesh.triangles.T                          # (k, t)
     keys = np.concatenate([
         (col_key[vel][None, :, None] + row_key[vel][:, None, :, None]).ravel(),
         (row_key[bed][..., None, None] + col_key[bed][:, None, None]).ravel(),
-        col_key[c_cols] + row_key[c_rows],
+        (col_key[pres] + row_key[vel][:, :, None]).ravel(),
+        (row_key[pres] + col_key[vel][:, :, None]).ravel(),
         (n + 1) * position[np.flatnonzero(constrained)]])
     pattern, slot = np.unique(np.minimum(keys, dump, out=keys), return_inverse=True)
     nnz = np.searchsorted(pattern, dump)
     col, row = np.divmod(pattern[:nnz], n)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
     vel_slots, bed_slots, c_slots, unit_slots = np.split(
-        slot.astype(np.int32), np.cumsum([144 * nt, 36 * len(bed), c_rows.size]))
+        slot.astype(np.int32), np.cumsum([144 * nt, 36 * len(bed), 72 * nt]))
 
     def slot_map(slots, scaled, weights, extra=np.zeros(0, dtype=np.int32),
                  extra_weights=np.zeros(0)):
@@ -438,7 +435,7 @@ def _reduced_frame(spaces):
     jacobian = slot_map(vel_slots, scaled, w[a, c, t] * w[b, d, t], bed_slots,
                         (weight[bed][..., None, None]
                          * weight[bed][:, None, None]).ravel())
-    w = weight[c_rows] * weight[c_cols]
+    w = np.broadcast_to(weight[vel][:, :, None], (2, 6, 2, 3, nt)).ravel()
     scaled = np.flatnonzero(w != 1.0)
     coupling = slot_map(c_slots, scaled, w[scaled])
 
@@ -572,16 +569,6 @@ class Spaces:
         if "reduced_frame" not in self._cache:
             self._cache["reduced_frame"] = _reduced_frame(self)
         return self._cache["reduced_frame"]
-
-    @property
-    def sys_rotation(self):
-        """R, from reduced coordinates to plain system ones."""
-        return self.reduced_frame().rotation
-
-    @property
-    def sys_constrained(self):
-        """The reduced dofs eliminated to zero."""
-        return self.reduced_frame().constrained
 
     def reduce_vector(self, vec):
         """A dual/system vector in the reduced frame, with its constrained

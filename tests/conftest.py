@@ -15,7 +15,7 @@ import pglacier as pg
 from pglacier import inversion
 from pglacier.assembly import (AssembledSystem, _bed_kernel, _check_args,
                                _derivative_factors, _pair_trace,
-                               assemble_coeff_jacobian, coupling_matrix)
+                               _coupling_blocks, assemble_coeff_jacobian)
 from pglacier.forward import SolverConfig
 from pglacier.spaces import (SpaceKind, basal_coeff_on_edges,
                              p2_reference_gradients,
@@ -213,25 +213,30 @@ def derivative_kernel_operator(velocity, rheology, friction, params):
 
 def full_operator(system):
     """The saddle operator [[K, C], [C^T, 0]] of an :class:`AssembledSystem`
-    at plain dofs, CSR: its element blocks and the coupling matrix summed
-    by one COO conversion, independent of every slot map."""
+    at plain dofs, CSR: its element blocks and the coupling blocks, as C
+    and as C^T, summed by one COO conversion, independent of every slot
+    map."""
     spaces = system.spaces
     nt = spaces.mesh.num_triangles
     dofs = spaces.tri_vel_dofs.T.reshape(6, 2, nt)                # (a, c, t)
     shape = (6, 6, 2, 2, nt)
     bed = spaces.trace_dofs(spaces.basal_edge_indices).reshape(-1, 3, 2)
     bed_shape = bed.shape + (3, 2)
-    C = coupling_matrix(spaces).tocoo()
+    # coupling blocks (a, c, k, t): velocity dof against pressure dof
+    c_shape = (6, 2, 3, nt)
+    c_vel = np.broadcast_to(dofs[:, :, None], c_shape).ravel()
+    c_pres = np.broadcast_to(spaces.n_u + spaces.mesh.triangles.T, c_shape).ravel()
+    c_data = _coupling_blocks(spaces).ravel()
     rows = np.concatenate([
         np.broadcast_to(dofs[:, None, :, None], shape).ravel(),
         np.broadcast_to(bed[:, :, :, None, None], bed_shape).ravel(),
-        C.row, spaces.n_u + C.col])
+        c_vel, c_pres])
     cols = np.concatenate([
         np.broadcast_to(dofs[None, :, None, :], shape).ravel(),
         np.broadcast_to(bed[:, None, None], bed_shape).ravel(),
-        spaces.n_u + C.col, C.row])
+        c_pres, c_vel])
     values = np.concatenate([system.blocks.ravel(), system.bed_blocks.ravel(),
-                             C.data, C.data])
+                             c_data, c_data])
     return sp.coo_matrix((values, (rows, cols)), shape=(spaces.n_sys,) * 2).tocsr()
 
 

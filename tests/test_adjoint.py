@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pglacier as pg
+from conftest import truth_friction, truth_rheology
 from pglacier.adjoint import (Observation, factor_adjoint, misfit,
                               misfit_derivative_rhs, solve_adjoint)
 from pglacier.spaces import velocity_trace
@@ -44,6 +45,28 @@ def test_bad_samples_are_rejected(samples, mode, msg):
     # misfit that the inversion reported as observations too large
     with pytest.raises(ValueError, match=msg):
         Observation(samples, mode=mode)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -1e-3])
+def test_bad_noise_sigma_is_rejected(slab_spaces, tilted_params, sigma):
+    # a nan sigma used to switch the inversion's noise-level stop off, and
+    # a negative one to act as its absolute value
+    msg = r"noise_sigma must be a finite float >= 0, got %r" % sigma
+    with pytest.raises(ValueError, match=msg):
+        Observation(np.zeros((2, 3, 2)), noise_sigma=sigma)
+    with pytest.raises(ValueError, match=msg):
+        pg.make_twin_data(truth_rheology(slab_spaces),
+                          truth_friction(slab_spaces), tilted_params,
+                          noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+def test_valid_noise_sigma_is_kept(slab_spaces, tilted_params, sigma):
+    assert Observation(np.zeros((2, 3, 2)), noise_sigma=sigma).noise_sigma == sigma
+    obs = pg.make_twin_data(truth_rheology(slab_spaces),
+                            truth_friction(slab_spaces), tilted_params,
+                            noise_sigma=sigma)
+    assert obs.noise_sigma == sigma
 
 
 def test_alignment_error_names_both_shapes(slab_spaces):

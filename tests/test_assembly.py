@@ -13,9 +13,9 @@ from conftest import coeff_derivative, coeff_gradient_duals
 from conftest import derivative_kernel_operator as assemble_adjoint_operator
 from conftest import full_operator, physical_gradients
 from conftest import quadrature_norm as norm
-from pglacier.assembly import (assemble_jacobian, assemble_residual,
-                               basal_p1_mass, basal_p1_stiffness,
-                               basal_trace_mass, coupling_matrix,
+from pglacier.assembly import (_reduced_coupling, assemble_jacobian,
+                               assemble_residual, basal_p1_mass,
+                               basal_p1_stiffness, basal_trace_mass,
                                omega_p1_mass,
                                omega_p1_stiffness,
                                solver_sign, velocity_mass,
@@ -335,7 +335,7 @@ def test_basal_trace_mass_matches_quadrature(slab_spaces):
 
 def test_matrix_caching_returns_same_object(slab_spaces):
     assert omega_p1_mass(slab_spaces) is omega_p1_mass(slab_spaces)
-    assert coupling_matrix(slab_spaces) is coupling_matrix(slab_spaces)
+    assert _reduced_coupling(slab_spaces) is _reduced_coupling(slab_spaces)
 
 
 def test_reduced_matrix_has_unit_constrained_rows(slab_spaces, tilted_params):
@@ -343,7 +343,7 @@ def test_reduced_matrix_has_unit_constrained_rows(slab_spaces, tilted_params):
     v, _ = random_state(slab_spaces)
     system = assemble_jacobian(v, B, tau, tilted_params)
     R = system.reduced().toarray()
-    for k in np.flatnonzero(slab_spaces.sys_constrained):
+    for k in np.flatnonzero(slab_spaces.reduced_frame().constrained):
         row = np.zeros(R.shape[0])
         row[k] = 1.0
         assert np.array_equal(R[k], row)

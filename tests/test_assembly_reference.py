@@ -18,8 +18,7 @@ from conftest import (coeff_gradient_duals, derivative_kernel_operator,
                       full_operator, jittered_file_mesh, physical_gradients)
 from pglacier.mesh import BoundaryTag
 from pglacier.assembly import (_reduced_coupling, _residual_raw,
-                               assemble_coeff_jacobian, assemble_jacobian,
-                               coupling_matrix)
+                               assemble_coeff_jacobian, assemble_jacobian)
 from pglacier.spaces import (basal_coeff_on_edges,
                              scalar_values_at_quadrature,
                              velocity_gradients_at_quadrature, velocity_trace)
@@ -262,8 +261,8 @@ def test_reduced_jacobian_matches_rotated_elimination(case):
     rows, cols, vals = reference_jacobian_blocks(spaces, v, B, tau, params)
     n = spaces.n_sys
     M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).toarray()
-    R = spaces.sys_rotation.toarray()
-    cons = spaces.sys_constrained
+    frame = spaces.reduced_frame()
+    R, cons = frame.rotation.toarray(), frame.constrained
     ref = R.T @ M @ R
     ref[cons, :] = 0.0
     ref[:, cons] = 0.0
@@ -274,7 +273,7 @@ def test_reduced_jacobian_matches_rotated_elimination(case):
     # rows and columns, plus the unit diagonal: products of all-positive
     # pattern matrices, so no entry is lost to cancellation.
     ones = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-    R_ones = spaces.sys_rotation.copy()
+    R_ones = frame.rotation.copy()
     R_ones.data[:] = 1.0
     keep = sp.diags((~cons).astype(float))
     struct = (keep @ R_ones.T @ ones @ R_ones @ keep
@@ -396,13 +395,13 @@ def test_slot_maps_follow_the_rotation_and_constraints(odd_state):
     """Every element entry at plain dofs (p, q) goes to the CSC position
     of the free reduced (row, column) that p and q feed, with weight
     R[p, i] R[q, j], or to the dump slot nnz in a fixed node's row or
-    column; the reduced dofs are read off ``sys_rotation`` and
-    ``sys_constrained`` alone."""
+    column; the reduced dofs are read off the frame's ``rotation`` and
+    ``constrained`` alone."""
     spaces = odd_state[0]
     frame = spaces.reduced_frame()
     n, n_u, nnz = spaces.n_sys, spaces.n_u, frame.indices.size
-    R = spaces.sys_rotation.tocsr()
-    free = ~spaces.sys_constrained
+    R = frame.rotation.tocsr()
+    free = ~frame.constrained
     plain = np.repeat(np.arange(n), np.diff(R.indptr))
     feeds_free = free[R.indices]
     assert np.bincount(plain[feeds_free], minlength=n).max() <= 1
@@ -442,13 +441,11 @@ def test_slot_maps_follow_the_rotation_and_constraints(odd_state):
     bed = spaces.trace_dofs(spaces.basal_edge_indices).reshape(-1, 3, 2)
     check(frame.jacobian, vel[:, None, :, None], vel[None, :, None],
           bed[..., None, None], bed[:, None, None])
-    # C then C^T, each in CSR order
-    C = coupling_matrix(spaces)
-    CT = C.T.tocsr()
-    check(frame.coupling,
-          np.concatenate([np.repeat(np.arange(n_u), np.diff(C.indptr)),
-                          n_u + np.repeat(np.arange(CT.shape[0]), np.diff(CT.indptr))]),
-          np.concatenate([n_u + C.indices, CT.indices]))
+    # coupling blocks (a, c, k, t), first as C and then as C^T
+    pres = n_u + spaces.mesh.triangles.T
+    c_vel, c_pres = np.broadcast_arrays(vel[:, :, None], pres)
+    check(frame.coupling, np.concatenate([c_vel.ravel(), c_pres.ravel()]),
+          np.concatenate([c_pres.ravel(), c_vel.ravel()]))
     # the unit diagonal of the constrained dofs, each once
     assert frame.unit_slots.dtype == np.int32
     assert np.array_equal(np.sort(keys[frame.unit_slots]),

@@ -445,7 +445,7 @@ def bedded_spaces_4x2():
 def test_reduced_frame_is_node_blocked():
     spaces = bedded_spaces_4x2()
     n, n_u = spaces.n_sys, spaces.n_u
-    R = spaces.sys_rotation.tocsc()
+    R = spaces.reduced_frame().rotation.tocsc()
     assert abs(R.T @ R - scipy.sparse.identity(n)).max() <= 1e-15
     # column k of R holds the plain dofs of reduced dof k: all of one
     # node, its two velocity dofs or the pressure dof of a vertex
@@ -504,14 +504,13 @@ def test_eliminate_scatters_blocks_into_the_reduced_frame(mesh, tmp_path):
     reduced = spaces.eliminate(system.blocks, system.bed_blocks,
                                _reduced_coupling(spaces))
     assert reduced.format == "csc"
-    R = spaces.sys_rotation
-    cons = spaces.sys_constrained
+    frame = spaces.reduced_frame()
+    R, cons = frame.rotation, frame.constrained
     want = (R.T @ full_operator(system) @ R).toarray()
     want[cons, :] = 0.0
     want[:, cons] = 0.0
     want[cons, cons] = 1.0
     assert np.abs(reduced.toarray() - want).max() <= 1e-13 * np.abs(want).max()
-    frame = spaces.reduced_frame()
     assert reduced.indptr is frame.indptr
     assert np.shares_memory(reduced.indices, frame.indices)
 

@@ -272,10 +272,11 @@ def test_reduce_vector_equals_the_transposed_rotation_product(curved_bed_spaces)
     # the held R^T must give bit for bit what transposing R per call gave:
     # a rotated column has at most two entries, so no sum reorders
     spaces = curved_bed_spaces
+    frame = spaces.reduced_frame()
     for _ in range(3):
         x = rng.standard_normal(spaces.n_sys)
-        old = spaces.sys_rotation.T @ x
-        old[spaces.sys_constrained] = 0.0
+        old = frame.rotation.T @ x
+        old[frame.constrained] = 0.0
         assert np.array_equal(spaces.reduce_vector(x), old)
 
 
