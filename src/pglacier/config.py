@@ -26,7 +26,7 @@ import numpy as np
 
 from .fieldio import load_field_csv
 from .forward import SolverConfig
-from .inversion import REPRESENTATIONS, OptimizationConfig
+from .inversion import OptimizationConfig
 from .mesh import generate_slab_mesh, load_mesh, with_observed_span
 from .spaces import Field
 from .tensor_ops import PhysicsParams
@@ -90,8 +90,6 @@ SCHEMA = {
     "opt.max_iterations": ("int", OptimizationConfig.max_iterations,
                            lambda n: n >= 0, "must be >= 0"),
     "opt.ls_max": ("int", OptimizationConfig.ls_max, lambda n: n >= 1, "must be >= 1"),
-    "opt.representation": ("choice", OptimizationConfig.representation,
-                           REPRESENTATIONS, ""),
     "fields.rheology": ("str", "1.0", None, ""),
     "fields.friction": ("str", "0.5", None, ""),
     "observation.source": ("choice", "twin", ("twin", "file"), ""),

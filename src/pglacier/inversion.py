@@ -35,8 +35,6 @@ from .assembly import (_cached, assemble_coeff_jacobian, basal_p1_stiffness,
 from .forward import SolverError, factorize, solve_forward
 from .spaces import Field, SpaceKind
 
-REPRESENTATIONS = ("L2", "H1_smoothed")
-
 # The iteration stops at a projected gradient norm of GRAD_TOL, or of
 # GRAD_RTOL times its starting value.  CG stops at the quadratic forcing
 # term min(CG_FORCING_MAX, |g| / |g0|) of ``_cg_forcing`` in the Riesz
@@ -66,18 +64,20 @@ class NonFiniteCostError(ValueError):
 
 @dataclass
 class OptimizationConfig:
-    """Gauss-Newton settings; the CG, step and stopping rules are the
-    module constants above.
-
-    The iteration accepts at most ``max_iterations`` iterates; each tries
-    at most ``ls_max`` + 1 steps, the first the full Gauss-Newton step.
-    ``representation`` is the Riesz map (Gram matrix M, or M + K) that
-    preconditions CG and represents the projected gradient.
+    """Gauss-Newton settings: at most ``max_iterations`` (>= 0) accepted
+    iterates, each trying at most ``ls_max`` (>= 1) + 1 steps, the first
+    the full Gauss-Newton step.  CG is preconditioned by the H1 Riesz map
+    M + K; the CG, step and stopping rules are the module constants above.
     """
 
     max_iterations: int = 100
     ls_max: int = 30
-    representation: str = "H1_smoothed"
+
+    def __post_init__(self):
+        for name, least in (("max_iterations", 0), ("ls_max", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError("%s must be >= %d, got %r" % (name, least, value))
 
 
 @dataclass
@@ -250,24 +250,26 @@ def _tikhonov_duals(rheology, friction, params):
             params.reg_friction * (basal_p1_stiffness(spaces) @ friction.values))
 
 
-def represent(dual, spaces, which, representation):
-    """Riesz representative of a coefficient-space dual vector in the
-    chosen inner product (plain L2 or the H1 smoother); the LU of its
-    Gram matrix is cached per mesh.  A space with no dofs (the friction
-    space of a mesh with no bed) has nothing to factor."""
-    if representation not in REPRESENTATIONS:
+def represent(dual, spaces, which, representation="H1_smoothed"):
+    """Riesz representative of a dual vector on the coefficient space
+    ``which`` (``omega`` or ``basal``): a solve on its H1 Gram matrix
+    M + K, LU cached per mesh; nothing to factor on a space with no dofs
+    (a bedless mesh's friction space).  ``representation`` must be
+    ``H1_smoothed``; it goes once the benchmark stops passing it."""
+    if representation != "H1_smoothed":
         raise ValueError("unknown gradient representation %r" % representation)
+    if which not in ("omega", "basal"):
+        raise ValueError("unknown coefficient space %r" % which)
     if not dual.size:
         return np.zeros(0)
-    space = spaces.coeff_omega if which == "omega" else spaces.coeff_basal
 
     def build():
-        mass, stiffness = gram_matrices(space)
-        return factorize(mass if representation == "L2" else mass + stiffness)
-    return _cached(spaces, which + "_riesz_" + representation, build).solve(dual)
+        mass, stiffness = gram_matrices(getattr(spaces, "coeff_" + which))
+        return factorize(mass + stiffness)
+    return _cached(spaces, which + "_riesz", build).solve(dual)
 
 
-def evaluate_gradient(state, params, representation="H1_smoothed"):
+def evaluate_gradient(state, params):
     """Projected gradient fields of the reduced cost at a fresh state.
 
     Fills the state's gradient dual vectors, the Riesz representatives
@@ -282,7 +284,7 @@ def evaluate_gradient(state, params, representation="H1_smoothed"):
                                                                         params)
     x, g = _stacked(state)
     blocked = _points_out(x, g, _bounds(spaces, params), 0.0)
-    rep = _riesz(spaces, np.where(blocked, 0.0, g), representation)
+    rep = _riesz(spaces, np.where(blocked, 0.0, g))
     state.grad_rheology, state.grad_friction = _coefficient_fields(spaces, rep)
     state.projected_grad_norm = float(np.linalg.norm(rep))
     return state.grad_rheology, state.grad_friction
@@ -358,11 +360,11 @@ def _points_out(x, g, bounds, eps):
     return ((x <= lo + eps) & (g > 0.0)) | ((x >= hi - eps) & (g < 0.0))
 
 
-def _riesz(spaces, dual, representation):
+def _riesz(spaces, dual):
     """Stacked Riesz representative of a stacked dual vector."""
     omega, basal = _split(spaces, dual)
-    return np.concatenate([represent(omega, spaces, "omega", representation),
-                           represent(basal, spaces, "basal", representation)])
+    return np.concatenate([represent(omega, spaces, "omega"),
+                           represent(basal, spaces, "basal")])
 
 
 def _cg_forcing(g_norm, g0):
@@ -378,7 +380,7 @@ def _cg_forcing(g_norm, g0):
     return min(CG_FORCING_MAX, g_norm / g0) if g0 else CG_FORCING_MAX
 
 
-def _gauss_newton_step(state, params, representation, free, g0):
+def _gauss_newton_step(state, params, free, g0):
     """Inexact solve of H s = -g on the ``free`` nodes (a 0/1 mask) by
     CG preconditioned with the Riesz map.
 
@@ -394,7 +396,7 @@ def _gauss_newton_step(state, params, representation, free, g0):
             hessian_product(state, *_coefficient_fields(spaces, d), params))
 
     r = -free * _stacked(state)[1]
-    z = free * _riesz(spaces, r, representation)
+    z = free * _riesz(spaces, r)
     s = np.zeros_like(r)
     d = z
     rz = float(r @ z)
@@ -412,7 +414,7 @@ def _gauss_newton_step(state, params, representation, free, g0):
         a = rz / curvature
         s = s + a * d
         r = r - a * hd
-        z = free * _riesz(spaces, r, representation)
+        z = free * _riesz(spaces, r)
         rz, rz_old = float(r @ z), rz
         d = z + (rz / rz_old) * d
     return s, g_norm
@@ -469,7 +471,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
     spaces = state.rheology.space.parent
     n_u = spaces.n_u
     bounds = _bounds(spaces, params)
-    evaluate_gradient(state, params, opt.representation)
+    evaluate_gradient(state, params)
     history = [(0, state.cost.total, state.cost.misfit, state.cost.reg_rheology,
                 state.cost.reg_friction, state.projected_grad_norm, 0.0)]
     trials = []
@@ -488,8 +490,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
         x, g = _stacked(state)
         active = _points_out(x, g, bounds,
                              min(ACTIVE_EPS, state.projected_grad_norm))
-        step, g_norm = _gauss_newton_step(
-            state, params, opt.representation, (~active).astype(np.float64), g0)
+        step, g_norm = _gauss_newton_step(state, params, (~active).astype(np.float64), g0)
         g0 = g0 or g_norm
         step = np.where(active, np.where(g > 0.0, *bounds) - x, step)
         alpha = 1.0
@@ -523,7 +524,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
             break
         state = accepted
         state.iteration = it
-        evaluate_gradient(state, params, opt.representation)
+        evaluate_gradient(state, params)
         history.append((it, state.cost.total, state.cost.misfit,
                         state.cost.reg_rheology, state.cost.reg_friction,
                         state.projected_grad_norm, alpha))

@@ -255,13 +255,15 @@ def test_forward_reports_linear_solve_counts(tmp_path):
 
 
 def test_removed_linear_solver_key_exits_2(tmp_path, capsys):
-    # effective_config.cfg files written before the key was removed
-    # still carry it
-    cfg = write_cfg(tmp_path, TINY_MESH + "solver.linear_solver = direct\n"
-                    + "run.out = %s\n" % (tmp_path / "o"))
-    assert run(["forward", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert "unknown config key" in err and "solver.linear_solver" in err
+    # effective_config.cfg files written before a key was removed still
+    # carry it
+    for key, value in (("solver.linear_solver", "direct"),
+                       ("opt.representation", "H1_smoothed")):
+        cfg = write_cfg(tmp_path, TINY_MESH + "%s = %s\n" % (key, value)
+                        + "run.out = %s\n" % (tmp_path / "o"))
+        assert run(["forward", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and key in err
 
 
 def test_invert_line_search_failure_exits_5(tmp_path, capsys, monkeypatch):

@@ -41,7 +41,7 @@ def test_echo_round_trip_reproduces_every_value():
     mesh.observed_xmin = 0.5
     mesh.observed_xmax = 1.5
     fields.rheology = sine:1.0,0.25,1
-    opt.representation = L2
+    opt.ls_max = 5
     run.seed = 7
     """)
     echoed = "\n".join(cfg.echo_lines()) + "\n"
@@ -71,7 +71,7 @@ def test_missing_equals_is_rejected():
 @pytest.mark.parametrize("line,msg", [
     ("physics.p = fast", "expected a float"),
     ("mesh.nx = 4.5", "expected an integer"),
-    ("opt.representation = magic", "expected one of L2/H1_smoothed"),
+    ("observation.mode = radial", "expected one of full_vector/tangential"),
     ("physics.p = 2.5", r"must lie in \(1, 2\)"),
     ("physics.delta = 0", "must be > 0"),
     ("physics.mu0 = -1", "must be > 0"),
@@ -88,6 +88,8 @@ def test_missing_equals_is_rejected():
      "line 1: key 'opt.armijo_shrink': unknown config key"),
     ("opt.armijo_c = 1e-4", "line 1: key 'opt.armijo_c': unknown config key"),
     ("opt.step_init = 1.0", "line 1: key 'opt.step_init': unknown config key"),
+    ("opt.representation = L2",
+     "line 1: key 'opt.representation': unknown config key"),
     ("verify.samples = 0", "must be >= 1"),
 ])
 def test_value_validation(line, msg):
@@ -157,10 +159,10 @@ def test_solver_accessor_threads_trace_path():
 
 
 def test_optimization_accessor():
-    cfg = config_from_text("opt.max_iterations = 3\nopt.representation = L2\n")
+    cfg = config_from_text("opt.max_iterations = 3\nopt.ls_max = 5\n")
     oc = cfg.optimization()
     assert oc.max_iterations == 3
-    assert oc.representation == "L2"
+    assert oc.ls_max == 5
 
 
 def test_run_properties():

@@ -198,16 +198,25 @@ def test_projection_clips_and_is_idempotent(slab_spaces, tilted_params):
 
 
 def test_represent_validates_name(slab_spaces):
-    with pytest.raises(ValueError, match="representation"):
-        represent(np.zeros(slab_spaces.coeff_omega.dof_count), slab_spaces,
-                  "omega", "H2")
+    # only the H1 map is left, and an unknown space name is not taken
+    # for the bed
+    dual = np.ones(slab_spaces.coeff_omega.dof_count)
+    for which, representation, match in (
+            ("omega", "H2", "representation 'H2'"),
+            ("omega", "L2", "representation 'L2'"),
+            ("omgea", "H1_smoothed", "space 'omgea'")):
+        with pytest.raises(ValueError, match=match):
+            represent(dual, slab_spaces, which, representation)
 
 
-def test_representations_differ(slab_spaces):
-    dual = rng.standard_normal(slab_spaces.coeff_omega.dof_count)
-    l2 = represent(dual, slab_spaces, "omega", "L2")
-    h1 = represent(dual, slab_spaces, "omega", "H1_smoothed")
-    assert not np.allclose(l2, h1)
+@pytest.mark.parametrize("field,value,least", [
+    ("max_iterations", -1, 0), ("ls_max", 0, 1), ("ls_max", -1, 1)])
+def test_optimization_config_rejects_out_of_range(field, value, least):
+    # the config file's bounds hold for API callers too
+    with pytest.raises(ValueError,
+                       match="%s must be >= %d, got %d" % (field, least, value)):
+        OptimizationConfig(**{field: value})
+    OptimizationConfig(**{field: least})
 
 
 def test_zero_iteration_budget(slab_spaces, tilted_params, tight_solver,
