@@ -92,15 +92,24 @@ class SolverConfig:
     """Newton settings of a forward solve; the linear solves and the
     line search (``LS_*``) take none.
 
-    ``newton_rtol`` applies to the initial residual norm, ``newton_atol``
-    is the absolute floor; ``trace_path``, when set, receives the Newton
-    history as CSV.
+    ``newton_rtol`` (finite, > 0) applies to the initial residual norm,
+    ``newton_atol`` (finite, > 0) is the absolute floor and
+    ``max_newton`` (>= 1) caps the Newton steps of each stage;
+    ``trace_path``, when set, receives the Newton history as CSV.
     """
 
     newton_rtol: float = 1e-10
     newton_atol: float = 1e-12
     max_newton: int = 30
     trace_path: str = None
+
+    def __post_init__(self):
+        for name in ("newton_rtol", "newton_atol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError("%s must be finite and > 0, got %r" % (name, value))
+        if self.max_newton < 1:
+            raise ValueError("max_newton must be >= 1, got %r" % (self.max_newton,))
 
 
 @dataclass

@@ -7,15 +7,19 @@ smooth for delta > 0; at delta = 0 the value is still defined (zero at
 the origin for p < 2) but the derivative kernels are not and reject it.
 
 All functions broadcast over leading axes so property sweeps and
-assembly run vectorized.  Magnitudes are taken of the input divided by
-its largest entry, so no square overflows: the kernels stay finite for
+assembly run vectorized.  Each kernel is two steps.  An exponent-free
+pass divides the input by its scale c, the larger of its largest entry
+and delta, so no square overflows, and takes the logs of c and of the
+scaled squared magnitude.  An exponent step then forms the power with
+one exp of a combination of those logs.  The kernels stay finite for
 every finite input, and the derivative kernels wherever their value,
-bounded by 2 delta^(p-2) |W|, is.
+bounded by 2 delta^(p-2) |W|, is.  The pass depends on the input and
+delta only, so a sweep over exponents (``verify.pointwise_suite``) runs
+it once and the steps many times.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,51 +85,97 @@ def _frob2(P):
     return (np.asarray(P) ** 2).sum(axis=(-2, -1))
 
 
-def _shifted_magnitude(x, delta):
-    """sqrt(|x|^2 + delta^2) over the last axis as ``(c, unit, rho)``:
-    the scale c = max(max_i |x_i|, delta), the scaled input x / c and
-    the scaled magnitude rho, so the magnitude is c * rho.  Computed on
-    x / c, so no square overflows; rho lies in [1, sqrt(n + 1)] unless
-    x = 0 and delta = 0, where c = 0, unit = 0 and rho = 0.
+# Largest argument of the kernels' exp: c <= max float, so
+# (e-1) log c + (e-2)/2 log rho2 <= log c never exceeds it in exact
+# arithmetic, and the cap keeps a rounded sum near the top of the range
+# from turning into inf.
+_LOG_MAX = np.log(np.finfo(np.float64).max)
+
+
+def _dot(a, b):
+    """sum_i a_i b_i over the last axis, added in index order, so the
+    bits do not depend on the memory layout (einsum adds a contiguous
+    axis pairwise and a strided one in order)."""
+    terms = a * b
+    out = terms[..., 0] + terms[..., 1]
+    for i in range(2, terms.shape[-1]):
+        out += terms[..., i]
+    return out
+
+
+def _shifted_pass(x, delta):
+    """The exponent-free pass of the kernels over the last axis of x
+    (at least 2-D), as ``(unit, rho2, log_c, log_rho2)``: the scale
+    c = max(max_i |x_i|, delta), the scaled input unit = x / c and the
+    scaled squared magnitude rho2 = |unit|^2 + (delta / c)^2, so that
+    |x|^2 + delta^2 = c^2 rho2.  Computed on x / c, so no square
+    overflows; rho2 lies in [1, n + 1].  At x = 0 with delta = 0, c and
+    rho2 are set to 1 (unit stays 0), so both logs are finite.  The pass
+    depends on x and delta only: one pass serves every exponent.
     """
-    c = np.maximum(functools.reduce(np.maximum, np.moveaxis(np.abs(x), -1, 0)), delta)
-    safe = np.where(c > 0.0, c, 1.0) if delta == 0.0 else c
-    unit = x / safe[..., None]
-    rho = np.sqrt(np.einsum("...i,...i->...", unit, unit) + (delta / safe) ** 2)
-    return c, unit, rho
+    c = np.abs(x).max(axis=-1)
+    if delta == 0.0:
+        c[c == 0.0] = 1.0
+    else:
+        np.maximum(c, delta, out=c)
+    unit = x / c[..., None]
+    rho2 = _dot(unit, unit)
+    if delta == 0.0:
+        # rho2 >= 1 in floats too (the largest |unit_i| is exactly 1),
+        # so this moves only x = 0
+        np.maximum(rho2, 1.0, out=rho2)
+    else:
+        rho2 += (delta / c) ** 2
+    return unit, rho2, np.log(c), np.log(rho2)
+
+
+def _power_step(magnitude, exponent, out=None):
+    """The kernel from the :func:`_shifted_pass` ``magnitude`` of x:
+    unit c^(e-1) rho^(e-2), as one exp in place of two powers, written
+    to ``out`` when given."""
+    unit, _, log_c, log_rho2 = magnitude
+    arg = (exponent - 1.0) * log_c
+    arg += (exponent - 2.0) / 2.0 * log_rho2
+    factor = np.exp(np.minimum(arg, _LOG_MAX, out=arg), out=arg)
+    return np.multiply(unit, factor[..., None], out=out)
+
+
+def _prime_step(magnitude, w, exponent):
+    """The derivative kernel at x applied to w, from the
+    :func:`_shifted_pass` ``magnitude`` of x:
+    (c rho)^(e-2) ((e-2) (unit . w) unit / rho2 + w).  |unit| / rho <= 1,
+    so nothing overflows before the result."""
+    unit, rho2, log_c, log_rho2 = magnitude
+    out = unit * ((exponent - 2.0) * _dot(unit, w) / rho2)[..., None]
+    out += w
+    arg = (exponent - 2.0) * log_c
+    arg += (exponent - 2.0) / 2.0 * log_rho2
+    out *= np.exp(arg, out=arg)[..., None]
+    return out
 
 
 def _flat(x, axes):
-    """x with its last ``axes`` kernel axes flattened into one."""
+    """x with its last ``axes`` kernel axes flattened into one and at
+    least one leading axis."""
     x = np.asarray(x, dtype=np.float64)
     lead, kernel = x.shape[:x.ndim - axes], x.shape[x.ndim - axes:]
-    return x.reshape(lead + (int(np.prod(kernel)),))
+    return x.reshape((lead or (1,)) + (int(np.prod(kernel)),))
 
 
 def _kernel(x, delta, exponent, axes):
-    """(|x|^2 + delta^2)^((e-2)/2) x over the last ``axes`` axes, as
-    c^(e-1) rho^(e-2) unit: finite for every finite input, and 0 at
-    x = 0 when delta = 0."""
-    c, unit, rho = _shifted_magnitude(_flat(x, axes), delta)
-    if delta == 0.0:
-        rho = np.where(c > 0.0, rho, 1.0)
-    unit *= (c ** (exponent - 1.0) * rho ** (exponent - 2.0))[..., None]
-    return unit.reshape(np.shape(x))
+    """(|x|^2 + delta^2)^((e-2)/2) x over the last ``axes`` axes:
+    finite for every finite input, and 0 at x = 0 when delta = 0."""
+    magnitude = _shifted_pass(_flat(x, axes), delta)
+    return _power_step(magnitude, exponent, out=magnitude[0]).reshape(np.shape(x))
 
 
 def _kernel_prime(x, w, delta, exponent, axes):
     """Derivative of :func:`_kernel` at x applied to w, as
     r^(e-2) ((e-2) (q . w) q + w) with r the shifted magnitude and
-    q = x / r, so |q| <= 1 and nothing overflows before the result."""
+    q = x / r."""
     if delta <= 0.0:
         raise ValueError("derivative kernel needs delta > 0, got %r" % (delta,))
-    c, unit, rho = _shifted_magnitude(_flat(x, axes), delta)
-    w_flat = _flat(w, axes)
-    q = unit
-    q /= rho[..., None]
-    out = q * ((exponent - 2.0) * np.einsum("...i,...i->...", q, w_flat))[..., None]
-    out += w_flat
-    out *= (c ** (exponent - 2.0) * rho ** (exponent - 2.0))[..., None]
+    out = _prime_step(_shifted_pass(_flat(x, axes), delta), _flat(w, axes), exponent)
     return out.reshape(np.broadcast(np.asarray(x), np.asarray(w)).shape)
 
 

@@ -14,6 +14,10 @@ The pointwise sweep holds its samples component-major and runs them in
 cache-sized batches: a 2x2 or 2-vector kernel has only 2-4 components,
 so in the C layout every sum over them is an inner loop of that length,
 while with the sample axis innermost it is a few whole-vector passes.
+It calls the two steps the kernels are made of (``tensor_ops``): the
+exponent-free pass once per sample set and delta, the exponent step
+once per exponent, so it checks the very values that ``s_omega``,
+``s_gamma`` and their derivatives return.
 
 Every check returns a CheckResult; fitted constants are reported in
 the detail string so the CLI can print a table.
@@ -32,8 +36,8 @@ from .assembly import _cached, _omega_quad_integral, _strain, \
 from .forward import SolverError, factorize, solve_forward
 from .spaces import Field, point_velocity_gradients, scalar_values_at_quadrature, \
     velocity_gradients_at_quadrature, velocity_trace
-from .tensor_ops import (PhysicsParams, s_gamma, s_gamma_prime_apply, s_omega,
-                         s_omega_prime_apply)
+from .tensor_ops import PhysicsParams, _power_step, _prime_step, _shifted_pass, \
+    s_omega
 
 DEFAULT_P_VALUES = (1.2, 4.0 / 3.0, 1.6, 1.9)
 DEFAULT_DELTA_VALUES = (0.0, 1e-3, 0.1, 1.0)
@@ -42,8 +46,10 @@ DEFAULT_PRIME_DELTA_VALUES = (1e-3, 0.1, 1.0)
 DUAL_OBSERVATIONS = 10       # random data of the dual-coercivity check
 
 # Samples per batch of the pointwise sweep: one (batch, 2, 2) array is
-# 256 KB, so a batch's kernel temporaries stay in cache.
-_SAMPLE_BATCH = 8192
+# 128 KB.  A batch holds one delta's kernel passes on x and y across
+# every exponent, about 1.6 MB with its temporaries, so it stays in
+# cache; twice the batch is about a tenth faster but doubles that.
+_SAMPLE_BATCH = 4096
 
 # Relative slack for comparisons that are exact in real arithmetic but
 # accumulate a few ulps in floats.
@@ -90,8 +96,12 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
     ``_SAMPLE_BATCH``.  Every sum over the 2 or 4 kernel components is
     then a few passes over whole vectors rather than an inner loop of
     length 2-4, and a batch's temporaries stay in cache through all its
-    (p, delta) checks.  The batches fold into one max, min or all per
-    check, so the results do not depend on the batch size.
+    (p, delta) checks.  Within a batch the deltas run outermost: the
+    kernels' exponent-free pass runs once per delta on x and on y and
+    is dropped before the next delta, and every p reuses it through one
+    exponent step.  The batches and deltas fold into one max, min or all
+    per check, so the results depend on neither the batch size nor the
+    order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1, got %r" % (samples,))
@@ -104,65 +114,79 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
         if d <= 0.0:
             raise ValueError("derivative-kernel checks need delta > 0; "
                              "remove %r from the delta sweep" % (d,))
+    # The sweep calls the kernels' two steps itself, so the parameters
+    # are checked here as the kernels' callers check them.
+    deltas = tuple(dict.fromkeys(tuple(delta_values) + tuple(prime_delta_values)))
+    for pv in p_values:
+        for dv in deltas:
+            PhysicsParams(p=pv, delta=dv)
     rng = np.random.default_rng(seed)
-    # Each draw is replaced in turn by a copy with the sample axis
-    # innermost in memory, viewed back in its shape (n, ...), so at most
-    # one extra array is held and every batch below is a view.
+    # Each draw, its kernel axes flattened as the kernels flatten them,
+    # is replaced in turn by a copy with the sample axis innermost in
+    # memory, viewed back in its shape (n, k), so at most one extra array
+    # is held and every batch below is a view.
     draws = list(_sample_pairs(rng, samples))
     for k in range(len(draws)):
-        draws[k] = np.moveaxis(
-            np.ascontiguousarray(np.moveaxis(draws[k], 0, -1)), -1, 0)
+        draws[k] = np.ascontiguousarray(draws[k].reshape(samples, -1).T).T
     norm_ok = mono_ok = coer_ok = True
     worst = lip_max = 0.0
     ratio_min = margin_min = np.inf
     for lo in range(0, samples, _SAMPLE_BATCH):
         P, Q, W, u, v, w = (a[lo:lo + _SAMPLE_BATCH] for a in draws)
-        # One row per kernel law: kernel, derivative, kernel axes, the
-        # sample pair (x, y), the coercivity direction and whether the
-        # law's scaled monotonicity ratio is reported (the matrix law's
-        # only).  Built here, so the kernels are looked up at call time.
-        laws = ((s_omega, s_omega_prime_apply, (-2, -1), P, Q, W, True),
-                (s_gamma, s_gamma_prime_apply, (-1,), u, v, w, False))
-        for kernel, prime, axes, x, y, z, scaled in laws:
-            x2 = (x ** 2).sum(axis=axes)
+        # One row per kernel law: the sample pair (x, y), the coercivity
+        # direction z and whether the law's scaled monotonicity ratio is
+        # reported (the matrix law's only).
+        for x, y, z, scaled in ((P, Q, W, True), (u, v, w, False)):
+            x2 = (x ** 2).sum(axis=-1)
             nx = np.sqrt(x2)
-            ny = np.sqrt((y ** 2).sum(axis=axes))
-            d2 = ((x - y) ** 2).sum(axis=axes)
-            # (a) |S(x)| <= |x|^(p-1), (b) strict monotonicity with the
-            # scaled ratio of :func:`monotonicity_witness` and (c) the
-            # two-sided ratio constants, from one evaluation of the
-            # kernel on x and on y per (p, delta).
-            for pv in p_values:
-                for dv in delta_values:
-                    params = PhysicsParams(p=pv, delta=dv)
-                    sx = kernel(x, params)
-                    lhs = np.sqrt((sx ** 2).sum(axis=axes))
-                    rhs = nx ** (pv - 1.0)
-                    norm_ok &= bool(np.all(lhs <= rhs * (1.0 + _EPS)))
-                    worst = max(worst, float((lhs / rhs).max()))
-                    sx -= kernel(y, params)             # S(x) - S(y)
-                    pairing = (sx * (x - y)).sum(axis=axes)
-                    mono_ok &= bool(np.all(pairing > 0.0))
-                    base = (dv + nx + ny) ** (pv - 2.0)
-                    if scaled:
-                        bound = base * d2
-                        ratio_min = min(ratio_min, float(np.nanmin(np.where(
-                            bound > 0.0,
-                            pairing / np.where(bound > 0.0, bound, 1.0),
-                            np.nan))))
-                    lip = np.sqrt((sx ** 2).sum(axis=axes)) / (base * np.sqrt(d2))
-                    lip_max = max(lip_max, float(lip.max()))
-
-            # (d) derivative coercivity, delta > 0 only.
-            z2 = (z ** 2).sum(axis=axes)
-            for pv in p_values:
-                for dv in prime_delta_values:
-                    params = PhysicsParams(p=pv, delta=dv)
-                    form = (prime(x, z, params) * z).sum(axis=axes)
-                    scale = (x2 + dv ** 2) ** ((pv - 2.0) / 2.0) * z2
-                    coer_ok &= bool(np.all(form >= (pv - 1.0) * scale - _EPS * scale))
-                    margin_min = min(margin_min,
-                                     float((form / scale).min() - (pv - 1.0)))
+            ny = np.sqrt((y ** 2).sum(axis=-1))
+            rhs = [nx ** (pv - 1.0) for pv in p_values]
+            diff = x - y
+            d2 = (diff ** 2).sum(axis=-1)
+            nd = np.sqrt(d2)
+            z2 = (z ** 2).sum(axis=-1)
+            sx, sy = np.empty_like(x), np.empty_like(x)
+            # The exponent-free pass of the kernel on x (and on y) once
+            # per delta, and its exponent step per p: the same two steps
+            # that s_omega, s_gamma and their derivatives compose.  Each
+            # delta's passes are dropped before the next delta's run.
+            for dv in deltas:
+                mx = _shifted_pass(x, dv)
+                if dv in delta_values:
+                    # (a) |S(x)| <= |x|^(p-1), (b) strict monotonicity
+                    # with the scaled ratio of :func:`monotonicity_witness`
+                    # and (c) the two-sided ratio constants.
+                    my = _shifted_pass(y, dv)
+                    shifted = dv + nx + ny
+                    for pv, rhs_p in zip(p_values, rhs):
+                        _power_step(mx, pv, out=sx)
+                        lhs = np.sqrt((sx ** 2).sum(axis=-1))
+                        norm_ok &= bool(np.all(lhs <= rhs_p * (1.0 + _EPS)))
+                        worst = max(worst, float((lhs / rhs_p).max()))
+                        sx -= _power_step(my, pv, out=sy)  # S(x) - S(y)
+                        pairing = (sx * diff).sum(axis=-1)
+                        mono_ok &= bool(np.all(pairing > 0.0))
+                        base = shifted ** (pv - 2.0)
+                        if scaled:
+                            bound = base * d2
+                            ratio_min = min(ratio_min, float(np.nanmin(np.where(
+                                bound > 0.0,
+                                pairing / np.where(bound > 0.0, bound, 1.0),
+                                np.nan))))
+                        lip = np.sqrt((sx ** 2).sum(axis=-1)) / (base * nd)
+                        lip_max = max(lip_max, float(lip.max()))
+                    del my
+                if dv in prime_delta_values:
+                    # (d) derivative coercivity, delta > 0 only.
+                    r2 = x2 + dv ** 2
+                    for pv in p_values:
+                        form = (_prime_step(mx, z, pv) * z).sum(axis=-1)
+                        scale = r2 ** ((pv - 2.0) / 2.0) * z2
+                        coer_ok &= bool(np.all(form >= (pv - 1.0) * scale
+                                               - _EPS * scale))
+                        margin_min = min(margin_min,
+                                         float((form / scale).min() - (pv - 1.0)))
+                del mx
     return [
         CheckResult("kernel norm bound |S(P)| <= |P|^(p-1)", norm_ok,
                     "max ratio %.15g" % worst),

@@ -107,9 +107,27 @@ def test_swapped_fields_rejected(slab_spaces):
 def test_exhausted_budget_reports_not_converged(slab_spaces, tilted_params):
     B, tau = coeffs(slab_spaces)
     sol = solve_forward(B, tau, tilted_params,
-                        SolverConfig(max_newton=0))
+                        SolverConfig(max_newton=1))
     assert not sol.report.converged
     assert sol.report.continuation_used
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(newton_rtol=-1.0), "newton_rtol"),
+    (dict(newton_rtol=0.0), "newton_rtol"),
+    (dict(newton_rtol=float("nan")), "newton_rtol"),
+    (dict(newton_atol=float("nan")), "newton_atol"),
+    (dict(newton_atol=float("inf")), "newton_atol"),
+    (dict(newton_atol=-1e-12), "newton_atol"),
+    (dict(max_newton=0), "max_newton"),
+    (dict(max_newton=-3), "max_newton"),
+])
+def test_solver_config_rejects_out_of_range_values(kwargs, name):
+    # the config file's rules: tolerances finite and > 0, max_newton >= 1;
+    # a solve with any of these used to end after no Newton step or stop
+    # on the absolute floor alone
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**kwargs)
 
 
 def test_infinite_first_residual_is_not_converged():

@@ -74,7 +74,7 @@ def test_cost_rejects_out_of_box(slab_spaces, tilted_params, twin_obs):
 
 def test_cost_raises_on_solver_failure(slab_spaces, tilted_params, twin_obs,
                                        base_coeffs):
-    broken = SolverConfig(max_newton=0)
+    broken = SolverConfig(max_newton=1)
     with pytest.raises(SolverError, match="did not converge"):
         make_state(*base_coeffs, twin_obs, tilted_params, broken)
 

@@ -1,16 +1,18 @@
-"""Property tests: the pointwise kernels stay finite, and the mesh,
+"""Property tests: the pointwise kernels stay finite and the verify
+sweep's two kernel steps reproduce them bit for bit, and the mesh,
 observation and config parsers fail only with their documented error
 types."""
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pglacier.config import ConfigError, SCHEMA, parse_config_text
 from pglacier.fieldio import FieldIOError, load_observation
 from pglacier.mesh import MeshError, load_mesh
-from pglacier.tensor_ops import (PhysicsParams, s_gamma, s_gamma_prime_apply,
+from pglacier.tensor_ops import (PhysicsParams, _power_step, _prime_step,
+                                 _shifted_pass, s_gamma, s_gamma_prime_apply,
                                  s_omega, s_omega_prime_apply)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -65,6 +67,62 @@ def test_derivative_kernel_matches_closed_form_at_large_strain():
     v = np.array([0.0, -1e200])
     out_v = s_gamma_prime_apply(v, np.array([0.0, 1.0]), params)
     assert out_v[1] == pytest.approx(expected, rel=1e-12)
+
+
+# The pointwise sweep of ``verify`` runs each kernel's exponent-free
+# pass once per delta on a batch held component-major and its exponent
+# step once per exponent; what it checks must be bit for bit what the
+# kernels return, for every finite input and at x = 0 with delta = 0.
+
+
+def sweep_layout(x):
+    """x (n, ...) flattened to (n, k) with the sample axis innermost in
+    memory, as ``verify.pointwise_suite`` holds its samples."""
+    return np.ascontiguousarray(x.reshape(len(x), -1).T).T
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() \
+        == np.ascontiguousarray(b).tobytes()
+
+
+@st.composite
+def batches(draw, shape, *elements):
+    """One array of shape (n,) + shape per element strategy, n in 1..3."""
+    n = draw(st.integers(1, 3))
+    return tuple(draw(arrays(e, (n,) + shape)) for e in elements)
+
+
+@settings(max_examples=300, deadline=None)
+@given(physics(st.one_of(st.just(0.0), st.floats(min_value=0.0, allow_infinity=False))),
+       batches((2, 2), finite), batches((2,), finite))
+@example(PhysicsParams(p=1.5, s=1.2, delta=0.0), (np.zeros((2, 2, 2)),),
+         (np.zeros((1, 2)),))
+def test_kernel_sweep_steps_match_kernels_bitwise(params, matrices, vectors):
+    (P,), (v,) = matrices, vectors
+    matrix = _shifted_pass(sweep_layout(P), params.delta)
+    vector = _shifted_pass(sweep_layout(v), params.delta)
+    # one pass serves both exponents
+    for exponent in (params.p, params.s):
+        law = PhysicsParams(p=exponent, delta=params.delta)
+        assert same_bits(_power_step(matrix, exponent).reshape(P.shape),
+                         s_omega(P, law))
+        assert same_bits(_power_step(vector, exponent), s_gamma(v, law))
+
+
+@settings(max_examples=300, deadline=None)
+@given(physics(prime_delta), batches((2, 2), finite, bounded),
+       batches((2,), finite, bounded))
+@example(PhysicsParams(p=1.5, delta=1e-3), (np.zeros((1, 2, 2)), np.ones((1, 2, 2))),
+         (np.zeros((1, 2)), np.ones((1, 2))))
+def test_derivative_kernel_sweep_steps_match_kernels_bitwise(params, matrices, vectors):
+    (P, W), (v, w) = matrices, vectors
+    matrix = _shifted_pass(sweep_layout(P), params.delta)
+    vector = _shifted_pass(sweep_layout(v), params.delta)
+    assert same_bits(_prime_step(matrix, sweep_layout(W), params.p).reshape(P.shape),
+                     s_omega_prime_apply(P, W, params))
+    assert same_bits(_prime_step(vector, sweep_layout(w), params.s),
+                     s_gamma_prime_apply(v, w, params))
 
 
 # -- parsers ------------------------------------------------------------

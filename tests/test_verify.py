@@ -91,8 +91,10 @@ def test_pointwise_suite_is_batch_invariant(monkeypatch, batch):
     assert [r.line() for r in pointwise_suite(samples=10007, seed=3)] == expected
 
 
-def test_pointwise_suite_looks_up_the_matrix_kernel_at_call_time(monkeypatch):
-    # the benchmark's speed clock probes from a hook at verify.s_omega
+def test_discrete_suite_looks_up_the_matrix_kernel_at_call_time(
+        monkeypatch, slab_spaces, tilted_params, base_coeffs):
+    # the benchmark's speed clock probes from a hook at verify.s_omega;
+    # the discrete suite's Hoelder check is its one caller
     calls = []
 
     def counting(P, params):
@@ -100,8 +102,8 @@ def test_pointwise_suite_looks_up_the_matrix_kernel_at_call_time(monkeypatch):
         return s_omega(P, params)
 
     monkeypatch.setattr(verify, "s_omega", counting)
-    pointwise_suite(samples=100, p_values=[1.5], delta_values=[0.1])
-    assert calls == [(100, 2, 2)] * 2
+    discrete_suite(*base_coeffs, tilted_params, seed=0)
+    assert len(calls) == 1
 
 
 def test_discrete_suite_passes(slab_spaces, tilted_params, base_coeffs):
