@@ -2,20 +2,21 @@
 
 Each Newton step assembles the exact symmetric saddle-point Jacobian
 after symmetric constraint elimination and backtracks on the euclidean
-norm of the reduced system residual.  One forward solve factorizes
-once, in single precision: its first linear solve (the p = 2 warm
-start, or the first Newton step) is a direct solve on that LU with two
-steps of iterative refinement in double precision, and every later
-step runs flexible GMRES preconditioned by that LU, to Eisenstat-
-Walker forcing terms.  Flexible GMRES keeps the preconditioned vectors,
-so its residual is the true double-precision residual whatever the
-precision of the LU.  When one GMRES cycle of ``GMRES_RESTART``
-iterations misses its tolerance, the step refactorizes at the current
-Jacobian, solves directly and keeps the new LU.  The default initial
-guess solves the linear (p = 2) problem once; if plain Newton stalls,
-the solver retries with a short continuation ladder in the exponent,
-still preconditioned by the same LU.  A caller holding the LU of a
-nearby Jacobian (the inversion keeps the dual operator's) passes it as
+norm of the reduced system residual.  A solve without a warm start
+starts at rest: with delta > 0 the Jacobian there is the linear Stokes
+operator with the rest viscosity B delta^(p-2).  One forward solve
+factorizes once, in single precision: its first Newton step is a direct
+solve on that LU with two steps of iterative refinement in double
+precision, and every later step runs flexible GMRES preconditioned by
+that LU, to Eisenstat-Walker forcing terms.  Flexible GMRES keeps the
+preconditioned vectors, so its residual is the true double-precision
+residual whatever the precision of the LU.  When one GMRES cycle of
+``GMRES_RESTART`` iterations misses its tolerance, the step
+refactorizes at the current Jacobian, solves directly and keeps the new
+LU.  If plain Newton stalls, the solver retries from rest with a short
+continuation ladder in the exponent, starting at p = 2, still
+preconditioned by the same LU.  A caller holding the LU of a nearby
+Jacobian (the inversion keeps the dual operator's) passes it as
 ``preconditioner``; the solve then runs GMRES from its first Newton
 step and may finish without a factorization of its own.
 
@@ -50,7 +51,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from .assembly import (assemble_jacobian, _residual_raw, norm, solver_sign)
-from .spaces import Field, SpaceKind, zero_field
+from .spaces import Field, SpaceKind
 
 
 # Krylov vectors in the one GMRES cycle a Newton step may run before it
@@ -77,9 +78,10 @@ PROBE_RTOL = 1e-8
 
 # Steps of double-precision refinement on a forward solve's own single-
 # precision LU, in the direct solve that follows its factorization and
-# in the probe of that LU.  One step leaves the probe of the p = 2
-# Jacobian just above PROBE_RTOL on some bedded 64x32 slabs (1.2e-8 to
-# 4.4e-8), where two reach 1e-12.
+# in the probe of that LU.  On 20 bedded 64x32 slabs under the tilted
+# load, one step leaves the probe of the Jacobian at rest at 1e-11 to
+# 6e-10, but on one slab at 9e-8 (delta = 1e-6) and 3e-7 (delta = 1e-3),
+# above PROBE_RTOL; two reach 5e-11 or less.
 DIRECT_REFINEMENTS = 2
 
 
@@ -376,20 +378,6 @@ def _newton(spaces, x_hat0, rheology, friction, params, config, linear):
     return x_hat, residuals, steps, energies, res <= tol and math.isfinite(res)
 
 
-def _linear_state(spaces, rheology, friction, params, linear):
-    """One direct solve of the linear (p = s = 2) problem, refined to
-    double precision on the forward solve's own LU, used as a warm
-    start.  Returns reduced rotated coordinates."""
-    p2 = replace(params, p=2.0, s=2.0)
-    zero_v = zero_field(spaces.velocity)
-    zero_p = zero_field(spaces.pressure)
-    system = assemble_jacobian(zero_v, rheology, friction, p2)
-    sign = solver_sign(spaces)
-    raw = _residual_raw(zero_v, zero_p, rheology, friction, p2)
-    rhs = spaces.reduce_vector(sign * raw)
-    return linear.solve(system.reduced(), -rhs)
-
-
 def energy_bound(spaces, params):
     """Load-over-viscosity bound on the V2 seminorm of the solution."""
     area = float((0.5 * spaces.det).sum())
@@ -417,8 +405,8 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
     params : PhysicsParams with delta > 0.
     config : SolverConfig, optional.
     warm_start : (Field, Field), optional
-        Previous (velocity, pressure) pair used as the initial guess in
-        place of the linear (p = 2) solve.
+        Previous (velocity, pressure) pair used as the initial guess;
+        without it the solve starts at rest.
     preconditioner : SuperLU, optional
         LU of a nearby reduced Jacobian (the dual operator at a nearby
         state, say).  Every Newton step then runs flexible GMRES
@@ -454,8 +442,6 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
     if warm_start is not None:
         x0 = np.concatenate([warm_start[0].values, warm_start[1].values])
         x_hat0 = spaces.reduce_vector(x0)
-    elif params.p != 2.0:
-        x_hat0 = _linear_state(spaces, rheology, friction, params, linear)
     else:
         x_hat0 = np.zeros(spaces.n_sys)
 

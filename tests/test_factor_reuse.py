@@ -125,15 +125,20 @@ def test_discrete_suite_factors_three_times(monkeypatch, slab_spaces,
     assert len(factorizations) == 3
 
 
-def test_p2_started_solve_ignores_the_preconditioner(
-        slab_spaces, tilted_params, base_solution, base_coeffs):
-    # the p = 2 warm start is an exact solve: it factorizes at once
-    # instead of running GMRES to a zero tolerance
+def test_cold_preconditioned_solve_runs_gmres_from_its_first_step(
+        monkeypatch, slab_spaces, tilted_params, base_solution, base_coeffs):
+    # a solve started at rest with a caller's LU runs GMRES on every
+    # Newton step, the first included, and factorizes nothing
     B, tau = base_coeffs
     lu = factor_adjoint(base_solution.velocity, B, tau, tilted_params)
     nearby = perturbed(slab_spaces, base_coeffs, 0.05)
     plain = pg.solve_forward(*nearby, tilted_params)
+    cycles = count_calls(monkeypatch, forward, "_gmres")
     pre = pg.solve_forward(*nearby, tilted_params, preconditioner=lu)
-    assert pre.report.factorizations == plain.report.factorizations == 1
-    assert pre.report.krylov_iterations == plain.report.krylov_iterations
-    assert np.array_equal(pre.velocity.values, plain.velocity.values)
+    assert plain.report.converged and pre.report.converged
+    assert pre.report.energy_history[0] == 0.0
+    assert len(cycles) == pre.report.iterations > 0
+    assert pre.report.factorizations == 0
+    for a, b in ((plain.velocity, pre.velocity), (plain.pressure, pre.pressure)):
+        assert np.linalg.norm(a.values - b.values) \
+            <= 1e-9 * np.linalg.norm(a.values)

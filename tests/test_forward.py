@@ -239,14 +239,47 @@ def test_non_finite_coefficients_rejected(slab_spaces, field_name, bad):
         solve_forward(B, tau, PhysicsParams())
 
 
-def test_p2_warm_start_factorizes_once(slab_spaces, tilted_params):
-    # the warm-start LU preconditions every Newton step
+def test_cold_solve_starts_at_rest_and_factorizes_once(slab_spaces,
+                                                       tilted_params):
+    # the LU of the Jacobian at rest preconditions every later Newton step
     B, tau = coeffs(slab_spaces)
     sol = solve_forward(B, tau, tilted_params)
+    raw = pg.assemble_residual(pg.zero_field(slab_spaces.velocity),
+                               pg.zero_field(slab_spaces.pressure), B, tau,
+                               tilted_params)
+    at_rest = slab_spaces.reduce_vector(solver_sign(slab_spaces) * raw)
+    assert sol.report.energy_history[0] == 0.0
+    assert sol.report.residual_history[0] == np.linalg.norm(at_rest)
     assert sol.report.converged
     assert sol.report.iterations >= 2
     assert sol.report.factorizations == 1
     assert sol.report.krylov_iterations > 0
+
+
+@pytest.mark.parametrize("p", [1.01, 1.05])
+def test_nearly_plastic_flow_converges_without_continuation(p):
+    # nearly plastic flow: the Jacobian at rest is finite for delta > 0,
+    # and plain Newton from there needs neither continuation nor a
+    # second LU (from the p = 2 solution it stalled, ladder included)
+    spaces = bedded_spaces_16x8()
+    sol = solve_forward(*coeffs(spaces),
+                        PhysicsParams(p=p, delta=1e-8, body_force=TILTED_FORCE))
+    assert sol.report.converged
+    assert not sol.report.continuation_used
+    assert sol.report.factorizations == 1
+    assert sol.report.lu_fallbacks == 0
+
+
+def test_bedded_32x16_solve_stays_within_its_krylov_budget():
+    # measured: 5 Newton steps and 15 Krylov iterations from rest, where
+    # the p = 2 start took 27
+    mesh = pg.generate_slab_mesh(2.0, 1.0, 32, 16,
+                                 bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
+    spaces = pg.build_spaces(mesh)
+    sol = solve_forward(*coeffs(spaces), PhysicsParams(body_force=TILTED_FORCE))
+    assert sol.report.converged
+    assert sol.report.factorizations == 1
+    assert sol.report.krylov_iterations <= 18
 
 
 def test_warm_started_solve_factorizes_once(slab_spaces, tilted_params,
@@ -267,8 +300,8 @@ def test_failed_gmres_falls_back_to_one_factorization_per_step(
     direct = solve_forward(B, tau, tilted_params)
     assert direct.report.converged
     assert direct.report.krylov_iterations == 0
-    # the warm start plus one refactorization per Newton step
-    assert direct.report.factorizations == 1 + direct.report.iterations
+    # a start at rest: one refactorization per Newton step
+    assert direct.report.factorizations == direct.report.iterations
     diff = np.linalg.norm(direct.velocity.values - default.velocity.values)
     assert diff <= 1e-9 * np.linalg.norm(default.velocity.values)
 

@@ -172,6 +172,19 @@ def test_taylor_zero_direction(slab_spaces, tilted_params, tight_solver,
     assert report.slope_zero is None and report.slope_first is None
 
 
+def test_taylor_zero_direction_with_default_solver(
+        slab_spaces, tilted_params, twin_obs, base_coeffs):
+    # a warm re-solve at the converged state still steps while its
+    # residual sits above newton_atol; an unmoved point is not re-solved
+    zB = pg.constant_field(slab_spaces.coeff_omega, 0.0)
+    zt = pg.constant_field(slab_spaces.coeff_basal, 0.0)
+    state = make_state(*base_coeffs, twin_obs, tilted_params)
+    report = taylor_test(state, zB, zt, tilted_params)
+    assert np.array_equal(report.remainder_zero, np.zeros(4))
+    assert np.array_equal(report.remainder_first, np.zeros(4))
+    assert report.slope_zero is None and report.slope_first is None
+
+
 def test_taylor_rejects_box_exit(slab_spaces, tilted_params, tight_solver,
                                  twin_obs, base_coeffs):
     big = pg.constant_field(slab_spaces.coeff_omega, 50.0)
