@@ -58,8 +58,7 @@ import scipy.sparse as sp
 
 from .spaces import (SpaceKind, _adjacency, _frozen, basal_coeff_on_edges,
                      point_scalar_values, point_velocity_gradients,
-                     scalar_values_at_quadrature, velocity_trace,
-                     velocity_values_at_quadrature)
+                     point_velocity_values, velocity_trace)
 from .tensor_ops import s_gamma, s_omega
 
 
@@ -176,9 +175,10 @@ def _pair_volume(spaces, integrand, basis):
 
 
 def _omega_quad_integral(spaces, pointwise):
-    """Sum w * |det| * pointwise over all triangles and points."""
+    """Sum w_q det_t pointwise[q, t] over all triangle quadrature points;
+    ``pointwise`` is a triangle-innermost point array, shape (nq, nt)."""
     w = spaces.quadrature.tri_weights
-    return float(np.einsum("q,t,tq->", w, spaces.det, pointwise))
+    return float(np.einsum("q,t,qt->", w, spaces.det, pointwise))
 
 
 def _basal_quad_integral(spaces, edges, pointwise):
@@ -555,8 +555,10 @@ def norm(field, which, r=None):
     space's :func:`gram_matrices`, clamped at 0: near the seminorm's null
     space (a constant scalar field, say) x.Kx keeps only about sqrt(eps)
     |x| absolute accuracy and can round below 0.  The Lr norms sum
-    |field|^r by quadrature over the cross-section or, for the friction
-    space only, along the bed chain.  Other pairings raise ValueError.
+    |field|^r by quadrature over the cross-section, from the
+    triangle-innermost point values of :func:`point_velocity_values` or
+    :func:`point_scalar_values`, or, for the friction space only, along
+    the bed chain.  Other pairings raise ValueError.
     """
     kind = field.space.kind
     spaces = field.space.parent
@@ -569,10 +571,9 @@ def norm(field, which, r=None):
                 basal_coeff_on_edges(field)) ** r) ** (1.0 / r)
         if not basal and which == "Lr_omega":
             if kind is SpaceKind.VELOCITY_P2_VEC:
-                v = velocity_values_at_quadrature(field)
-                magnitude = np.sqrt((v ** 2).sum(axis=2))
+                magnitude = np.sqrt((point_velocity_values(field) ** 2).sum(axis=1))
             else:
-                magnitude = np.abs(scalar_values_at_quadrature(field))
+                magnitude = np.abs(point_scalar_values(field))
             return _omega_quad_integral(spaces, magnitude ** r) ** (1.0 / r)
     elif which in ("L2", "V2_seminorm", "H1"):
         # only the matrices the norm reads are built

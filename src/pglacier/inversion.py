@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import (Observation, _checked_noise_sigma, _projected_trace,
-                      factor_adjoint, misfit, observation_gram, solve_adjoint)
+from .adjoint import (PROJECTION_MODES, Observation, _checked_noise_sigma,
+                      _projected_trace, factor_adjoint, misfit, observation_gram,
+                      solve_adjoint)
 from .assembly import (_cached, assemble_coeff_jacobian, basal_p1_stiffness,
                        gram_matrices, omega_p1_stiffness)
 from .forward import SolverError, factorize, solve_forward
@@ -593,9 +594,11 @@ def make_twin_data(rheology_true, friction_true, params, noise_sigma=0.0,
     Solves the forward problem at the truth, samples the trace on the
     observed edges, projects per ``mode`` and adds seeded Gaussian noise
     of standard deviation ``noise_sigma`` per stored component; a
-    non-finite or negative ``noise_sigma`` raises ValueError before the
-    solve.
+    ``mode`` outside ``PROJECTION_MODES`` or a non-finite or negative
+    ``noise_sigma`` raises ValueError before the solve.
     """
+    if mode not in PROJECTION_MODES:
+        raise ValueError("unknown projection mode %r" % (mode,))
     noise_sigma = _checked_noise_sigma(noise_sigma)
     solution = solve_forward(rheology_true, friction_true, params, solver_config)
     if not solution.report.converged:

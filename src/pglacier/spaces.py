@@ -154,9 +154,6 @@ class Field:
                              % (self.values.size, self.space.kind.value,
                                 self.space.dof_count))
 
-    def copy(self):
-        return Field(self.space, self.values.copy())
-
 
 def zero_field(space):
     return Field(space, np.zeros(space.dof_count))
@@ -516,21 +513,14 @@ class Spaces:
             p2_reference_gradients(q.tri_points).transpose(0, 2, 1))
         p1_ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         self.p1_grads = np.einsum("ijt,aj->tai", inv_t, p1_ref)
-        self.qpoints_xy = (a[:, None, :]
-                           + np.einsum("tij,qj->tqi", jac, q.tri_points))
 
         # Boundary edge tables: P2 node triple (first endpoint, second
-        # endpoint, midpoint), length, outward normal, tangent, and the
-        # physical edge quadrature points.
+        # endpoint, midpoint), length, outward normal and tangent.
         mid = nv + edge_id[np.searchsorted(keys, edge_keys(mesh, mesh.boundary_edges))]
         self.bedge_nodes = np.column_stack([mesh.boundary_edges, mid])
         self.bedge_normals, self.bedge_tangents, self.bedge_lengths = \
             boundary_frames(mesh)
-        s = q.edge_points
-        self.edge_trace_vals = p2_edge_trace(s)
-        v0 = mesh.vertices[mesh.boundary_edges[:, 0]]
-        v1 = mesh.vertices[mesh.boundary_edges[:, 1]]
-        self.bedge_qxy = v0[:, None, :] + s[None, :, None] * (v1 - v0)[:, None, :]
+        self.edge_trace_vals = p2_edge_trace(q.edge_points)
 
         self.constraints = _build_constraints(mesh, self.n_vnodes, self.bedge_nodes,
                                               self.bedge_normals)
@@ -637,26 +627,26 @@ def build_spaces(mesh):
 
 
 # -- evaluation helpers used by assembly and observation --------------
+#
+# Volume point arrays hold the triangle innermost: axes (q, ..., t), with
+# q the triangle quadrature point and t the triangle.
 
 
-def velocity_local_coeffs(field):
-    """Velocity dof values per triangle, shape (nt, 6, 2)."""
+def point_velocity_values(field):
+    """Velocity at the triangle quadrature points, shape (nq, 2, nt) with
+    entry [q, c, t] = v_c: one matmul of the basis values with the local
+    dofs of all triangles."""
     sp_ = field.space.parent
-    return field.values.reshape(-1, 2)[sp_.tri_p2_nodes]
-
-
-def velocity_values_at_quadrature(field):
-    """Velocity at the triangle quadrature points, shape (nt, nq, 2)."""
-    sp_ = field.space.parent
-    return np.einsum("qa,tac->tqc", sp_.p2_vals, velocity_local_coeffs(field))
+    nt = sp_.mesh.num_triangles
+    coeffs = field.values[sp_.tri_vel_dofs.T].reshape(6, 2 * nt)     # (a, (c, t))
+    return (sp_.p2_vals @ coeffs).reshape(-1, 2, nt)
 
 
 def point_velocity_gradients(field):
     """Velocity gradient (rows are components) at the triangle quadrature
-    points, triangle-innermost: shape (nq, 2, 2, nt) with entry
-    [q, i, j, t] = d v_i / d x_j.  One matmul of the reference gradients
-    with the local dofs of all triangles, then the pull-back by
-    ``inv_t``."""
+    points, shape (nq, 2, 2, nt) with entry [q, i, j, t] = d v_i / d x_j.
+    One matmul of the reference gradients with the local dofs of all
+    triangles, then the pull-back by ``inv_t``."""
     sp_ = field.space.parent
     nq, nt = sp_.ref_grads.shape[0], sp_.mesh.num_triangles
     coeffs = field.values[sp_.tri_vel_dofs.T].reshape(6, 2 * nt)     # (a, (c, t))
@@ -665,24 +655,11 @@ def point_velocity_gradients(field):
     return ref[:, 0, :, None] * inv_t[:, 0] + ref[:, 1, :, None] * inv_t[:, 1]
 
 
-def velocity_gradients_at_quadrature(field):
-    """Velocity gradient (rows are components) at quadrature points,
-    shape (nt, nq, 2, 2) with entry [i, j] = d v_i / d x_j: a view of
-    :func:`point_velocity_gradients`."""
-    return point_velocity_gradients(field).transpose(3, 0, 1, 2)
-
-
 def point_scalar_values(field):
-    """Vertex-based scalar at the triangle quadrature points,
-    triangle-innermost, shape (nq, nt)."""
+    """Vertex-based scalar at the triangle quadrature points, shape
+    (nq, nt)."""
     sp_ = field.space.parent
     return sp_.p1_vals @ field.values[field.space.mesh.triangles.T]
-
-
-def scalar_values_at_quadrature(field):
-    """Vertex-based scalar at the triangle quadrature points, (nt, nq): a
-    view of :func:`point_scalar_values`."""
-    return point_scalar_values(field).T
 
 
 def velocity_trace(field, edge_indices):

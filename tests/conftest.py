@@ -18,10 +18,8 @@ from pglacier.assembly import (AssembledSystem, _bed_kernel, _check_args,
                                _coupling_blocks, assemble_coeff_jacobian)
 from pglacier.forward import SolverConfig
 from pglacier.spaces import (SpaceKind, basal_coeff_on_edges,
-                             p2_reference_gradients,
-                             scalar_values_at_quadrature,
-                             velocity_gradients_at_quadrature,
-                             velocity_values_at_quadrature)
+                             p2_reference_gradients, point_scalar_values,
+                             point_velocity_gradients, point_velocity_values)
 from pglacier.tensor_ops import (PhysicsParams, monotonicity_witness, s_gamma,
                                  s_gamma_prime_apply, s_omega,
                                  s_omega_prime_apply)
@@ -367,8 +365,8 @@ def quadrature_norm(field, which, r=None):
         if r is None or r < 1:
             raise ValueError("Lr norm needs an exponent r >= 1")
     if kind is SpaceKind.VELOCITY_P2_VEC:
-        v = velocity_values_at_quadrature(field)
-        g = velocity_gradients_at_quadrature(field)
+        v = point_velocity_values(field).transpose(2, 0, 1)
+        g = point_velocity_gradients(field).transpose(3, 0, 1, 2)
         if which == "L2":
             return float(np.sqrt(omega((v ** 2).sum(axis=2))))
         if which == "V2_seminorm":
@@ -378,7 +376,7 @@ def quadrature_norm(field, which, r=None):
         if which == "Lr_omega":
             return omega(np.sqrt((v ** 2).sum(axis=2)) ** r) ** (1.0 / r)
     elif kind in (SpaceKind.PRESSURE_P1, SpaceKind.COEFF_OMEGA_P1):
-        v = scalar_values_at_quadrature(field)
+        v = point_scalar_values(field).T
         g = np.einsum("tk,tki->ti", field.values[spaces.mesh.triangles],
                       spaces.p1_grads)
         g2 = np.broadcast_to(((g ** 2).sum(axis=1))[:, None], v.shape)

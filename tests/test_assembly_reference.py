@@ -19,9 +19,8 @@ from conftest import (coeff_gradient_duals, derivative_kernel_operator,
 from pglacier.mesh import BoundaryTag
 from pglacier.assembly import (_reduced_coupling, _residual_raw,
                                assemble_coeff_jacobian, assemble_jacobian)
-from pglacier.spaces import (basal_coeff_on_edges,
-                             scalar_values_at_quadrature,
-                             velocity_gradients_at_quadrature, velocity_trace)
+from pglacier.spaces import (basal_coeff_on_edges, point_scalar_values,
+                             point_velocity_gradients, velocity_trace)
 from pglacier.tensor_ops import s_gamma, s_omega
 
 RTOL = 1e-12
@@ -69,11 +68,11 @@ def reference_residual(spaces, velocity, pressure, rheology, friction, params):
     q = spaces.quadrature
     nt = spaces.mesh.num_triangles
     grads = physical_gradients(spaces)
-    grad = velocity_gradients_at_quadrature(velocity)
+    grad = point_velocity_gradients(velocity).transpose(3, 0, 1, 2)
     strain = 0.5 * (grad + np.swapaxes(grad, 2, 3))
     S = s_omega(strain, params)
-    B_q = scalar_values_at_quadrature(rheology)
-    pi_q = scalar_values_at_quadrature(pressure)
+    B_q = point_scalar_values(rheology).T
+    pi_q = point_scalar_values(pressure).T
     div_v = grad[:, :, 0, 0] + grad[:, :, 1, 1]
     f = np.asarray(params.body_force)
     r_u = np.zeros((nt, 6, 2))
@@ -105,10 +104,10 @@ def reference_jacobian_blocks(spaces, velocity, rheology, friction, params):
     q = spaces.quadrature
     nt = spaces.mesh.num_triangles
     grads = physical_gradients(spaces)
-    grad = velocity_gradients_at_quadrature(velocity)
+    grad = point_velocity_gradients(velocity).transpose(3, 0, 1, 2)
     strain = 0.5 * (grad + np.swapaxes(grad, 2, 3))
     mag2 = (strain ** 2).sum(axis=(2, 3)) + params.delta ** 2
-    B_q = scalar_values_at_quadrature(rheology)
+    B_q = point_scalar_values(rheology).T
     c1 = (params.p - 2.0) * mag2 ** ((params.p - 4.0) / 2.0)
     c2 = mag2 ** ((params.p - 2.0) / 2.0)
     eye2 = np.eye(2)
@@ -154,9 +153,10 @@ def reference_jacobian_blocks(spaces, velocity, rheology, friction, params):
 
 def reference_gradient_duals(spaces, velocity, adjoint, params):
     q = spaces.quadrature
-    grad = velocity_gradients_at_quadrature(velocity)
+    grad = point_velocity_gradients(velocity).transpose(3, 0, 1, 2)
     S = s_omega(0.5 * (grad + np.swapaxes(grad, 2, 3)), params)
-    inner = (S * velocity_gradients_at_quadrature(adjoint)).sum(axis=(2, 3))
+    adjoint_grad = point_velocity_gradients(adjoint).transpose(3, 0, 1, 2)
+    inner = (S * adjoint_grad).sum(axis=(2, 3))
     g_rheo = np.zeros(spaces.mesh.num_vertices)
     for iq in range(q.tri_weights.size):
         loc = np.einsum("t,k->tk", q.tri_weights[iq] * spaces.det * inner[:, iq],
@@ -180,9 +180,9 @@ def reference_coeff_derivative(spaces, velocity, rheology_dir, friction_dir,
     the bed, element by element."""
     q = spaces.quadrature
     grads = physical_gradients(spaces)
-    grad = velocity_gradients_at_quadrature(velocity)
+    grad = point_velocity_gradients(velocity).transpose(3, 0, 1, 2)
     S = s_omega(0.5 * (grad + np.swapaxes(grad, 2, 3)), params)
-    B_q = scalar_values_at_quadrature(rheology_dir)
+    B_q = point_scalar_values(rheology_dir).T
     r_u = np.zeros((spaces.mesh.num_triangles, 6, 2))
     for iq in range(q.tri_weights.size):
         detw = q.tri_weights[iq] * spaces.det
@@ -207,7 +207,7 @@ def reference_coeff_jacobian(spaces, velocity, params):
     q = spaces.quadrature
     nt, nv = spaces.mesh.num_triangles, spaces.mesh.num_vertices
     grads = physical_gradients(spaces)
-    grad = velocity_gradients_at_quadrature(velocity)
+    grad = point_velocity_gradients(velocity).transpose(3, 0, 1, 2)
     S = s_omega(0.5 * (grad + np.swapaxes(grad, 2, 3)), params)
     volume = np.zeros((nt, 6, 2, 3))
     for iq in range(q.tri_weights.size):

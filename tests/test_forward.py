@@ -9,7 +9,7 @@ import pglacier as pg
 from pglacier import forward
 from pglacier.adjoint import factor_adjoint
 from pglacier.assembly import (AssembledSystem, _reduced_coupling,
-                               assemble_jacobian, solver_sign)
+                               assemble_jacobian, solver_sign, velocity_mass)
 from pglacier.forward import (SolverConfig, SolverError, energy_bound,
                               solve_forward)
 from pglacier.tensor_ops import PhysicsParams
@@ -63,8 +63,7 @@ def test_tilted_solution_properties(base_solution, tilted_params):
     assert rep.iterations <= 10
     assert rep.residual_history[-1] <= 1e-10
     assert rep.final_energy <= rep.energy_bound
-    assert rep.energy_bound == energy_bound(
-        base_solution.velocity.space.parent, tilted_params)
+    assert rep.energy_bound == energy_bound(base_solution.velocity, tilted_params)
     # residual history is strictly decreasing under the line search
     assert all(b < a for a, b in zip(rep.residual_history,
                                      rep.residual_history[1:]))
@@ -217,10 +216,57 @@ def test_solve_linearized_is_coefficient_sensitivity(slab_spaces,
     assert order >= 0.9
 
 
-def test_energy_bound_formula(slab_spaces, tilted_params):
-    f = np.hypot(*TILTED_FORCE)
-    want = f * np.sqrt(2.0) / tilted_params.mu0
-    assert abs(energy_bound(slab_spaces, tilted_params) - want) <= 1e-12 * want
+def test_energy_bound_formula(base_solution, tilted_params):
+    # sqrt(|f . int v| / mu0), the integral of each component taken as
+    # the mass-matrix pairing with the constant unit field
+    v = base_solution.velocity
+    mass = velocity_mass(v.space.parent)
+    load = sum(f * pg.field_from_callable(v.space, lambda x, y: unit).values
+               @ (mass @ v.values)
+               for f, unit in zip(TILTED_FORCE, ((1.0, 0.0), (0.0, 1.0))))
+    want = np.sqrt(abs(load) / tilted_params.mu0)
+    assert abs(energy_bound(v, tilted_params) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("p,delta,ratio", [(4.0 / 3.0, 0.1, 0.79),
+                                           (1.2, 1e-4, 0.95)])
+def test_long_slab_solve_meets_its_energy_bound(p, delta, ratio):
+    # the area bound |f| |Omega|^(1/2) / mu0 assumed ||v||_L2 <= |v|_V2,
+    # false with Dirichlet sides 20 apart, and raised "energy bound
+    # violated" after these converged solves (|v|_V2 52,935 and 76,744
+    # against 50,000)
+    length = 20.0
+    spaces = pg.build_spaces(pg.generate_slab_mesh(length, 1.0, 80, 8))
+    wave = lambda x: 2.0 * np.pi * x / length
+    B = pg.field_from_callable(spaces.coeff_omega,
+                               lambda x, y: 1.25 + 0.75 * np.sin(wave(x)))
+    tau = pg.field_from_callable(spaces.coeff_basal,
+                                 lambda x, y: 0.5 + 0.4 * np.cos(wave(x)))
+    sol = solve_forward(B, tau, PhysicsParams(p=p, delta=delta,
+                                              body_force=(50.0, -100.0)))
+    rep = sol.report
+    assert rep.converged
+    assert rep.final_energy > 50000.0
+    assert rep.final_energy <= ratio * rep.energy_bound
+
+
+def test_line_search_backtracks_by_powers_of_the_shrink_factor(tmp_path):
+    # measured: 10 Newton steps, 2 of them halved once
+    spaces = pg.build_spaces(pg.generate_slab_mesh(2.0, 1.0, 4, 2))
+    path = tmp_path / "trace.csv"
+    sol = solve_forward(*coeffs(spaces),
+                        PhysicsParams(p=1.05, delta=1e-6, body_force=(50.0, -100.0)),
+                        SolverConfig(trace_path=str(path)))
+    rep = sol.report
+    assert rep.converged
+    assert not rep.continuation_used
+    steps = np.array(rep.step_lengths)
+    assert np.any(steps < 1.0)
+    shrinks = np.round(np.log(steps) / np.log(forward.LS_SHRINK))
+    assert np.array_equal(steps, forward.LS_SHRINK ** shrinks)
+    traced = [float(line.split(",")[2])
+              for line in path.read_text().splitlines()[2:]]
+    assert traced == rep.step_lengths
 
 
 def test_solver_error_is_exception():

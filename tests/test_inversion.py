@@ -322,6 +322,19 @@ def test_twin_data_tangential_mode(slab_spaces, tilted_params, tight_solver):
         make_twin_data(B, tau, tilted_params, mode="normal")
 
 
+def test_twin_data_checks_the_mode_before_the_solve(monkeypatch, slab_spaces,
+                                                    tilted_params):
+    from pglacier import inversion
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("forward solve before the mode check")
+
+    monkeypatch.setattr(inversion, "solve_forward", no_solve)
+    B, tau = truth_rheology(slab_spaces), truth_friction(slab_spaces)
+    with pytest.raises(ValueError, match="unknown projection mode 'radial'"):
+        make_twin_data(B, tau, tilted_params, mode="radial")
+
+
 def test_trials_log_every_line_search_trial(monkeypatch, slab_spaces,
                                             tilted_params, tight_solver,
                                             twin_obs, base_coeffs):

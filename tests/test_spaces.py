@@ -11,8 +11,8 @@ from pglacier.mesh import MeshError
 from pglacier.spaces import (NodeConstraint, basal_coeff_on_edges,
                              default_quadrature, field_from_callable,
                              p2_edge_trace, p2_reference_gradients, p2_values,
-                             velocity_gradients_at_quadrature, velocity_trace,
-                             velocity_values_at_quadrature)
+                             point_velocity_gradients, point_velocity_values,
+                             velocity_trace)
 
 rng = np.random.default_rng(42)
 
@@ -76,10 +76,19 @@ def test_edge_trace_basis_partition():
                        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], atol=1e-14)
 
 
+def quadrature_coords(spaces):
+    """Physical triangle quadrature points from the vertices and the
+    reference points, axes (q, i, t) like the point arrays."""
+    mesh = spaces.mesh
+    a, b, c = (mesh.vertices[mesh.triangles[:, k]].T for k in range(3))
+    xi, eta = spaces.quadrature.tri_points.T
+    return a + xi[:, None, None] * (b - a) + eta[:, None, None] * (c - a)
+
+
 def test_gradient_of_linear_field(slab_spaces):
     # quadratic basis reproduces linears exactly
     v = field_from_callable(slab_spaces.velocity, lambda x, y: (x, -y))
-    grads = velocity_gradients_at_quadrature(v)
+    grads = point_velocity_gradients(v).transpose(0, 3, 1, 2)
     expected = np.array([[1.0, 0.0], [0.0, -1.0]])
     assert np.max(np.abs(grads - expected)) <= 1e-13
 
@@ -87,17 +96,17 @@ def test_gradient_of_linear_field(slab_spaces):
 def test_gradient_of_quadratic_field(slab_spaces):
     # oracle: d/dx of x^2 evaluated at the quadrature point
     v = field_from_callable(slab_spaces.velocity, lambda x, y: (x * x, 0.0))
-    grads = velocity_gradients_at_quadrature(v)
-    x_q = slab_spaces.qpoints_xy[:, :, 0]
-    assert np.max(np.abs(grads[:, :, 0, 0] - 2.0 * x_q)) <= 1e-12
+    grads = point_velocity_gradients(v)
+    x_q = quadrature_coords(slab_spaces)[:, 0]
+    assert np.max(np.abs(grads[:, 0, 0] - 2.0 * x_q)) <= 1e-12
 
 
 def test_quadratic_interpolation_exact(slab_spaces):
     f = lambda x, y: (x * y + 2.0 * y * y, x * x - y)
     v = field_from_callable(slab_spaces.velocity, f)
-    vals = velocity_values_at_quadrature(v)
-    xq = slab_spaces.qpoints_xy
-    exact = np.stack(f(xq[..., 0], xq[..., 1]), axis=-1)
+    vals = point_velocity_values(v)
+    xq = quadrature_coords(slab_spaces)
+    exact = np.stack(f(xq[:, 0], xq[:, 1]), axis=1)
     assert np.max(np.abs(vals - exact)) <= 1e-13
 
 
@@ -127,7 +136,10 @@ def test_quadratic_edge_trace_matches_1d_eval(slab_spaces):
 def test_basal_coeff_on_edges(slab_spaces):
     f = field_from_callable(slab_spaces.coeff_basal, lambda x, y: 1.0 + x)
     vals = basal_coeff_on_edges(f)
-    xq = slab_spaces.bedge_qxy[slab_spaces.basal_edge_indices][..., 0]
+    mesh = slab_spaces.mesh
+    ends = mesh.vertices[mesh.boundary_edges[slab_spaces.basal_edge_indices], 0]
+    s = slab_spaces.quadrature.edge_points
+    xq = ends[:, :1] + s * (ends[:, 1:] - ends[:, :1])
     assert np.max(np.abs(vals - (1.0 + xq))) <= 1e-14
 
 

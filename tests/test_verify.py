@@ -110,7 +110,7 @@ def test_discrete_suite_passes(slab_spaces, tilted_params, base_coeffs):
     results = discrete_suite(*base_coeffs, tilted_params, seed=0)
     assert [r.name for r in results] == [
         "forward Newton convergence",
-        "energy bound |v|_V2 <= |f| sqrt(area) / mu0",
+        "energy bound mu0 |v|_V2^2 <= |f . int v|",
         "volume-term Hoelder bound",
         "dual coercivity B(l;l) >= mu0 |l|_V2^2",
         "zero-misfit dual state vanishes",
