@@ -206,6 +206,15 @@ def cmd_invert(cfg, out):
     return 0
 
 
+def _csv_text(text, always=True):
+    """``text`` as an RFC 4180 CSV field: quoted, with embedded quotes
+    doubled, unless ``always`` is false and it holds no comma, quote or
+    line break."""
+    if always or any(ch in text for ch in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def cmd_verify(cfg, out):
     # the discrete suite runs first, so a forward solve that does not
     # converge stops the run before the pointwise sweep
@@ -221,7 +230,8 @@ def cmd_verify(cfg, out):
     with open(os.path.join(out, "verify_report.csv"), "w") as fh:
         fh.write("check,passed,detail\n")
         for res in results:
-            fh.write("%s,%d,\"%s\"\n" % (res.name, int(res.passed), res.detail))
+            fh.write("%s,%d,%s\n" % (_csv_text(res.name, always=False),
+                                     int(res.passed), _csv_text(res.detail)))
     for res in results:
         print(res.line())
     return 0 if all(r.passed for r in results) else 4

@@ -4,25 +4,27 @@ Each Newton step assembles the exact symmetric saddle-point Jacobian
 after symmetric constraint elimination and backtracks on the euclidean
 norm of the reduced system residual.  A solve without a warm start
 starts at rest: with delta > 0 the Jacobian there is the linear Stokes
-operator with the rest viscosity B delta^(p-2).  One forward solve
-factorizes once, in single precision: its first Newton step is a direct
-solve on that LU with two steps of iterative refinement in double
-precision, and every later step runs flexible GMRES preconditioned by
-that LU, to Eisenstat-Walker forcing terms.  Flexible GMRES keeps the
-preconditioned vectors, so its residual is the true double-precision
-residual whatever the precision of the LU.  When one GMRES cycle of
+operator with the rest viscosity B delta^(p-2).  Every Newton step runs
+flexible GMRES preconditioned by an LU, to Eisenstat-Walker forcing
+terms.  Flexible GMRES keeps the preconditioned vectors, so its residual
+is the true double-precision residual whatever the precision of the LU.
+A solve given no ``preconditioner`` starts on its mesh's shared rest LU:
+one single-precision LU of the Jacobian at rest under the coefficients
+``REST_COEFFICIENTS``, which each ``Spaces`` factors on first need and
+keeps for the exponents, shift and floor it was taken at, so repeated
+solves on one mesh factor nothing of their own.  When one GMRES cycle of
 ``GMRES_RESTART`` iterations misses its tolerance, the step
 refactorizes at the current Jacobian, solves directly and keeps the new
-LU.  If plain Newton stalls, the solver retries from rest with a short
+LU for the rest of the solve; the shared one is never replaced by it.
+If plain Newton stalls, the solver retries from rest with a short
 continuation ladder in the exponent, starting at p = 2, still
 preconditioned by the same LU.  A caller holding the LU of a nearby
 Jacobian (the inversion keeps the dual operator's) passes it as
-``preconditioner``; the solve then runs GMRES from its first Newton
-step and may finish without a factorization of its own.
+``preconditioner`` instead.
 
-Every LU comes from ``_factorize``: a forward solve's own through
-``_LinearSolver``, in single precision, all others (the dual operator,
-the Gram matrices of the Riesz map, the trace constant) through
+Every LU comes from ``_factorize``: a forward solve's, the shared rest
+LU included, in single precision, all others (the dual operator, the
+Gram matrices of the Riesz map, the trace constant) through
 ``factorize``, in double precision, as they are exact solves with no
 Krylov loop around them.  It exploits the symmetry of these operators
 and takes pivots on the diagonal.  A reduced saddle operator (forward
@@ -52,7 +54,8 @@ from scipy.linalg import solve_triangular
 
 from .assembly import (_omega_quad_integral, assemble_jacobian, _residual_raw,
                        norm, solver_sign)
-from .spaces import Field, SpaceKind, point_velocity_values
+from .spaces import (Field, SpaceKind, constant_field, point_velocity_values,
+                     zero_field)
 
 
 # Krylov vectors in the one GMRES cycle a Newton step may run before it
@@ -77,13 +80,19 @@ LS_MAX = 30
 # COLAMD and partial pivoting.
 PROBE_RTOL = 1e-8
 
-# Steps of double-precision refinement on a forward solve's own single-
-# precision LU, in the direct solve that follows its factorization and
-# in the probe of that LU.  On 20 bedded 64x32 slabs under the tilted
-# load, one step leaves the probe of the Jacobian at rest at 1e-11 to
-# 6e-10, but on one slab at 9e-8 (delta = 1e-6) and 3e-7 (delta = 1e-3),
-# above PROBE_RTOL; two reach 5e-11 or less.
+# Steps of double-precision refinement on a single-precision forward LU:
+# in the probe of each, the shared rest LU's included, and in the direct
+# solve of a Newton step that refactorized on a GMRES miss.  On 20 bedded
+# 64x32 slabs under the tilted load, one step leaves the probe of the
+# Jacobian at rest at 1e-11 to 6e-10, but on one slab at 9e-8
+# (delta = 1e-6) and 3e-7 (delta = 1e-3), above PROBE_RTOL; two reach
+# 5e-11 or less.
 DIRECT_REFINEMENTS = 2
+
+# (rheology, friction) at which the shared rest LU takes the Jacobian at
+# rest: the defaults of the config keys fields.rheology and
+# fields.friction.
+REST_COEFFICIENTS = (1.0, 0.5)
 
 # Relative slack of the energy check of a converged solve: the bound is
 # exact for the discrete solution, and the solve leaves a small residual.
@@ -121,7 +130,14 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Convergence record of one forward solve."""
+    """Convergence record of one forward solve.
+
+    ``factorizations`` counts the LUs the solve itself factored: the
+    shared rest LU when this call built it, and one per Newton step
+    whose GMRES cycle missed.  A solve that found the rest LU cached,
+    or whose caller's preconditioner served every step, reads 0.
+    ``lu_fallbacks`` counts those of them that fell back to COLAMD.
+    """
 
     converged: bool
     iterations: int
@@ -241,7 +257,7 @@ def _factorize(matrix, permc_spec="MMD_AT_PLUS_A", single=False):
     error, hence the probe.  With ``single`` the symmetric attempt
     factors a float32 copy of the data on the matrix's own index arrays,
     and the probe measures the solve that ``_LinearSolver`` makes right
-    after a factorization, with ``DIRECT_REFINEMENTS`` steps of
+    after a refactorization, with ``DIRECT_REFINEMENTS`` steps of
     refinement in double precision; an entry beyond float32 range fails
     it.  The COLAMD LU is always double precision.
     """
@@ -279,37 +295,58 @@ def factorize(matrix, permc_spec="MMD_AT_PLUS_A"):
 class _LinearSolver:
     """The linear solves of one forward solve, sharing one LU.
 
-    Without a starting LU the first solve factorizes; later ones run
-    flexible GMRES preconditioned by the current LU and refactorize only
-    when GMRES falls short (a direct solve, ``rtol = 0``, always
-    factorizes).  A refactorization rebinds only this object's
-    reference, so a caller's LU is never replaced; the solver's own LU
-    lives as long as this object, never beyond the forward solve.  Its
-    LUs are single precision, in the reduced frame's own order; the
-    solve right after one refines ``DIRECT_REFINEMENTS`` times in double
-    precision.  ``fallbacks`` counts the LUs that fell back to
-    double-precision COLAMD.
+    Every solve runs flexible GMRES preconditioned by the current LU and
+    refactorizes only when GMRES falls short.  A refactorization rebinds
+    only this object's reference, so neither a caller's LU nor the
+    shared rest LU is ever replaced; the solver's own LU lives as long
+    as this object, never beyond the forward solve.  Its LUs are single
+    precision, in the reduced frame's own order, and the direct solve
+    right after one refines ``DIRECT_REFINEMENTS`` times in double
+    precision.  ``factorizations`` and ``fallbacks`` count the LUs of
+    the forward solve (``fallbacks`` those that fell back to
+    double-precision COLAMD).
     """
 
-    def __init__(self, lu=None):
+    def __init__(self, lu):
         self.lu = lu
         self.factorizations = 0
         self.krylov_iterations = 0
         self.fallbacks = 0
 
-    def solve(self, matrix, rhs, rtol=0.0):
-        """Solve ``matrix . x = rhs``, to relative residual ``rtol``
-        when the LU preconditions GMRES."""
-        if self.lu is not None and rtol > 0.0:
-            x, iterations, _ = _gmres(matrix, self.lu, rhs, rtol)
-            self.krylov_iterations += iterations
-            if x is not None:
-                return x
+    def solve(self, matrix, rhs, rtol):
+        """Solve ``matrix . x = rhs`` to relative residual ``rtol``."""
+        x, iterations, _ = _gmres(matrix, self.lu, rhs, rtol)
+        self.krylov_iterations += iterations
+        if x is not None:
+            return x
         self.lu = None                      # release the stale LU first
         self.lu, fell_back = _factorize(matrix, "NATURAL", single=True)
         self.factorizations += 1
         self.fallbacks += fell_back
         return _refined_solve(matrix, self.lu, rhs, DIRECT_REFINEMENTS)
+
+
+def _rest_lu(spaces, params):
+    """``(lu, fell_back)``: the single-precision LU of the reduced
+    Jacobian at rest under ``REST_COEFFICIENTS`` that the cold solves on
+    ``spaces`` share.  It depends on ``params`` through p, s, delta and
+    mu0 only; ``spaces`` keeps one, for the last such key asked for, and
+    factors it again when the key changes.  ``fell_back`` is None when
+    the LU came from that cache, and otherwise whether it fell back to
+    COLAMD."""
+    key = (params.p, params.s, params.delta, params.mu0)
+    cached = spaces._cache.get("rest_lu")
+    if cached is not None and cached[0] == key:
+        return cached[1], None
+    spaces._cache.pop("rest_lu", None)      # release the old LU first
+    rheology, friction = REST_COEFFICIENTS
+    system = assemble_jacobian(zero_field(spaces.velocity),
+                               constant_field(spaces.coeff_omega, rheology),
+                               constant_field(spaces.coeff_basal, friction),
+                               params)
+    lu, fell_back = _factorize(system.reduced(), "NATURAL", single=True)
+    spaces._cache["rest_lu"] = (key, lu)
+    return lu, fell_back
 
 
 def _forcing_term(res, res_prev, eta_prev, floor):
@@ -423,11 +460,13 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
         without it the solve starts at rest.
     preconditioner : SuperLU, optional
         LU of a nearby reduced Jacobian (the dual operator at a nearby
-        state, say).  Every Newton step then runs flexible GMRES
-        preconditioned by it from the start and factorizes only on a
-        miss; ``report.factorizations`` counts this solve's own LUs,
-        and ``report.lu_fallbacks`` those of them that fell back to
-        COLAMD.
+        state, say).  Without it the solve takes its mesh's shared rest
+        LU, factoring it first if ``rheology.space.parent`` holds none
+        for these p, s, delta and mu0.  Either way every Newton step
+        runs flexible GMRES preconditioned by the LU and factorizes
+        only on a miss.  ``report.factorizations`` counts the LUs this
+        call factored, a shared rest LU it built included, and
+        ``report.lu_fallbacks`` those of them that fell back to COLAMD.
 
     Returns
     -------
@@ -452,7 +491,12 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
         if np.any(values < lo) or np.any(values > hi):
             raise ValueError("%s field leaves the admissible box" % name)
 
+    fell_back = None
+    if preconditioner is None:
+        preconditioner, fell_back = _rest_lu(spaces, params)
     linear = _LinearSolver(preconditioner)
+    if fell_back is not None:               # this solve built the rest LU
+        linear.factorizations, linear.fallbacks = 1, int(fell_back)
     if warm_start is not None:
         x0 = np.concatenate([warm_start[0].values, warm_start[1].values])
         x_hat0 = spaces.reduce_vector(x0)

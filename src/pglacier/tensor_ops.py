@@ -93,20 +93,32 @@ def _frob2(P):
 _LOG_MAX = np.log(np.finfo(np.float64).max)
 
 
-def _dot(a, b):
-    """sum_i a_i b_i over the last axis, added in index order, so the
-    bits do not depend on the memory layout (einsum adds a contiguous
-    axis pairwise and a strided one in order)."""
+def _at(axis, i):
+    """Index of entry ``i`` (None: a new length-1 axis) along the
+    component axis ``axis``, counted from the end (negative), of an
+    array of any rank.  Plain indexing: ``np.moveaxis`` and
+    ``np.expand_dims`` take microseconds a call, which the verify sweep
+    makes thousands of."""
+    return (Ellipsis, i) + (slice(None),) * (-1 - axis)
+
+
+def _dot(a, b, axis=-1):
+    """sum_i a_i b_i over the component axis ``axis`` (negative), added
+    in index order, so the bits do not depend on the memory layout
+    (einsum adds a contiguous axis pairwise and a strided one in
+    order)."""
     terms = a * b
-    out = terms[..., 0] + terms[..., 1]
-    for i in range(2, terms.shape[-1]):
-        out += terms[..., i]
+    out = terms[_at(axis, 0)] + terms[_at(axis, 1)]
+    for i in range(2, terms.shape[axis]):
+        out += terms[_at(axis, i)]
     return out
 
 
-def _shifted_pass(x, delta):
-    """The exponent-free pass of the kernels over the last axis of x
-    (at least 2-D), as ``(unit, rho2, log_c, log_rho2)``: the scale
+def _shifted_pass(x, delta, axis=-1):
+    """The exponent-free pass of the kernels over the component axis
+    ``axis`` (negative) of x (at least 2-D), as
+    ``(unit, rho2, log_c, log_rho2)``, the last three without that
+    axis: the scale
     c = max(max_i |x_i|, delta), the scaled input unit = x / c and the
     scaled squared magnitude rho2 = |unit|^2 + (delta / c)^2, so that
     |x|^2 + delta^2 = c^2 rho2.  Computed on x / c, so no square
@@ -114,13 +126,13 @@ def _shifted_pass(x, delta):
     rho2 are set to 1 (unit stays 0), so both logs are finite.  The pass
     depends on x and delta only: one pass serves every exponent.
     """
-    c = np.abs(x).max(axis=-1)
+    c = np.abs(x).max(axis=axis)
     if delta == 0.0:
         c[c == 0.0] = 1.0
     else:
         np.maximum(c, delta, out=c)
-    unit = x / c[..., None]
-    rho2 = _dot(unit, unit)
+    unit = x / c[_at(axis, None)]
+    rho2 = _dot(unit, unit, axis)
     if delta == 0.0:
         # rho2 >= 1 in floats too (the largest |unit_i| is exactly 1),
         # so this moves only x = 0
@@ -130,15 +142,15 @@ def _shifted_pass(x, delta):
     return unit, rho2, np.log(c), np.log(rho2)
 
 
-def _power_step(magnitude, exponent, out=None):
-    """The kernel from the :func:`_shifted_pass` ``magnitude`` of x:
-    unit c^(e-1) rho^(e-2), as one exp in place of two powers, written
-    to ``out`` when given."""
+def _power_step(magnitude, exponent, out=None, axis=-1):
+    """The kernel from the :func:`_shifted_pass` ``magnitude`` of x over
+    its component axis ``axis`` (negative): unit c^(e-1) rho^(e-2), as
+    one exp in place of two powers, written to ``out`` when given."""
     unit, _, log_c, log_rho2 = magnitude
     arg = (exponent - 1.0) * log_c
     arg += (exponent - 2.0) / 2.0 * log_rho2
     factor = np.exp(np.minimum(arg, _LOG_MAX, out=arg), out=arg)
-    return np.multiply(unit, factor[..., None], out=out)
+    return np.multiply(unit, factor[_at(axis, None)], out=out)
 
 
 def _prime_step(magnitude, w, exponent):

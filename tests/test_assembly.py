@@ -47,6 +47,32 @@ def random_coeffs(spaces):
     return B, tau
 
 
+@pytest.mark.parametrize("p,delta", [(4.0 / 3.0, 0.1), (1.2, 1e-3), (1.6, 0.0)])
+def test_matrix_kernel_on_the_component_axis_matches_the_moveaxis_path(
+        monkeypatch, p, delta):
+    # the kernel runs on the (q, 4, t) strain in place of a components-
+    # last copy of it; residuals and coefficient Jacobians keep their bits
+    spaces = pg.build_spaces(pg.generate_slab_mesh(
+        2.0, 1.0, 8, 4, bed_profile=lambda x: 0.05 * np.sin(np.pi * x)))
+    vel, pres = random_state(spaces)
+    B, tau = random_coeffs(spaces)
+    params = PhysicsParams(p=p, delta=delta, body_force=(0.5, -1.0))
+    residual = pg.assembly._residual_raw(vel, pres, B, tau, params)
+    G = pg.assembly.assemble_coeff_jacobian(vel, params)
+
+    def moveaxis_path(strain, params):
+        return np.moveaxis(pg.tensor_ops.s_omega(np.moveaxis(strain, 3, 1),
+                                                 params), 1, 3)
+
+    monkeypatch.setattr(pg.assembly, "_s_omega_points", moveaxis_path)
+    assert np.array_equal(pg.assembly._residual_raw(vel, pres, B, tau, params),
+                          residual)
+    want = pg.assembly.assemble_coeff_jacobian(vel, params)
+    assert np.array_equal(want.indptr, G.indptr)
+    assert np.array_equal(want.indices, G.indices)
+    assert np.array_equal(want.data, G.data)
+
+
 def test_residual_vanishes_at_rest_without_load():
     spaces = small_spaces()
     B, tau = random_coeffs(spaces)

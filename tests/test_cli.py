@@ -149,6 +149,24 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_report_quotes_names_with_commas(monkeypatch, tmp_path):
+    # a check name with a comma used to shift the passed column
+    names = ['energy bound mu0 |v|_V2^2 <= |(f, v)|', 'say "ok"', "plain"]
+    monkeypatch.setattr(cli, "pointwise_suite", lambda **kwargs: [
+        pg.verify.CheckResult(name, True, 'detail "%d", quoted' % k)
+        for k, name in enumerate(names)])
+    cfg = write_cfg(tmp_path, TINY_MESH + "run.out = %s\n" % (tmp_path / "o"))
+    assert run(["verify", "--config", cfg]) == 0
+    with open(tmp_path / "o" / "verify_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["check", "passed", "detail"]
+    assert all(len(row) == 3 and row[1] == "1" for row in rows[1:])
+    assert rows[1:4] == [[name, "1", 'detail "%d", quoted' % k]
+                         for k, name in enumerate(names)]
+    text = (tmp_path / "o" / "verify_report.csv").read_text()
+    assert text.splitlines()[3] == 'plain,1,"detail ""2"", quoted"'
+
+
 def test_verify_rejects_zero_delta_in_prime_sweep(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TINY_MESH
                     + "verify.prime_delta_values = 0 0.1\n"

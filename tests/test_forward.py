@@ -1,6 +1,8 @@
 """Damped Newton forward solver: exact special cases, convergence
 behaviour, warm starts, sensitivity solves and failure paths."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -10,6 +12,7 @@ from pglacier import forward
 from pglacier.adjoint import factor_adjoint
 from pglacier.assembly import (AssembledSystem, _reduced_coupling,
                                assemble_jacobian, solver_sign, velocity_mass)
+from pglacier.config import SCHEMA
 from pglacier.forward import (SolverConfig, SolverError, energy_bound,
                               solve_forward)
 from pglacier.tensor_ops import PhysicsParams
@@ -35,13 +38,17 @@ def test_zero_force_gives_rest_state(slab_spaces):
 
 
 def test_linear_problem_needs_one_step(slab_spaces):
-    # p = 2 makes the residual affine; Newton lands exactly in one solve
+    # p = 2 makes the residual affine, so an exact linear solve lands in
+    # one step.  The first step solves only to ETA_FIRST by GMRES, even
+    # where the shared rest LU is the exact Jacobian, and each GMRES step
+    # on that single-precision LU cuts the residual by about 1e-6, so a
+    # second step meets the Newton tolerance (measured: 2.7e-12 relative)
     B, tau = coeffs(slab_spaces)
     params = PhysicsParams(p=2.0, delta=0.5, body_force=TILTED_FORCE)
     sol = solve_forward(B, tau, params)
     assert sol.report.converged
-    assert sol.report.iterations == 1
-    assert sol.report.residual_history[-1] <= 1e-12 * sol.report.residual_history[0]
+    assert sol.report.iterations <= 2
+    assert sol.report.residual_history[-1] <= 1e-10 * sol.report.residual_history[0]
 
 
 def test_hydrostatic_rest_state(fine_spaces):
@@ -287,19 +294,63 @@ def test_non_finite_coefficients_rejected(slab_spaces, field_name, bad):
 
 def test_cold_solve_starts_at_rest_and_factorizes_once(slab_spaces,
                                                        tilted_params):
-    # the LU of the Jacobian at rest preconditions every later Newton step
-    B, tau = coeffs(slab_spaces)
+    # the mesh's shared LU of the Jacobian at rest preconditions every
+    # Newton step; the first cold solve on fresh spaces builds it and a
+    # second one, with other coefficients, factors nothing
+    spaces = pg.build_spaces(slab_spaces.mesh)
+    B, tau = coeffs(spaces)
     sol = solve_forward(B, tau, tilted_params)
-    raw = pg.assemble_residual(pg.zero_field(slab_spaces.velocity),
-                               pg.zero_field(slab_spaces.pressure), B, tau,
+    raw = pg.assemble_residual(pg.zero_field(spaces.velocity),
+                               pg.zero_field(spaces.pressure), B, tau,
                                tilted_params)
-    at_rest = slab_spaces.reduce_vector(solver_sign(slab_spaces) * raw)
+    at_rest = spaces.reduce_vector(solver_sign(spaces) * raw)
     assert sol.report.energy_history[0] == 0.0
     assert sol.report.residual_history[0] == np.linalg.norm(at_rest)
     assert sol.report.converged
     assert sol.report.iterations >= 2
     assert sol.report.factorizations == 1
     assert sol.report.krylov_iterations > 0
+    again = solve_forward(*coeffs(spaces, b=1.3, t=0.2), tilted_params)
+    assert again.report.converged
+    assert again.report.factorizations == 0
+
+
+def same_bits(a, b):
+    return (np.array_equal(a.velocity.values, b.velocity.values)
+            and np.array_equal(a.pressure.values, b.pressure.values)
+            and a.report.residual_history == b.report.residual_history)
+
+
+def test_cold_solve_does_not_depend_on_who_built_the_rest_lu(slab_spaces,
+                                                            tilted_params):
+    fresh = pg.build_spaces(slab_spaces.mesh)
+    built = solve_forward(*coeffs(fresh, b=1.3, t=0.2), tilted_params)
+    shared = pg.build_spaces(slab_spaces.mesh)
+    solve_forward(*coeffs(shared), tilted_params)
+    reused = solve_forward(*coeffs(shared, b=1.3, t=0.2), tilted_params)
+    assert built.report.factorizations == 1
+    assert reused.report.factorizations == 0
+    assert same_bits(built, reused)
+
+
+def test_rest_lu_is_factored_again_when_the_exponent_changes(slab_spaces,
+                                                             tilted_params):
+    spaces = pg.build_spaces(slab_spaces.mesh)
+    B, tau = coeffs(spaces)
+    runs = [solve_forward(B, tau, replace(tilted_params, p=p, s=p))
+            for p in (4.0 / 3.0, 1.2, 4.0 / 3.0)]
+    assert all(run.report.converged for run in runs)
+    assert [run.report.factorizations for run in runs] == [1, 1, 1]
+    held = [key for key, value in spaces._cache.items()
+            if isinstance(value, tuple)
+            and any(isinstance(v, forward._SingleLU) for v in value)]
+    assert held == ["rest_lu"]
+    assert same_bits(runs[0], runs[2])
+
+
+def test_rest_coefficients_are_the_config_field_defaults():
+    assert forward.REST_COEFFICIENTS == (float(SCHEMA["fields.rheology"][1]),
+                                         float(SCHEMA["fields.friction"][1]))
 
 
 @pytest.mark.parametrize("p", [1.01, 1.05])
@@ -330,12 +381,17 @@ def test_bedded_32x16_solve_stays_within_its_krylov_budget():
 
 def test_warm_started_solve_factorizes_once(slab_spaces, tilted_params,
                                             base_solution):
-    B, tau = coeffs(slab_spaces, b=1.2)
-    sol = solve_forward(B, tau, tilted_params,
-                        warm_start=(base_solution.velocity,
-                                    base_solution.pressure))
+    # the shared rest LU serves warm starts too: built by the first call
+    spaces = pg.build_spaces(slab_spaces.mesh)
+    B, tau = coeffs(spaces, b=1.2)
+    warm = (pg.Field(spaces.velocity, base_solution.velocity.values),
+            pg.Field(spaces.pressure, base_solution.pressure.values))
+    sol = solve_forward(B, tau, tilted_params, warm_start=warm)
     assert sol.report.converged
     assert sol.report.factorizations == 1
+    again = solve_forward(B, tau, tilted_params, warm_start=warm)
+    assert again.report.converged
+    assert again.report.factorizations == 0
 
 
 def test_failed_gmres_falls_back_to_one_factorization_per_step(
@@ -435,13 +491,13 @@ def test_single_precision_lu_solves_a_huge_right_hand_side(
     # cast, which would overflow 1e300 to inf
     matrix, _ = jacobians(slab_spaces, base_solution, tilted_params)
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+    lu, fell_back = forward._factorize(matrix, "NATURAL", single=True)
+    assert not fell_back
     unrefined, refined = [], []
     for b in (rhs, 1e300 * rhs):
-        linear = forward._LinearSolver()
-        x = linear.solve(matrix, b)
-        assert linear.fallbacks == 0
+        x = forward._refined_solve(matrix, lu, b, forward.DIRECT_REFINEMENTS)
         refined.append(np.abs(matrix @ x - b).max() / np.abs(b).max())
-        x = linear.lu.solve(b)
+        x = lu.solve(b)
         unrefined.append(np.abs(matrix @ x - b).max() / np.abs(b).max())
     assert unrefined[1] == pytest.approx(unrefined[0], rel=1e-6)
     assert max(refined) <= 1e-12
@@ -453,9 +509,9 @@ def test_jacobian_beyond_single_precision_falls_back_to_double(
     matrix, _ = jacobians(slab_spaces, base_solution, tilted_params)
     matrix = 1e39 * matrix
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
-    linear = forward._LinearSolver()
-    x = linear.solve(matrix, rhs)
-    assert linear.factorizations == linear.fallbacks == 1
+    lu, fell_back = forward._factorize(matrix, "NATURAL", single=True)
+    assert fell_back
+    x = lu.solve(rhs)
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
@@ -498,7 +554,9 @@ def test_failed_symmetric_lu_falls_back_to_colamd(monkeypatch, slab_spaces,
     assert calls[1] == {}
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
-    sol = solve_forward(B, tau, tilted_params)
+    # fresh spaces, so that the solve builds its rest LU under this splu
+    spaces = pg.build_spaces(slab_spaces.mesh)
+    sol = solve_forward(*coeffs(spaces), tilted_params)
     assert sol.report.converged
     assert sol.report.factorizations == 1
     assert sol.report.lu_fallbacks == 1
@@ -681,7 +739,9 @@ def test_failed_ordered_lu_falls_back_to_unpermuted_colamd(
     x = lu.solve(rhs)
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
-    sol = solve_forward(B, tau, tilted_params)
+    # fresh spaces, so that the solve builds its rest LU under this splu
+    spaces = pg.build_spaces(slab_spaces.mesh)
+    sol = solve_forward(*coeffs(spaces), tilted_params)
     assert sol.report.converged
     assert sol.report.factorizations == 1
     assert sol.report.lu_fallbacks == 1
