@@ -59,7 +59,7 @@ import scipy.sparse as sp
 from .spaces import (SpaceKind, _adjacency, _frozen, basal_coeff_on_edges,
                      point_scalar_values, point_velocity_gradients,
                      point_velocity_values, velocity_trace)
-from .tensor_ops import _power_step, _shifted_pass, s_gamma
+from .tensor_ops import _kernel, s_gamma
 
 
 @dataclass
@@ -234,13 +234,9 @@ def _strain(grad):
 
 def _s_omega_points(strain, params):
     """Matrix kernel of triangle-innermost strains, axes (q, i, j, t):
-    the kernel's steps run on the (q, 4, t) view, with the component
-    axis in the middle, so the strain is not copied into the kernel's
-    components-last layout."""
-    points = strain.reshape(strain.shape[0], 4, strain.shape[3])
-    magnitude = _shifted_pass(points, params.delta, axis=-2)
-    return _power_step(magnitude, params.p, out=magnitude[0],
-                       axis=-2).reshape(strain.shape)
+    the kernel runs over the (i, j) axes in place, so the strain is not
+    copied into the components-last layout of ``s_omega``."""
+    return _kernel(strain, params.delta, params.p, 2, axis=-2)
 
 
 def _residual_raw(velocity, pressure, rheology, friction, params):

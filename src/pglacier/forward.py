@@ -304,14 +304,16 @@ class _LinearSolver:
     right after one refines ``DIRECT_REFINEMENTS`` times in double
     precision.  ``factorizations`` and ``fallbacks`` count the LUs of
     the forward solve (``fallbacks`` those that fell back to
-    double-precision COLAMD).
+    double-precision COLAMD): the starting ``lu`` when ``built`` says the
+    forward solve factored it, with ``fell_back`` its fallback, and each
+    refactorization.
     """
 
-    def __init__(self, lu):
+    def __init__(self, lu, built=False, fell_back=False):
         self.lu = lu
-        self.factorizations = 0
+        self.factorizations = int(built)
         self.krylov_iterations = 0
-        self.fallbacks = 0
+        self.fallbacks = int(fell_back)
 
     def solve(self, matrix, rhs, rtol):
         """Solve ``matrix . x = rhs`` to relative residual ``rtol``."""
@@ -327,17 +329,17 @@ class _LinearSolver:
 
 
 def _rest_lu(spaces, params):
-    """``(lu, fell_back)``: the single-precision LU of the reduced
+    """``(lu, built, fell_back)``: the single-precision LU of the reduced
     Jacobian at rest under ``REST_COEFFICIENTS`` that the cold solves on
-    ``spaces`` share.  It depends on ``params`` through p, s, delta and
-    mu0 only; ``spaces`` keeps one, for the last such key asked for, and
-    factors it again when the key changes.  ``fell_back`` is None when
-    the LU came from that cache, and otherwise whether it fell back to
-    COLAMD."""
+    ``spaces`` share, whether this call factored it (rather than finding
+    it cached) and whether that LU fell back to COLAMD.  It depends on
+    ``params`` through p, s, delta and mu0 only; ``spaces`` keeps one,
+    for the last such key asked for, and factors it again when the key
+    changes."""
     key = (params.p, params.s, params.delta, params.mu0)
     cached = spaces._cache.get("rest_lu")
     if cached is not None and cached[0] == key:
-        return cached[1], None
+        return cached[1], False, False
     spaces._cache.pop("rest_lu", None)      # release the old LU first
     rheology, friction = REST_COEFFICIENTS
     system = assemble_jacobian(zero_field(spaces.velocity),
@@ -346,7 +348,7 @@ def _rest_lu(spaces, params):
                                params)
     lu, fell_back = _factorize(system.reduced(), "NATURAL", single=True)
     spaces._cache["rest_lu"] = (key, lu)
-    return lu, fell_back
+    return lu, True, fell_back
 
 
 def _forcing_term(res, res_prev, eta_prev, floor):
@@ -491,12 +493,10 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
         if np.any(values < lo) or np.any(values > hi):
             raise ValueError("%s field leaves the admissible box" % name)
 
-    fell_back = None
     if preconditioner is None:
-        preconditioner, fell_back = _rest_lu(spaces, params)
-    linear = _LinearSolver(preconditioner)
-    if fell_back is not None:               # this solve built the rest LU
-        linear.factorizations, linear.fallbacks = 1, int(fell_back)
+        linear = _LinearSolver(*_rest_lu(spaces, params))
+    else:
+        linear = _LinearSolver(preconditioner)
     if warm_start is not None:
         x0 = np.concatenate([warm_start[0].values, warm_start[1].values])
         x_hat0 = spaces.reduce_vector(x0)

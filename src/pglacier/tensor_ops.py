@@ -167,19 +167,22 @@ def _prime_step(magnitude, w, exponent):
     return out
 
 
-def _flat(x, axes):
-    """x with its last ``axes`` kernel axes flattened into one and at
-    least one leading axis."""
+def _flat(x, axes, axis=-1):
+    """x with its ``axes`` kernel axes, the last of them at ``axis``
+    (negative), flattened into one and at least one leading axis."""
     x = np.asarray(x, dtype=np.float64)
-    lead, kernel = x.shape[:x.ndim - axes], x.shape[x.ndim - axes:]
-    return x.reshape((lead or (1,)) + (int(np.prod(kernel)),))
+    end = x.ndim + axis + 1
+    lead, kernel = x.shape[:end - axes], x.shape[end - axes:end]
+    return x.reshape((lead or (1,)) + (int(np.prod(kernel)),) + x.shape[end:])
 
 
-def _kernel(x, delta, exponent, axes):
-    """(|x|^2 + delta^2)^((e-2)/2) x over the last ``axes`` axes:
-    finite for every finite input, and 0 at x = 0 when delta = 0."""
-    magnitude = _shifted_pass(_flat(x, axes), delta)
-    return _power_step(magnitude, exponent, out=magnitude[0]).reshape(np.shape(x))
+def _kernel(x, delta, exponent, axes, axis=-1):
+    """(|x|^2 + delta^2)^((e-2)/2) x over ``axes`` axes of x, the last of
+    them at ``axis`` (negative): finite for every finite input, and 0 at
+    x = 0 when delta = 0."""
+    magnitude = _shifted_pass(_flat(x, axes, axis), delta, axis)
+    return _power_step(magnitude, exponent, out=magnitude[0],
+                       axis=axis).reshape(np.shape(x))
 
 
 def _kernel_prime(x, w, delta, exponent, axes):

@@ -37,18 +37,17 @@ def test_zero_force_gives_rest_state(slab_spaces):
     assert sol.report.final_energy == 0.0
 
 
-def test_linear_problem_needs_one_step(slab_spaces):
+def test_linear_problem_needs_one_step(slab_spaces, tight_solver):
     # p = 2 makes the residual affine, so an exact linear solve lands in
     # one step.  The first step solves only to ETA_FIRST by GMRES, even
-    # where the shared rest LU is the exact Jacobian, and each GMRES step
-    # on that single-precision LU cuts the residual by about 1e-6, so a
-    # second step meets the Newton tolerance (measured: 2.7e-12 relative)
+    # where the shared rest LU is the exact Jacobian, so a second step,
+    # asked for the tight tolerance, finishes (measured: 1.5e-15 relative)
     B, tau = coeffs(slab_spaces)
     params = PhysicsParams(p=2.0, delta=0.5, body_force=TILTED_FORCE)
-    sol = solve_forward(B, tau, params)
+    sol = solve_forward(B, tau, params, tight_solver)
     assert sol.report.converged
     assert sol.report.iterations <= 2
-    assert sol.report.residual_history[-1] <= 1e-10 * sol.report.residual_history[0]
+    assert sol.report.residual_history[-1] <= 1e-12 * sol.report.residual_history[0]
 
 
 def test_hydrostatic_rest_state(fine_spaces):
@@ -457,8 +456,11 @@ def test_forward_lu_is_single_precision_and_dual_lu_double(
         return real(matrix, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-    B, tau = coeffs(slab_spaces)
+    # fresh spaces, so that the solve builds its rest LU under this splu
+    spaces = pg.build_spaces(slab_spaces.mesh)
+    B, tau = coeffs(spaces)
     sol = solve_forward(B, tau, tilted_params)
+    assert sol.report.factorizations >= 1
     assert sol.report.lu_fallbacks == 0
     assert dtypes == [np.float32] * sol.report.factorizations
     del dtypes[:]
@@ -505,13 +507,14 @@ def test_single_precision_lu_solves_a_huge_right_hand_side(
 
 @pytest.mark.filterwarnings("error")
 def test_jacobian_beyond_single_precision_falls_back_to_double(
-        slab_spaces, tilted_params, base_solution):
-    matrix, _ = jacobians(slab_spaces, base_solution, tilted_params)
+        monkeypatch, slab_spaces, tilted_params, base_solution):
+    matrix, nearby = jacobians(slab_spaces, base_solution, tilted_params)
     matrix = 1e39 * matrix
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
-    lu, fell_back = forward._factorize(matrix, "NATURAL", single=True)
-    assert fell_back
-    x = lu.solve(rhs)
+    monkeypatch.setattr(forward, "GMRES_RESTART", 0)    # every GMRES misses
+    linear = forward._LinearSolver(forward.factorize(nearby))
+    x = linear.solve(matrix, rhs, 1e-8)
+    assert linear.factorizations == linear.fallbacks == 1
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
