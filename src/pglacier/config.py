@@ -28,7 +28,7 @@ from .fieldio import load_field_csv
 from .forward import SolverConfig
 from .inversion import OptimizationConfig
 from .mesh import generate_slab_mesh, load_mesh, with_observed_span
-from .spaces import Field
+from .spaces import Field, SpaceKind
 from .tensor_ops import PhysicsParams
 
 
@@ -89,7 +89,6 @@ SCHEMA = {
                           lambda n: n >= 1, "must be >= 1"),
     "opt.max_iterations": ("int", OptimizationConfig.max_iterations,
                            lambda n: n >= 0, "must be >= 0"),
-    "opt.ls_max": ("int", OptimizationConfig.ls_max, lambda n: n >= 1, "must be >= 1"),
     "fields.rheology": ("str", "1.0", None, ""),
     "fields.friction": ("str", "0.5", None, ""),
     "observation.source": ("choice", "twin", ("twin", "file"), ""),
@@ -320,7 +319,6 @@ def realize_field(spec, space, length, key="fields"):
     if parsed[0] == "const":
         return Field(space, np.full(space.dof_count, parsed[1]))
     _, base, amp, periods = parsed
-    from .spaces import SpaceKind
     if space.kind is SpaceKind.COEFF_OMEGA_P1:
         x = space.mesh.vertices[:, 0]
     elif space.kind is SpaceKind.COEFF_BASAL_P1:

@@ -316,16 +316,21 @@ class _LinearSolver:
         self.fallbacks = int(fell_back)
 
     def solve(self, matrix, rhs, rtol):
-        """Solve ``matrix . x = rhs`` to relative residual ``rtol``."""
+        """Solve ``matrix . x = rhs`` to relative residual ``rtol``.
+
+        ``rhs`` is first divided by the power of two at its max-abs, which
+        is exact, so that GMRES's norms cannot overflow."""
+        exponent = np.frexp(np.abs(rhs).max())[1]
+        rhs = np.ldexp(rhs, -exponent)
         x, iterations, _ = _gmres(matrix, self.lu, rhs, rtol)
         self.krylov_iterations += iterations
-        if x is not None:
-            return x
-        self.lu = None                      # release the stale LU first
-        self.lu, fell_back = _factorize(matrix, "NATURAL", single=True)
-        self.factorizations += 1
-        self.fallbacks += fell_back
-        return _refined_solve(matrix, self.lu, rhs, DIRECT_REFINEMENTS)
+        if x is None:
+            self.lu = None                  # release the stale LU first
+            self.lu, fell_back = _factorize(matrix, "NATURAL", single=True)
+            self.factorizations += 1
+            self.fallbacks += fell_back
+            x = _refined_solve(matrix, self.lu, rhs, DIRECT_REFINEMENTS)
+        return np.ldexp(x, exponent)
 
 
 def _rest_lu(spaces, params):

@@ -43,7 +43,8 @@ from .spaces import Field, SpaceKind
 # ACTIVE_EPS (or the projected gradient norm, if smaller) of a bound
 # whose gradient points out of the box are active.  A trial is accepted
 # when its cost falls by ARMIJO_C times the predicted decrease; the step
-# shrinks by ARMIJO_SHRINK after a rejected or failed trial.
+# shrinks by ARMIJO_SHRINK after a rejected or failed trial, at most
+# ARMIJO_MAX times per iterate.
 GRAD_TOL = 1e-9
 GRAD_RTOL = 1e-6
 # On noisy data (noise_sigma > 0) the iteration also stops once the
@@ -55,6 +56,7 @@ CG_MAX_ITERATIONS = 50
 ACTIVE_EPS = 1e-2
 ARMIJO_SHRINK = 0.5
 ARMIJO_C = 1e-4
+ARMIJO_MAX = 30
 
 
 class NonFiniteCostError(ValueError):
@@ -66,19 +68,16 @@ class NonFiniteCostError(ValueError):
 @dataclass
 class OptimizationConfig:
     """Gauss-Newton settings: at most ``max_iterations`` (>= 0) accepted
-    iterates, each trying at most ``ls_max`` (>= 1) + 1 steps, the first
-    the full Gauss-Newton step.  CG is preconditioned by the H1 Riesz map
+    iterates, each trying at most ``ARMIJO_MAX`` + 1 steps, the first the
+    full Gauss-Newton step.  CG is preconditioned by the H1 Riesz map
     M + K; the CG, step and stopping rules are the module constants above.
     """
 
     max_iterations: int = 100
-    ls_max: int = 30
 
     def __post_init__(self):
-        for name, least in (("max_iterations", 0), ("ls_max", 1)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError("%s must be >= %d, got %r" % (name, least, value))
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0, got %r" % self.max_iterations)
 
 
 @dataclass
@@ -496,7 +495,7 @@ def run_inversion(rheology0, friction0, obs, params, opt_config=None,
         step = np.where(active, np.where(g > 0.0, *bounds) - x, step)
         alpha = 1.0
         accepted = None
-        for _ in range(opt.ls_max + 1):
+        for _ in range(ARMIJO_MAX + 1):
             trial_b, trial_f = project_onto_W(
                 *_coefficient_fields(spaces, x + alpha * step), params)
             delta = np.concatenate([trial_b.values, trial_f.values]) - x

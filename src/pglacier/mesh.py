@@ -239,47 +239,25 @@ def generate_slab_mesh(length, height, nx, ny, bed_profile=None):
     else:
         bed = np.array([float(bed_profile(x)) for x in xs])
 
-    verts = np.empty(((nx + 1) * (ny + 1), 2))
-    for j in range(ny + 1):
-        frac = j / ny
-        verts[j * (nx + 1):(j + 1) * (nx + 1), 0] = xs
-        verts[j * (nx + 1):(j + 1) * (nx + 1), 1] = bed + frac * (height - bed)
+    # Vertex (i, j), column i and row j from the bed, is vid[j, i].
+    vid = np.arange((ny + 1) * (nx + 1)).reshape(ny + 1, nx + 1)
+    frac = np.arange(ny + 1)[:, None] / ny
+    verts = np.empty((ny + 1, nx + 1, 2))
+    verts[..., 0] = xs
+    verts[..., 1] = bed + frac * (height - bed)
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    # Cell (i, j) with corners a, b, c, d counterclockwise from its lower
+    # left splits into (a, b, c) and (a, c, d).
+    a, b, c, d = vid[:-1, :-1], vid[:-1, 1:], vid[1:, 1:], vid[1:, :-1]
+    tris = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris[k] = (a, b, c)
-            tris[k + 1] = (a, c, d)
-            k += 2
-
-    edges = []
-    tags = []
-    obs = []
-    for i in range(nx):                      # bed, left to right
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append(BoundaryTag.BASAL)
-        obs.append(False)
-    for i in range(nx):                      # free surface, left to right
-        edges.append((vid(i, ny), vid(i + 1, ny)))
-        tags.append(BoundaryTag.ATMOSPHERE)
-        obs.append(True)
-    for j in range(ny):                      # left wall, bottom to top
-        edges.append((vid(0, j), vid(0, j + 1)))
-        tags.append(BoundaryTag.DIRICHLET)
-        obs.append(False)
-    for j in range(ny):                      # right wall, bottom to top
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-        tags.append(BoundaryTag.DIRICHLET)
-        obs.append(False)
-
-    return Mesh(verts, tris, np.array(edges), np.array([int(t) for t in tags]),
-                np.array(obs))
+    # Bed and free surface left to right, then both walls bottom to top.
+    chains = (vid[0], vid[-1], vid[:, 0], vid[:, -1])
+    edges = np.concatenate([np.column_stack([ch[:-1], ch[1:]]) for ch in chains])
+    tags = np.repeat([BoundaryTag.BASAL, BoundaryTag.ATMOSPHERE, BoundaryTag.DIRICHLET],
+                     [nx, nx, 2 * ny])
+    return Mesh(verts.reshape(-1, 2), tris, edges, tags,
+                tags == BoundaryTag.ATMOSPHERE)
 
 
 def with_observed_span(mesh, xmin, xmax):
@@ -445,19 +423,17 @@ def triangle_edge_keys(mesh):
     return edge_keys(mesh, pairs.reshape(-1, 2)).reshape(-1, 3)
 
 
-def _owning_triangles(mesh):
-    """Index of the first triangle containing each boundary edge."""
-    keys, first = np.unique(triangle_edge_keys(mesh).ravel(), return_index=True)
-    return first[np.searchsorted(keys, edge_keys(mesh, mesh.boundary_edges))] // 3
-
-
 def boundary_frames(mesh):
     """Unit outward normals, unit tangents and lengths of all boundary
     edges as arrays (nb, 2), (nb, 2) and (nb,).
 
     The tangent points from the first listed endpoint to the second.
-    The normal is the tangent rotated by -90 degrees, flipped if needed
-    so it points away from the owning triangle's centroid.
+    The normal is the tangent rotated by -90 degrees, which points out
+    of the domain when the edge runs the way its triangle does: a
+    counterclockwise triangle has its interior on the left of each of
+    its directed edges (0, 1), (1, 2), (2, 0).  An edge listed against
+    its triangle has its normal flipped.  The rule needs counterclockwise
+    triangles, which :class:`Mesh` validation enforces.
     """
     ends = mesh.boundary_edges
     vec = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
@@ -467,8 +443,11 @@ def boundary_frames(mesh):
         raise MeshError("boundary edge %d has zero length" % zero[0])
     tangents = vec / lengths[:, None]
     normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
-    centroids = mesh.vertices[mesh.triangles[_owning_triangles(mesh)]].mean(axis=1)
-    midpoints = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
-    inward = (normals * (centroids - midpoints)).sum(axis=1) > 0.0
-    normals[inward] = -normals[inward]
+    nv = mesh.num_vertices
+    tris = mesh.triangles
+    directed = np.sort((tris * nv + np.roll(tris, -1, axis=1)).ravel())
+    forward = ends[:, 0] * nv + ends[:, 1]
+    slot = np.searchsorted(directed, forward).clip(max=directed.size - 1)
+    against = directed[slot] != forward
+    normals[against] = -normals[against]
     return normals, tangents, lengths

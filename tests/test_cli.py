@@ -276,7 +276,8 @@ def test_removed_linear_solver_key_exits_2(tmp_path, capsys):
     # effective_config.cfg files written before a key was removed still
     # carry it
     for key, value in (("solver.linear_solver", "direct"),
-                       ("opt.representation", "H1_smoothed")):
+                       ("opt.representation", "H1_smoothed"),
+                       ("opt.ls_max", "30")):
         cfg = write_cfg(tmp_path, TINY_MESH + "%s = %s\n" % (key, value)
                         + "run.out = %s\n" % (tmp_path / "o"))
         assert run(["forward", "--config", cfg]) == 2
@@ -288,8 +289,8 @@ def test_invert_line_search_failure_exits_5(tmp_path, capsys, monkeypatch):
     # every trial costs more than the start; with two trials per line
     # search the iteration stops at once
     raise_trial_costs(monkeypatch, range(1, 100))
+    monkeypatch.setattr(inversion, "ARMIJO_MAX", 1)
     cfg = write_cfg(tmp_path, TINY_MESH + TWIN_BLOCK
-                    + "opt.ls_max = 1\n"
                     + "run.out = %s\n" % (tmp_path / "o"))
     assert run(["invert", "--config", cfg]) == 5
     captured = capsys.readouterr()

@@ -41,7 +41,7 @@ def test_echo_round_trip_reproduces_every_value():
     mesh.observed_xmin = 0.5
     mesh.observed_xmax = 1.5
     fields.rheology = sine:1.0,0.25,1
-    opt.ls_max = 5
+    opt.max_iterations = 5
     run.seed = 7
     """)
     echoed = "\n".join(cfg.echo_lines()) + "\n"
@@ -159,10 +159,8 @@ def test_solver_accessor_threads_trace_path():
 
 
 def test_optimization_accessor():
-    cfg = config_from_text("opt.max_iterations = 3\nopt.ls_max = 5\n")
-    oc = cfg.optimization()
-    assert oc.max_iterations == 3
-    assert oc.ls_max == 5
+    cfg = config_from_text("opt.max_iterations = 3\n")
+    assert cfg.optimization().max_iterations == 3
 
 
 def test_run_properties():

@@ -490,7 +490,8 @@ def test_double_precision_lus_solve_without_refinement(
 def test_single_precision_lu_solves_a_huge_right_hand_side(
         slab_spaces, tilted_params, base_solution):
     # each right-hand side is scaled to unit max-abs before the float32
-    # cast, which would overflow 1e300 to inf
+    # cast, which would overflow 1e300 to inf; the linear solver's own
+    # path, GMRES included, is covered by the test below
     matrix, _ = jacobians(slab_spaces, base_solution, tilted_params)
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
     lu, fell_back = forward._factorize(matrix, "NATURAL", single=True)
@@ -503,6 +504,27 @@ def test_single_precision_lu_solves_a_huge_right_hand_side(
         unrefined.append(np.abs(matrix @ x - b).max() / np.abs(b).max())
     assert unrefined[1] == pytest.approx(unrefined[0], rel=1e-6)
     assert max(refined) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_linear_solver_scales_a_huge_right_hand_side(
+        slab_spaces, tilted_params, base_solution):
+    # GMRES's norm of a right-hand side near 1e300 would overflow; the
+    # solver divides it by a power of two first, which leaves the result
+    # of an ordinary right-hand side bitwise unchanged
+    matrix, nearby = jacobians(slab_spaces, base_solution, tilted_params)
+    lu = forward._factorize(nearby, "NATURAL", single=True)[0]
+    rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
+    linear = forward._LinearSolver(lu)
+    x = linear.solve(matrix, rhs, 1e-10)
+    assert np.array_equal(x, forward._gmres(matrix, lu, rhs, 1e-10)[0])
+    unit = rhs / np.abs(rhs).max()
+    # the second max-abs lies above 2**1023, whose next power of two is
+    # not finite; the scaled matrix keeps its solution finite
+    for a, big in ((matrix, 4e300), (1e4 * matrix, 1.5e308)):
+        huge = linear.solve(a, big * unit, 1e-10) / big
+        assert np.linalg.norm(a @ huge - unit) <= 1e-9 * np.linalg.norm(unit)
+    assert linear.factorizations == 0
 
 
 @pytest.mark.filterwarnings("error")

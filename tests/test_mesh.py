@@ -58,6 +58,71 @@ def test_slab_boundary_tags():
                           mesh.edges_with_tag(BoundaryTag.ATMOSPHERE))
 
 
+def loop_slab_arrays(length, height, nx, ny, bed_profile=None):
+    """The slab mesh's arrays built vertex by vertex and edge by edge."""
+    xs = np.linspace(0.0, length, nx + 1)
+    if bed_profile is None:
+        bed = np.zeros(nx + 1)
+    else:
+        bed = np.array([float(bed_profile(x)) for x in xs])
+
+    verts = np.empty(((nx + 1) * (ny + 1), 2))
+    for j in range(ny + 1):
+        frac = j / ny
+        verts[j * (nx + 1):(j + 1) * (nx + 1), 0] = xs
+        verts[j * (nx + 1):(j + 1) * (nx + 1), 1] = bed + frac * (height - bed)
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    k = 0
+    for j in range(ny):
+        for i in range(nx):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            tris[k] = (a, b, c)
+            tris[k + 1] = (a, c, d)
+            k += 2
+
+    edges = []
+    tags = []
+    obs = []
+    for i in range(nx):                      # bed, left to right
+        edges.append((vid(i, 0), vid(i + 1, 0)))
+        tags.append(BoundaryTag.BASAL)
+        obs.append(False)
+    for i in range(nx):                      # free surface, left to right
+        edges.append((vid(i, ny), vid(i + 1, ny)))
+        tags.append(BoundaryTag.ATMOSPHERE)
+        obs.append(True)
+    for j in range(ny):                      # left wall, bottom to top
+        edges.append((vid(0, j), vid(0, j + 1)))
+        tags.append(BoundaryTag.DIRICHLET)
+        obs.append(False)
+    for j in range(ny):                      # right wall, bottom to top
+        edges.append((vid(nx, j), vid(nx, j + 1)))
+        tags.append(BoundaryTag.DIRICHLET)
+        obs.append(False)
+
+    return (verts, tris, np.array(edges), np.array([int(t) for t in tags]),
+            np.array(obs))
+
+
+@pytest.mark.parametrize("bedded", [False, True], ids=["flat", "bedded"])
+@pytest.mark.parametrize("length,nx,ny", [(2.0, 2, 2), (2.0, 4, 2), (3.0, 3, 5),
+                                          (2.0, 16, 8), (2.0, 128, 64),
+                                          (20.0, 80, 8)])
+def test_slab_matches_loop_reference_bitwise(length, nx, ny, bedded):
+    bed = (lambda x: 0.05 * np.sin(np.pi * x)) if bedded else None
+    mesh = generate_slab_mesh(length, 1.0, nx, ny, bed_profile=bed)
+    built = (mesh.vertices, mesh.triangles, mesh.boundary_edges,
+             mesh.boundary_tags, mesh.observed)
+    for got, want in zip(built, loop_slab_arrays(length, 1.0, nx, ny, bed)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("nx,ny", [(1, 2), (2, 1), (0, 4)])
 def test_slab_rejects_degenerate_resolution(nx, ny):
     with pytest.raises(ValueError):
@@ -222,6 +287,48 @@ def test_boundary_normals_point_outward_on_curved_bed():
         edge_vec = mesh.vertices[b] - mesh.vertices[a]
         assert abs(np.dot(normal, edge_vec)) <= 1e-14 * np.linalg.norm(edge_vec)
         assert np.dot(normal, mid - centroid) > 0.0
+
+
+def centroid_rule_normals(mesh):
+    """Each boundary edge's right-hand normal, flipped where it points
+    towards the centroid of the triangle that holds the edge."""
+    ends = mesh.boundary_edges
+    vec = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
+    tangents = vec / np.hypot(vec[:, 0], vec[:, 1])[:, None]
+    normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
+    tris = mesh.triangles
+    for e, (a, b) in enumerate(ends):
+        owner = np.flatnonzero((tris == a).any(axis=1) & (tris == b).any(axis=1))
+        assert owner.size == 1
+        centroid = mesh.vertices[tris[owner[0]]].mean(axis=0)
+        midpoint = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        if np.dot(normals[e], centroid - midpoint) > 0.0:
+            normals[e] = -normals[e]
+    return normals
+
+
+def test_directed_edge_normals_match_centroid_rule_on_reversed_edges():
+    # interior vertices jittered by up to a quarter cell, and half of the
+    # boundary edges listed against their triangles
+    mesh = generate_slab_mesh(2.0, 1.0, 16, 8,
+                              bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
+    rng = np.random.default_rng(5)
+    vertices = mesh.vertices.copy()
+    interior = np.ones(mesh.num_vertices, dtype=bool)
+    interior[mesh.boundary_edges.ravel()] = False
+    shift = rng.uniform(-0.25, 0.25, vertices.shape) * np.array([2.0 / 16, 0.95 / 8])
+    vertices[interior] += shift[interior]
+    ends = mesh.boundary_edges.copy()
+    flip = rng.permutation(mesh.num_boundary_edges)[:mesh.num_boundary_edges // 2]
+    ends[flip] = ends[flip, ::-1]
+    jittered = Mesh(vertices, mesh.triangles, ends, mesh.boundary_tags, mesh.observed)
+    normals = boundary_frames(jittered)[0]
+    assert normals.tobytes() == centroid_rule_normals(jittered).tobytes()
+    # outward does not depend on the order an edge's endpoints are listed
+    # in (up to the sign of a zero component)
+    unflipped = Mesh(vertices, mesh.triangles, mesh.boundary_edges,
+                     mesh.boundary_tags, mesh.observed)
+    assert np.array_equal(normals, boundary_frames(unflipped)[0])
 
 
 def _with_extra_edges(pairs, tags, vertex=None, triangle=None):
