@@ -142,7 +142,6 @@ def _write_report_csv(path, report):
             ("final_residual", repr(report.residual_history[-1])),
             ("final_energy", repr(report.final_energy)),
             ("energy_bound", repr(report.energy_bound)),
-            ("continuation_used", int(report.continuation_used)),
             ("factorizations", report.factorizations),
             ("krylov_iterations", report.krylov_iterations),
             ("lu_fallbacks", report.lu_fallbacks)]

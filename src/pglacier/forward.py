@@ -16,9 +16,9 @@ solves on one mesh factor nothing of their own.  When one GMRES cycle of
 ``GMRES_RESTART`` iterations misses its tolerance, the step
 refactorizes at the current Jacobian, solves directly and keeps the new
 LU for the rest of the solve; the shared one is never replaced by it.
-If plain Newton stalls, the solver retries from rest with a short
-continuation ladder in the exponent, starting at p = 2, still
-preconditioned by the same LU.  A caller holding the LU of a nearby
+A solve is one Newton loop of at most ``max_newton`` steps; one that
+misses its tolerance in them, or whose line search stalls, reports
+itself unconverged.  A caller holding the LU of a nearby
 Jacobian (the inversion keeps the dual operator's) passes it as
 ``preconditioner`` instead.
 
@@ -45,7 +45,7 @@ and partial pivoting, and the forward solve counts the fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,13 +110,13 @@ class SolverConfig:
 
     ``newton_rtol`` (finite, > 0) applies to the initial residual norm,
     ``newton_atol`` (finite, > 0) is the absolute floor and
-    ``max_newton`` (>= 1) caps the Newton steps of each stage;
+    ``max_newton`` (>= 1) caps the Newton steps of the solve;
     ``trace_path``, when set, receives the Newton history as CSV.
     """
 
     newton_rtol: float = 1e-10
     newton_atol: float = 1e-12
-    max_newton: int = 30
+    max_newton: int = 100
     trace_path: str = None
 
     def __post_init__(self):
@@ -137,6 +137,8 @@ class SolveReport:
     whose GMRES cycle missed.  A solve that found the rest LU cached,
     or whose caller's preconditioner served every step, reads 0.
     ``lu_fallbacks`` counts those of them that fell back to COLAMD.
+    ``continuation_used`` is always False: it stays only for the
+    benchmark's trace, and goes once the benchmark stops reading it.
     """
 
     converged: bool
@@ -146,10 +148,10 @@ class SolveReport:
     energy_history: list
     final_energy: float
     energy_bound: float
-    continuation_used: bool
     factorizations: int
     krylov_iterations: int
     lu_fallbacks: int
+    continuation_used: bool = False
 
 
 @dataclass
@@ -510,25 +512,12 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
 
     x_hat, residuals, steps, energies, ok = _newton(
         spaces, x_hat0, rheology, friction, params, config, linear)
-    continuation = False
-    if not ok:
-        # Continuation ladder in the exponent, warm starting each stage.
-        continuation = True
-        ladder = [pc for pc in (2.0, 1.8, 1.6) if pc > params.p] + [params.p]
-        x_hat = np.zeros(spaces.n_sys)
-        for pc in ladder:
-            stage = replace(params, p=pc, s=min(params.s, pc))
-            x_hat, residuals, steps, energies, ok = _newton(
-                spaces, x_hat, rheology, friction, stage, config, linear)
-            if not ok:
-                break
-
     x = spaces.expand_vector(x_hat)
     vel, press = _fields_from_system(spaces, x)
     bound = energy_bound(vel, params)
     final_energy = energies[-1]
     report = SolveReport(ok, len(residuals) - 1, residuals, steps, energies,
-                         final_energy, bound, continuation,
+                         final_energy, bound,
                          linear.factorizations, linear.krylov_iterations,
                          linear.fallbacks)
     if ok and final_energy > bound * (1.0 + ENERGY_RTOL):

@@ -30,8 +30,7 @@ class PhysicsParams:
     """Physical and inversion parameters.
 
     p, s : power-law exponents, 1 < p <= 2 and 1 < s <= p.  The p = 2
-        endpoint is the linear limit, the first stage of the forward
-        solve's continuation ladder.
+        endpoint is the linear limit.
     delta : regularization shift, >= 0 at type level; derivative kernels
         and solvers demand > 0.
     mu0 : linear viscosity floor, > 0.
