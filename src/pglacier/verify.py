@@ -10,10 +10,14 @@ root of the top eigenvalue of the pencil (M_tr, M + K) of the bed-trace
 mass and the H1 Gram matrix, found by Lanczos on one LU of M + K and
 cached per mesh.
 
-The pointwise sweep holds its samples component-major and runs them in
-cache-sized batches: a 2x2 or 2-vector kernel has only 2-4 components,
-so in the C layout every sum over them is an inner loop of that length,
-while with the sample axis innermost it is a few whole-vector passes.
+The pointwise sweep splits its samples into fixed blocks, each drawn
+from its own seeded stream, and checks the blocks on one thread per
+CPU, the calling thread and a thread pool: numpy drops the GIL in the
+whole-array passes, and a worker holds only the block it checks.  A
+block holds its samples component-major: a 2x2 or 2-vector kernel has
+only 2-4 components, so in the C layout every sum over them is an
+inner loop of that length, while with the sample axis innermost it is
+a few whole-vector passes.
 It calls the two steps the kernels are made of (``tensor_ops``): the
 exponent-free pass once per sample set and delta, the exponent step
 once per exponent, so it checks the very values that ``s_omega``,
@@ -25,7 +29,10 @@ the detail string so the CLI can print a table.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -45,11 +52,20 @@ DEFAULT_PRIME_DELTA_VALUES = (1e-3, 0.1, 1.0)
 
 DUAL_OBSERVATIONS = 10       # random data of the dual-coercivity check
 
-# Samples per batch of the pointwise sweep: one (batch, 2, 2) array is
-# 128 KB.  A batch holds one delta's kernel passes on x and y across
-# every exponent, about 1.6 MB with its temporaries, so it stays in
-# cache; twice the batch is about a tenth faster but doubles that.
-_SAMPLE_BATCH = 4096
+# Samples per block of the pointwise sweep: block k draws its samples
+# from the stream default_rng([seed, k]), so they do not depend on the
+# sample count, the worker count or the batch size.  Block 0's stream is
+# that of default_rng(seed), as SeedSequence pads its entropy with
+# zeros, so a sweep of one block draws what a single stream would.  One
+# (block, 2, 2) array is 400 KB, and a worker peaks at about 7 MB with
+# the block's draws and one delta's kernel passes on them.
+_SAMPLE_BLOCK = 12500
+
+# Samples per batch within a block.  Batches of 4096 fit in cache but
+# make a batch's few hundred numpy calls four times per block: a 1e5
+# sweep took 0.30 s with them and 0.25 s with whole blocks on one CPU of
+# a 2-vCPU host.
+_SAMPLE_BATCH = _SAMPLE_BLOCK
 
 # Relative slack for comparisons that are exact in real arithmetic but
 # accumulate a few ulps in floats.
@@ -79,6 +95,16 @@ def _sample_pairs(rng, n):
     return P, Q, W, u, v, w
 
 
+def _worker_count(blocks):
+    """Threads of the pointwise sweep, the calling one included: one per
+    block, at most one per CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(blocks, cpus)
+
+
 def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
                     delta_values=DEFAULT_DELTA_VALUES,
                     prime_delta_values=DEFAULT_PRIME_DELTA_VALUES, seed=0):
@@ -91,17 +117,23 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
     ``prime_delta_values`` is refused outright, as are an empty sweep
     (``samples < 1`` or an empty value list) that would pass vacuously.
 
-    The samples are drawn at once, copied component-major (the sample
-    axis innermost in memory) and checked in batches of
-    ``_SAMPLE_BATCH``.  Every sum over the 2 or 4 kernel components is
-    then a few passes over whole vectors rather than an inner loop of
-    length 2-4, and a batch's temporaries stay in cache through all its
-    (p, delta) checks.  Within a batch the deltas run outermost: the
-    kernels' exponent-free pass runs once per delta on x and on y and
-    is dropped before the next delta, and every p reuses it through one
-    exponent step.  The batches and deltas fold into one max, min or all
-    per check, so the results depend on neither the batch size nor the
-    order.
+    The samples come in blocks of ``_SAMPLE_BLOCK`` (the last one
+    shorter), block k drawn from ``default_rng([seed, k])``, so adding
+    samples adds blocks and leaves the earlier ones as they were.  The
+    blocks run on one thread per CPU the process may use
+    (:func:`_worker_count`): worker j checks blocks j, j + workers, ...,
+    worker 0 on the calling thread and the others on a thread pool.
+    Each worker holds only the block it checks, about 7 MB at a time.
+    A block is copied component-major (the sample axis innermost in
+    memory) and checked in batches of ``_SAMPLE_BATCH`` (by default the
+    whole block).  Every sum over the 2 or 4 kernel components is then
+    a few passes over whole vectors rather than an inner loop of length
+    2-4.  Within a batch the deltas run outermost: the kernels'
+    exponent-free pass runs once per delta on x and on y and is dropped
+    before the next delta, and every p reuses it through one exponent
+    step.  The batches and deltas fold into one max, min or all per
+    check, and the blocks fold in block order, so the results depend on
+    neither the batch size nor the worker count nor the scheduling.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1, got %r" % (samples,))
@@ -120,19 +152,60 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
     for pv in p_values:
         for dv in deltas:
             PhysicsParams(p=pv, delta=dv)
-    rng = np.random.default_rng(seed)
+    blocks = -(-samples // _SAMPLE_BLOCK)
+    check = partial(_check_block, seed, samples, _SAMPLE_BATCH, p_values,
+                    delta_values, prime_delta_values, deltas)
+    workers = _worker_count(blocks)
+
+    def share(j):
+        """Worker j's blocks: j, j + workers, j + 2 workers, ..."""
+        return [check(k) for k in range(j, blocks, workers)]
+
+    # The calling thread checks share 0 itself rather than wait on the
+    # pool: a pool thread allocates from a malloc arena of its own, which
+    # keeps what it freed out of reach of the caller's later work, so each
+    # pool thread holds about a block's working set resident.  A pool
+    # that ran every share raised the peak RSS of a process that runs
+    # one-block sweeps between inversions by 5 MB.  With one worker no
+    # thread is started.
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        others = pool.map(share, range(1, workers))
+        shares = [share(0), *others]
+    # folded in block order, whichever thread checked a block
+    norm, mono, coer, worsts, ratios, lips, margins = zip(
+        *(shares[k % workers][k // workers] for k in range(blocks)))
+    norm_ok, mono_ok, coer_ok = all(norm), all(mono), all(coer)
+    worst, lip_max = max(worsts), max(lips)
+    ratio_min, margin_min = min(ratios), min(margins)
+    return [
+        CheckResult("kernel norm bound |S(P)| <= |P|^(p-1)", norm_ok,
+                    "max ratio %.15g" % worst),
+        CheckResult("strict monotonicity (S(P)-S(Q)):(P-Q) > 0", mono_ok,
+                    "min scaled ratio %.15g" % ratio_min),
+        CheckResult("Lipschitz ratio (fitted constant < 10)",
+                    bool(lip_max < 10.0), "fitted C = %.15g" % lip_max),
+        CheckResult("derivative coercivity >= (p-1) scale",
+                    coer_ok, "min margin %.3g" % margin_min)]
+
+
+def _check_block(seed, samples, batch, p_values, delta_values,
+                 prime_delta_values, deltas, k):
+    """The pointwise checks on block k of the sweep: its pass flags
+    (norm, monotonicity, coercivity), then its extrema (max norm ratio,
+    min scaled ratio, max Lipschitz ratio, min coercivity margin)."""
+    size = min(_SAMPLE_BLOCK, samples - k * _SAMPLE_BLOCK)
     # Each draw, its kernel axes flattened as the kernels flatten them,
     # is replaced in turn by a copy with the sample axis innermost in
     # memory, viewed back in its shape (n, k), so at most one extra array
     # is held and every batch below is a view.
-    draws = list(_sample_pairs(rng, samples))
-    for k in range(len(draws)):
-        draws[k] = np.ascontiguousarray(draws[k].reshape(samples, -1).T).T
+    draws = list(_sample_pairs(np.random.default_rng([seed, k]), size))
+    for i in range(len(draws)):
+        draws[i] = np.ascontiguousarray(draws[i].reshape(size, -1).T).T
     norm_ok = mono_ok = coer_ok = True
     worst = lip_max = 0.0
     ratio_min = margin_min = np.inf
-    for lo in range(0, samples, _SAMPLE_BATCH):
-        P, Q, W, u, v, w = (a[lo:lo + _SAMPLE_BATCH] for a in draws)
+    for lo in range(0, size, batch):
+        P, Q, W, u, v, w = (a[lo:lo + batch] for a in draws)
         # One row per kernel law: the sample pair (x, y), the coercivity
         # direction z and whether the law's scaled monotonicity ratio is
         # reported (the matrix law's only).
@@ -187,15 +260,7 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
                         margin_min = min(margin_min,
                                          float((form / scale).min() - (pv - 1.0)))
                 del mx
-    return [
-        CheckResult("kernel norm bound |S(P)| <= |P|^(p-1)", norm_ok,
-                    "max ratio %.15g" % worst),
-        CheckResult("strict monotonicity (S(P)-S(Q)):(P-Q) > 0", mono_ok,
-                    "min scaled ratio %.15g" % ratio_min),
-        CheckResult("Lipschitz ratio (fitted constant < 10)",
-                    bool(lip_max < 10.0), "fitted C = %.15g" % lip_max),
-        CheckResult("derivative coercivity >= (p-1) scale",
-                    coer_ok, "min margin %.3g" % margin_min)]
+    return norm_ok, mono_ok, coer_ok, worst, ratio_min, lip_max, margin_min
 
 
 def _random_admissible(spaces, rng):

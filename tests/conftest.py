@@ -23,9 +23,9 @@ from pglacier.spaces import (SpaceKind, basal_coeff_on_edges,
 from pglacier.tensor_ops import (PhysicsParams, monotonicity_witness, s_gamma,
                                  s_gamma_prime_apply, s_omega,
                                  s_omega_prime_apply)
-from pglacier.verify import (_EPS, DEFAULT_DELTA_VALUES, DEFAULT_P_VALUES,
-                             DEFAULT_PRIME_DELTA_VALUES, CheckResult,
-                             _sample_pairs)
+from pglacier.verify import (_EPS, _SAMPLE_BLOCK, DEFAULT_DELTA_VALUES,
+                             DEFAULT_P_VALUES, DEFAULT_PRIME_DELTA_VALUES,
+                             CheckResult, _sample_pairs)
 
 
 def pytest_configure(config):
@@ -269,13 +269,17 @@ def reference_pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
     evaluated afresh inside every check and the matrix and vector laws
     spelled out separately.  The independent oracle of
     :func:`pglacier.verify.pointwise_suite`, which must return the same
-    CheckResults."""
+    CheckResults.  The samples are drawn as the sweep draws them, block
+    k of ``_SAMPLE_BLOCK`` from ``default_rng([seed, k])``, and checked
+    all at once."""
     for d in prime_delta_values:
         if d <= 0.0:
             raise ValueError("derivative-kernel checks need delta > 0; "
                              "remove %r from the delta sweep" % (d,))
-    rng = np.random.default_rng(seed)
-    P, Q, W, u, v, w = _sample_pairs(rng, samples)
+    blocks = [_sample_pairs(np.random.default_rng([seed, k]),
+                            min(_SAMPLE_BLOCK, samples - lo))
+              for k, lo in enumerate(range(0, samples, _SAMPLE_BLOCK))]
+    P, Q, W, u, v, w = (np.concatenate(draw) for draw in zip(*blocks))
     results = []
 
     # (a) |S(P)| <= |P|^(p-1), matrix and vector kernels.

@@ -1,5 +1,8 @@
 """Inequality verification suites and the measured trace constant."""
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -55,7 +58,9 @@ def test_pointwise_suite_is_seed_deterministic():
     dict(samples=1, seed=4),
     dict(samples=5000, p_values=[1.05, 1.5], delta_values=[0.0, 1e-8, 10.0],
          prime_delta_values=[1e-8, 5.0], seed=6),
-], ids=["defaults", "linear-undamped", "single-sample", "off-default"])
+    dict(samples=2 * verify._SAMPLE_BLOCK + 7, seed=11),
+], ids=["defaults", "linear-undamped", "single-sample", "off-default",
+        "short-last-block"])
 def test_pointwise_suite_matches_reference(kwargs):
     # one sweep over both kernel laws gives the check-by-check results
     assert [r.line() for r in pointwise_suite(**kwargs)] \
@@ -82,13 +87,92 @@ def test_pointwise_rejects_empty_value_list(name):
         pointwise_suite(samples=100, **{name: []})
 
 
+# two full blocks of the pointwise sweep and a short third one
+SEVERAL_BLOCKS = 2 * verify._SAMPLE_BLOCK + 7
+
+
 @pytest.mark.parametrize("batch", [1000, 20000])
 def test_pointwise_suite_is_batch_invariant(monkeypatch, batch):
-    # 10007 is no multiple of 1000, so the last batch is short; 20000
-    # checks every sample in one batch
-    expected = [r.line() for r in pointwise_suite(samples=10007, seed=3)]
+    # 1000 divides no block evenly, so the last batch of each block is
+    # short; 20000 is more than a block, so each block runs as one batch
+    def lines():
+        return [r.line()
+                for r in pointwise_suite(samples=SEVERAL_BLOCKS, seed=3)]
+
+    expected = lines()
     monkeypatch.setattr(verify, "_SAMPLE_BATCH", batch)
-    assert [r.line() for r in pointwise_suite(samples=10007, seed=3)] == expected
+    assert lines() == expected
+
+
+def test_pointwise_suite_does_not_depend_on_worker_count(monkeypatch):
+    # the blocks fold in block order whichever thread checked them;
+    # worker j checks blocks j, j + workers, ..., worker 0 on the
+    # calling thread, so one worker starts no thread
+    check_block = verify._check_block
+    lines, asked = [], []
+    for workers in (1, 2, 3):
+        threads = {}
+
+        def recording(*args):
+            threads[args[-1]] = threading.get_ident()
+            return check_block(*args)
+
+        def count(blocks, workers=workers):
+            asked.append(blocks)
+            return workers
+
+        monkeypatch.setattr(verify, "_check_block", recording)
+        monkeypatch.setattr(verify, "_worker_count", count)
+        lines.append([r.line() for r in pointwise_suite(samples=SEVERAL_BLOCKS,
+                                                        seed=7)])
+        assert sorted(threads) == [0, 1, 2]
+        assert [threads[k] == threading.get_ident() for k in range(3)] \
+            == [k % workers == 0 for k in range(3)]
+    assert asked == [3, 3, 3]
+    assert lines[0] == lines[1] == lines[2]
+
+
+def test_pointwise_block_draws_do_not_depend_on_sample_count(monkeypatch):
+    # block k draws from default_rng([seed, k]), so adding samples adds
+    # blocks and leaves the earlier ones as they were; block 0 draws what
+    # default_rng(seed) gives
+    block = verify._SAMPLE_BLOCK
+    sample_pairs = verify._sample_pairs
+
+    def draws(samples):
+        """{(seed, k): block k's draws} of one sweep."""
+        seen = {}
+
+        def recording(rng, n):
+            pairs = sample_pairs(rng, n)
+            seen[tuple(rng.bit_generator.seed_seq.entropy)] = pairs
+            return pairs
+
+        monkeypatch.setattr(verify, "_sample_pairs", recording)
+        pointwise_suite(samples=samples, p_values=[2.0], delta_values=[0.0],
+                        prime_delta_values=[1.0], seed=9)
+        return seen
+
+    one, four = draws(block), draws(3 * block + 7)
+    assert sorted(one) == [(9, 0)]
+    assert sorted(four) == [(9, 0), (9, 1), (9, 2), (9, 3)]
+    assert [len(four[9, k][0]) for k in range(4)] == [block] * 3 + [7]
+    single = sample_pairs(np.random.default_rng(9), block)
+    for a, b, c in zip(one[9, 0], four[9, 0], single):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_pointwise_suite_memory_with_two_workers(monkeypatch):
+    # each worker holds one block's samples and temporaries; drawing all
+    # 1e5 samples up front peaked at 17.6 MB
+    monkeypatch.setattr(verify, "_worker_count", lambda blocks: 2)
+    tracemalloc.start()
+    try:
+        pointwise_suite(samples=100000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 17.6e6
 
 
 def test_discrete_suite_looks_up_the_matrix_kernel_at_call_time(
