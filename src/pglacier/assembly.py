@@ -26,7 +26,8 @@ per-point value with a basis value table the same way, and
 ``_pair_trace`` pairs one over (boundary edge, point) pairs with edge
 trace values.  The Jacobian's velocity block is likewise one product of
 a per-mesh table of reference gradient pairs with a per-point geometry
-tensor (:func:`assemble_jacobian`).  Dual vectors are scattered with
+tensor (:func:`assemble_jacobian`), from the derivative factors of
+``tensor_ops`` on the scaled strain.  Dual vectors are scattered with
 ``np.bincount``; operators are written straight into the data array of
 a per-mesh pattern through precomputed slot maps, also with
 ``np.bincount``: the Jacobian's element blocks into the eliminated
@@ -59,7 +60,7 @@ import scipy.sparse as sp
 from .spaces import (SpaceKind, _adjacency, _frozen, basal_coeff_on_edges,
                      point_scalar_values, point_velocity_gradients,
                      point_velocity_values, velocity_trace)
-from .tensor_ops import _kernel, s_gamma
+from .tensor_ops import _kernel, _prime_factors, _shifted_pass, s_gamma
 
 
 @dataclass
@@ -358,23 +359,23 @@ def _reduced_coupling(spaces):
 
 
 def _derivative_factors(velocity, rheology, friction, params):
-    """Arguments of the derivative kernels, S'(E) W = c1 (E : W) E + c2 W
-    and s'(v) w = g1 (v . w) v + g2 w: the strain E, axes (q, i, j, t),
-    with B c1 and B c2, axes (q, t), at the triangle points, and the bed
-    trace v with tau g1 and tau g2 at the bed points."""
+    """Arguments of the derivative kernels S'(E) W = c1 (U : W) U + c2 W
+    and s'(v) w = g1 (u . w) u + g2 w: U, axes (q, i, j, t), with B c1
+    and B c2, axes (q, t), at the triangle points, and u with tau g1 and
+    tau g2 at the bed points.  U = E / c and u = v / c' are the strain
+    and bed trace scaled by the kernels' exponent-free pass, and (c1, c2)
+    and (g1, g2) its :func:`~pglacier.tensor_ops._prime_factors`."""
     if params.delta <= 0.0:
         raise ValueError("Jacobian assembly needs delta > 0, got %r" % params.delta)
     strain = _strain(point_velocity_gradients(velocity))
-    mag2 = (strain ** 2).sum(axis=(1, 2)) + params.delta ** 2
-    B = point_scalar_values(rheology)
-    p, s = params.p, params.s
-    v = velocity_trace(velocity, velocity.space.parent.basal_edge_indices)
-    vmag2 = (v ** 2).sum(axis=2) + params.delta ** 2
-    tau = basal_coeff_on_edges(friction)
-    return (strain, B * (p - 2.0) * mag2 ** ((p - 4.0) / 2.0),
-            B * mag2 ** ((p - 2.0) / 2.0),
-            v, tau * (s - 2.0) * vmag2 ** ((s - 4.0) / 2.0),
-            tau * vmag2 ** ((s - 2.0) / 2.0))
+    omega = _shifted_pass(strain.reshape(strain.shape[0], 4, -1), params.delta, axis=-2)
+    basal = _shifted_pass(velocity_trace(
+        velocity, velocity.space.parent.basal_edge_indices), params.delta)
+    c1, c2 = _prime_factors(omega, params.p)
+    g1, g2 = _prime_factors(basal, params.s)
+    B, tau = point_scalar_values(rheology), basal_coeff_on_edges(friction)
+    return (omega[0].reshape(strain.shape), B * c1, B * c2,
+            basal[0], tau * g1, tau * g2)
 
 
 def _bed_kernel(v, g1, g2):
@@ -410,10 +411,12 @@ def assemble_jacobian(velocity, rheology, friction, params):
         block[a, b, c, d] = sum_{q, m, n} w_q dN_a/dxi_m dN_b/dxi_n K[q, m, n, c, d]
 
     with K = det (B c1 F_mc F_nd + (mu0 + B c2 / 2) delta_cd S_mn
-    + (B c2 / 2) T_dm T_cn), E the strain, F = T^T E and S = T^T T: one
-    matmul of the per-mesh pair table with K over all triangles.  The
-    coupling block and its transpose are shared exactly.  Nothing is
-    scattered until :meth:`AssembledSystem.reduced`.  Requires delta > 0.
+    + (B c2 / 2) T_dm T_cn), U the scaled strain and c1, c2 its
+    derivative factors (:func:`_derivative_factors`), F = T^T U and
+    S = T^T T: one matmul of the per-mesh pair table with K over all
+    triangles.  The coupling block and its transpose are shared exactly.
+    Nothing is scattered until :meth:`AssembledSystem.reduced`.
+    Requires delta > 0.
     """
     spaces = _check_args(velocity, rheology, friction)
     strain, bc1, bc2, v, tg1, tg2 = _derivative_factors(
@@ -427,7 +430,7 @@ def assemble_jacobian(velocity, rheology, friction, params):
     kernel += (0.5 * spaces.det * bc2)[:, None, None, None, None] * both
     kernel += params.mu0 * same_det
     blocks = pairs @ kernel.reshape(pairs.shape[1], -1)
-    # bed: tau (g1 v_c v_d + g2 delta_cd) N_b, axes (k, m, c, b, d)
+    # bed: tau (g1 v_c v_d + g2 delta_cd) N_b on the scaled trace v, axes (k, m, c, b, d)
     tv = spaces.edge_trace_vals
     bed = _bed_kernel(v, tg1, tg2)[:, :, :, None, :] * tv[None, :, None, :, None]
     return AssembledSystem(spaces, blocks,

@@ -31,8 +31,9 @@ import numpy as np
 
 from .adjoint import _check_alignment
 from .config import ConfigError, load_config, realize_field
-from .fieldio import (FieldIOError, load_observation, save_field_csv,
-                      save_inversion_history, save_inversion_trials, save_vtk)
+from .fieldio import (FieldIOError, _csv_text, load_observation,
+                      save_field_csv, save_inversion_history,
+                      save_inversion_trials, save_vtk)
 from .forward import SolverError, solve_forward
 from .inversion import (NonFiniteCostError, make_state, make_twin_data,
                         run_inversion, taylor_test)
@@ -64,8 +65,9 @@ def build_parser():
         p.add_argument("--out", default=None, help="output directory "
                        "(overrides run.out)")
         p.add_argument("--serial", action="store_true",
-                       help="force serial execution (the default; kept for "
-                            "reproducibility contracts)")
+                       help="accepted and ignored: no output depends on "
+                            "the thread count (kept for acceptance criterion "
+                            "8's command line)")
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed")
     return parser
@@ -203,15 +205,6 @@ def cmd_invert(cfg, out):
               file=sys.stderr)
         return 5
     return 0
-
-
-def _csv_text(text, always=True):
-    """``text`` as an RFC 4180 CSV field: quoted, with embedded quotes
-    doubled, unless ``always`` is false and it holds no comma, quote or
-    line break."""
-    if always or any(ch in text for ch in ',"\r\n'):
-        return '"%s"' % text.replace('"', '""')
-    return text
 
 
 def cmd_verify(cfg, out):

@@ -259,6 +259,14 @@ def save_vtk(mesh, path, scalars=None, vectors=None):
         fh.write("\n".join(lines) + "\n")
 
 
+def _csv_text(text, always=True):
+    """``text`` as an RFC 4180 CSV field: quoted, its quotes doubled,
+    unless ``always`` is false and it holds no comma, quote, CR or LF."""
+    if always or any(ch in text for ch in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def save_inversion_history(history, path):
     """Write the inversion history rows as a CSV."""
     lines = ["iter,cost,misfit,regB,regTau,proj_grad_norm,step"]
@@ -272,12 +280,11 @@ def save_inversion_history(history, path):
 
 def save_inversion_trials(trials, path):
     """Write line-search trial rows as a CSV: the cost is empty for a
-    failed forward solve, and the failure text is quoted."""
+    failed forward solve, and the failure text is quoted on one line."""
     lines = ["iter,step,cost,outcome,failure"]
     for it, step, cost, outcome, failure in trials:
         cost = "" if cost is None else repr(float(cost))
-        failure = failure.replace('"', '""').replace("\n", " ")
-        lines.append('%d,%r,%s,%s,"%s"' % (it, float(step), cost, outcome,
-                                          failure))
+        lines.append("%d,%r,%s,%s,%s" % (it, float(step), cost, outcome,
+                                         _csv_text(failure.replace("\n", " "))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

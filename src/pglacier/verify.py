@@ -21,7 +21,8 @@ a few whole-vector passes.
 It calls the two steps the kernels are made of (``tensor_ops``): the
 exponent-free pass once per sample set and delta, the exponent step
 once per exponent, so it checks the very values that ``s_omega``,
-``s_gamma`` and their derivatives return.
+``s_gamma``, their derivatives and the Newton Jacobian
+(``_prime_factors``) are built from.
 
 Every check returns a CheckResult; fitted constants are reported in
 the detail string so the CLI can print a table.
@@ -54,18 +55,12 @@ DUAL_OBSERVATIONS = 10       # random data of the dual-coercivity check
 
 # Samples per block of the pointwise sweep: block k draws its samples
 # from the stream default_rng([seed, k]), so they do not depend on the
-# sample count, the worker count or the batch size.  Block 0's stream is
-# that of default_rng(seed), as SeedSequence pads its entropy with
-# zeros, so a sweep of one block draws what a single stream would.  One
+# sample count or the worker count.  Block 0's stream is that of
+# default_rng(seed), as SeedSequence pads its entropy with zeros, so a
+# sweep of one block draws what a single stream would.  One
 # (block, 2, 2) array is 400 KB, and a worker peaks at about 7 MB with
 # the block's draws and one delta's kernel passes on them.
 _SAMPLE_BLOCK = 12500
-
-# Samples per batch within a block.  Batches of 4096 fit in cache but
-# make a batch's few hundred numpy calls four times per block: a 1e5
-# sweep took 0.30 s with them and 0.25 s with whole blocks on one CPU of
-# a 2-vCPU host.
-_SAMPLE_BATCH = _SAMPLE_BLOCK
 
 # Relative slack for comparisons that are exact in real arithmetic but
 # accumulate a few ulps in floats.
@@ -125,15 +120,14 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
     worker 0 on the calling thread and the others on a thread pool.
     Each worker holds only the block it checks, about 7 MB at a time.
     A block is copied component-major (the sample axis innermost in
-    memory) and checked in batches of ``_SAMPLE_BATCH`` (by default the
-    whole block).  Every sum over the 2 or 4 kernel components is then
-    a few passes over whole vectors rather than an inner loop of length
-    2-4.  Within a batch the deltas run outermost: the kernels'
-    exponent-free pass runs once per delta on x and on y and is dropped
-    before the next delta, and every p reuses it through one exponent
-    step.  The batches and deltas fold into one max, min or all per
-    check, and the blocks fold in block order, so the results depend on
-    neither the batch size nor the worker count nor the scheduling.
+    memory), so every sum over the 2 or 4 kernel components is a few
+    passes over whole vectors rather than an inner loop of length 2-4.
+    Within a block the deltas run outermost: the kernels' exponent-free
+    pass runs once per delta on x and on y and is dropped before the
+    next delta, and every p reuses it through one exponent step.  The
+    deltas fold into one max, min or all per check, and the blocks fold
+    in block order, so the results depend on neither the worker count
+    nor the scheduling.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1, got %r" % (samples,))
@@ -153,8 +147,8 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
         for dv in deltas:
             PhysicsParams(p=pv, delta=dv)
     blocks = -(-samples // _SAMPLE_BLOCK)
-    check = partial(_check_block, seed, samples, _SAMPLE_BATCH, p_values,
-                    delta_values, prime_delta_values, deltas)
+    check = partial(_check_block, seed, samples, p_values, delta_values,
+                    prime_delta_values, deltas)
     workers = _worker_count(blocks)
 
     def share(j):
@@ -188,78 +182,76 @@ def pointwise_suite(samples=100000, p_values=DEFAULT_P_VALUES,
                     coer_ok, "min margin %.3g" % margin_min)]
 
 
-def _check_block(seed, samples, batch, p_values, delta_values,
-                 prime_delta_values, deltas, k):
+def _check_block(seed, samples, p_values, delta_values, prime_delta_values,
+                 deltas, k):
     """The pointwise checks on block k of the sweep: its pass flags
     (norm, monotonicity, coercivity), then its extrema (max norm ratio,
     min scaled ratio, max Lipschitz ratio, min coercivity margin)."""
     size = min(_SAMPLE_BLOCK, samples - k * _SAMPLE_BLOCK)
-    # Each draw, its kernel axes flattened as the kernels flatten them,
-    # is replaced in turn by a copy with the sample axis innermost in
-    # memory, viewed back in its shape (n, k), so at most one extra array
-    # is held and every batch below is a view.
+    # Each draw, its kernel axes flattened as the kernels flatten them, is
+    # replaced in turn by a copy with the sample axis innermost in memory,
+    # viewed back in its shape (n, k), so at most one extra array is held.
     draws = list(_sample_pairs(np.random.default_rng([seed, k]), size))
     for i in range(len(draws)):
         draws[i] = np.ascontiguousarray(draws[i].reshape(size, -1).T).T
     norm_ok = mono_ok = coer_ok = True
     worst = lip_max = 0.0
     ratio_min = margin_min = np.inf
-    for lo in range(0, size, batch):
-        P, Q, W, u, v, w = (a[lo:lo + batch] for a in draws)
-        # One row per kernel law: the sample pair (x, y), the coercivity
-        # direction z and whether the law's scaled monotonicity ratio is
-        # reported (the matrix law's only).
-        for x, y, z, scaled in ((P, Q, W, True), (u, v, w, False)):
-            x2 = (x ** 2).sum(axis=-1)
-            nx = np.sqrt(x2)
-            ny = np.sqrt((y ** 2).sum(axis=-1))
-            rhs = [nx ** (pv - 1.0) for pv in p_values]
-            diff = x - y
-            d2 = (diff ** 2).sum(axis=-1)
-            nd = np.sqrt(d2)
-            z2 = (z ** 2).sum(axis=-1)
-            sx, sy = np.empty_like(x), np.empty_like(x)
-            # The exponent-free pass of the kernel on x (and on y) once
-            # per delta, and its exponent step per p: the same two steps
-            # that s_omega, s_gamma and their derivatives compose.  Each
-            # delta's passes are dropped before the next delta's run.
-            for dv in deltas:
-                mx = _shifted_pass(x, dv)
-                if dv in delta_values:
-                    # (a) |S(x)| <= |x|^(p-1), (b) strict monotonicity
-                    # with the scaled ratio of :func:`monotonicity_witness`
-                    # and (c) the two-sided ratio constants.
-                    my = _shifted_pass(y, dv)
-                    shifted = dv + nx + ny
-                    for pv, rhs_p in zip(p_values, rhs):
-                        _power_step(mx, pv, out=sx)
-                        lhs = np.sqrt((sx ** 2).sum(axis=-1))
-                        norm_ok &= bool(np.all(lhs <= rhs_p * (1.0 + _EPS)))
-                        worst = max(worst, float((lhs / rhs_p).max()))
-                        sx -= _power_step(my, pv, out=sy)  # S(x) - S(y)
-                        pairing = (sx * diff).sum(axis=-1)
-                        mono_ok &= bool(np.all(pairing > 0.0))
-                        base = shifted ** (pv - 2.0)
-                        if scaled:
-                            bound = base * d2
-                            ratio_min = min(ratio_min, float(np.nanmin(np.where(
-                                bound > 0.0,
-                                pairing / np.where(bound > 0.0, bound, 1.0),
-                                np.nan))))
-                        lip = np.sqrt((sx ** 2).sum(axis=-1)) / (base * nd)
-                        lip_max = max(lip_max, float(lip.max()))
-                    del my
-                if dv in prime_delta_values:
-                    # (d) derivative coercivity, delta > 0 only.
-                    r2 = x2 + dv ** 2
-                    for pv in p_values:
-                        form = (_prime_step(mx, z, pv) * z).sum(axis=-1)
-                        scale = r2 ** ((pv - 2.0) / 2.0) * z2
-                        coer_ok &= bool(np.all(form >= (pv - 1.0) * scale
-                                               - _EPS * scale))
-                        margin_min = min(margin_min,
-                                         float((form / scale).min() - (pv - 1.0)))
-                del mx
+    P, Q, W, u, v, w = draws
+    # One row per kernel law: the sample pair (x, y), the coercivity
+    # direction z and whether the law's scaled monotonicity ratio is
+    # reported (the matrix law's only).
+    for x, y, z, scaled in ((P, Q, W, True), (u, v, w, False)):
+        x2 = (x ** 2).sum(axis=-1)
+        nx = np.sqrt(x2)
+        ny = np.sqrt((y ** 2).sum(axis=-1))
+        rhs = [nx ** (pv - 1.0) for pv in p_values]
+        diff = x - y
+        d2 = (diff ** 2).sum(axis=-1)
+        nd = np.sqrt(d2)
+        z2 = (z ** 2).sum(axis=-1)
+        sx, sy = np.empty_like(x), np.empty_like(x)
+        # The exponent-free pass of the kernel on x (and on y) once
+        # per delta, and its exponent step per p: the same two steps
+        # that s_omega, s_gamma and their derivatives compose.  Each
+        # delta's passes are dropped before the next delta's run.
+        for dv in deltas:
+            mx = _shifted_pass(x, dv)
+            if dv in delta_values:
+                # (a) |S(x)| <= |x|^(p-1), (b) strict monotonicity
+                # with the scaled ratio of :func:`monotonicity_witness`
+                # and (c) the two-sided ratio constants.
+                my = _shifted_pass(y, dv)
+                shifted = dv + nx + ny
+                for pv, rhs_p in zip(p_values, rhs):
+                    _power_step(mx, pv, out=sx)
+                    lhs = np.sqrt((sx ** 2).sum(axis=-1))
+                    norm_ok &= bool(np.all(lhs <= rhs_p * (1.0 + _EPS)))
+                    worst = max(worst, float((lhs / rhs_p).max()))
+                    sx -= _power_step(my, pv, out=sy)  # S(x) - S(y)
+                    pairing = (sx * diff).sum(axis=-1)
+                    mono_ok &= bool(np.all(pairing > 0.0))
+                    base = shifted ** (pv - 2.0)
+                    if scaled:
+                        bound = base * d2
+                        ratio_min = min(ratio_min, float(np.nanmin(np.where(
+                            bound > 0.0,
+                            pairing / np.where(bound > 0.0, bound, 1.0),
+                            np.nan))))
+                    lip = np.sqrt((sx ** 2).sum(axis=-1)) / (base * nd)
+                    lip_max = max(lip_max, float(lip.max()))
+                del my
+            if dv in prime_delta_values:
+                # (d) derivative coercivity, delta > 0 only.
+                r2 = x2 + dv ** 2
+                for pv in p_values:
+                    form = (_prime_step(mx, z, pv) * z).sum(axis=-1)
+                    scale = r2 ** ((pv - 2.0) / 2.0) * z2
+                    coer_ok &= bool(np.all(form >= (pv - 1.0) * scale
+                                           - _EPS * scale))
+                    margin_min = min(margin_min,
+                                     float((form / scale).min() - (pv - 1.0)))
+            del mx
     return norm_ok, mono_ok, coer_ok, worst, ratio_min, lip_max, margin_min
 
 

@@ -188,6 +188,8 @@ def derivative_kernel_operator(velocity, rheology, friction, params):
     entrywise up to rounding, and tests assert that equality.
     """
     spaces = _check_args(velocity, rheology, friction)
+    # the strain U and bed trace u come scaled by the kernels' pass, with
+    # the derivative factors that go with them: S'(E) T = c1 (U : T) U + c2 T
     strain, bc1, bc2, v, tg1, tg2 = _derivative_factors(
         velocity, rheology, friction, params)
     # per-point arrays with axes (t, q, ...)
@@ -195,12 +197,13 @@ def derivative_kernel_operator(velocity, rheology, friction, params):
     nt, nq = strain.shape[:2]
     # symmetric part T of a trial gradient H, T_jc = sym[j, c, l, d] H_dl
     sym = 0.5 * (_SAME + _SWAP)
-    # image B (c1 (Dv : T) Dv + c2 T) + mu0 H, with Dv : T = (Dv : sym)_ld H_dl
-    Dv_sym = np.matmul(strain.reshape(nt, nq, 4), sym.reshape(4, 4)).reshape(nt, nq, 2, 2)
+    # image B (c1 (U : T) U + c2 T) + mu0 H, with U : T = (U : sym)_ld H_dl
+    U_sym = np.matmul(strain.reshape(nt, nq, 4), sym.reshape(4, 4)).reshape(nt, nq, 2, 2)
     point = (slice(None), slice(None)) + (None,) * 4
-    image = bc1[point] * strain[:, :, :, :, None, None] * Dv_sym[:, :, None, None] \
+    image = bc1[point] * strain[:, :, :, :, None, None] * U_sym[:, :, None, None] \
         + bc2[point] * sym + params.mu0 * _SAME
-    # bed: image tau s'(v) of trial N_b e_d, axes (k, m, b, d, c)
+    # bed: image tau s'(v) of trial N_b e_d, on the scaled trace u, axes
+    # (k, m, b, d, c)
     tv = spaces.edge_trace_vals
     bed_image = tv[None, :, :, None, None] * _bed_kernel(v, tg1, tg2)[:, :, None, :, :]
     return AssembledSystem(

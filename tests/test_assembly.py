@@ -222,6 +222,28 @@ def test_jacobian_matches_difference_quotient(slab_spaces, tilted_params):
     assert order >= 0.95
 
 
+@pytest.mark.filterwarnings("error")
+def test_jacobian_matches_central_differences_at_huge_velocities():
+    # |E|^2 and |v|^2 overflow at velocity scale 1e160, but the kernels'
+    # scaled factors do not; with mu0 = 1e-300 the velocity block is the
+    # power law's alone.  Pressure stays 0, so only the velocity rows move.
+    spaces = pg.build_spaces(pg.generate_slab_mesh(
+        2.0, 1.0, 4, 2, bed_profile=lambda x: 0.05 * np.sin(np.pi * x)))
+    B, tau = random_coeffs(spaces)
+    params = PhysicsParams(mu0=1e-300, body_force=(0.5, -1.0))
+    (v, _), (z, _) = random_state(spaces, 1e160), random_state(spaces, 1e160)
+    rest = pg.constant_field(spaces.pressure, 0.0)
+    n, h = spaces.n_u, 1e-6
+
+    def residual(values):
+        return pg.assembly._residual_raw(pg.Field(spaces.velocity, values),
+                                         rest, B, tau, params)[:n]
+
+    fd = (residual(v.values + h * z.values) - residual(v.values - h * z.values)) / (2 * h)
+    Jz = full_operator(assemble_jacobian(v, B, tau, params))[:n, :n] @ z.values
+    assert np.linalg.norm(Jz - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
 def test_jacobian_rejects_zero_delta(slab_spaces):
     B = pg.constant_field(slab_spaces.coeff_omega, 1.0)
     tau = pg.constant_field(slab_spaces.coeff_basal, 0.5)

@@ -103,6 +103,17 @@ def test_zero_delta_rejected(slab_spaces):
         solve_forward(B, tau, PhysicsParams(delta=0.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_cold_solve_with_a_tiny_delta_converges(slab_spaces):
+    # at delta = 1e-150 the plain power (delta^2)^((p-4)/2) overflows, but
+    # the kernels' scaled factors keep the Jacobian at rest finite, and
+    # plain Newton converges from rest (8 steps, measured)
+    sol = solve_forward(*coeffs(slab_spaces),
+                        PhysicsParams(p=1.9, delta=1e-150, body_force=TILTED_FORCE))
+    assert sol.report.converged
+    assert sol.report.lu_fallbacks == 0
+
+
 def test_swapped_fields_rejected(slab_spaces):
     B, tau = coeffs(slab_spaces)
     with pytest.raises(ValueError, match="vertex space"):

@@ -91,19 +91,6 @@ def test_pointwise_rejects_empty_value_list(name):
 SEVERAL_BLOCKS = 2 * verify._SAMPLE_BLOCK + 7
 
 
-@pytest.mark.parametrize("batch", [1000, 20000])
-def test_pointwise_suite_is_batch_invariant(monkeypatch, batch):
-    # 1000 divides no block evenly, so the last batch of each block is
-    # short; 20000 is more than a block, so each block runs as one batch
-    def lines():
-        return [r.line()
-                for r in pointwise_suite(samples=SEVERAL_BLOCKS, seed=3)]
-
-    expected = lines()
-    monkeypatch.setattr(verify, "_SAMPLE_BATCH", batch)
-    assert lines() == expected
-
-
 def test_pointwise_suite_does_not_depend_on_worker_count(monkeypatch):
     # the blocks fold in block order whichever thread checked them;
     # worker j checks blocks j, j + workers, ..., worker 0 on the
