@@ -26,20 +26,22 @@ per-point value with a basis value table the same way, and
 ``_pair_trace`` pairs one over (boundary edge, point) pairs with edge
 trace values.  The Jacobian's velocity block is likewise one product of
 a per-mesh table of reference gradient pairs with a per-point geometry
-tensor (:func:`assemble_jacobian`), from the derivative factors of
-``tensor_ops`` on the scaled strain.  Dual vectors are scattered with
-``np.bincount``; operators are written straight into the data array of
-a per-mesh pattern through precomputed slot maps, also with
-``np.bincount``: the Jacobian's element blocks into the eliminated
-pattern of the reduced frame (:meth:`Spaces.eliminate`), weighted by
-the tangent at slip nodes, and the coefficient Jacobian
-(:func:`assemble_coeff_jacobian`), whose products are the coefficient
-derivative and the gradient duals, into a pattern of its own.  The
-reduced frame's pattern and slots come from one keyed pass over the
-element entries (:class:`ReducedFrame`), among them the coupling's
-element blocks, keyed once as C and once as C^T and scattered once per
-mesh.  The auxiliary matrices, built once per mesh, sum their element
-blocks by COO conversion.
+tensor (:func:`assemble_jacobian`).  Every power-law value comes from
+one ``tensor_ops`` pass on the strain and one on the bed trace
+(:func:`_kernel_passes`): the kernels of the residual and coefficient
+Jacobian, and the Jacobian's derivative factors on the scaled strain
+and trace.  Dual vectors are scattered with ``np.bincount``; operators
+are written straight into the data array of a per-mesh pattern through
+precomputed slot maps, also with ``np.bincount``: the Jacobian's
+element blocks into the eliminated pattern of the reduced frame
+(:meth:`Spaces.eliminate`), weighted by the tangent at slip nodes, and
+the coefficient Jacobian (:func:`assemble_coeff_jacobian`), whose
+products are the coefficient derivative and the gradient duals, into a
+pattern of its own.  The reduced frame's pattern and slots come from
+one keyed pass over the element entries (:class:`ReducedFrame`), among
+them the coupling's element blocks, keyed once as C and once as C^T and
+scattered once per mesh.  The auxiliary matrices, built once per mesh,
+sum their element blocks by COO conversion.
 The four linear-element mass and stiffness matrices keep their closed
 forms.  Each space has one pair of Gram matrices (:func:`gram_matrices`)
 and its L2, V2 and H1 norms are their quadratic forms; integrals of
@@ -60,7 +62,7 @@ import scipy.sparse as sp
 from .spaces import (SpaceKind, _adjacency, _frozen, basal_coeff_on_edges,
                      point_scalar_values, point_velocity_gradients,
                      point_velocity_values, velocity_trace)
-from .tensor_ops import _kernel, _prime_factors, _shifted_pass, s_gamma
+from .tensor_ops import _power_step, _prime_factors, _shifted_pass
 
 
 @dataclass
@@ -233,21 +235,28 @@ def _strain(grad):
     return 0.5 * (grad + np.swapaxes(grad, 1, 2))
 
 
-def _s_omega_points(strain, params):
-    """Matrix kernel of triangle-innermost strains, axes (q, i, j, t):
-    the kernel runs over the (i, j) axes in place, so the strain is not
-    copied into the components-last layout of ``s_omega``."""
-    return _kernel(strain, params.delta, params.p, 2, axis=-2)
+def _kernel_passes(velocity, params):
+    """The point gradient of ``velocity``, axes (q, i, j, t), and the
+    kernels' exponent-free passes (``tensor_ops._shifted_pass``) of its
+    strain, viewed (q, 4, t) in place with the components on axis -2,
+    and of its bed trace, axes (k, m, c)."""
+    grad = point_velocity_gradients(velocity)
+    omega = _shifted_pass(_strain(grad).reshape(grad.shape[0], 4, -1),
+                          params.delta, axis=-2)
+    basal = _shifted_pass(velocity_trace(
+        velocity, velocity.space.parent.basal_edge_indices), params.delta)
+    return grad, omega, basal
 
 
 def _residual_raw(velocity, pressure, rheology, friction, params):
-    """Unprojected dual vector of the momentum/continuity residual."""
+    """Unprojected dual vector of the momentum/continuity residual; its
+    kernels S(Dv) and S(v) come from the :func:`_kernel_passes` of v."""
     spaces = _check_args(velocity, rheology, friction)
-    grad = point_velocity_gradients(velocity)
+    grad, omega, basal = _kernel_passes(velocity, params)
     # B S(Dv) + mu0 grad v as a flux, axes (q, j, c, t) for the component
     # c and the derivative x_j
     flux = point_scalar_values(rheology)[:, None, None] \
-        * _s_omega_points(_strain(grad), params)
+        * _power_step(omega, params.p, out=omega[0], axis=-2).reshape(grad.shape)
     flux += params.mu0 * np.swapaxes(grad, 1, 2)
     pi_q = point_scalar_values(pressure)
     flux[:, 0, 0] -= pi_q
@@ -259,7 +268,7 @@ def _residual_raw(velocity, pressure, rheology, friction, params):
     # the bed term (tau S(v), phi)
     bed = spaces.basal_edge_indices
     traction = basal_coeff_on_edges(friction)[:, :, None] \
-        * s_gamma(velocity_trace(velocity, bed), params)
+        * _power_step(basal, params.s, out=basal[0])
     return np.concatenate([
         _scatter(spaces.tri_vel_dofs.T, local, spaces.n_u)
         + trace_dual(spaces, bed, traction),
@@ -289,17 +298,19 @@ def assemble_coeff_jacobian(velocity, params):
     the vertex space first, then the bed chain (n_u x (n_vertices +
     n_bed), CSR).  ``G @ c`` is the velocity part of the operator
     derivative along c, and ``G.T @ lambda`` stacks the cost gradient's
-    data terms for a dual state lambda.
+    data terms for a dual state lambda.  Its kernels come from the
+    :func:`_kernel_passes` of v.
     """
     spaces = _require_spaces(velocity, SpaceKind.VELOCITY_P2_VEC)
-    S = _s_omega_points(_strain(point_velocity_gradients(velocity)), params)
+    grad, omega, basal = _kernel_passes(velocity, params)
+    S = _power_step(omega, params.p, out=omega[0], axis=-2).reshape(grad.shape)
     # flux of each vertex basis direction, axes (q, j, c, k, t)
     volume = _pair_flux(spaces, S[:, :, :, None] * spaces.p1_vals[:, None, None, :, None])
     # traction of each bed-chain basis direction, axes (k, m, c, l)
     bed = spaces.basal_edge_indices
     s = spaces.quadrature.edge_points
     hats = np.stack([1.0 - s, s], axis=1)
-    traction = s_gamma(velocity_trace(velocity, bed), params)[..., None] \
+    traction = _power_step(basal, params.s, out=basal[0])[..., None] \
         * hats[:, None, :]
     bed_blocks = _pair_trace(spaces, bed, traction, spaces.edge_trace_vals)
     indptr, indices, slots = _coeff_pattern(spaces)
@@ -362,19 +373,16 @@ def _derivative_factors(velocity, rheology, friction, params):
     """Arguments of the derivative kernels S'(E) W = c1 (U : W) U + c2 W
     and s'(v) w = g1 (u . w) u + g2 w: U, axes (q, i, j, t), with B c1
     and B c2, axes (q, t), at the triangle points, and u with tau g1 and
-    tau g2 at the bed points.  U = E / c and u = v / c' are the strain
-    and bed trace scaled by the kernels' exponent-free pass, and (c1, c2)
-    and (g1, g2) its :func:`~pglacier.tensor_ops._prime_factors`."""
+    tau g2 at the bed points.  U = E / c and u = v / c' are scaled by
+    the :func:`_kernel_passes` of v, and (c1, c2) and (g1, g2) are their
+    :func:`~pglacier.tensor_ops._prime_factors`."""
     if params.delta <= 0.0:
         raise ValueError("Jacobian assembly needs delta > 0, got %r" % params.delta)
-    strain = _strain(point_velocity_gradients(velocity))
-    omega = _shifted_pass(strain.reshape(strain.shape[0], 4, -1), params.delta, axis=-2)
-    basal = _shifted_pass(velocity_trace(
-        velocity, velocity.space.parent.basal_edge_indices), params.delta)
+    grad, omega, basal = _kernel_passes(velocity, params)
     c1, c2 = _prime_factors(omega, params.p)
     g1, g2 = _prime_factors(basal, params.s)
     B, tau = point_scalar_values(rheology), basal_coeff_on_edges(friction)
-    return (omega[0].reshape(strain.shape), B * c1, B * c2,
+    return (omega[0].reshape(grad.shape), B * c1, B * c2,
             basal[0], tau * g1, tau * g2)
 
 

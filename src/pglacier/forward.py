@@ -372,61 +372,50 @@ def _forcing_term(res, res_prev, eta_prev, floor):
     return min(ETA_MAX, max(eta, floor))
 
 
-def _fields_from_system(spaces, x):
-    vel = Field(spaces.velocity, x[:spaces.n_u].copy())
-    press = Field(spaces.pressure, x[spaces.n_u:].copy())
-    return vel, press
-
-
 def _reduced_residual(spaces, x_hat, rheology, friction, params, sign):
+    """The reduced residual at ``x_hat`` and the fields it expands to."""
     x = spaces.expand_vector(x_hat)
-    vel, press = _fields_from_system(spaces, x)
-    raw = _residual_raw(vel, press, rheology, friction, params)
-    return spaces.reduce_vector(sign * raw)
+    fields = (Field(spaces.velocity, x[:spaces.n_u].copy()),
+              Field(spaces.pressure, x[spaces.n_u:].copy()))
+    raw = _residual_raw(*fields, rheology, friction, params)
+    return spaces.reduce_vector(sign * raw), fields
 
 
-def _newton(spaces, x_hat0, rheology, friction, params, config, linear):
+def _newton(spaces, x_hat, rheology, friction, params, config, linear):
     """Damped inexact Newton on the reduced rotated system, with the
-    linear solves of ``linear``; returns the iterate, histories and a
-    convergence flag."""
+    linear solves of ``linear``; returns the last iterate's fields, the
+    histories and a convergence flag.  An iterate's fields, built once by
+    its residual, serve its energy, its Jacobian and the solution."""
     sign = solver_sign(spaces)
-    x_hat = x_hat0.copy()
-    r = _reduced_residual(spaces, x_hat, rheology, friction, params, sign)
+    r, fields = _reduced_residual(spaces, x_hat, rheology, friction, params, sign)
     res = float(np.linalg.norm(r))
     tol = max(config.newton_atol, config.newton_rtol * res)
     residuals = [res]
     steps = []
-    energies = [norm(_fields_from_system(spaces, spaces.expand_vector(x_hat))[0],
-                     "V2_seminorm")]
-    it = 0
+    energies = [norm(fields[0], "V2_seminorm")]
     eta = None
-    while res > tol and it < config.max_newton:
-        vel, press = _fields_from_system(spaces, spaces.expand_vector(x_hat))
-        system = assemble_jacobian(vel, rheology, friction, params)
-        eta = _forcing_term(res, residuals[-2] if it else None, eta,
+    while res > tol and len(steps) < config.max_newton:
+        system = assemble_jacobian(fields[0], rheology, friction, params)
+        eta = _forcing_term(res, residuals[-2] if steps else None, eta,
                             0.5 * tol / res)
         delta = linear.solve(system.reduced(), -r, eta)
         alpha = 1.0
-        accepted = False
         for _ in range(LS_MAX + 1):
             trial = x_hat + alpha * delta
-            r_trial = _reduced_residual(spaces, trial, rheology, friction,
-                                        params, sign)
+            r_trial, trial_fields = _reduced_residual(
+                spaces, trial, rheology, friction, params, sign)
             res_trial = float(np.linalg.norm(r_trial))
             if res_trial <= (1.0 - LS_DECREASE * alpha) * res:
-                accepted = True
                 break
             alpha *= LS_SHRINK
-        if not accepted:
-            return x_hat, residuals, steps, energies, False
-        x_hat, r, res = trial, r_trial, res_trial
-        it += 1
+        else:
+            return fields, residuals, steps, energies, False
+        x_hat, r, res, fields = trial, r_trial, res_trial, trial_fields
         residuals.append(res)
         steps.append(alpha)
-        energies.append(norm(_fields_from_system(
-            spaces, spaces.expand_vector(x_hat))[0], "V2_seminorm"))
+        energies.append(norm(fields[0], "V2_seminorm"))
     # an infinite first residual makes ``tol`` infinite too
-    return x_hat, residuals, steps, energies, res <= tol and math.isfinite(res)
+    return fields, residuals, steps, energies, res <= tol and math.isfinite(res)
 
 
 def energy_bound(velocity, params):
@@ -510,10 +499,8 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
     else:
         x_hat0 = np.zeros(spaces.n_sys)
 
-    x_hat, residuals, steps, energies, ok = _newton(
+    (vel, press), residuals, steps, energies, ok = _newton(
         spaces, x_hat0, rheology, friction, params, config, linear)
-    x = spaces.expand_vector(x_hat)
-    vel, press = _fields_from_system(spaces, x)
     bound = energy_bound(vel, params)
     final_energy = energies[-1]
     report = SolveReport(ok, len(residuals) - 1, residuals, steps, energies,

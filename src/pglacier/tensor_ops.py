@@ -6,17 +6,18 @@ kernel is the analogue on sliding velocities with exponent s.  Both are
 smooth for delta > 0; at delta = 0 the value is still defined (zero at
 the origin for p < 2) but the derivative kernels are not and reject it.
 
-All functions broadcast over leading axes so property sweeps and
-assembly run vectorized.  Each kernel is two steps.  An exponent-free
-pass divides the input by its scale c, the larger of its largest entry
-and delta, so no square overflows, and takes the logs of c and of the
-scaled squared magnitude.  An exponent step then forms the power with
-one exp of a combination of those logs, and the derivative factors of
-the derivative kernels and the Newton Jacobian with one more
+The public kernels broadcast over leading axes and flatten their input
+to rows of 4 or 2 components.  Each kernel is two steps.  An
+exponent-free pass divides the input by its scale c, the larger of its
+largest entry and delta, so no square overflows, and takes the logs of
+c and of the scaled squared magnitude.  An exponent step then forms the
+power with one exp of a combination of those logs, and the derivative
+factors of the derivative kernels and the Newton Jacobian with one more
 (``_prime_factors``).  The kernels stay finite for every finite input,
 and the derivative kernels wherever their value, bounded by
 2 delta^(p-2) |W|, is.  The pass depends on the input and delta only,
-so an exponent sweep (``verify.pointwise_suite``) runs it once.
+so an exponent sweep (``verify.pointwise_suite``) runs it once, and an
+assembly runs it once on the strain and once on the bed trace.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ class PhysicsParams:
         seminorms of the two coefficients, >= 0.
     rheology_min, rheology_max, friction_max : bounds of the admissible
         box, 0 < rheology_min < rheology_max and friction_max > 0.
+    Every number must be finite.
     """
 
     p: float = 4.0 / 3.0
@@ -60,20 +62,24 @@ class PhysicsParams:
             raise ValueError("exponent p must lie in (1, 2], got %r" % (self.p,))
         if not (1.0 < self.s <= self.p):
             raise ValueError("exponent s must lie in (1, p], got %r" % (self.s,))
+        if len(self.body_force) != 2:
+            raise ValueError("body_force must be a 2-vector")
+        object.__setattr__(self, "body_force",
+                           tuple(float(c) for c in self.body_force))
+        for name in ("delta", "mu0", "body_force", "reg_rheology", "reg_friction",
+                     "rheology_min", "rheology_max", "friction_max"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
         if self.delta < 0.0:
             raise ValueError("delta must be >= 0, got %r" % (self.delta,))
         if self.mu0 <= 0.0:
             raise ValueError("mu0 must be > 0, got %r" % (self.mu0,))
-        if len(self.body_force) != 2:
-            raise ValueError("body_force must be a 2-vector")
         if self.reg_rheology < 0.0 or self.reg_friction < 0.0:
             raise ValueError("regularization weights must be >= 0")
         if not (0.0 < self.rheology_min < self.rheology_max):
             raise ValueError("need 0 < rheology_min < rheology_max")
         if self.friction_max <= 0.0:
             raise ValueError("friction_max must be > 0")
-        object.__setattr__(self, "body_force",
-                           tuple(float(c) for c in self.body_force))
 
     @property
     def box(self):
@@ -173,30 +179,25 @@ def _prime_step(magnitude, w, exponent):
     return out
 
 
-def _flat(x, axes, axis=-1):
-    """x with its ``axes`` kernel axes, the last of them at ``axis``
-    (negative), flattened into one and at least one leading axis."""
+def _kernel(x, delta, exponent, size):
+    """(|x|^2 + delta^2)^((e-2)/2) x over x flattened to rows of ``size``
+    components: finite for every finite input, and 0 at x = 0 when
+    delta = 0."""
     x = np.asarray(x, dtype=np.float64)
-    end = x.ndim + axis + 1
-    lead, kernel = x.shape[:end - axes], x.shape[end - axes:end]
-    return x.reshape((lead or (1,)) + (int(np.prod(kernel)),) + x.shape[end:])
+    magnitude = _shifted_pass(x.reshape(-1, size), delta)
+    return _power_step(magnitude, exponent, out=magnitude[0]).reshape(x.shape)
 
 
-def _kernel(x, delta, exponent, axes, axis=-1):
-    """(|x|^2 + delta^2)^((e-2)/2) x over ``axes`` axes of x, the last of
-    them at ``axis`` (negative): finite for every finite input, and 0 at
-    x = 0 when delta = 0."""
-    magnitude = _shifted_pass(_flat(x, axes, axis), delta, axis)
-    return _power_step(magnitude, exponent, out=magnitude[0],
-                       axis=axis).reshape(np.shape(x))
-
-
-def _kernel_prime(x, w, delta, exponent, axes):
-    """Derivative of :func:`_kernel` at x applied to w; needs delta > 0."""
+def _kernel_prime(x, w, delta, exponent, size):
+    """Derivative of :func:`_kernel` at x applied to w, the two broadcast
+    against each other before the flattening; needs delta > 0."""
     if delta <= 0.0:
         raise ValueError("derivative kernel needs delta > 0, got %r" % (delta,))
-    out = _prime_step(_shifted_pass(_flat(x, axes), delta), _flat(w, axes), exponent)
-    return out.reshape(np.broadcast(np.asarray(x), np.asarray(w)).shape)
+    x, w = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                               np.asarray(w, dtype=np.float64))
+    out = _prime_step(_shifted_pass(x.reshape(-1, size), delta),
+                      w.reshape(-1, size), exponent)
+    return out.reshape(x.shape)
 
 
 def s_omega(P, params):
@@ -205,12 +206,12 @@ def s_omega(P, params):
     delta = 0 is allowed; the p < 2 singularity at P = 0 is closed with
     the exact limit value 0.  Finite for every finite P.
     """
-    return _kernel(P, params.delta, params.p, 2)
+    return _kernel(P, params.delta, params.p, 4)
 
 
 def s_gamma(v, params):
     """Vector kernel (|v|^2 + delta^2)^((s-2)/2) v, shape (..., 2)."""
-    return _kernel(v, params.delta, params.s, 1)
+    return _kernel(v, params.delta, params.s, 2)
 
 
 def s_omega_prime_apply(P, W, params):
@@ -220,12 +221,12 @@ def s_omega_prime_apply(P, W, params):
     + (|P|^2 + delta^2)^((p-2)/2) W.  Requires delta > 0: the kernel is
     not differentiable at the origin otherwise.
     """
-    return _kernel_prime(P, W, params.delta, params.p, 2)
+    return _kernel_prime(P, W, params.delta, params.p, 4)
 
 
 def s_gamma_prime_apply(v, w, params):
     """Derivative of the vector kernel at v applied to w; delta > 0."""
-    return _kernel_prime(v, w, params.delta, params.s, 1)
+    return _kernel_prime(v, w, params.delta, params.s, 2)
 
 
 def monotonicity_witness(P, Q, params):

@@ -20,8 +20,9 @@ from pglacier.assembly import (_reduced_coupling, assemble_jacobian,
                                omega_p1_stiffness,
                                solver_sign, velocity_mass,
                                velocity_v2_stiffness)
-from pglacier.spaces import field_from_callable, velocity_trace
-from pglacier.tensor_ops import PhysicsParams
+from pglacier.spaces import (field_from_callable, point_velocity_gradients,
+                             velocity_trace)
+from pglacier.tensor_ops import PhysicsParams, s_gamma, s_omega
 
 rng = np.random.default_rng(11)
 
@@ -50,8 +51,9 @@ def random_coeffs(spaces):
 @pytest.mark.parametrize("p,delta", [(4.0 / 3.0, 0.1), (1.2, 1e-3), (1.6, 0.0)])
 def test_matrix_kernel_on_the_component_axis_matches_the_moveaxis_path(
         monkeypatch, p, delta):
-    # the kernel runs on the (q, 4, t) strain in place of a components-
-    # last copy of it; residuals and coefficient Jacobians keep their bits
+    # assembly takes the kernels from one pass over the (q, 4, t) strain
+    # and one over the bed trace; residuals and coefficient Jacobians
+    # keep the bits of the components-last public kernels
     spaces = pg.build_spaces(pg.generate_slab_mesh(
         2.0, 1.0, 8, 4, bed_profile=lambda x: 0.05 * np.sin(np.pi * x)))
     vel, pres = random_state(spaces)
@@ -60,11 +62,20 @@ def test_matrix_kernel_on_the_component_axis_matches_the_moveaxis_path(
     residual = pg.assembly._residual_raw(vel, pres, B, tau, params)
     G = pg.assembly.assemble_coeff_jacobian(vel, params)
 
-    def moveaxis_path(strain, params):
-        return np.moveaxis(pg.tensor_ops.s_omega(np.moveaxis(strain, 3, 1),
-                                                 params), 1, 3)
+    def public_passes(velocity, params):
+        # in place of each pass, its kernel and the input it runs on
+        grad = point_velocity_gradients(velocity)
+        strain = np.moveaxis(0.5 * (grad + np.swapaxes(grad, 1, 2)), 3, 1)
+        trace = velocity_trace(velocity, spaces.basal_edge_indices)
+        return grad, (s_omega, strain), (s_gamma, trace)
 
-    monkeypatch.setattr(pg.assembly, "_s_omega_points", moveaxis_path)
+    def public_step(magnitude, exponent, out=None, axis=-1):
+        kernel, x = magnitude
+        value = kernel(x, PhysicsParams(p=exponent, delta=delta))
+        return np.moveaxis(value, 1, 3) if kernel is s_omega else value
+
+    monkeypatch.setattr(pg.assembly, "_kernel_passes", public_passes)
+    monkeypatch.setattr(pg.assembly, "_power_step", public_step)
     assert np.array_equal(pg.assembly._residual_raw(vel, pres, B, tau, params),
                           residual)
     want = pg.assembly.assemble_coeff_jacobian(vel, params)

@@ -334,6 +334,21 @@ def test_cold_solve_starts_at_rest_and_factorizes_once(slab_spaces,
     assert again.report.factorizations == 0
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_reported_energy_is_that_of_the_returned_velocity(tilted_params, warm):
+    # the returned fields are the last iterate's, whose energy the report
+    # holds
+    spaces = bedded_spaces_16x8()
+    start = solve_forward(*coeffs(spaces), tilted_params) if warm else None
+    sol = solve_forward(*coeffs(spaces, b=1.2, t=0.3), tilted_params,
+                        warm_start=start and (start.velocity, start.pressure))
+    energy = pg.norm(sol.velocity, "V2_seminorm")
+    assert sol.report.converged
+    assert sol.report.iterations >= 1
+    assert sol.report.final_energy == energy
+    assert sol.report.energy_history[-1] == energy
+
+
 def same_bits(a, b):
     return (np.array_equal(a.velocity.values, b.velocity.values)
             and np.array_equal(a.pressure.values, b.pressure.values)

@@ -61,6 +61,21 @@ def test_kernels_broadcast():
     assert s_gamma(v, pr).shape == (4, 7, 2)
 
 
+def test_derivative_kernels_broadcast():
+    # P and v are broadcast against every direction before the flattening
+    pr = params()
+    P, W = rng.standard_normal((2, 2)), rng.standard_normal((5, 2, 2))
+    out = s_omega_prime_apply(P, W, pr)
+    assert out.shape == (5, 2, 2)
+    want = np.stack([s_omega_prime_apply(P, Wi, pr) for Wi in W])
+    assert out.tobytes() == want.tobytes()
+    v, w = rng.standard_normal(2), rng.standard_normal((3, 4, 2))
+    out = s_gamma_prime_apply(v, w, pr)
+    assert out.shape == (3, 4, 2)
+    want = np.stack([[s_gamma_prime_apply(v, wij, pr) for wij in wi] for wi in w])
+    assert out.tobytes() == want.tobytes()
+
+
 # -- derivatives --------------------------------------------------------
 
 
@@ -198,6 +213,20 @@ def test_monotonicity_degenerate_pair_flagged():
     (dict(rheology_min=0.0), "rheology_min"),
     (dict(rheology_min=2.0, rheology_max=1.0), "rheology_min"),
     (dict(friction_max=0.0), "friction_max"),
+    (dict(delta=np.nan), "delta must be finite"),
+    (dict(delta=np.inf), "delta must be finite"),
+    (dict(mu0=np.nan), "mu0 must be finite"),
+    (dict(mu0=np.inf), "mu0 must be finite"),
+    (dict(body_force=(np.nan, -1.0)), "body_force must be finite"),
+    (dict(body_force=(-np.inf, -1.0)), "body_force must be finite"),
+    (dict(body_force=(0.5, np.inf)), "body_force must be finite"),
+    (dict(reg_rheology=np.nan), "reg_rheology must be finite"),
+    (dict(reg_rheology=np.inf), "reg_rheology must be finite"),
+    (dict(reg_friction=np.nan), "reg_friction must be finite"),
+    (dict(reg_friction=np.inf), "reg_friction must be finite"),
+    (dict(rheology_max=np.inf), "rheology_max must be finite"),
+    (dict(friction_max=np.nan), "friction_max must be finite"),
+    (dict(friction_max=np.inf), "friction_max must be finite"),
 ])
 def test_parameter_validation(kw, msg):
     with pytest.raises(ValueError, match=msg):
