@@ -66,8 +66,9 @@ def build_parser():
                        "(overrides run.out)")
         p.add_argument("--serial", action="store_true",
                        help="accepted and ignored: no output depends on "
-                            "the thread count (kept for acceptance criterion "
-                            "8's command line)")
+                            "the thread count or on which thread a step "
+                            "runs on (kept for acceptance criterion 8's "
+                            "command line)")
         p.add_argument("--seed", type=int, default=None,
                        help="override run.seed")
     return parser

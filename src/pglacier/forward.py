@@ -22,6 +22,19 @@ itself unconverged.  A caller holding the LU of a nearby
 Jacobian (the inversion keeps the dual operator's) passes it as
 ``preconditioner`` instead.
 
+GMRES's first preconditioner solve in a Newton step needs only the
+residual.  When the current LU fills ``OVERLAP_FILL`` or more (L + U
+nonzeros: bedded slabs of 32x16 and up), the step starts that solve on
+one worker thread before it assembles its Jacobian on the calling
+thread; SuperLU solves without the GIL, so the two run at once, and
+the vector is bit for bit the one GMRES would compute itself.  Below
+the threshold the thread handoff costs more than the solve it hides.
+The worker lives for one ``solve_forward``.  Every other LU solve and
+every factorization, with its probe, runs on the calling thread: the
+benchmark's speed clock probes from a hook on
+``scipy.sparse.linalg.splu``, and a probe on the worker would run
+beside the assembly and mis-scale the run.
+
 Every LU comes from ``_factorize``: a forward solve's, the shared rest
 LU included, in single precision, all others (the dual operator, the
 Gram matrices of the Riesz map, the trace constant) through
@@ -45,6 +58,7 @@ and partial pivoting, and the forward solve counts the fallback.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +75,15 @@ from .spaces import (Field, SpaceKind, constant_field, point_velocity_values,
 # Krylov vectors in the one GMRES cycle a Newton step may run before it
 # refactorizes.
 GMRES_RESTART = 30
+
+# L + U nonzeros from which a Newton step starts its first preconditioner
+# solve on the worker thread, beside its Jacobian assembly.  The forward
+# LUs of bedded slabs fill 1.0e5 at 16x8 and 5.7e5 at 32x16; overlapping
+# every step made cached 16x8 solves 5% slower and 32x16 ones 6% faster
+# (one BLAS thread, 2 vCPUs): below the threshold the handoff, about
+# 32 us a step and 126 us for the worker's start and shutdown, costs
+# more than the solve it hides.
+OVERLAP_FILL = 250_000
 
 # Eisenstat-Walker choice 2: eta_k = gamma (|F_k| / |F_k-1|)^alpha,
 # capped at ETA_MAX; ETA_FIRST is used when no previous ratio exists.
@@ -161,13 +184,14 @@ class ForwardSolution:
     report: SolveReport
 
 
-def _gmres(matrix, lu, rhs, rtol):
+def _gmres(matrix, lu, rhs, rtol, first=None):
     """One cycle of flexible GMRES on ``matrix . x = rhs``, preconditioned
     by ``lu`` from the right.
 
     The cycle keeps each preconditioned vector z_k = lu^-1 v_k and builds
     x from them, so its Arnoldi relation, and with it the residual, holds
-    in double precision whatever the precision of ``lu``.  Givens
+    in double precision whatever the precision of ``lu``; ``first``, when
+    given, is z_0, the solve of ``rhs / |rhs|`` made beforehand.  Givens
     rotations keep the Hessenberg matrix triangular as it grows; the last
     entry of the rotated right-hand side is then the residual norm of
     the current iterate.
@@ -185,7 +209,7 @@ def _gmres(matrix, lu, rhs, rtol):
     target = np.zeros(GMRES_RESTART + 1)
     target[0] = beta
     for k in range(GMRES_RESTART):
-        precond[k] = lu.solve(basis[k])
+        precond[k] = lu.solve(basis[k]) if k or first is None else first
         w = matrix @ precond[k]
         h = hess[:, k]
         for i in range(k + 1):              # modified Gram-Schmidt
@@ -239,6 +263,10 @@ class _SingleLU:
 
     def __init__(self, lu):
         self.lu = lu
+
+    @property
+    def nnz(self):
+        return self.lu.nnz
 
     def solve(self, rhs):
         scale = np.abs(rhs).max() or 1.0
@@ -309,6 +337,19 @@ class _LinearSolver:
     double-precision COLAMD): the starting ``lu`` when ``built`` says the
     forward solve factored it, with ``fell_back`` its fallback, and each
     refactorization.
+
+    A solve comes in two halves, so that its first LU solve can run
+    while the caller assembles the matrix: ``start(rhs)`` needs only the
+    right-hand side and, when the current LU fills ``OVERLAP_FILL`` or
+    more, solves GMRES's first basis vector on one worker thread;
+    ``finish(matrix, started, rtol)`` waits for that vector and runs the
+    rest on the calling thread.  Every other LU solve and every
+    factorization, with its probe, stays on the calling thread, and the
+    worker is idle by the time ``finish`` goes on: the benchmark's speed
+    clock probes from a hook on ``scipy.sparse.linalg.splu``, and a
+    probe on the worker would run beside the assembly and mis-scale the
+    run.  The worker starts at the first overlapped solve and ends at
+    ``close``, which the forward solve calls in a ``finally``.
     """
 
     def __init__(self, lu, built=False, fell_back=False):
@@ -316,15 +357,31 @@ class _LinearSolver:
         self.factorizations = int(built)
         self.krylov_iterations = 0
         self.fallbacks = int(fell_back)
+        self._worker = None
 
-    def solve(self, matrix, rhs, rtol):
-        """Solve ``matrix . x = rhs`` to relative residual ``rtol``.
-
-        ``rhs`` is first divided by the power of two at its max-abs, which
-        is exact, so that GMRES's norms cannot overflow."""
+    def start(self, rhs):
+        """``(rhs, exponent, first)`` for ``finish``: ``rhs`` divided by
+        the power of two at its max-abs, which is exact, so that GMRES's
+        norms cannot overflow, that exponent, and the Future of the LU's
+        solve of GMRES's first basis vector on the worker, or None below
+        ``OVERLAP_FILL``."""
         exponent = np.frexp(np.abs(rhs).max())[1]
         rhs = np.ldexp(rhs, -exponent)
-        x, iterations, _ = _gmres(matrix, self.lu, rhs, rtol)
+        first = None
+        if self.lu.nnz >= OVERLAP_FILL:
+            if self._worker is None:
+                self._worker = ThreadPoolExecutor(max_workers=1)
+            basis = rhs / float(np.linalg.norm(rhs))
+            first = self._worker.submit(self.lu.solve, basis)
+        return rhs, exponent, first
+
+    def finish(self, matrix, started, rtol):
+        """Solve ``matrix . x = rhs`` to relative residual ``rtol``, where
+        ``started`` is ``start(rhs)``."""
+        rhs, exponent, first = started
+        if first is not None:
+            first = first.result()          # a worker's error raises here
+        x, iterations, _ = _gmres(matrix, self.lu, rhs, rtol, first)
         self.krylov_iterations += iterations
         if x is None:
             self.lu = None                  # release the stale LU first
@@ -333,6 +390,12 @@ class _LinearSolver:
             self.fallbacks += fell_back
             x = _refined_solve(matrix, self.lu, rhs, DIRECT_REFINEMENTS)
         return np.ldexp(x, exponent)
+
+    def close(self):
+        """Shut the worker down, once its solve has ended."""
+        if self._worker is not None:
+            self._worker.shutdown()
+            self._worker = None
 
 
 def _rest_lu(spaces, params):
@@ -395,10 +458,11 @@ def _newton(spaces, x_hat, rheology, friction, params, config, linear):
     energies = [norm(fields[0], "V2_seminorm")]
     eta = None
     while res > tol and len(steps) < config.max_newton:
+        started = linear.start(-r)          # may solve beside the assembly
         system = assemble_jacobian(fields[0], rheology, friction, params)
         eta = _forcing_term(res, residuals[-2] if steps else None, eta,
                             0.5 * tol / res)
-        delta = linear.solve(system.reduced(), -r, eta)
+        delta = linear.finish(system.reduced(), started, eta)
         alpha = 1.0
         for _ in range(LS_MAX + 1):
             trial = x_hat + alpha * delta
@@ -499,8 +563,11 @@ def solve_forward(rheology, friction, params, config=None, warm_start=None,
     else:
         x_hat0 = np.zeros(spaces.n_sys)
 
-    (vel, press), residuals, steps, energies, ok = _newton(
-        spaces, x_hat0, rheology, friction, params, config, linear)
+    try:
+        (vel, press), residuals, steps, energies, ok = _newton(
+            spaces, x_hat0, rheology, friction, params, config, linear)
+    finally:
+        linear.close()
     bound = energy_bound(vel, params)
     final_energy = energies[-1]
     report = SolveReport(ok, len(residuals) - 1, residuals, steps, energies,

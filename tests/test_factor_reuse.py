@@ -101,15 +101,18 @@ def test_refactorization_leaves_the_callers_lu_alone(
     lu = factor_adjoint(base_solution.velocity, B, tau, tilted_params)
     lam = solve_adjoint(base_solution.velocity, twin_obs, lu)
     monkeypatch.setattr(forward, "GMRES_RESTART", 0)    # every GMRES misses
-    sol = pg.solve_forward(*perturbed(slab_spaces, base_coeffs, 0.05),
-                           tilted_params, tight_solver,
-                           warm_start=(base_solution.velocity,
-                                       base_solution.pressure),
-                           preconditioner=lu)
-    assert sol.report.converged
-    assert sol.report.factorizations == sol.report.iterations
-    again = solve_adjoint(base_solution.velocity, twin_obs, lu)
-    assert np.array_equal(again.values, lam.values)
+    # also with each step's unused first solve started on the worker
+    for fill in (forward.OVERLAP_FILL, 0):
+        monkeypatch.setattr(forward, "OVERLAP_FILL", fill)
+        sol = pg.solve_forward(*perturbed(slab_spaces, base_coeffs, 0.05),
+                               tilted_params, tight_solver,
+                               warm_start=(base_solution.velocity,
+                                           base_solution.pressure),
+                               preconditioner=lu)
+        assert sol.report.converged
+        assert sol.report.factorizations == sol.report.iterations
+        again = solve_adjoint(base_solution.velocity, twin_obs, lu)
+        assert np.array_equal(again.values, lam.values)
 
 
 def test_discrete_suite_factors_three_times(monkeypatch, slab_spaces,

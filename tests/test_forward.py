@@ -1,6 +1,8 @@
 """Damped Newton forward solver: exact special cases, convergence
 behaviour, warm starts, sensitivity solves and failure paths."""
 
+import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -400,16 +402,145 @@ def test_nearly_plastic_flow_converges_without_continuation(p):
     assert sol.report.lu_fallbacks == 0
 
 
-def test_bedded_32x16_solve_stays_within_its_krylov_budget():
-    # measured: 5 Newton steps and 15 Krylov iterations from rest, where
-    # the p = 2 start took 27
+@pytest.fixture(scope="module")
+def bedded_32x16(tilted_params):
+    """A bedded 32x16 slab, whose forward LUs fill past ``OVERLAP_FILL``,
+    and its first solve, from rest under constant coefficients."""
     mesh = pg.generate_slab_mesh(2.0, 1.0, 32, 16,
                                  bed_profile=lambda x: 0.05 * np.sin(np.pi * x))
     spaces = pg.build_spaces(mesh)
-    sol = solve_forward(*coeffs(spaces), PhysicsParams(body_force=TILTED_FORCE))
+    return spaces, solve_forward(*coeffs(spaces), tilted_params)
+
+
+def test_bedded_32x16_solve_stays_within_its_krylov_budget(bedded_32x16):
+    # measured: 5 Newton steps and 15 Krylov iterations from rest, where
+    # the p = 2 start took 27
+    _, sol = bedded_32x16
     assert sol.report.converged
     assert sol.report.factorizations == 1
     assert sol.report.krylov_iterations <= 18
+
+
+def count_workers(monkeypatch):
+    """The worker pools that forward solves start from now on."""
+    workers = []
+
+    def executor(*args, **kwargs):
+        workers.append(forward_executor(*args, **kwargs))
+        return workers[-1]
+
+    forward_executor = forward.ThreadPoolExecutor
+    monkeypatch.setattr(forward, "ThreadPoolExecutor", executor)
+    return workers
+
+
+@pytest.mark.parametrize("start", ["cold", "dual"])
+def test_overlapped_first_solve_changes_no_bit(monkeypatch, tilted_params,
+                                               bedded_32x16, start):
+    # each Newton step's first LU solve, made on the worker beside the
+    # assembly, is the one GMRES would make itself: a cold solve on a
+    # rest LU it builds, and a warm one on a double-precision dual LU,
+    # give the same bits with every first solve overlapped and with none
+    spaces, base = bedded_32x16
+    if start == "dual":
+        lu = factor_adjoint(base.velocity, *coeffs(spaces), tilted_params)
+    workers = count_workers(monkeypatch)
+    runs = []
+    for fill in (0, math.inf):
+        monkeypatch.setattr(forward, "OVERLAP_FILL", fill)
+        if start == "cold":             # each run builds its own rest LU
+            fresh = pg.build_spaces(spaces.mesh)
+            runs.append(solve_forward(*coeffs(fresh, b=1.2, t=0.3),
+                                      tilted_params))
+        else:
+            runs.append(solve_forward(*coeffs(spaces, b=1.2, t=0.3),
+                                      tilted_params, preconditioner=lu,
+                                      warm_start=(base.velocity, base.pressure)))
+    overlapped, plain = runs
+    assert len(workers) == 1
+    assert overlapped.report.converged
+    assert same_bits(overlapped, plain)
+    assert overlapped.report.krylov_iterations == plain.report.krylov_iterations > 0
+    assert overlapped.report.factorizations == plain.report.factorizations \
+        == (1 if start == "cold" else 0)
+
+
+def test_worker_lives_only_within_a_solve_above_the_fill(monkeypatch,
+                                                        tilted_params,
+                                                        bedded_32x16):
+    workers = count_workers(monkeypatch)
+    threads = threading.active_count()
+    small = solve_forward(*coeffs(bedded_spaces_16x8()), tilted_params)
+    assert small.report.converged
+    assert workers == []
+    spaces, _ = bedded_32x16
+    large = solve_forward(*coeffs(spaces, b=1.2, t=0.3), tilted_params)
+    assert large.report.converged
+    assert len(workers) == 1
+    assert threading.active_count() == threads
+
+
+class _FailingLU:
+    """A preconditioner past any fill threshold whose solves raise."""
+
+    nnz = 10 ** 12
+
+    def __init__(self):
+        self.threads = []
+
+    def solve(self, rhs):
+        self.threads.append(threading.current_thread())
+        raise RuntimeError("solve failed")
+
+
+def test_worker_error_raises_from_the_forward_solve(slab_spaces,
+                                                    tilted_params):
+    # the first solve fails on the worker; the forward solve raises its
+    # error and leaves no thread behind
+    threads = threading.active_count()
+    lu = _FailingLU()
+    errors = []
+
+    def solve():
+        try:
+            solve_forward(*coeffs(slab_spaces), tilted_params, preconditioner=lu)
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    caller = threading.Thread(target=solve)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert errors == ["solve failed"]
+    assert len(lu.threads) == 1 and lu.threads[0] is not caller
+    assert threading.active_count() == threads
+
+
+def test_unused_first_solve_still_refactorizes_on_the_calling_thread(
+        monkeypatch, tilted_params, bedded_32x16):
+    # with no GMRES iteration the worker's vector goes unused: each step
+    # refactorizes, and every factorization runs on the calling thread
+    spaces, _ = bedded_32x16
+    B, tau = coeffs(spaces, b=1.2, t=0.3)
+    monkeypatch.setattr(forward, "GMRES_RESTART", 0)
+    threads = []
+    splu = scipy.sparse.linalg.splu
+
+    def traced(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", traced)
+    workers = count_workers(monkeypatch)
+    overlapped = solve_forward(B, tau, tilted_params)
+    monkeypatch.setattr(forward, "OVERLAP_FILL", math.inf)
+    plain = solve_forward(B, tau, tilted_params)
+    assert len(workers) == 1
+    assert overlapped.report.converged
+    assert overlapped.report.krylov_iterations == 0
+    assert overlapped.report.factorizations == overlapped.report.iterations
+    assert same_bits(overlapped, plain)
+    assert threads and all(t is threading.main_thread() for t in threads)
 
 
 def test_warm_started_solve_factorizes_once(slab_spaces, tilted_params,
@@ -550,13 +681,13 @@ def test_linear_solver_scales_a_huge_right_hand_side(
     lu = forward._factorize(nearby, "NATURAL", single=True)[0]
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
     linear = forward._LinearSolver(lu)
-    x = linear.solve(matrix, rhs, 1e-10)
+    x = linear.finish(matrix, linear.start(rhs), 1e-10)
     assert np.array_equal(x, forward._gmres(matrix, lu, rhs, 1e-10)[0])
     unit = rhs / np.abs(rhs).max()
     # the second max-abs lies above 2**1023, whose next power of two is
     # not finite; the scaled matrix keeps its solution finite
     for a, big in ((matrix, 4e300), (1e4 * matrix, 1.5e308)):
-        huge = linear.solve(a, big * unit, 1e-10) / big
+        huge = linear.finish(a, linear.start(big * unit), 1e-10) / big
         assert np.linalg.norm(a @ huge - unit) <= 1e-9 * np.linalg.norm(unit)
     assert linear.factorizations == 0
 
@@ -569,7 +700,7 @@ def test_jacobian_beyond_single_precision_falls_back_to_double(
     rhs = slab_spaces.reduce_vector(rng.standard_normal(slab_spaces.n_sys))
     monkeypatch.setattr(forward, "GMRES_RESTART", 0)    # every GMRES misses
     linear = forward._LinearSolver(forward.factorize(nearby))
-    x = linear.solve(matrix, rhs, 1e-8)
+    x = linear.finish(matrix, linear.start(rhs), 1e-8)
     assert linear.factorizations == linear.fallbacks == 1
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
