@@ -41,15 +41,16 @@ pattern of its own.  The reduced frame's pattern and slots come from
 one keyed pass over the element entries (:class:`ReducedFrame`), among
 them the coupling's element blocks, keyed once as C and once as C^T and
 scattered once per mesh.  The auxiliary matrices, built once per mesh,
-sum their element blocks by COO conversion.
-The four linear-element mass and stiffness matrices keep their closed
-forms.  Each space has one pair of Gram matrices (:func:`gram_matrices`)
-and its L2, V2 and H1 norms are their quadratic forms; integrals of
-nonlinear point values (the Lr norms, the misfit, the verification
-checks) go through one scalar quadrature sum, ``_omega_quad_integral``
-or ``_basal_quad_integral``.  The quadrature weights are applied only
-in this module.  Sums run in a fixed order, so serial assembly is
-bit-reproducible.
+sum their element blocks by COO conversion, the velocity ones on the P2
+nodes as node matrix (x) I_2, the V2 stiffness from the Jacobian's pair
+table: its mu0 term on one component.  The four linear-element mass and
+stiffness matrices keep their closed forms.  Each space has one pair of
+Gram matrices (:func:`gram_matrices`) and its L2, V2 and H1 norms are
+their quadratic forms; integrals of nonlinear point values (the Lr
+norms, the misfit, the verification checks) go through one scalar
+quadrature sum, ``_omega_quad_integral`` or ``_basal_quad_integral``.
+The quadrature weights are applied only in this module.  Sums run in a
+fixed order, so serial assembly is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -499,46 +500,40 @@ def basal_p1_mass(spaces):
     return _cached(spaces, "basal_mass", build)
 
 
-def _identity_blocks(blocks):
-    """Scalar element blocks (n, r, c) times delta_cd for the two vector
-    components, laid out (n, r, 2, c, 2)."""
-    out = np.zeros((blocks.shape[0], blocks.shape[1], 2, blocks.shape[2], 2))
-    for c in range(2):
-        out[:, :, c, :, c] = blocks
-    return out
+def _on_components(spaces, blocks, nodes):
+    """The node matrix of element blocks (n, r, c) at the P2 ``nodes`` on
+    both velocity components: node matrix (x) I_2, dof 2k + c, CSR."""
+    node = _element_matrix(blocks, nodes, nodes, (spaces.n_vnodes,) * 2)
+    return sp.kron(node, sp.identity(2), format="csr")
 
 
 def velocity_v2_stiffness(spaces):
-    """Full-gradient stiffness of the velocity space (both components)."""
+    """Full-gradient stiffness of the velocity space (both components):
+    on each component the Jacobian's mu0 term, the pair table of
+    :func:`_reference_tables` against det S of :func:`_jacobian_tables`."""
     def build():
-        # flux of each trial function: its physical gradient, axes (q, j, b, t)
-        grads = np.einsum("jnt,qnb->qjbt", spaces.inv_t, spaces.ref_grads)
-        blocks = np.moveaxis(_pair_flux(spaces, grads), 2, 0)
-        blocks = _identity_blocks(blocks).reshape(-1, 12, 12)
-        n = spaces.n_u
-        return _element_matrix(blocks, spaces.tri_vel_dofs, spaces.tri_vel_dofs, (n, n))
+        _, pairs, _ = _reference_tables(spaces)
+        det_s = _jacobian_tables(spaces)[1][:, :, 0, 0].reshape(4, -1)  # (mn, t)
+        blocks = pairs.reshape(36, -1, 4).sum(axis=1) @ det_s           # (ab, t)
+        return _on_components(spaces, blocks.T.reshape(-1, 6, 6), spaces.tri_p2_nodes)
     return _cached(spaces, "velocity_v2", build)
 
 
 def velocity_mass(spaces):
-    """L2 mass matrix of the velocity space."""
+    """L2 mass matrix of the velocity space (both components)."""
     def build():
         values = _pair_volume(spaces, spaces.p2_vals[:, :, None], spaces.p2_vals)
-        blocks = _identity_blocks(np.moveaxis(values, 2, 0)).reshape(-1, 12, 12)
-        n = spaces.n_u
-        return _element_matrix(blocks, spaces.tri_vel_dofs, spaces.tri_vel_dofs, (n, n))
+        return _on_components(spaces, np.moveaxis(values, 2, 0), spaces.tri_p2_nodes)
     return _cached(spaces, "velocity_mass", build)
 
 
 def basal_trace_mass(spaces):
-    """L2 mass of velocity traces on the bed chain."""
+    """L2 mass of velocity traces on the bed chain (both components)."""
     def build():
         bed = spaces.basal_edge_indices
         tv = spaces.edge_trace_vals
-        blocks = _identity_blocks(_pair_trace(spaces, bed, tv[None], tv))
-        dofs = spaces.trace_dofs(bed)
-        n = spaces.n_u
-        return _element_matrix(blocks.reshape(-1, 6, 6), dofs, dofs, (n, n))
+        return _on_components(spaces, _pair_trace(spaces, bed, tv[None], tv),
+                              spaces.bedge_nodes[bed])
     return _cached(spaces, "basal_trace_mass", build)
 
 

@@ -22,8 +22,9 @@ valid on atmosphere edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +61,17 @@ class MeshFormatError(MeshError):
         self.path = path
 
 
+class EdgeTable(NamedTuple):
+    """Unique triangle edges from validation's one ``np.unique``: sorted
+    keys, the first flat slot 3t + l (triangle t, local edge l) of each,
+    the key of every flat slot and of every boundary edge."""
+
+    keys: np.ndarray
+    first_slot: np.ndarray
+    inverse: np.ndarray
+    boundary_slot: np.ndarray
+
+
 @dataclass
 class Mesh:
     """Conforming triangle mesh with a fully tagged boundary.
@@ -84,6 +96,7 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_tags: np.ndarray
     observed: np.ndarray
+    edge_table: EdgeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=np.float64)
@@ -91,7 +104,7 @@ class Mesh:
         self.boundary_edges = np.ascontiguousarray(self.boundary_edges, dtype=np.int64)
         self.boundary_tags = np.ascontiguousarray(self.boundary_tags, dtype=np.int64)
         self.observed = np.ascontiguousarray(self.observed, dtype=bool)
-        _validate(self)
+        self.edge_table = _validate(self)
 
     @property
     def num_vertices(self):
@@ -131,6 +144,7 @@ def _signed_areas(vertices, triangles):
 
 
 def _validate(mesh):
+    """The :class:`EdgeTable` of ``mesh``, or MeshError on its first defect."""
     nv = mesh.vertices.shape[0]
     if mesh.vertices.ndim != 2 or mesh.vertices.shape[1] != 2:
         raise MeshError("vertices must have shape (nv, 2)")
@@ -162,9 +176,11 @@ def _validate(mesh):
     # interior edges to exactly two, and every single-triangle edge must
     # appear in the tagged boundary list.  Defects are reported in the
     # order of a walk over the boundary list, then over the triangle
-    # edges in first-appearance order.
-    keys, first_slot, counts = np.unique(triangle_edge_keys(mesh).ravel(),
-                                         return_index=True, return_counts=True)
+    # edges (local edges (0, 1), (1, 2), (2, 0)) in first-appearance order.
+    pairs = np.stack([mesh.triangles, np.roll(mesh.triangles, -1, axis=1)], axis=2)
+    keys, first_slot, inverse, counts = np.unique(
+        edge_keys(mesh, pairs).ravel(), return_index=True, return_inverse=True,
+        return_counts=True)
     bkeys = edge_keys(mesh, mesh.boundary_edges)
     _, bfirst, binverse = np.unique(bkeys, return_index=True, return_inverse=True)
     original = bfirst[binverse]
@@ -206,6 +222,7 @@ def _validate(mesh):
         raise MeshError("empty Gamma_d: mesh has no dirichlet boundary edge")
     if lengths[mesh.observed].sum() <= 0.0:
         raise MeshError("no observed atmosphere edge: observed surface is empty")
+    return EdgeTable(keys, first_slot, inverse, slot)
 
 
 def generate_slab_mesh(length, height, nx, ny, bed_profile=None):
@@ -410,17 +427,8 @@ def save_mesh(mesh, path):
 
 def edge_keys(mesh, pairs):
     """Orientation-free integer key ``min * nv + max`` of each vertex
-    pair in ``pairs`` (shape (k, 2))."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    return pairs.min(axis=1) * mesh.num_vertices + pairs.max(axis=1)
-
-
-def triangle_edge_keys(mesh):
-    """Keys of the local edges (0,1), (1,2), (2,0) of every triangle,
-    shape (nt, 3)."""
-    tris = mesh.triangles
-    pairs = np.stack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]], axis=1)
-    return edge_keys(mesh, pairs.reshape(-1, 2)).reshape(-1, 3)
+    pair in ``pairs`` (shape (..., 2))."""
+    return pairs.min(axis=-1) * mesh.num_vertices + pairs.max(axis=-1)
 
 
 def boundary_frames(mesh):
@@ -432,8 +440,9 @@ def boundary_frames(mesh):
     of the domain when the edge runs the way its triangle does: a
     counterclockwise triangle has its interior on the left of each of
     its directed edges (0, 1), (1, 2), (2, 0).  An edge listed against
-    its triangle has its normal flipped.  The rule needs counterclockwise
-    triangles, which :class:`Mesh` validation enforces.
+    its triangle, whose flat slot 3t + l (:class:`EdgeTable`) runs from
+    ``triangles[t, l]``, has its normal flipped.  The rule needs
+    counterclockwise triangles, which :class:`Mesh` validation enforces.
     """
     ends = mesh.boundary_edges
     vec = mesh.vertices[ends[:, 1]] - mesh.vertices[ends[:, 0]]
@@ -443,11 +452,8 @@ def boundary_frames(mesh):
         raise MeshError("boundary edge %d has zero length" % zero[0])
     tangents = vec / lengths[:, None]
     normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=1)
-    nv = mesh.num_vertices
-    tris = mesh.triangles
-    directed = np.sort((tris * nv + np.roll(tris, -1, axis=1)).ravel())
-    forward = ends[:, 0] * nv + ends[:, 1]
-    slot = np.searchsorted(directed, forward).clip(max=directed.size - 1)
-    against = directed[slot] != forward
+    table = mesh.edge_table
+    start = mesh.triangles.ravel()[table.first_slot[table.boundary_slot]]
+    against = start != ends[:, 0]
     normals[against] = -normals[against]
     return normals, tangents, lengths

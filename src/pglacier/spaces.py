@@ -27,8 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import (BoundaryTag, Mesh, MeshError, boundary_frames, edge_keys,
-                   triangle_edge_keys)
+from .mesh import BoundaryTag, Mesh, MeshError, boundary_frames
 
 
 class SpaceKind(Enum):
@@ -462,17 +461,15 @@ class Spaces:
         nv = mesh.num_vertices
         nt = mesh.num_triangles
 
-        # Unique edge table, numbered in order of first appearance over
-        # (triangle, local edge); midpoint node ids are nv + edge_id.
-        keys, first, inverse = np.unique(triangle_edge_keys(mesh).ravel(),
-                                         return_index=True, return_inverse=True)
-        order = np.argsort(first)
+        # The mesh's unique edge table, numbered in order of first appearance
+        # over (triangle, local edge); midpoint node ids are nv + edge_id.
+        table = mesh.edge_table
+        order = np.argsort(table.first_slot)
         edge_id = np.empty_like(order)
         edge_id[order] = np.arange(order.size)
-        self.edges = np.stack([keys[order] // nv, keys[order] % nv], axis=1)
-        self.tri_edges = edge_id[inverse].reshape(nt, 3)
-        ne = order.size
-        self.n_vnodes = nv + ne
+        self.edges = np.stack(np.divmod(table.keys[order], nv), axis=1)
+        self.tri_edges = edge_id[table.inverse].reshape(nt, 3)
+        self.n_vnodes = nv + order.size
 
         self.node_coords = np.vstack([
             mesh.vertices,
@@ -516,7 +513,7 @@ class Spaces:
 
         # Boundary edge tables: P2 node triple (first endpoint, second
         # endpoint, midpoint), length, outward normal and tangent.
-        mid = nv + edge_id[np.searchsorted(keys, edge_keys(mesh, mesh.boundary_edges))]
+        mid = nv + edge_id[table.boundary_slot]
         self.bedge_nodes = np.column_stack([mesh.boundary_edges, mid])
         self.bedge_normals, self.bedge_tangents, self.bedge_lengths = \
             boundary_frames(mesh)

@@ -24,6 +24,11 @@ from pglacier.spaces import (field_from_callable, point_velocity_gradients,
                              velocity_trace)
 from pglacier.tensor_ops import PhysicsParams, s_gamma, s_omega
 
+# Every RuntimeWarning is an error here: an overflow or invalid value in
+# the reference-element contractions, in the slip-weighted scatter into
+# the reduced frame or in the Jacobian at huge velocities.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 rng = np.random.default_rng(11)
 
 
@@ -390,6 +395,25 @@ def test_basal_trace_mass_matches_quadrature(slab_spaces):
     w = slab_spaces.quadrature.edge_weights
     direct = np.einsum("m,k,km->", w, lengths, (tr ** 2).sum(axis=2))
     assert abs(quad - direct) <= 1e-12 * max(quad, 1.0)
+
+
+@pytest.mark.parametrize("build", [velocity_mass, velocity_v2_stiffness,
+                                   basal_trace_mass],
+                         ids=["mass", "v2_stiffness", "trace_mass"])
+def test_velocity_gram_matrices_store_no_component_coupling(build):
+    # one node matrix on both components: no stored entry, not even an
+    # explicit zero, between the x and y dofs, and the two component
+    # blocks bit for bit alike
+    spaces = pg.build_spaces(pg.generate_slab_mesh(
+        2.0, 1.0, 16, 8, bed_profile=lambda x: 0.05 * np.sin(np.pi * x)))
+    A = build(spaces)
+    assert A.shape == (spaces.n_u, spaces.n_u)
+    assert A[0::2, 1::2].nnz == A[1::2, 0::2].nnz == 0
+    x, y = A[0::2, 0::2], A[1::2, 1::2]
+    assert x.nnz == y.nnz > 0
+    assert np.array_equal(x.indptr, y.indptr)
+    assert np.array_equal(x.indices, y.indices)
+    assert x.data.tobytes() == y.data.tobytes()
 
 
 def test_matrix_caching_returns_same_object(slab_spaces):

@@ -149,6 +149,7 @@ def test_verify_passes_and_writes_report(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_report_quotes_names_with_commas(monkeypatch, tmp_path):
     # a check name with a comma used to shift the passed column
     names = ['energy bound mu0 |v|_V2^2 <= |(f, v)|', 'say "ok"', "plain"]

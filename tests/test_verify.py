@@ -15,6 +15,10 @@ from pglacier.tensor_ops import s_omega
 from pglacier.verify import (CheckResult, discrete_suite, pointwise_suite,
                              trace_constant)
 
+# Every RuntimeWarning is an error here: an overflow or invalid value in
+# the verify suites, the Lanczos bed-trace constant included.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def detail_float(result, prefix):
     assert result.detail.startswith(prefix), result.detail
@@ -236,7 +240,7 @@ def test_discrete_suite_factors_h1_once_per_mesh(monkeypatch, slab_spaces,
     factorize = verify.factorize
 
     def counted(matrix, *args):
-        if matrix.shape == (spaces.n_u, spaces.n_u):
+        if matrix.shape == (spaces.n_vnodes, spaces.n_vnodes):
             h1.append(matrix)
         return factorize(matrix, *args)
 
@@ -271,6 +275,15 @@ def dense_trace_constant(spaces):
 def test_trace_constant_matches_dense_eigensolve(nx, tmp_path):
     spaces = pg.build_spaces(jittered_file_mesh(tmp_path) if nx is None
                              else pg.generate_slab_mesh(2.0, 1.0, nx, 2))
+    want = dense_trace_constant(spaces)
+    assert abs(trace_constant(spaces) - want) <= 1e-12 * want
+
+
+def test_trace_constant_matches_dense_eigensolve_on_a_bedded_slab():
+    # the Lanczos runs on one component; the dense solve on the pencil
+    # of both
+    spaces = pg.build_spaces(pg.generate_slab_mesh(
+        2.0, 1.0, 16, 8, bed_profile=lambda x: 0.05 * np.sin(np.pi * x)))
     want = dense_trace_constant(spaces)
     assert abs(trace_constant(spaces) - want) <= 1e-12 * want
 
