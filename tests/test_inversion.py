@@ -372,7 +372,8 @@ def test_descent_refuses_non_finite_starting_cost(tilted_params, twin_obs,
                                                   base_coeffs):
     # used to run every iteration on an infinite cost and report success
     huge = pg.Observation(np.full_like(twin_obs.samples, 1e300))
-    with pytest.raises(NonFiniteCostError, match="misfit inf"):
+    with pytest.raises(NonFiniteCostError, match="misfit inf"), \
+            pytest.warns(RuntimeWarning, match="overflow encountered"):
         run_inversion(*base_coeffs, huge, tilted_params)
 
 
@@ -382,6 +383,7 @@ def test_taylor_refuses_non_finite_base_cost(slab_spaces, tilted_params,
     huge = pg.Observation(np.full_like(twin_obs.samples, 1e300))
     db = pg.constant_field(slab_spaces.coeff_omega, 0.1)
     df = pg.constant_field(slab_spaces.coeff_basal, 0.1)
-    state = make_state(*base_coeffs, huge, tilted_params)
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        state = make_state(*base_coeffs, huge, tilted_params)
     with pytest.raises(NonFiniteCostError, match="misfit inf"):
         taylor_test(state, db, df, tilted_params)

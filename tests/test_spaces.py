@@ -14,10 +14,6 @@ from pglacier.spaces import (NodeConstraint, basal_coeff_on_edges,
                              point_velocity_gradients, point_velocity_values,
                              velocity_trace)
 
-# Every RuntimeWarning is an error here: an overflow or invalid value in
-# the reduced frame's rotation, elimination or scatter.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 rng = np.random.default_rng(42)
 
 
